@@ -239,9 +239,32 @@ def test_compact_refreshes_manifest_after_promote_crash(tier_ds, tmp_path,
 
 def test_compact_finishes_interrupted_empty_drop(tier_ds, tmp_path,
                                                  ray_session):
-    """A compact killed between rmtree(path) (partition fully expired) and
-    man.drop leaves a manifest entry pointing at a missing directory; the
-    next run must finish the drop instead of failing the read."""
+    """An empty drop renames the partition aside before man.drop; a compact
+    killed in that window leaves the rows at '<path>.old' under a manifest
+    entry that still lists them. The next run must restore the directory and
+    re-decide it as emptied, not fail the read or report it lost."""
+    from tsmp_ray.stages.retention import compact
+
+    out = str(tmp_path / "tier1m")
+    resumable_write(tier_ds, out, "signal")
+    pdf = tier_ds.to_pandas()
+    hi = int(pdf["bucket_ts"].max())
+
+    man = Manifest(out)
+    key = sorted(man.data["partitions"])[0]
+    path = os.path.join(out, key)
+    os.replace(path, path + ".old")  # crash window: dir aside, entry kept
+
+    status = compact(out, now_us=hi + 1, ttl_us=0)  # everything expired
+    assert set(status.values()) == {"emptied"}
+    assert Manifest(out).data["partitions"] == {}
+    assert not os.path.exists(path) and not os.path.exists(path + ".old")
+
+
+def test_compact_reports_missing_partition(tier_ds, tmp_path, ray_session):
+    """A partition whose directory and '.old' copy are both gone is real
+    loss, not a finished empty drop: it is reported 'missing' and its entry
+    is dropped so the surviving partitions still read back."""
     from tsmp_ray.stages.retention import compact
 
     out = str(tmp_path / "tier1m")
@@ -251,14 +274,38 @@ def test_compact_finishes_interrupted_empty_drop(tier_ds, tmp_path,
 
     man = Manifest(out)
     key = sorted(man.data["partitions"])[0]
-    shutil.rmtree(os.path.join(out, key))  # crash window: dir gone,
-    # manifest entry still present
+    lost_rows = man.data["partitions"][key]["rows"]
+    shutil.rmtree(os.path.join(out, key))
 
     status = compact(out, now_us=hi, ttl_us=(hi - lo) + 1)  # keep-all ttl
-    assert status[key] == "emptied"
-    man2 = Manifest(out)
-    assert key not in man2.data["partitions"]
+    assert status[key] == "missing"
+    assert key not in Manifest(out).data["partitions"]
     assert all(v == "unchanged" for k, v in status.items() if k != key)
+    got = read_partitioned(out, "signal").to_pandas()
+    assert len(got) == len(pdf) - lost_rows
+
+
+def test_compact_mismatch_leaves_entry(tier_ds, tmp_path, ray_session):
+    """A crashed compact can only leave FEWER rows on disk than recorded. A
+    manifest entry recording fewer rows than the disk holds is unexplained:
+    compact reports 'mismatch' and leaves the entry and the files alone."""
+    from tsmp_ray.stages.retention import compact
+
+    out = str(tmp_path / "tier1m")
+    resumable_write(tier_ds, out, "signal")
+    pdf = tier_ds.to_pandas()
+    lo, hi = int(pdf["bucket_ts"].min()), int(pdf["bucket_ts"].max())
+
+    man = Manifest(out)
+    key = sorted(man.data["partitions"])[0]
+    entry = dict(man.data["partitions"][key], rows=1)
+    man.record(key, entry)
+    before = tree_bytes(os.path.join(out, key))
+
+    status = compact(out, now_us=hi, ttl_us=(hi - lo) + 1)  # keep-all ttl
+    assert status[key] == "mismatch"
+    assert Manifest(out).data["partitions"][key] == entry  # crc unchanged
+    assert tree_bytes(os.path.join(out, key)) == before
 
 
 def test_stale_tmp_dir_not_adopted(tier_ds, tmp_path, ray_session):
@@ -281,3 +328,117 @@ def test_stale_tmp_dir_not_adopted(tier_ds, tmp_path, ray_session):
     assert not any(".tmp-" in k for k in man2.data["partitions"])
     assert not os.path.exists(stale)
     assert len(read_partitioned(out, "signal").to_pandas()) == n_rows
+
+
+def test_compact_old_leftover_not_adopted(tier_ds, tmp_path, ray_session):
+    """A compact killed after promoting tmp -> path but before rmtree(old)
+    leaves '<key>.old' holding a _SUCCESS marker. resumable_write must not
+    adopt it as an extra partition (read_partitioned would return its rows
+    twice) and must not delete it (compact's preamble may still need it)."""
+    out = str(tmp_path / "tier1m")
+    resumable_write(tier_ds, out, "signal")
+    n_rows = len(read_partitioned(out, "signal").to_pandas())
+
+    key = sorted(Manifest(out).data["partitions"])[0]
+    leftover = os.path.join(out, key + ".old")
+    shutil.copytree(os.path.join(out, key), leftover)
+
+    status = resumable_write(tier_ds, out, "signal")
+    assert set(status.values()) == {"skipped"}
+    assert not any(k.endswith(".old") for k in Manifest(out).data["partitions"])
+    assert os.path.isdir(leftover)
+    assert len(read_partitioned(out, "signal").to_pandas()) == n_rows
+
+
+MINUTE_US = 60_000_000
+
+
+@pytest.fixture()
+def conv_store(tmp_path, ray_session):
+    """Four conv_id partitions of ten one-minute buckets each, laid end to
+    end in time: conv a holds minutes 0-9, b 10-19, c 20-29, d 30-39."""
+    import pyarrow as pa
+    import ray
+
+    convs = np.repeat(np.array(["a", "b", "c", "d"]), 10)
+    tbl = pa.table({
+        "conv_id": pa.array(convs),
+        "bucket_ts": pa.array(np.arange(40, dtype=np.int64) * MINUTE_US,
+                              pa.timestamp("us")),
+        "v": pa.array(np.arange(40, dtype=np.float64) * 0.5),
+    })
+    out = str(tmp_path / "store")
+    resumable_write(ray.data.from_arrow(tbl), out, "conv_id")
+    return out, tbl
+
+
+def test_compact_decides_from_footers(conv_store, monkeypatch):
+    """Partitions wholly before or wholly after the cutoff are decided from
+    Parquet footer statistics alone: with read_table disabled, compact still
+    empties the expired ones and keeps the live ones."""
+    import pyarrow.parquet as pq
+
+    from tsmp_ray.stages.retention import compact
+
+    out, _tbl = conv_store
+
+    def no_reads(*_a, **_k):
+        raise AssertionError("compact read partition data")
+
+    monkeypatch.setattr(pq, "read_table", no_reads)
+    status = compact(out, now_us=40 * MINUTE_US, ttl_us=20 * MINUTE_US)
+    assert status == {"conv_id=a": "emptied", "conv_id=b": "emptied",
+                      "conv_id=c": "unchanged", "conv_id=d": "unchanged"}
+    man = Manifest(out)
+    assert sorted(man.data["partitions"]) == ["conv_id=c", "conv_id=d"]
+    metric = man.data["metrics"]["retention.last_compact"]
+    assert metric["footer_decided"] == 4
+    assert (metric["read"], metric["rewritten"], metric["bytes_rewritten"]) \
+        == (0, 0, 0)
+    assert metric["wall_s"] >= 0
+
+
+def test_compact_fallback_is_exact(conv_store):
+    """Partitions the footers cannot decide are read and filtered exactly:
+    one rewritten without statistics, one split into small row groups of
+    which only one straddles the cutoff. Statuses, manifest rows and the
+    surviving rows equal a bucket_ts >= cutoff filter of the source."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from tsmp_ray.stages.retention import compact
+
+    out, tbl = conv_store
+    cutoff = 15 * MINUTE_US  # inside conv b, between its groups 13-15/16-18
+
+    def rewrite(key, **kw):
+        part = os.path.join(out, key, "part-0.parquet")
+        pq.write_table(pq.read_table(part, partitioning=None), part, **kw)
+
+    rewrite("conv_id=b", row_group_size=3)  # groups 10-12|13-15|16-18|19
+    rewrite("conv_id=c", write_statistics=False)
+    md = pq.read_metadata(os.path.join(out, "conv_id=b", "part-0.parquet"))
+    assert md.num_row_groups == 4
+
+    status = compact(out, now_us=cutoff + MINUTE_US, ttl_us=MINUTE_US)
+    assert status == {"conv_id=a": "emptied", "conv_id=b": "compacted",
+                      "conv_id=c": "unchanged", "conv_id=d": "unchanged"}
+    metric = Manifest(out).data["metrics"]["retention.last_compact"]
+    assert (metric["footer_decided"], metric["read"], metric["rewritten"]) \
+        == (2, 2, 1)
+
+    want = tbl.filter(pc.greater_equal(
+        tbl["bucket_ts"], pa.scalar(cutoff, pa.timestamp("us"))))
+    man = Manifest(out)
+    for key, entry in man.data["partitions"].items():
+        conv = key.split("=", 1)[1]
+        part = want.filter(pc.equal(want["conv_id"], conv))
+        files = sorted(f for f in os.listdir(os.path.join(out, key))
+                       if f.endswith(".parquet"))
+        got = pq.read_table([os.path.join(out, key, f) for f in files],
+                            partitioning=None)
+        assert entry["rows"] == got.num_rows == part.num_rows
+        assert got.to_pydict() == part.to_pydict()  # row order kept
+    assert sum(e["rows"] for e in man.data["partitions"].values()) \
+        == want.num_rows

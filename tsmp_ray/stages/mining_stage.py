@@ -936,7 +936,11 @@ def abjoin_pair_op(id_a, xa, id_b, xb, *, w: int, signal: str = "text_len"):
         return None
     # ONE join pass: mpx's AB mode fills both orientations in the same
     # diagonal sweep (mp/pi = A side, mpb/pib = B side — mpx.cpp:234-248),
-    # so the reversed call would recompute identical distances
+    # so the reversed call would recompute identical distances.
+    # Never hash-compare pi/pib across versions: the 'ba' side matches the
+    # old reversed call only up to float ulp (invn multiplication and
+    # diagonal order differ), so exact-distance tie-breaks can differ.
+    # Distances stay atol-gated through ab_join_checked.
     prof = mpx(xa, w, query=xb)
     outs = []
     for ia, ib, mp_arr, pi_arr, tag in (

@@ -99,8 +99,13 @@ def resumable_write(ds, out_dir: str, partition_col: str,
     # extra partition — read_partitioned would then return its rows twice.
     # Tmp leftovers are never adoptable (the rename is the commit point);
     # clear them so a rewrite by a different pid doesn't strand them.
+    # retention.compact's '<key>.old' / '<key>.compact' leftovers are not
+    # adoptable either ('.old' can hold the original _SUCCESS), but they are
+    # kept: compact's recovery preamble restores '.old' while the live
+    # directory is missing.
     for d in sorted(os.listdir(out_dir)):
-        if not d.startswith(f"{partition_col}="):
+        if (not d.startswith(f"{partition_col}=")
+                or d.endswith((".old", ".compact"))):
             continue
         if ".tmp-" in d:
             shutil.rmtree(os.path.join(out_dir, d), ignore_errors=True)
