@@ -261,7 +261,35 @@ def test_compact_finishes_interrupted_empty_drop(tier_ds, tmp_path,
     assert not os.path.exists(path) and not os.path.exists(path + ".old")
 
 
-def test_compact_reports_missing_partition(tier_ds, tmp_path, ray_session):
+def test_compact_sweeps_stranded_empty_drop_old(tier_ds, tmp_path,
+                                                ray_session):
+    """An empty drop killed after man.drop but before rmtree(old) leaves
+    '<key>.old' with no manifest entry and no live '<key>'. The next compact
+    removes it and leaves every other partition alone."""
+    from tsmp_ray.stages.retention import compact
+
+    out = str(tmp_path / "tier1m")
+    resumable_write(tier_ds, out, "signal")
+    pdf = tier_ds.to_pandas()
+    lo, hi = int(pdf["bucket_ts"].min()), int(pdf["bucket_ts"].max())
+
+    man = Manifest(out)
+    key = sorted(man.data["partitions"])[0]
+    dropped_rows = man.data["partitions"][key]["rows"]
+    path = os.path.join(out, key)
+    os.replace(path, path + ".old")  # crash window: renamed aside ...
+    man.drop(key)                    # ... and dropped, but not removed
+
+    status = compact(out, now_us=hi, ttl_us=(hi - lo) + 1)  # keep-all ttl
+    assert key not in status
+    assert set(status.values()) == {"unchanged"}
+    assert not os.path.exists(path + ".old") and not os.path.exists(path)
+    got = read_partitioned(out, "signal").to_pandas()
+    assert len(got) == len(pdf) - dropped_rows
+
+
+def test_compact_reports_missing_partition(tier_ds, tmp_path, ray_session,
+                                           caplog):
     """A partition whose directory and '.old' copy are both gone is real
     loss, not a finished empty drop: it is reported 'missing' and its entry
     is dropped so the surviving partitions still read back."""
@@ -277,15 +305,19 @@ def test_compact_reports_missing_partition(tier_ds, tmp_path, ray_session):
     lost_rows = man.data["partitions"][key]["rows"]
     shutil.rmtree(os.path.join(out, key))
 
-    status = compact(out, now_us=hi, ttl_us=(hi - lo) + 1)  # keep-all ttl
+    with caplog.at_level("WARNING", logger="tsmp_ray"):
+        status = compact(out, now_us=hi, ttl_us=(hi - lo) + 1)  # keep-all
     assert status[key] == "missing"
+    warned = [r.getMessage() for r in caplog.records if r.name == "tsmp_ray"]
+    assert len(warned) == 1 and key in warned[0] and "missing" in warned[0]
     assert key not in Manifest(out).data["partitions"]
     assert all(v == "unchanged" for k, v in status.items() if k != key)
     got = read_partitioned(out, "signal").to_pandas()
     assert len(got) == len(pdf) - lost_rows
 
 
-def test_compact_mismatch_leaves_entry(tier_ds, tmp_path, ray_session):
+def test_compact_mismatch_leaves_entry(tier_ds, tmp_path, ray_session,
+                                       caplog):
     """A crashed compact can only leave FEWER rows on disk than recorded. A
     manifest entry recording fewer rows than the disk holds is unexplained:
     compact reports 'mismatch' and leaves the entry and the files alone."""
@@ -302,8 +334,11 @@ def test_compact_mismatch_leaves_entry(tier_ds, tmp_path, ray_session):
     man.record(key, entry)
     before = tree_bytes(os.path.join(out, key))
 
-    status = compact(out, now_us=hi, ttl_us=(hi - lo) + 1)  # keep-all ttl
+    with caplog.at_level("WARNING", logger="tsmp_ray"):
+        status = compact(out, now_us=hi, ttl_us=(hi - lo) + 1)  # keep-all
     assert status[key] == "mismatch"
+    warned = [r.getMessage() for r in caplog.records if r.name == "tsmp_ray"]
+    assert len(warned) == 1 and key in warned[0]
     assert Manifest(out).data["partitions"][key] == entry  # crc unchanged
     assert tree_bytes(os.path.join(out, key)) == before
 

@@ -432,6 +432,120 @@ def test_profile_kernel_batched_emit_equals_per_conv():
     assert empty.num_rows == 0 and empty.schema.equals(PROFILE_SCHEMA)
 
 
+def test_blocked_mp_many_bitwise_equals_block_loop():
+    """The batched short-series kernel (one matmul per chunk of one-block
+    series) must equal blocked_mp's block loop BITWISE on all six arrays,
+    pi included. ``row_range=(0, p)`` forces the loop, the independent
+    implementation; the plain call must agree too. The ragged batch holds
+    NaN, flat runs, tie-heavy integer walks, a 1e9 offset, an all-flat
+    series and p = 255/256/257 at the block edge. Pure local (no Ray)."""
+    from tsmp_ray.kernels.block_join import blocked_mp, blocked_mp_many
+
+    rng = np.random.default_rng(12)
+    w = 8
+    series = []
+    for k, n in enumerate(rng.integers(2 * w, 200, 60)):
+        x = rng.standard_normal(n)
+        if k % 5 == 1:
+            x = np.cumsum(rng.integers(-1, 2, n)).astype(float)
+        elif k % 5 == 2:
+            x = x + 1e9
+        elif k % 5 == 3:
+            x[rng.integers(0, n, 2)] = np.nan
+            x[n // 3: n // 3 + w + 2] = 3.0
+        elif k % 5 == 4:
+            x = rng.integers(0, 3, n).astype(float)
+        series.append(x)
+    series.append(np.full(30, 7.0))
+    series += [rng.integers(0, 3, p + w - 1).astype(float)
+               for p in (255, 256, 257)]
+    got = blocked_mp_many(series, w)
+    assert len(got) == len(series)
+    for x, prof in zip(series, got):
+        p = len(x) - w + 1
+        for want in (blocked_mp(x, w, row_range=(0, p)), blocked_mp(x, w)):
+            for f in ("mp", "pi", "lmp", "lpi", "rmp", "rpi"):
+                a, b = getattr(prof, f), getattr(want, f)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+                    (len(x), f)
+    assert np.isinf(got[-4].mp).all() and (got[-4].pi == -1).all()
+
+
+def _mixed_length_packed():
+    """Packed rows of short convs, one mid conv (290 turns: > 256 windows at
+    w=8) and one heavy conv (700 turns, prefixed 'h')."""
+    import ray
+
+    short = synthetic_transcripts(n_convs=4, seed=13, mean_turns=60,
+                                  max_turns=120, long_conv_turns=290)
+    heavy = synthetic_transcripts(n_convs=1, seed=14, mean_turns=60,
+                                  long_conv_turns=700)
+    heavy = heavy.set_column(
+        heavy.schema.get_field_index("conv_id"), "conv_id",
+        pa.array(["h" + c for c in heavy["conv_id"].to_pylist()]))
+    packed = pack_series(ray.data.from_arrow(pa.concat_tables([short, heavy])))
+    return packed.materialize()
+
+
+def test_profile_plan_emits_each_row_once(ray_session):
+    """With salt_turn_threshold=300 (< 512, the old duplicate-row hazard)
+    every (conv_id, signal, window_idx) of short, mid and heavy convs comes
+    out exactly once, and the values equal the all-inline config."""
+    packed = _mixed_length_packed()
+    n_turns = packed.to_pandas()["n_turns"].to_numpy()
+    assert n_turns.max() > 300 and ((n_turns > 263) & (n_turns <= 300)).any()
+    keys = ["conv_id", "signal", "window_idx"]
+    inline = compute_profiles(
+        packed, EngineConfig(window_size=8, salt_turn_threshold=10_000)
+    ).to_pandas()
+    salted = compute_profiles(
+        packed, EngineConfig(window_size=8, salt_turn_threshold=300,
+                             profile_concurrency=3)
+    ).to_pandas()
+    want_rows = 3 * int(sum(n - 7 for n in n_turns if n >= 16))
+    for df in (inline, salted):
+        assert len(df) == want_rows
+        assert not df.duplicated(keys).any()
+    a, b = sorted_df(inline, keys), sorted_df(salted, keys)
+    assert (a[keys].to_numpy() == b[keys].to_numpy()).all()
+    for col in ("mp", "lmp", "rmp"):
+        np.testing.assert_allclose(a[col].to_numpy(), b[col].to_numpy(),
+                                   atol=2e-5)
+
+
+def test_no_heavy_conv_starts_no_shard_task(ray_session):
+    """The shard planner returns None (no shard task, no union) when no conv
+    is over the cut, and plans the heavy conv when one is."""
+    from tsmp_ray.stages.profile_stage import _sharded_profiles_ds
+
+    packed = _mixed_length_packed()
+    cfg = EngineConfig(window_size=8)
+    assert _sharded_profiles_ds(packed, cfg, 2, heavy_cut=10_000) is None
+    heavy = _sharded_profiles_ds(packed, cfg, 2, heavy_cut=300).to_pandas()
+    assert set(heavy["conv_id"]) == {"hconv000000"}
+    assert len(heavy) == 3 * (700 - 7)
+
+
+def test_compute_mstomp_mixed_lengths_each_row_once(ray_session):
+    """compute_mstomp's one plan (inline op skips convs over the threshold,
+    the shard path takes them) emits every (conv_id, k_dim, window_idx)
+    exactly once for short, mid and heavy convs."""
+    from tsmp_ray.stages.mining_stage import compute_mstomp
+
+    packed = _mixed_length_packed()
+    df = packed.to_pandas()
+    out = compute_mstomp(
+        packed, EngineConfig(window_size=8, salt_turn_threshold=300,
+                             profile_concurrency=3)).to_pandas()
+    keys = ["conv_id", "k_dim", "window_idx"]
+    assert not out.duplicated(keys).any()
+    for cid, n in zip(df["conv_id"], df["n_turns"]):
+        got = out[out.conv_id == cid]
+        assert len(got) == (3 * (n - 7) if n >= 16 else 0), cid
+        if n >= 16:
+            assert set(got["window_idx"]) == set(range(n - 7))
+
+
 def test_tiers_from_packed_equals_build_tiers(ray_session):
     """The zero-shuffle packed-row tier path must equal the generic
     partial+groupby fold path BITWISE (same add order: ts order within

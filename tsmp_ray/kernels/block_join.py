@@ -6,8 +6,8 @@ the O(n²) mpx recurrence: per block-pair one dgemm (compute-dense) plus
 argmax passes over a block that FITS IN L2 CACHE, so the kernel stops being
 DRAM-bandwidth-bound and scales across actor processes — the property the
 N→4N efficiency target needs. For large w, mpx/stomp win (w multiplies the
-FLOPs here but not there); :class:`..stages.profile_stage.ProfileKernel`
-selects per window size.
+FLOPs here but not there); :func:`use_blocked` is the one rule every caller
+applies.
 
 Semantics identical to stomp/mpx (same exclusion zone, skip masking,
 lmp/lpi/rmp/rpi; ed = sqrt(2w(1-ρ)), /root/reference/src/mpx.cpp:84-86).
@@ -15,18 +15,25 @@ lmp/lpi/rmp/rpi; ed = sqrt(2w(1-ρ)), /root/reference/src/mpx.cpp:84-86).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from ..config import DEFAULT_EZ, exclusion_zone
-from .mass import clean_series
-from .movstats import mov_stats
-from .profile_types import MatrixProfile, empty_profile
+from ..config import DEFAULT_EZ, EPS, exclusion_zone
+from .profile_types import MatrixProfile, corr_to_ed
 
-__all__ = ["blocked_mp", "strip_splits"]
+__all__ = ["auto_profile", "blocked_mp", "blocked_mp_many", "strip_splits",
+           "use_blocked"]
+
+#: correlation cells (B·P²) per batched short-series matmul: 2 MB of float64
+#: stays cache-resident (measured fastest of 2¹⁶–2²¹ at p ≈ 30–73)
+_CHUNK_CELLS = 1 << 18
+#: rows/columns per dgemm block of :func:`blocked_mp`
+_BLOCK = 256
 
 
 def strip_splits(p: int, zone: int, n_shards: int,
-                 block: int = 256) -> list[tuple[int, int]]:
+                 block: int = _BLOCK) -> list[tuple[int, int]]:
     """Equal-AREA row-block strips of the upper triangle, snapped to
     multiples of ``block``.
 
@@ -64,20 +71,125 @@ def strip_splits(p: int, zone: int, n_shards: int,
     return out
 
 
-def _unit_windows(data: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+def use_blocked(w: int) -> bool:
+    """The one blocked-vs-mpx rule every profile caller applies: blocked BLAS
+    for small windows (w ≤ 32), the mpx recurrence above that."""
+    return w <= 32
+
+
+def auto_profile(data: np.ndarray, w: int, ez: float = DEFAULT_EZ
+                 ) -> MatrixProfile:
+    """The production self-join profile: :func:`blocked_mp` when
+    :func:`use_blocked`, else the mpx recurrence."""
+    if use_blocked(w):
+        return blocked_mp(data, w, ez=ez)
+    from .mpx import mpx
+
+    return mpx(data, w, ez=ez)
+
+
+def _unit_windows(series: list[np.ndarray], w: int):
+    """Row-wise prep of a ragged batch: zero-padded (B, N) series →
+    unit-normalized windows Z (B, P, w) and skip mask (B, P), with every
+    window past a series' own end marked skip. Bit-identical per row to
+    ``clean_series`` + ``mov_stats`` on the unpadded series: each step is a
+    row-wise cumsum (exact on a prefix) or elementwise, and the one
+    pairwise reduction (the centering mean) runs on the unpadded slice."""
     from numpy.lib.stride_tricks import sliding_window_view
 
-    xc, skip = clean_series(data, w)
-    mu, _, ssq = mov_stats(xc, w)
+    ns = np.array([len(s) for s in series])
+    X = np.zeros((len(series), int(ns.max())))
+    for b, s in enumerate(series):
+        X[b, :len(s)] = s
+    bad = ~np.isfinite(X)
+    X[bad] = 0.0
+    mean = np.array([X[b, :n].mean() for b, n in enumerate(ns)])
+
+    def wsum(a):
+        c = np.zeros((a.shape[0], a.shape[1] + 1), dtype=a.dtype)
+        np.cumsum(a, axis=1, out=c[:, 1:])
+        return c[:, w:] - c[:, :-w]
+
+    c = X - mean[:, None]
+    s1 = wsum(c)
+    ssq = wsum(c * c) - s1 * s1 / w
+    np.maximum(ssq, 0.0, out=ssq)
+    mu = wsum(X) / w
+    wins = sliding_window_view(X, w, axis=1)
+    # flat windows EXACTLY via min==max (see clean_series)
+    skip = ((wsum(bad.astype(np.int64)) > 0) | (np.sqrt(ssq / w) < EPS)
+            | (wins.min(axis=2) == wins.max(axis=2))
+            | (np.arange(ssq.shape[1])[None, :] > (ns - w)[:, None]))
     with np.errstate(divide="ignore"):
         invn = 1.0 / np.sqrt(ssq)
     invn[~np.isfinite(invn)] = 0.0
-    Z = (sliding_window_view(xc, w) - mu[:, None]) * invn[:, None]
-    return np.ascontiguousarray(Z), skip
+    Z = (wins - mu[:, :, None]) * invn[:, :, None]
+    return Z, skip
+
+
+@functools.lru_cache(maxsize=64)
+def _band(P: int, zone: int) -> np.ndarray:
+    """(P, P) mask of the pairs a self-join never scores: j ≤ i + zone."""
+    i = np.arange(P)
+    return i[None, :] <= i[:, None] + zone
+
+
+def _profile(w, ez, mp, pi, lmp, lpi, rmp, rpi) -> MatrixProfile:
+    return MatrixProfile(mp=mp, pi=pi, w=w, ez=ez, lmp=lmp, lpi=lpi, rmp=rmp,
+                         rpi=rpi, algorithm="blocked")
+
+
+def _short_mp(series: list[np.ndarray], w: int, ez: float
+              ) -> list[MatrixProfile]:
+    """Exact self-join profiles of series that each fit ONE block (p ≤ 256),
+    as one batched matmul: C = Z Zᵀ per series, one cached band mask OR'd
+    with the skip/padding masks, argmax along rows (right neighbors) and
+    columns (left neighbors). Ties go to the row side, exactly as the
+    block loop in :func:`blocked_mp` resolves them, so every output array
+    is bitwise equal to the per-series kernel."""
+    Z, skip = _unit_windows(series, w)
+    P = Z.shape[1]
+    C = Z @ Z.transpose(0, 2, 1)  # unit windows: C IS the correlation
+    np.putmask(C, _band(P, exclusion_zone(w, ez))[None] | skip[:, :, None]
+               | skip[:, None, :], -np.inf)
+    ja = np.argmax(C, axis=2)
+    rc = np.take_along_axis(C, ja[:, :, None], axis=2)[:, :, 0]
+    ib = np.argmax(C, axis=1)
+    lc = np.take_along_axis(C, ib[:, None, :], axis=1)[:, 0, :]
+    rj = np.where(rc > -np.inf, ja, -1)
+    lj = np.where(lc > -np.inf, ib, -1)
+    left = lc > rc
+    best_c = np.where(left, lc, rc)
+    best_j = np.where(left, lj, rj)
+    arrays = (corr_to_ed(best_c, w), best_j, corr_to_ed(lc, w), lj,
+              corr_to_ed(rc, w), rj)
+    return [_profile(w, ez, *(a[b, :len(s) - w + 1] for a in arrays))
+            for b, s in enumerate(series)]
+
+
+def blocked_mp_many(series: list[np.ndarray], w: int, ez: float = DEFAULT_EZ
+                    ) -> list[MatrixProfile]:
+    """``[blocked_mp(s, w, ez) for s in series]``, bitwise, with the
+    one-block series sorted by length and run through :func:`_short_mp` in
+    chunks of ≈``_CHUNK_CELLS`` correlation cells — one batched matmul per
+    chunk instead of one kernel call (≈300 µs fixed cost) per series."""
+    out = [None if len(s) - w < _BLOCK else blocked_mp(s, w, ez)
+           for s in series]
+    short = sorted((k for k, prof in enumerate(out) if prof is None),
+                   key=lambda k: len(series[k]))
+    while short:
+        n = 1
+        while (n < len(short) and
+               (n + 1) * (len(series[short[n]]) - w + 1) ** 2 <= _CHUNK_CELLS):
+            n += 1
+        chunk, short = short[:n], short[n:]
+        for k, prof in zip(chunk, _short_mp([series[k] for k in chunk], w, ez)):
+            out[k] = prof
+    return out
 
 
 def blocked_mp(data: np.ndarray, w: int, ez: float = DEFAULT_EZ,
-               block: int = 256,
+               block: int = _BLOCK,
                row_range: tuple[int, int] | None = None) -> MatrixProfile:
     """Exact self-join MP via blocked unit-window matmuls.
 
@@ -87,10 +199,13 @@ def blocked_mp(data: np.ndarray, w: int, ez: float = DEFAULT_EZ,
     :func:`strip_splits`); the returned profile is full-length with
     untouched entries at inf/-1, ready for ``profile_types.merge_min`` in
     ascending-strip order."""
-    Z, skip = _unit_windows(data, w)
-    p = Z.shape[0]
+    p = len(data) - w + 1
     if p < 1:
         raise ValueError(f"window {w} longer than series {len(data)}")
+    if row_range is None and p <= block:
+        return _short_mp([data], w, ez)[0]
+    Z, skip = _unit_windows([data], w)
+    Z, skip = Z[0], skip[0]
     zone = exclusion_zone(w, ez)
     row_lo, row_hi = (0, p) if row_range is None else row_range
     row_hi = min(row_hi, p)
@@ -150,17 +265,5 @@ def blocked_mp(data: np.ndarray, w: int, ez: float = DEFAULT_EZ,
             best_c[j0:j1][updm2] = vb[updm2]
             best_j[j0:j1][updm2] = ib[updm2] + i0
 
-    def to_ed(c: np.ndarray) -> np.ndarray:
-        cc = np.minimum(c, 1.0)
-        d = np.sqrt(np.maximum(2.0 * w * (1.0 - cc), 0.0))
-        d[~np.isfinite(c)] = np.inf
-        return d
-
-    prof = empty_profile(p, w, ez, directional=True, algorithm="blocked")
-    prof.mp = to_ed(best_c)
-    prof.pi = best_j
-    prof.lmp = to_ed(lc)
-    prof.lpi = lj
-    prof.rmp = to_ed(rc)
-    prof.rpi = rj
-    return prof
+    return _profile(w, ez, corr_to_ed(best_c, w), best_j, corr_to_ed(lc, w),
+                    lj, corr_to_ed(rc, w), rj)

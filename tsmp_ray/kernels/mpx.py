@@ -28,7 +28,7 @@ import numpy as np
 from ..config import DEFAULT_EZ, exclusion_zone
 from .mass import clean_series, mass_pre, _qt_fft
 from .movstats import mov_stats
-from .profile_types import MatrixProfile, empty_profile
+from .profile_types import MatrixProfile, corr_to_ed, empty_profile
 
 __all__ = ["mpx", "mpx_diagonals", "MpxState", "prepare_series"]
 
@@ -115,19 +115,12 @@ def _diag_self(state: MpxState, k: int, best: _Best) -> None:
 def _finalize_self(state: MpxState, best: _Best, ez: float, algorithm: str) -> MatrixProfile:
     w, p = state.w, state.p
 
-    def to_ed(c: np.ndarray) -> np.ndarray:
-        c = np.minimum(c, 1.0)
-        with np.errstate(invalid="ignore"):
-            d = np.sqrt(np.maximum(2.0 * w * (1.0 - c), 0.0))
-        d[~np.isfinite(c)] = np.inf
-        return d
-
     prof = empty_profile(p, w, ez, directional=True, algorithm=algorithm)
-    prof.mp = to_ed(best.c)
+    prof.mp = corr_to_ed(best.c, w)
     prof.pi = best.j.copy()
-    prof.lmp = to_ed(best.lc)
+    prof.lmp = corr_to_ed(best.lc, w)
     prof.lpi = best.lj.copy()
-    prof.rmp = to_ed(best.rc)
+    prof.rmp = corr_to_ed(best.rc, w)
     prof.rpi = best.rj.copy()
     return prof
 
@@ -207,16 +200,10 @@ def _mpx_ab(data: np.ndarray, query: np.ndarray, w: int) -> MatrixProfile:
     for k in range(1, pa):
         run_diag(qt_col0[k] - w * sa.mu[k] * sb.mu[0], k, 0)
 
-    def to_ed(c: np.ndarray) -> np.ndarray:
-        c = np.minimum(c, 1.0)
-        d = np.sqrt(np.maximum(2.0 * w * (1.0 - c), 0.0))
-        d[~np.isfinite(c)] = np.inf
-        return d
-
     prof = empty_profile(pa, w, 0.0, directional=False, algorithm="mpx")
     prof.join = True
-    prof.mp = to_ed(best_a)
+    prof.mp = corr_to_ed(best_a, w)
     prof.pi = bj_a
-    prof.mpb = to_ed(best_b)
+    prof.mpb = corr_to_ed(best_b, w)
     prof.pib = bj_b
     return prof

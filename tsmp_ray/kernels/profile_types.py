@@ -58,6 +58,16 @@ def empty_profile(p: int, w: int, ez: float, *, directional: bool = True,
     return prof
 
 
+def corr_to_ed(c: np.ndarray, w: int) -> np.ndarray:
+    """Pearson correlation -> z-normalized distance sqrt(2w(1-ρ)), ρ clamped
+    at 1 (dot products may exceed it by an ulp); non-finite ρ -> inf."""
+    cc = np.minimum(c, 1.0)
+    with np.errstate(invalid="ignore"):
+        d = np.sqrt(np.maximum(2.0 * w * (1.0 - cc), 0.0))
+    d[~np.isfinite(cc)] = np.inf
+    return d
+
+
 def merge_min(a: MatrixProfile, b: MatrixProfile) -> MatrixProfile:
     """Elementwise min-merge of two partial profiles (argmin carries pi).
 

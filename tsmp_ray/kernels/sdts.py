@@ -35,8 +35,8 @@ Re-implementation of the reference's ``sdts_train`` / ``sdts_predict`` /
   with the 80%-overlap rule; the overlap unit defaults to the MODE of the
   predicted segment lengths like the reference (callers may pin it).
 
-In the engine, TRAIN is driver-orchestrated (candidate scoring fans out),
-and PREDICT runs as a broadcast-model actor-pool ``map_batches`` stage
+In the engine, TRAIN and PREDICT both run on the driver over one series
+(the ``sdts`` catalog query); there is no distributed SDTS stage
 (SURVEY.md §2.7).
 """
 

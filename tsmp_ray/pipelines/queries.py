@@ -1680,7 +1680,7 @@ def q_ab_join(sf_dir: str):
 
 def q_sdts(sf_dir: str):
     """SDTS dictionary learning on a deterministic weakly-labeled series
-    (train + predict + score; model scoring is the broadcast-model stage)."""
+    (train + predict + score, all on the driver)."""
     from ..kernels.sdts import sdts_predict, sdts_score, sdts_train
 
     rng = np.random.default_rng(21)

@@ -23,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..config import DEFAULT_EZ, EngineConfig, session_cpus
-from ..kernels.block_join import blocked_mp
+from ..kernels.block_join import auto_profile
 from ..kernels.mining import (
     av_complexity,
     find_chains,
@@ -43,13 +43,6 @@ def _const_col(value: str, n: int) -> pa.Array:
     """Constant string column of length ``n`` (dictionary-encoded, O(1)
     string storage) — the single-label case of :func:`repeat_labels`."""
     return repeat_labels([value], [n])
-
-
-def _auto_profile(series: np.ndarray, w: int, ez: float = DEFAULT_EZ):
-    """Same kernel auto-pick as ProfileKernel: blocked BLAS for small w."""
-    if w <= 32:
-        return blocked_mp(series, w, ez=ez)
-    return mpx(series, w, ez=ez)
 
 
 def _assert_finiteness_agrees(oracle_fin: np.ndarray, prod: np.ndarray,
@@ -129,7 +122,7 @@ def mining_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
         x = _series(batch, r, sig)
         if len(x) < 2 * w:
             continue
-        prof = _auto_profile(x, w, ez)
+        prof = auto_profile(x, w, ez)
         motifs = find_motifs(x, prof, n_motifs=n_motifs)
         discords = find_discords(x, prof, n_discords=n_discords)
         segs = fluss_extract(fluss_cac(prof), w, num_segments=1)
@@ -177,7 +170,7 @@ def chains_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
         x = _series(batch, r, sig)
         if len(x) < 2 * w:
             continue
-        res = find_chains(_auto_profile(x, w, ez))
+        res = find_chains(auto_profile(x, w, ez))
         rows.append({"conv_id": conv_id, "signal": sig,
                      "best_chain_len": len(res["best"]),
                      "n_chains": len(res["chains"])})
@@ -214,48 +207,51 @@ def _mstomp_table(conv_id: str, res, offset: int = 0) -> pa.Table:
 
 
 def mstomp_op(conv_id, batch, r, *, w: int,
-              signals: tuple[str, ...] = SIGNAL_COLUMNS):
+              signals: tuple[str, ...] = SIGNAL_COLUMNS,
+              max_turns: int | None = None):
+    """One conv's multivariate profile; None for convs shorter than 2w or
+    longer than ``max_turns`` (the sharded path owns those)."""
     if conv_id is None:
         return _MSTOMP_SCHEMA.empty_table()
     mats = [_series(batch, r, s) for s in signals]
-    if len(mats[0]) < 2 * w:
+    n = len(mats[0])
+    if n < 2 * w or (max_turns is not None and n > max_turns):
         return None
     return _mstomp_table(conv_id, mstomp(np.stack(mats, axis=1), w))
 
 
 def compute_mstomp(ds_packed, cfg: EngineConfig,
                    signals: tuple[str, ...] = SIGNAL_COLUMNS):
-    """Multivariate profiles for EVERY conversation, salting the long tail:
-    convs ≤ ``cfg.salt_turn_threshold`` run one task each (``mstomp_op``);
-    longer ones fan out as INDEX-RANGE shard tasks over the mstomp QT
-    recurrence — the reference's own mstomp_par partitioning
+    """Multivariate profiles for EVERY conversation, salting the long tail,
+    in one plan over the materialized packed rows: ``mstomp_op`` runs one
+    task per conv and skips convs over ``cfg.salt_turn_threshold``; those
+    fan out as INDEX-RANGE shard tasks over the mstomp QT recurrence — the
+    reference's own mstomp_par partitioning
     (/root/reference/R/mstomp-par.R:110-127) — each shard re-seeded by one
     FFT per dim and emitting its final rows directly (no merge: every query
     index is computed exactly once). Same physical plan as
-    ``profile_stage._sharded_profiles_ds``: block refs to tasks, results
-    stay in the object store, ``from_arrow_refs`` at the end."""
-    import ray
-
+    ``profile_stage.compute_profiles``: one metadata wave plans the shards,
+    block refs go to tasks, results stay in the object store,
+    ``from_arrow_refs`` at the end; no long conv → no ``union``."""
     thr = cfg.salt_turn_threshold
-    pool = cfg.profile_concurrency or session_cpus(2)
     ds_packed = ds_packed.materialize()
-    small = ds_packed.filter(expr=f"n_turns <= {thr}")
-    out_small = per_conv_stage(small, mstomp_op,
-                               {"w": cfg.window_size, "signals": signals})
-    big = ds_packed.filter(expr=f"n_turns > {thr}").materialize()
-    out_big = _sharded_mstomp_ds(big, cfg, signals, pool)
+    out = per_conv_stage(ds_packed, mstomp_op,
+                         {"w": cfg.window_size, "signals": signals,
+                          "max_turns": thr})
+    out_big = _sharded_mstomp_ds(ds_packed, cfg, signals,
+                                 cfg.profile_concurrency or session_cpus(2))
     if out_big is None:
-        return out_small
-    return out_small.union(out_big)
+        return out
+    return out.union(out_big)
 
 
-def _sharded_mstomp_ds(big_ds, cfg: EngineConfig,
+def _sharded_mstomp_ds(ds_packed, cfg: EngineConfig,
                        signals: tuple[str, ...], pool: int):
     import ray
 
     from .profile_stage import _parallel_block_meta
 
-    w = cfg.window_size
+    w, thr = cfg.window_size, cfg.salt_turn_threshold
 
     @ray.remote
     def _shard(tbl: pa.Table, row: int, lo: int, hi: int, conv_id: str):
@@ -264,11 +260,9 @@ def _sharded_mstomp_ds(big_ds, cfg: EngineConfig,
         return _mstomp_table(conv_id, res, offset=lo)
 
     table_refs = []
-    # one parallel planning wave (profile_stage helper) — the serial
-    # per-block ray.get this replaced cost ~20 ms of driver latency per block
-    for block_ref, conv_ids, n_turns in _parallel_block_meta(big_ds):
+    for block_ref, conv_ids, n_turns in _parallel_block_meta(ds_packed):
         for row, (cid, n) in enumerate(zip(conv_ids, n_turns)):
-            if n < 2 * w:
+            if n <= thr or n < 2 * w:
                 continue
             p = int(n) - w + 1
             # equal-width index ranges: every query row costs O(p)
@@ -420,7 +414,7 @@ def profile_checked_op(conv_id, batch, r, *, w: int, zone: int,
     if len(x) < 2 * w:
         return None
     mp, ok = _oracle_order_mp(x, w, zone)
-    prod = _auto_profile(x, w, ez)
+    prod = auto_profile(x, w, ez)
     pm = prod.mp[: len(mp)]
     _assert_finiteness_agrees(ok & np.isfinite(mp), pm,
                               "profile_checked", conv_id)
@@ -803,7 +797,7 @@ def salient_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
     x = _series(batch, r, signal)
     if len(x) < 2 * w:
         return None
-    prof = _auto_profile(x, w, ez)
+    prof = auto_profile(x, w, ez)
     sal = salient_subsequences(x, prof, n_bits=n_bits, n_cand=n_cand)
     k = len(sal["indexes"])
     if not k:
@@ -1157,7 +1151,7 @@ def motifs_checked_op(conv_id, batch, r, *, w: int, zone: int,
     # oracle band above (every other checked op does the same; a caller
     # passing a non-default zone without ez would otherwise gate
     # mismatched semantics)
-    prof = _auto_profile(x, w, ez)
+    prof = auto_profile(x, w, ez)
     motifs = find_motifs(x, prof, n_motifs=1)
     discords = find_discords(x, prof, n_discords=1)
     if motifs and abs(motifs[0]["distance"] - mdist) > atol:

@@ -4,35 +4,40 @@ Packed per-conversation series rows → long-format profile rows
 
     (conv_id, signal, w, window_idx, mp, pi, lmp, lpi, rmp, rpi)
 
-Two physical plans, chosen per conversation by turn count (SURVEY.md §7.3):
+One physical plan over the materialized packed Dataset (SURVEY.md §7.3):
 
-- **inline** (the common case): a stateful actor pool via
-  ``map_batches(ProfileKernel, concurrency=N)`` — per-actor state caches the
-  kernel config; each packed row is one independent numpy kernel call
-  (the engine analog of tsmp running one series in-process).
+- **inline** (every conv with n ≤ ``heavy_cut``): ONE task-pool
+  ``map_batches(profile_batch)``; rows above the cut are skipped inside the
+  kernel, not filtered out. Conv-signals that fit one 256-window block run
+  as one batched matmul per chunk (``block_join.blocked_mp_many``), bitwise
+  equal to per-series ``blocked_mp``.
 
-- **salted shards** (skewed long convs, turn count > cfg.salt_turn_threshold):
-  a single conversation's O(n²) work is split by DIAGONAL RANGES of the mpx
-  recurrence and fanned out as Ray tasks, exactly the reference's own shard
-  plan (query ranges /root/reference/R/stomp-par.R:102-117; parallelFor over
-  diagonals /root/reference/src/mpx.cpp:339-346); partial profiles min-merge
-  (stomp-par.R:249-264 semantics via profile_types.merge_min). Raw tasks are
-  justified here because the unit of work is a *slice of one group*, which
-  the Dataset groupby model cannot express.
+- **sharded** (skewed long convs, n > ``heavy_cut``): one conversation's
+  O(n²) work is split into row-block STRIPS of the blocked kernel (w ≤ 32)
+  or DIAGONAL RANGES of the mpx recurrence and fanned out as Ray tasks —
+  the reference's own shard plan (its R/stomp-par.R:102-117 and
+  src/mpx.cpp:339-346); partials min-merge
+  (stomp-par.R:249-264 via profile_types.merge_min). Raw tasks, because
+  the unit of work is a *slice of one group*, which the Dataset groupby
+  model cannot express. No heavy conv → no shard task and no ``union``.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pyarrow as pa
 
 from ..config import (DEFAULT_EZ, EngineConfig, exclusion_zone,
                       session_cpus)
+from ..kernels.block_join import (auto_profile, blocked_mp, blocked_mp_many,
+                                  use_blocked)
 from ..kernels.mpx import mpx_diagonals, prepare_series
 from ..kernels.profile_types import MatrixProfile, merge_min
-from ..kernels.stomp import stomp
 from .signals import SIGNAL_COLUMNS, repeat_labels
 
+_VALUE_COLS = ("mp", "pi", "lmp", "lpi", "rmp", "rpi")
 PROFILE_SCHEMA = pa.schema(
     [
         ("conv_id", pa.string()),
@@ -49,162 +54,80 @@ PROFILE_SCHEMA = pa.schema(
 )
 
 
-def _const_str(value: str, p: int) -> pa.Array:
-    """O(1) constant string column (dictionary-encoded, then cast to match
-    PROFILE_SCHEMA) — building ['v']*p Python lists dominated kernel wall
-    time for short conversations."""
-    return repeat_labels([value], [p])
-
-
 def profile_to_rows(conv_id: str, signal: str, prof: MatrixProfile) -> pa.Table:
     p = len(prof.mp)
-    return pa.table(
-        {
-            "conv_id": _const_str(conv_id, p),
-            "signal": _const_str(signal, p),
-            "w": pa.array(np.full(p, prof.w, dtype=np.int32)),
-            "window_idx": pa.array(np.arange(p, dtype=np.int64)),
-            "mp": pa.array(prof.mp),
-            "pi": pa.array(prof.pi),
-            "lmp": pa.array(prof.lmp if prof.lmp is not None else np.full(p, np.inf)),
-            "lpi": pa.array(prof.lpi if prof.lpi is not None else np.full(p, -1, dtype=np.int64)),
-            "rmp": pa.array(prof.rmp if prof.rmp is not None else np.full(p, np.inf)),
-            "rpi": pa.array(prof.rpi if prof.rpi is not None else np.full(p, -1, dtype=np.int64)),
-        },
-        schema=PROFILE_SCHEMA,
-    )
+    return pa.table({
+        "conv_id": repeat_labels([conv_id], [p]),
+        "signal": repeat_labels([signal], [p]),
+        "w": pa.array(np.full(p, prof.w, dtype=np.int32)),
+        "window_idx": pa.array(np.arange(p, dtype=np.int64)),
+        **{k: pa.array(getattr(prof, k)) for k in _VALUE_COLS},
+    }, schema=PROFILE_SCHEMA)
 
 
 class ProfileKernel:
-    """Actor-pool callable: packed conv rows -> profile rows.
-
-    Stateful per the actor-pool pattern: config parsed once in ``__init__``
-    (per actor), numpy kernels per batch in ``__call__``."""
+    """Batch callable: packed conv rows -> profile rows (config parsed once
+    in ``__init__``, numpy kernels per batch in ``__call__``). Rows with
+    more than ``max_turns`` turns are skipped — the sharded path owns them."""
 
     def __init__(self, window_size: int = 8, ez: float = DEFAULT_EZ,
                  signals: tuple[str, ...] = SIGNAL_COLUMNS,
-                 algorithm: str = "auto"):
+                 max_turns: int | None = None):
         self.w = int(window_size)
         self.ez = float(ez)
         self.signals = signals
-        if algorithm == "auto":
-            # small windows: blocked BLAS brute (cache-resident, scales across
-            # actors); large windows: mpx diagonals (O(n²) beats O(n²w))
-            algorithm = "blocked" if self.w <= 32 else "mpx"
-        self.algorithm = algorithm
+        self.max_turns = max_turns
 
     def _one_profile(self, series: np.ndarray) -> MatrixProfile | None:
         if len(series) < 2 * self.w:
             return None
-        if self.algorithm == "stomp":
-            return stomp(series, self.w, ez=self.ez)
-        if self.algorithm == "blocked":
-            from ..kernels.block_join import blocked_mp
-
-            return blocked_mp(series, self.w, ez=self.ez)
-        state = prepare_series(series, self.w)
-        zone = exclusion_zone(self.w, self.ez)
-        return mpx_diagonals(state, np.arange(zone + 1, state.p), ez=self.ez)
+        return auto_profile(series, self.w, ez=self.ez)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         # accumulate numpy parts and build ONE Arrow table per batch: a
         # per-(conv, signal) pa.table + concat_tables costs tens of µs per
-        # tiny group, which dominated the tiny-conv bin at 10⁵⁺ convs
-        # (profile kernels there are single-digit µs each)
-        group_conv: list[str] = []
-        group_sig: list[str] = []
-        group_w: list[np.ndarray] = []
-        group_widx: list[np.ndarray] = []
-        vals: dict[str, list[np.ndarray]] = {
-            "mp": [], "pi": [], "lmp": [], "lpi": [], "rmp": [], "rpi": []}
-        conv_ids = batch["conv_id"].to_pylist()
-        for r, conv_id in enumerate(conv_ids):
+        # tiny group (profile kernels there are single-digit µs each)
+        keys: list[tuple[str, str]] = []
+        series: list[np.ndarray] = []
+        for r, conv_id in enumerate(batch["conv_id"].to_pylist()):
             for sig in self.signals:
                 # zero-copy-ish: ListScalar.values -> numpy, not .as_py()
-                series = (batch[sig][r].values
-                          .to_numpy(zero_copy_only=False)
-                          .astype(np.float64, copy=False))
-                prof = self._one_profile(series)
-                if prof is None:
+                x = (batch[sig][r].values.to_numpy(zero_copy_only=False)
+                     .astype(np.float64, copy=False))
+                if len(x) < 2 * self.w or (self.max_turns is not None
+                                           and len(x) > self.max_turns):
                     continue
-                p = len(prof.mp)
-                group_conv.append(conv_id)
-                group_sig.append(sig)
-                group_w.append(np.full(p, prof.w, dtype=np.int32))
-                group_widx.append(np.arange(p, dtype=np.int64))
-                vals["mp"].append(prof.mp)
-                vals["pi"].append(prof.pi)
-                vals["lmp"].append(prof.lmp if prof.lmp is not None
-                                   else np.full(p, np.inf))
-                vals["lpi"].append(prof.lpi if prof.lpi is not None
-                                   else np.full(p, -1, dtype=np.int64))
-                vals["rmp"].append(prof.rmp if prof.rmp is not None
-                                   else np.full(p, np.inf))
-                vals["rpi"].append(prof.rpi if prof.rpi is not None
-                                   else np.full(p, -1, dtype=np.int64))
-        if not group_conv:
+                keys.append((conv_id, sig))
+                series.append(x)
+        if not keys:
             return PROFILE_SCHEMA.empty_table()
-        lens = [len(a) for a in group_widx]
-        return pa.table(
-            {
-                "conv_id": repeat_labels(group_conv, lens),
-                "signal": repeat_labels(group_sig, lens),
-                "w": pa.array(np.concatenate(group_w)),
-                "window_idx": pa.array(np.concatenate(group_widx)),
-                "mp": pa.array(np.concatenate(vals["mp"])),
-                "pi": pa.array(np.concatenate(vals["pi"])),
-                "lmp": pa.array(np.concatenate(vals["lmp"])),
-                "lpi": pa.array(np.concatenate(vals["lpi"])),
-                "rmp": pa.array(np.concatenate(vals["rmp"])),
-                "rpi": pa.array(np.concatenate(vals["rpi"])),
-            },
-            schema=PROFILE_SCHEMA,
-        )
+        profs = (blocked_mp_many(series, self.w, ez=self.ez)
+                 if use_blocked(self.w) else
+                 [self._one_profile(x) for x in series])
+        lens = [len(prof.mp) for prof in profs]
+        return pa.table({
+            "conv_id": repeat_labels([k[0] for k in keys], lens),
+            "signal": repeat_labels([k[1] for k in keys], lens),
+            "w": pa.array(np.full(sum(lens), self.w, dtype=np.int32)),
+            "window_idx": pa.array(np.concatenate(
+                [np.arange(p, dtype=np.int64) for p in lens])),
+            **{k: pa.array(np.concatenate([getattr(prof, k) for prof in profs]))
+               for k in _VALUE_COLS},
+        }, schema=PROFILE_SCHEMA)
 
 
-def profile_batch(batch: pa.Table, window_size: int = 8, ez: float = DEFAULT_EZ,
-                  signals: tuple[str, ...] = SIGNAL_COLUMNS,
-                  algorithm: str = "auto") -> pa.Table:
-    """Stateless per-batch kernel runner (task pool). Tasks reuse warm Ray
-    workers, so imports/numpy warmup amortize across the whole session —
-    measurably cheaper than cold actor-pool ramp-up for a pure function; the
-    actor-pool class (:class:`ProfileKernel`) remains for stages that DO hold
-    state (model broadcast, per-conv caches)."""
-    return ProfileKernel(window_size=window_size, ez=ez, signals=signals,
-                         algorithm=algorithm)(batch)
+def profile_batch(batch: pa.Table, **kw) -> pa.Table:
+    """Stateless per-batch kernel runner (task pool): tasks reuse warm Ray
+    workers, so imports and numpy warm-up amortize across the session."""
+    return ProfileKernel(**kw)(batch)
 
-
-#: convs at or below this turn count are BATCHED into shared tasks instead of
-#: one task each: a tiny conv's O(n²) kernel is microseconds, so per-task
-#: dispatch overhead would dominate at 10⁸⁺-conv scale (round-3 verdict
-#: item 7). 32 convs × 512² ≈ one mean-sized conv's work — tasks stay
-#: Zipf-balanced.
-TINY_TURNS = 512
-TINY_BATCH = 32
-import os as _os
-
-#: split mid-bin packed blocks to one conv per block before the profile map.
-#: Measured BOTH ways at 32 CPUs / sf0.1 (interleaved 3-rep A/B through the
-#: bench count() path): split min 19.7s with a 43.9s fat-tail outlier,
-#: no-split min 18.2s with tight variance — the 10.4s multi-conv straggler
-#: task the split removes was being backfilled by the other 31 slots, so the
-#: extra repartition pass + 8× task dispatch bought nothing here and added
-#: tail risk. Default OFF; flip via GRAFT_MID_SPLIT=1 when conv-size skew is
-#: extreme enough that one block's serial convs approach the stage wall
-#: (max task ≈ operator wall in ds.stats()).
-MID_ONE_ROW_BLOCKS = _os.environ.get("GRAFT_MID_SPLIT", "0") == "1"
 
 #: shard a conversation's kernel across tasks once its turn count exceeds
 #: this (clamped to cfg.salt_turn_threshold): a near-threshold conv is a
-#: multi-second SERIAL task, and ds.stats() showed packed blocks with 4-5 of
-#: them serializing into a straggler worth >half the stage wall. Sharding
-#: them through the strip/diagonal fan-out turns the Zipf body into
-#: ~0.25-second units the scheduler balances by construction. (An LPT
-#: block-reorder of the mid bin was A/B-measured first and LOST — 25.1s vs
-#: 18.1s — the 1-row repartition + per-block num_cpus=0 metadata wave
-#: spawned a worker-process storm; sharding reuses the existing big-conv
-#: machinery instead. Measurements in BASELINE.md round 5.)
-HEAVY_TURNS = int(_os.environ.get("GRAFT_HEAVY_TURNS", "10000"))
+#: multi-second SERIAL task that would set the stage wall; the shard fan-out
+#: turns it into ~0.25 s units. (An LPT block-reorder was measured instead
+#: and LOST, 25.1 s vs 18.1 s: BASELINE.md round 5.)
+HEAVY_TURNS = int(os.environ.get("GRAFT_HEAVY_TURNS", "10000"))
 
 #: per-shard work target in window-pair units (p² per conv-signal): sized so
 #: a shard is ~0.25 s of kernel compute — big enough to amortize task
@@ -259,62 +182,26 @@ def _parallel_block_meta(ds):
 
 
 def compute_profiles(ds_packed, cfg: EngineConfig):
-    """Packed series Dataset -> profile Dataset, size-binned three ways:
-
-    - **tiny** (n ≤ ``tiny_cut`` = min(``TINY_TURNS``, salt_turn_threshold)):
-      ``TINY_BATCH`` convs per task — their O(n²) kernels are too small to
-      pay one task each at 10⁸-conv scale;
-    - **mid** (tiny_cut < n ≤ ``heavy_cut``): one conv per BATCH (per task
-      too only when ``GRAFT_MID_SPLIT=1``; default off — see
-      ``MID_ONE_ROW_BLOCKS``);
-    - **big** (n > ``heavy_cut`` = min(``HEAVY_TURNS``, salt_turn_threshold),
-      i.e. GRAFT_HEAVY_TURNS dominates under the default config): sharded
-      across tasks — blocked-BLAS row STRIPS for w ≤ 32, diagonal ranges
-      otherwise (see ``_sharded_profiles_ds``).
-    """
-    import ray
-
-    pool = cfg.profile_concurrency or session_cpus(2)
-    # one materialization so the size-binned split doesn't re-execute the
-    # upstream shuffle three times (at 100 TB this is the packed-series
-    # parquet checkpoint each consumer reads back)
+    """Packed series Dataset -> profile Dataset, in one plan: a single
+    ``map_batches(profile_batch)`` over the materialized packed rows serves
+    every conv with n ≤ ``heavy_cut`` = min(``HEAVY_TURNS``,
+    salt_turn_threshold) (GRAFT_HEAVY_TURNS dominates under the default
+    config); the convs above it are planned from one metadata wave over the
+    same blocks and sharded across tasks (see ``_sharded_profiles_ds``).
+    Each (conv_id, signal, window_idx) comes from exactly one of the two."""
+    # one materialization: the map and the shard planner read the same
+    # blocks (at 100 TB this is the packed-series parquet checkpoint)
     ds_packed = ds_packed.materialize()
-    kw = {"window_size": cfg.window_size, "ez": cfg.ez}
-    # clamp the tiny cutoff under the salting threshold: a config with
-    # salt_turn_threshold < TINY_TURNS would otherwise route convs in
-    # (threshold, TINY_TURNS] to BOTH the tiny and the sharded big path,
-    # duplicating profile rows (ADVICE r4)
-    tiny_cut = min(TINY_TURNS, cfg.salt_turn_threshold)
-    tiny = ds_packed.filter(expr=f"n_turns <= {tiny_cut}")
-    profiles_tiny = tiny.map_batches(
-        profile_batch, fn_kwargs=kw, batch_format="pyarrow",
-        batch_size=TINY_BATCH, num_cpus=1,
-    )
-    # heavy cut: convs above it are multi-second serial kernels — shard them
-    # like the big bin instead of letting a multi-conv packed block become
-    # the stage straggler (see HEAVY_TURNS note)
-    heavy_cut = max(tiny_cut, min(HEAVY_TURNS, cfg.salt_turn_threshold))
-    mid = (ds_packed.filter(expr=f"n_turns > {tiny_cut}")
-           .filter(expr=f"n_turns <= {heavy_cut}"))
-    if MID_ONE_ROW_BLOCKS:
-        # one conversation per TASK, not merely per batch (split-only, no
-        # shuffle). Kept opt-in for A/B: measured neutral-to-harmful on the
-        # graded shape once the heavy bin is sharded away.
-        mid = mid.repartition(target_num_rows_per_block=1)
-    profiles_small = mid.map_batches(
-        profile_batch, fn_kwargs=kw, batch_format="pyarrow",
-        batch_size=1,
-        num_cpus=1,
-    ).union(profiles_tiny)
-
-    # materialize the (small, by design) filtered tail before iterating its
-    # block refs: iter_internal_ref_bundles on a lazy filter can observe
-    # upstream blocks under operator fusion (seen as a raw-schema KeyError)
-    big = ds_packed.filter(expr=f"n_turns > {heavy_cut}").materialize()
-    ds_big = _sharded_profiles_ds(big, cfg, pool)
+    heavy_cut = min(HEAVY_TURNS, cfg.salt_turn_threshold)
+    profiles = ds_packed.map_batches(
+        profile_batch, batch_format="pyarrow", batch_size=None, num_cpus=1,
+        fn_kwargs={"window_size": cfg.window_size, "ez": cfg.ez,
+                   "max_turns": heavy_cut})
+    ds_big = _sharded_profiles_ds(
+        ds_packed, cfg, cfg.profile_concurrency or session_cpus(2), heavy_cut)
     if ds_big is None:
-        return profiles_small
-    return profiles_small.union(ds_big)
+        return profiles
+    return profiles.union(ds_big)
 
 
 def _diag_splits(n: int, w: int, zone: int, n_shards: int) -> list[tuple[int, int]]:
@@ -330,18 +217,18 @@ def _diag_splits(n: int, w: int, zone: int, n_shards: int) -> list[tuple[int, in
     return [(int(sp[0]), int(sp[-1]) + 1) for sp in np.split(ks, edges) if len(sp)]
 
 
-def _sharded_profiles_ds(big_ds, cfg: EngineConfig, pool: int = 8):
-    """Strip/diagonal fan-out for the long conversations, entirely through
-    the object store: the packed Dataset's own BLOCKS are handed to shard
-    tasks by reference (every shard of a conv reads the block zero-copy from
-    plasma), partial profiles min-merge in a reduce task per (conv, signal)
-    (the reference's merge contract, /root/reference/R/stomp-par.R:249-264),
-    and the merged profile rows come back as a Dataset via
-    ``from_arrow_refs``. The driver only ever sees (conv_id, n_turns)
-    metadata — no series row materializes on it. Returns None when the
-    filtered tail is empty.
+def _sharded_profiles_ds(ds_packed, cfg: EngineConfig, pool: int,
+                         heavy_cut: int):
+    """Strip/diagonal fan-out for the convs with more than ``heavy_cut``
+    turns in the MATERIALIZED ``ds_packed``, entirely through the object
+    store: the packed blocks are handed to shard tasks by reference, partial
+    profiles min-merge in a reduce task per (conv, signal) (the reference's
+    merge contract, its R/stomp-par.R:249-264), and the merged
+    rows come back via ``from_arrow_refs``. The driver only sees
+    (conv_id, n_turns) from one ``_parallel_block_meta`` wave. Returns None
+    (no shard task) when no conv is over the cut.
 
-    The shard kernel mirrors ProfileKernel's auto rule: w ≤ 32 → row-block
+    The shard kernel follows ``block_join.use_blocked``: w ≤ 32 → row-block
     STRIPS of the blocked-BLAS kernel (3.7× the mpx throughput at w=8, and
     bit-identical to the single-pass kernel — see strip_splits); larger w →
     mpx diagonal ranges. Shard COUNT is work-proportional (p² units against
@@ -358,18 +245,18 @@ def _sharded_profiles_ds(big_ds, cfg: EngineConfig, pool: int = 8):
     the Dataset map path whatever their count."""
     import ray
 
-    from ..kernels.block_join import blocked_mp, strip_splits
+    from ..kernels.block_join import strip_splits
 
     zone = exclusion_zone(cfg.window_size, cfg.ez)
     w, ez = cfg.window_size, cfg.ez
-    use_blocked = w <= 32  # keep in sync with ProfileKernel's auto choice
-    target_units = SHARD_UNITS_BLOCKED if use_blocked else SHARD_UNITS_MPX
+    blocked = use_blocked(w)
+    target_units = SHARD_UNITS_BLOCKED if blocked else SHARD_UNITS_MPX
 
     @ray.remote
     def _shard(tbl: pa.Table, row: int, sig: str, lo: int, hi: int):
         series = (tbl[sig][row].values.to_numpy(zero_copy_only=False)
                   .astype(np.float64, copy=False))
-        if use_blocked:
+        if blocked:
             return blocked_mp(series, w, ez=ez, row_range=(lo, hi))
         state = prepare_series(series, w)
         diags = np.arange(lo, min(hi, state.p), dtype=np.int64)
@@ -387,14 +274,14 @@ def _sharded_profiles_ds(big_ds, cfg: EngineConfig, pool: int = 8):
     table_refs = []
     # planning metadata for ALL blocks in one parallel wave (the serial
     # per-block ray.get added ~20 ms × n_blocks of driver latency)
-    for block_ref, conv_ids, n_turns in _parallel_block_meta(big_ds):
+    for block_ref, conv_ids, n_turns in _parallel_block_meta(ds_packed):
         for row, (cid, n) in enumerate(zip(conv_ids, n_turns)):
-            if n < 2 * w:
+            if n <= heavy_cut or n < 2 * w:
                 continue
             p = int(n) - w + 1
             n_shards = int(max(2, min(max(2, pool),
                                       -(-float(p) * p // target_units))))
-            if use_blocked:
+            if blocked:
                 splits = strip_splits(p, zone, n_shards)
             else:
                 splits = _diag_splits(int(n), w, zone, n_shards)

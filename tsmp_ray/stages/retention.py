@@ -14,6 +14,7 @@ updated with a ``compacted_at`` note).
 
 from __future__ import annotations
 
+import logging
 import os
 import shutil
 import time
@@ -23,6 +24,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..state.lineage import Manifest, _content_hash
+
+log = logging.getLogger("tsmp_ray")
 
 
 def mark_expired(ds_tier, now_us: int, ttl_us: int):
@@ -96,7 +99,10 @@ def compact(out_dir: str, now_us: int, ttl_us: int) -> dict:
     refreshed and reported 'compacted'); MORE rows on disk is 'mismatch',
     and the entry and files are left untouched. A partition whose directory
     and '.old' copy are both gone is 'missing': real loss, whose entry is
-    dropped so reads of the rest still work.
+    dropped so reads of the rest still work. Both statuses also log a
+    warning on the ``tsmp_ray`` logger naming the partition. A '<key>.old'
+    with neither a manifest entry nor a live '<key>' can only be an empty
+    drop that crashed before its final rmtree; it is removed.
 
     Records the run's counts and wall time as the manifest metric
     ``retention.last_compact``. Returns {partition: 'compacted'|'unchanged'|
@@ -107,6 +113,11 @@ def compact(out_dir: str, now_us: int, ttl_us: int) -> dict:
     cutoff = now_us - ttl_us
     status: dict[str, str] = {}
     n_footer = n_read = n_rewritten = bytes_rewritten = 0
+    for name in os.listdir(out_dir):
+        key = name[:-len(".old")]
+        if (name.endswith(".old") and key not in man.data["partitions"]
+                and not os.path.exists(os.path.join(out_dir, key))):
+            shutil.rmtree(os.path.join(out_dir, name))
     for key in sorted(man.data["partitions"]):
         path = os.path.join(out_dir, key)
         old, tmp = path + ".old", path + ".compact"
@@ -118,6 +129,9 @@ def compact(out_dir: str, now_us: int, ttl_us: int) -> dict:
         shutil.rmtree(old, ignore_errors=True)
         shutil.rmtree(tmp, ignore_errors=True)
         if not os.path.exists(path):
+            log.warning("retention.compact: partition %s is missing (no "
+                        "directory and no .old copy); dropping its manifest "
+                        "entry", key)
             man.drop(key)
             status[key] = "missing"
             continue
@@ -149,6 +163,9 @@ def compact(out_dir: str, now_us: int, ttl_us: int) -> dict:
                 _refresh(man, key, path, rows, cutoff)
                 status[key] = "compacted"
             else:
+                log.warning("retention.compact: partition %s holds %d rows "
+                            "on disk but the manifest records %d; entry and "
+                            "files left untouched", key, rows, recorded)
                 status[key] = "mismatch"
             continue
         if n_keep == 0:
