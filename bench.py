@@ -227,7 +227,6 @@ def headline_pipelines(sf_dir: str):
     rollup_tiers + profiles."""
     import ray
 
-    from tsmp_ray.pipelines.analyze import build_tiers
     from tsmp_ray.pipelines.queries import (
         CFG, q_dedup_exact, q_knn_topk, q_minhash_dedup, q_token_counts,
     )
@@ -263,7 +262,6 @@ def headline_pipelines(sf_dir: str):
 
     def rollup_tiers():
         # zero-shuffle path: all tiers per conv straight from packed rows
-        # (== build_tiers output bitwise, asserted in tests)
         from tsmp_ray.stages.rollup import tiers_from_packed
 
         tiers = tiers_from_packed(state["packed"],

@@ -88,11 +88,12 @@ def test_ray_pack_unpack_stage(ray_session):
 
     from tsmp_ray.sources.transcripts import synthetic_transcripts
     from tsmp_ray.stages.compression import pack_rollup_series, unpack_series
-    from tsmp_ray.stages.rollup import rollup_from_signals
-    from tsmp_ray.stages.signals import derive_signals
+    from tsmp_ray.stages.rollup import tiers_from_packed
+    from tsmp_ray.stages.signals import pack_series
 
     tbl = synthetic_transcripts(n_convs=3, seed=11, mean_turns=80)
-    t1m = rollup_from_signals(derive_signals(ray.data.from_arrow(tbl)), "1m")
+    t1m = tiers_from_packed(pack_series(ray.data.from_arrow(tbl)),
+                            tiers=("1m",), gap_fill=False)["1m"]
     want = t1m.to_pandas()[["conv_id", "signal", "bucket_ts", "mean_v"]]
     packed = pack_rollup_series(t1m)
     got = packed.map_batches(unpack_series, batch_format="pyarrow").to_pandas()

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from tsmp_ray.sources.transcripts import synthetic_transcripts
-from tsmp_ray.stages.rollup import rollup_from_signals
-from tsmp_ray.stages.signals import derive_signals
+from tsmp_ray.stages.rollup import tiers_from_packed
+from tsmp_ray.stages.signals import pack_series
 from tsmp_ray.state.lineage import Manifest, read_partitioned, resumable_write
 
 
@@ -20,8 +20,8 @@ def tier_ds(ray_session):
     import ray
 
     tbl = synthetic_transcripts(n_convs=4, seed=20, mean_turns=80)
-    return rollup_from_signals(derive_signals(ray.data.from_arrow(tbl)),
-                               "1m").materialize()
+    return tiers_from_packed(pack_series(ray.data.from_arrow(tbl)),
+                             tiers=("1m",), gap_fill=False)["1m"].materialize()
 
 
 def tree_bytes(d):
@@ -126,14 +126,14 @@ ray.init(address="local", num_cpus=2, include_dashboard=False,
 import ray.data
 ray.data.DataContext.get_current().enable_progress_bars = False
 from tsmp_ray.sources.transcripts import synthetic_transcripts
-from tsmp_ray.stages.rollup import rollup_from_signals
-from tsmp_ray.stages.signals import derive_signals
+from tsmp_ray.stages.rollup import tiers_from_packed
+from tsmp_ray.stages.signals import pack_series
 from tsmp_ray.state.lineage import resumable_write
 
 out_dir, slow = sys.argv[1], sys.argv[2] == "slow"
 tbl = synthetic_transcripts(n_convs=4, seed=33, mean_turns=80)
-tier = rollup_from_signals(derive_signals(ray.data.from_arrow(tbl)),
-                           "1m").materialize()
+tier = tiers_from_packed(pack_series(ray.data.from_arrow(tbl)),
+                         tiers=("1m",), gap_fill=False)["1m"].materialize()
 for sig in ("text_len", "tool_call", "ts_delta"):
     resumable_write(tier, out_dir, "signal", partition_values=[sig])
     print("DONE", sig, flush=True)

@@ -1,6 +1,7 @@
 """Ray Data stage tests: events→transcripts derivation vs DuckDB, signal
-derivation + text-equality invariant, tiered rollup vs SQL oracle, tier fold
-identity, gap-fill, distributed profiles vs numpy oracle (incl. salted path).
+derivation + text-equality invariant, tiered rollup vs SQL oracle (incl.
+out-of-order ts), tier fold identity, bounded gap-fill, distributed profiles
+vs numpy oracle (incl. salted path).
 """
 
 import numpy as np
@@ -10,13 +11,14 @@ import pytest
 
 from tsmp_ray.config import EngineConfig
 from tsmp_ray.kernels import stomp
+from tsmp_ray.pipelines.queries import ROLLUP_COLUMNS, gap_fill_sql, rollup_sql
 from tsmp_ray.sources.transcripts import (
     TRANSCRIPTS_FROM_EVENTS_SQL, synthetic_transcripts, transcripts_from_events,
 )
 from tsmp_ray.stages.profile_stage import compute_profiles
-from tsmp_ray.stages.rollup import fold_tier, gap_fill_tier, rollup_from_signals
+from tsmp_ray.stages.rollup import tiers_from_packed
 from tsmp_ray.stages.signals import (
-    add_turn_features, conversation_fingerprints, derive_signals, pack_series,
+    add_turn_features, conversation_fingerprints, pack_series, unpack_signals,
 )
 
 SF = "/root/testdata/sf0.001"
@@ -127,12 +129,12 @@ def test_pack_series_arrow_adversarial_layouts(ray_session):
     assert pack_series_arrow(empty).count() == 0
 
 
-def test_derive_signals_values(ray_session):
+def test_unpacked_signals_values(ray_session):
     import ray
 
     tbl = synthetic_transcripts(n_convs=3, seed=2, mean_turns=50)
     ds = ray.data.from_arrow(tbl)
-    sig = derive_signals(ds).to_pandas()
+    sig = unpack_signals(pack_series(ds)).to_pandas()
     # oracle: pandas per conv
     df = tbl.to_pandas().sort_values(["conv_id", "turn_idx"])
     for conv, g in df.groupby("conv_id"):
@@ -174,9 +176,9 @@ GROUP BY 1, 2, 3
 
 
 def test_rollup_1m_matches_duckdb(ray_session, duck):
-    ds = transcripts_from_events(SF)
-    sig = derive_signals(ds)
-    got = rollup_from_signals(sig, "1m").to_pandas()
+    packed = pack_series(transcripts_from_events(SF))
+    got = tiers_from_packed(packed, tiers=("1m",), gap_fill=False)["1m"]
+    got = got.to_pandas()
     want = duck.sql(ROLLUP_SQL_1M).df()
     keys = ["conv_id", "signal", "bucket_ts"]
     got = sorted_df(got.drop(columns=["gap_filled"]), keys)
@@ -189,10 +191,12 @@ def test_tier_fold_identity(ray_session):
     import ray
 
     tbl = synthetic_transcripts(n_convs=5, seed=3, mean_turns=120)
-    sig = derive_signals(ray.data.from_arrow(tbl))
-    t1m = rollup_from_signals(sig, "1m")
-    via_1m = fold_tier(t1m, "1h").to_pandas()
-    direct = rollup_from_signals(sig, "1h").to_pandas()
+    packed = pack_series(ray.data.from_arrow(tbl)).materialize()
+    via_1m = tiers_from_packed(packed, tiers=("1m", "1h"),
+                               gap_fill=False)["1h"].to_pandas()
+    direct = tiers_from_packed(packed, tiers=("1h",),
+                               gap_fill=False)["1h"].to_pandas()
+    assert len(direct) > 0
     keys = ["conv_id", "signal", "bucket_ts"]
     pd.testing.assert_frame_equal(sorted_df(via_1m, keys), sorted_df(direct, keys))
 
@@ -202,9 +206,9 @@ def test_gap_fill(ray_session):
 
     # synthetic generator injects a 2h gap mid-conv -> 1m tier must fill
     tbl = synthetic_transcripts(n_convs=2, seed=4, mean_turns=100)
-    sig = derive_signals(ray.data.from_arrow(tbl))
-    t1m = rollup_from_signals(sig, "1m")
-    filled = gap_fill_tier(t1m, "1m").to_pandas()
+    packed = pack_series(ray.data.from_arrow(tbl))
+    filled = tiers_from_packed(packed, tiers=("1m",),
+                               max_gap=None)["1m"].to_pandas()
     g = filled[(filled.conv_id == filled.conv_id.iloc[0]) &
                (filled.signal == "text_len")].sort_values("bucket_ts")
     bts = g["bucket_ts"].to_numpy()
@@ -546,28 +550,92 @@ def test_compute_mstomp_mixed_lengths_each_row_once(ray_session):
             assert set(got["window_idx"]) == set(range(n - 7))
 
 
-def test_tiers_from_packed_equals_build_tiers(ray_session):
-    """The zero-shuffle packed-row tier path must equal the generic
-    partial+groupby fold path BITWISE (same add order: ts order within
-    buckets, bucket order across folds), gap rows included."""
+def test_tiers_from_packed_matches_duckdb(ray_session, duck):
+    """The shipped rollup against the SQL oracles at SF: the real (non-gap)
+    rows of every tier equal ``rollup_sql(tier)``, and with ``max_gap=None``
+    the 1h and 1d tiers, gap rows included, equal ``gap_fill_sql(tier)``."""
+    packed = pack_series(transcripts_from_events(SF)).materialize()
+    cfg = EngineConfig(window_size=8)
+    keys = ["conv_id", "signal", "bucket_ts"]
+    shipped = tiers_from_packed(packed, tiers=cfg.tiers, gap_fill=cfg.gap_fill,
+                                max_gap=cfg.gap_fill_max_buckets)
+    for tier in ("1m", "1h", "1d"):
+        got = shipped[tier].to_pandas()
+        got = sorted_df(got[~got.gap_filled][ROLLUP_COLUMNS], keys)
+        want = sorted_df(duck.sql(rollup_sql(tier)).df()[ROLLUP_COLUMNS], keys)
+        assert len(got) > 0
+        pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                      check_exact=True)
+    filled = tiers_from_packed(packed, tiers=("1h", "1d"), max_gap=None)
+    for tier in ("1h", "1d"):
+        want = sorted_df(duck.sql(gap_fill_sql(tier)).df(), keys)
+        got = sorted_df(filled[tier].to_pandas()[want.columns.tolist()], keys)
+        assert want["gap_filled"].any()
+        pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                      check_exact=True)
+
+
+def test_tiers_from_packed_sorts_disordered_ts(ray_session):
+    """A conversation whose ts is not ascending in turn_idx (its ts values
+    shuffled across its turns) is stably sorted per conversation: the 1m
+    tier equals the DuckDB oracle exactly, where a bare run-boundary
+    bucketing would emit duplicate buckets."""
+    import duckdb
     import ray
 
-    from tsmp_ray.pipelines.analyze import build_tiers
-    from tsmp_ray.stages.rollup import tiers_from_packed
-    from tsmp_ray.stages.signals import unpack_signals
+    tbl = synthetic_transcripts(n_convs=3, seed=12, mean_turns=80)
+    df = tbl.to_pandas()
+    conv = sorted(df["conv_id"].unique())[1]
+    rows = np.flatnonzero(df["conv_id"].to_numpy() == conv)
+    ts = df["ts"].to_numpy()
+    ts[rows] = ts[np.random.default_rng(7).permutation(rows)]
+    df["ts"] = ts
+    shuffled = pa.Table.from_pandas(df, schema=tbl.schema,
+                                    preserve_index=False)
+    assert not df[df.conv_id == conv].sort_values("turn_idx")[
+        "ts"].is_monotonic_increasing
 
-    tbl = synthetic_transcripts(n_convs=5, seed=8, mean_turns=150)
-    packed = pack_series(ray.data.from_arrow(tbl)).materialize()
-    cfg = EngineConfig(window_size=8)
-    a = build_tiers(unpack_signals(packed), cfg)
-    b = tiers_from_packed(packed, gap_fill=cfg.gap_fill,
-                          max_gap=cfg.gap_fill_max_buckets)
+    packed = pack_series(ray.data.from_arrow(shuffled))
+    got = tiers_from_packed(packed, tiers=("1m",), gap_fill=False)["1m"]
+    con = duckdb.connect()
+    con.register("transcripts", shuffled)
     keys = ["conv_id", "signal", "bucket_ts"]
-    for tier in ("1m", "1h", "1d"):
-        x = sorted_df(a[tier].to_pandas(), keys)
-        y = sorted_df(b[tier].to_pandas(), keys)[x.columns.tolist()]
-        assert len(x) > 0
-        pd.testing.assert_frame_equal(x, y, check_dtype=False)
+    want = sorted_df(con.sql(ROLLUP_SQL_1M).df()[ROLLUP_COLUMNS], keys)
+    got = sorted_df(got.to_pandas()[ROLLUP_COLUMNS], keys)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                  check_exact=True)
+
+
+def test_gap_fill_respects_max_gap(ray_session):
+    """``max_gap`` bounds interpolation: a gap of exactly ``max_gap``
+    buckets is filled, one bucket wider is left open."""
+    import ray
+
+    cfg = EngineConfig()
+    mg, minute = cfg.gap_fill_max_buckets, 60_000_000
+    t0 = 1_704_067_200_000_000
+    # "near": buckets 0, 1 then 1 + mg; "far": buckets 0, 1 then 2 + mg
+    spans = {"conv000000": [0, 1, 1 + mg], "conv000001": [0, 1, 2 + mg]}
+    rows = [(c, i, t0 + m * minute) for c, ms in spans.items()
+            for i, m in enumerate(ms)]
+    tbl = pa.table({
+        "conv_id": [r[0] for r in rows],
+        "turn_idx": pa.array([r[1] for r in rows], pa.int32()),
+        "text": ["abc"] * len(rows), "tool": [""] * len(rows),
+        "ts": pa.array([r[2] for r in rows], pa.timestamp("us")),
+    })
+    packed = pack_series(ray.data.from_arrow(tbl))
+    t1m = tiers_from_packed(packed, tiers=("1m",), gap_fill=True,
+                            max_gap=mg)["1m"].to_pandas()
+    gaps = t1m[t1m.gap_filled]
+    assert set(gaps["conv_id"]) == {"conv000000"}
+    for sig, g in gaps.groupby("signal"):
+        want = t0 + np.arange(2, 1 + mg) * minute
+        np.testing.assert_array_equal(np.sort(g["bucket_ts"].to_numpy()),
+                                      want, err_msg=sig)
+        assert (g["n"] == 0).all()
+    assert set(gaps["signal"]) == {"ts_delta", "text_len", "tool_call"}
+    assert (t1m[~t1m.gap_filled].groupby("conv_id").size() == 3 * 3).all()
 
 
 def test_review_guards():

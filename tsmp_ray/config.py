@@ -7,7 +7,7 @@ Mirrors the reference's global options (``/root/reference/R/zzz.R:1-15``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,13 +91,9 @@ class EngineConfig:
     ez: float = DEFAULT_EZ
     # convs with more turns than this get salted into diagonal shards
     salt_turn_threshold: int = 20_000
-    # Ray Data stage sizing
-    batch_size: int = 64 * 1024
     profile_concurrency: int | None = None  # None = autosize to cluster CPUs
     # rollup
     tiers: tuple[str, ...] = ("1m", "1h", "1d")
     gap_fill: bool = True
     # interpolate across at most this many empty buckets (scale guard)
     gap_fill_max_buckets: int = 60
-    # retention: TTL per tier in microseconds (None = keep forever)
-    ttl_us: dict = field(default_factory=dict)

@@ -4,8 +4,8 @@ re-hosted per SURVEY.md §7.0):
 
     read transcripts
       → add_turn_features (stateless, zero-copy Arrow)
-      → groupby(conv_id) stable-ordered signals        [THE shuffle]
-      → tier rollup raw→1m→1h→1d (+ gap-fill)          [partial aggs]
+      → groupby(conv_id) packed, stable-ordered series [THE shuffle]
+      → tier rollup raw→1m→1h→1d (+ gap-fill)          [per-conv, no shuffle]
       → pack (delta-of-delta ts + Gorilla values)
       → matrix profiles (actor pool, salted long convs)
       → per-conv motif/discord/segment extraction
@@ -16,32 +16,8 @@ from __future__ import annotations
 
 from ..config import EngineConfig
 from ..stages.profile_stage import compute_profiles
-from ..stages.rollup import fold_tier, rollup_from_signals
+from ..stages.rollup import tiers_from_packed
 from ..stages.signals import pack_series, unpack_signals
-
-
-def build_tiers(ds_signals, cfg: EngineConfig, gap_fill: bool | None = None):
-    """signals -> {'1m': ds, '1h': ds, '1d': ds}; coarser tiers fold the finer
-    tier's partials (never re-read raw — the continuous-aggregate property).
-
-    The finer tiers are ``materialize()``d before folding: tier points are
-    orders of magnitude smaller than the raw turns (the legitimate
-    small-reused-intermediate case — at 100 TB this would be the tier's
-    parquet write that the next fold reads back), which stops each coarser
-    tier from re-executing the whole upstream lineage.
-
-    Gap-fill interpolation is bounded by ``cfg.gap_fill_max_buckets`` so a
-    sparse series can't explode into one row per empty bucket across months.
-    """
-    if gap_fill is None:
-        gap_fill = cfg.gap_fill
-    mg = cfg.gap_fill_max_buckets
-    # gap-fill is FUSED into each tier's fold (one shuffle per tier); folds
-    # read the finer tier's materialized points and drop its gap rows first
-    t1m = rollup_from_signals(ds_signals, "1m", mg, gap_fill=gap_fill).materialize()
-    t1h = fold_tier(t1m, "1h", mg, gap_fill=gap_fill).materialize()
-    t1d = fold_tier(t1h, "1d", mg, gap_fill=gap_fill)
-    return {"1m": t1m, "1h": t1h, "1d": t1d}
 
 
 def analyze(ds_transcripts, cfg: EngineConfig | None = None):
@@ -49,18 +25,14 @@ def analyze(ds_transcripts, cfg: EngineConfig | None = None):
     signals, tiers (1m/1h/1d), profiles, mining.
 
     ONE ``groupby(conv_id)`` shuffle total: the packed-series rows are the
-    shuffle's output; the wide signal rows for the rollup are recovered from
-    them by a stateless explode (``unpack_signals``) — the raw transcript
-    table is scanned exactly once."""
+    shuffle's output; the tiers, profiles and mining read them directly, and
+    the wide signal rows are recovered from them by a stateless explode
+    (``unpack_signals``) — the raw transcript table is scanned exactly
+    once."""
     cfg = cfg or EngineConfig()
     packed = pack_series(ds_transcripts).materialize()
     signals = unpack_signals(packed)
-    # zero-shuffle tier path: per-conv reduceat folds straight from the
-    # packed rows (== build_tiers bitwise, asserted in tests); build_tiers
-    # remains the generic path for signals that were never packed
-    from ..stages.rollup import tiers_from_packed
-
-    tiers = tiers_from_packed(packed, gap_fill=cfg.gap_fill,
+    tiers = tiers_from_packed(packed, tiers=cfg.tiers, gap_fill=cfg.gap_fill,
                               max_gap=cfg.gap_fill_max_buckets)
     profiles = compute_profiles(packed, cfg)
     mining = mining_results(packed, cfg)

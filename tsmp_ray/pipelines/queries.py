@@ -15,17 +15,16 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..config import EngineConfig, exclusion_zone
+from ..config import TIERS, EngineConfig, exclusion_zone
 from ..sources.transcripts import TRANSCRIPTS_FROM_EVENTS_SQL, transcripts_from_events
 from ..stages import dedup as dd
 from ..stages import knn as knn_mod
 from ..stages import text as text_mod
 from ..stages.compression import pack_rollup_series, unpack_series
 from ..stages.profile_stage import compute_profiles
-from ..stages.rollup import fold_tier, gap_fill_tier, rollup_from_signals
-from ..stages.signals import derive_signals, pack_series
+from ..stages.rollup import tiers_from_packed
+from ..stages.signals import pack_series, unpack_signals
 from ..stages.retention import apply_retention
-from .analyze import build_tiers
 
 CFG = EngineConfig(window_size=8)
 
@@ -40,14 +39,12 @@ SELECT conv_id, turn_idx, ts,
 FROM transcripts
 """
 
-_TIER_US = {"1m": 60_000_000, "1h": 3_600_000_000, "1d": 86_400_000_000}
-
 ROLLUP_COLUMNS = ["conv_id", "signal", "bucket_ts", "n", "sum_v", "min_v",
                   "max_v", "first_ts", "first_v", "last_ts", "last_v", "mean_v"]
 
 
 def rollup_sql(tier: str) -> str:
-    width = _TIER_US[tier]
+    width = TIERS[tier]
     return _T + f"""
 , sig AS ({SIGNALS_SQL.replace(_T, "")})
 , long AS (
@@ -119,7 +116,7 @@ def gap_fill_sql(tier: str = "1d") -> str:
     and last bucket, n=0, gap_filled=true, mean_v linearly interpolated with
     np.interp's exact formula slope*(x-x0)+y0, slope=(y1-y0)/(x1-x0) — the
     identical IEEE op sequence, so values hash-match bit-for-bit."""
-    width = _TIER_US[tier]
+    width = TIERS[tier]
     base = rollup_sql(tier)
     return f"""WITH base AS ({base}),
 bounds AS (
@@ -1065,12 +1062,14 @@ def q_transcripts(sf_dir: str):
     return transcripts_from_events(sf_dir)
 
 
-def _signals(sf_dir: str):
-    return derive_signals(transcripts_from_events(sf_dir))
+def _packed(sf_dir: str):
+    """THE conv_id shuffle every signal/tier row reads: one packed row per
+    conversation (``pack_series``), materialized."""
+    return pack_series(transcripts_from_events(sf_dir)).materialize()
 
 
 def q_signals(sf_dir: str):
-    return _signals(sf_dir)
+    return unpack_signals(_packed(sf_dir))
 
 
 def q_signals_packed_arrow(sf_dir: str):
@@ -1079,20 +1078,13 @@ def q_signals_packed_arrow(sf_dir: str):
     boundary-fragment merge — signals.py) then the stateless explode. Must
     reproduce the per-turn signal table exactly, which pins BOTH the pack's
     list construction and its ts_delta group-zeroing to the oracle."""
-    from ..stages.signals import pack_series_arrow, unpack_signals
+    from ..stages.signals import pack_series_arrow
 
     return unpack_signals(pack_series_arrow(transcripts_from_events(sf_dir)))
 
 
 def _rollup(sf_dir: str, tier: str):
-    sig = _signals(sf_dir)
-    t1m = rollup_from_signals(sig, "1m")
-    if tier == "1m":
-        out = t1m
-    elif tier == "1h":
-        out = fold_tier(t1m, "1h")
-    else:
-        out = fold_tier(fold_tier(t1m, "1h"), "1d")
+    out = tiers_from_packed(_packed(sf_dir), gap_fill=False)[tier]
     return out.select_columns(ROLLUP_COLUMNS)
 
 
@@ -1111,7 +1103,8 @@ def q_rollup_1d(sf_dir: str):
 def q_rollup_packed_roundtrip(sf_dir: str):
     """1m tier → Gorilla/DoD pack → unpack: must equal the SQL rollup means
     exactly (bit-exact codec on the wire)."""
-    t1m = rollup_from_signals(_signals(sf_dir), "1m")
+    t1m = tiers_from_packed(_packed(sf_dir), tiers=("1m",),
+                            gap_fill=False)["1m"]
     packed = pack_rollup_series(t1m)
     return packed.map_batches(unpack_series, batch_format="pyarrow")
 
@@ -1119,18 +1112,19 @@ def q_rollup_packed_roundtrip(sf_dir: str):
 def q_gap_fill_1d(sf_dir: str):
     """Gap-filled 1d tier (events cadence is hours — the 1d tier is the one
     with meaningful small gaps; finer tiers use bounded fill, see rollup.py)."""
-    t1m = rollup_from_signals(_signals(sf_dir), "1m")
-    t1d = fold_tier(fold_tier(t1m, "1h"), "1d")
-    return gap_fill_tier(t1d, "1d").select_columns(
+    t1d = tiers_from_packed(_packed(sf_dir), tiers=("1d",), gap_fill=True,
+                            max_gap=None)["1d"]
+    return t1d.select_columns(
         ["conv_id", "signal", "bucket_ts", "n", "mean_v", "gap_filled"])
 
 
 def q_retention_1m(sf_dir: str):
     """TTL filter relative to the dataset's own max bucket (deterministic):
     keep the trailing 7 days of 1m points."""
-    # materialize: max() and apply_retention() both consume t1m — without
-    # this the whole events→signals→rollup lineage executes twice
-    t1m = rollup_from_signals(_signals(sf_dir), "1m").materialize()
+    # max() and apply_retention() both consume t1m: tiers_from_packed
+    # materializes the tier pass, so only its tier filter runs twice
+    t1m = tiers_from_packed(_packed(sf_dir), tiers=("1m",),
+                            gap_fill=False)["1m"]
     hi = int(t1m.max("bucket_ts"))
     return apply_retention(t1m, now_us=hi, ttl_us=7 * 86_400_000_000) \
         .select_columns(ROLLUP_COLUMNS)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..config import DEFAULT_EZ, EngineConfig, session_cpus
+from ..config import DEFAULT_EZ, SIGNALS, EngineConfig, session_cpus
 from ..kernels.block_join import auto_profile
 from ..kernels.mining import (
     av_complexity,
@@ -36,7 +36,7 @@ from ..kernels.mining import (
 from ..kernels.mpx import mpx
 from ..kernels.mstomp import mstomp
 from ..kernels.stompi import StreamingProfile
-from .signals import SIGNAL_COLUMNS, repeat_labels
+from .signals import repeat_labels
 
 
 def _const_col(value: str, n: int) -> pa.Array:
@@ -112,7 +112,7 @@ _MINING_SCHEMA = pa.schema([
 
 def mining_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
               n_motifs: int = 2, n_discords: int = 1,
-              signals: tuple[str, ...] = SIGNAL_COLUMNS):
+              signals: tuple[str, ...] = SIGNALS):
     """Per (conv, signal): top motif pair + top discord + first FLUSS segment
     (the reference's ``analyze()`` mining tail, /root/reference/R/analyze.R:69-72)."""
     if conv_id is None:
@@ -162,7 +162,7 @@ _CHAINS_SCHEMA = pa.schema([
 
 
 def chains_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
-              signals: tuple[str, ...] = SIGNAL_COLUMNS):
+              signals: tuple[str, ...] = SIGNALS):
     if conv_id is None:
         return _CHAINS_SCHEMA.empty_table()
     rows = []
@@ -207,7 +207,7 @@ def _mstomp_table(conv_id: str, res, offset: int = 0) -> pa.Table:
 
 
 def mstomp_op(conv_id, batch, r, *, w: int,
-              signals: tuple[str, ...] = SIGNAL_COLUMNS,
+              signals: tuple[str, ...] = SIGNALS,
               max_turns: int | None = None):
     """One conv's multivariate profile; None for convs shorter than 2w or
     longer than ``max_turns`` (the sharded path owns those)."""
@@ -221,7 +221,7 @@ def mstomp_op(conv_id, batch, r, *, w: int,
 
 
 def compute_mstomp(ds_packed, cfg: EngineConfig,
-                   signals: tuple[str, ...] = SIGNAL_COLUMNS):
+                   signals: tuple[str, ...] = SIGNALS):
     """Multivariate profiles for EVERY conversation, salting the long tail,
     in one plan over the materialized packed rows: ``mstomp_op`` runs one
     task per conv and skips convs over ``cfg.salt_turn_threshold``; those
@@ -1175,7 +1175,7 @@ _MSTOMP_CHECKED_SCHEMA = pa.schema([
 
 
 def mstomp_checked_op(conv_id, batch, r, *, w: int, zone: int,
-                      signals: tuple[str, ...] = SIGNAL_COLUMNS,
+                      signals: tuple[str, ...] = SIGNALS,
                       round_dp: int = 6, atol: float = 2e-5):
     """Multidimensional profile tied to SQL (MSTOMP_CHECKED_SQL): oracle-order
     per-dim z-distance² (= the kernel's 2w(1−corr) in exact arithmetic),

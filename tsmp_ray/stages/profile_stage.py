@@ -29,13 +29,13 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from ..config import (DEFAULT_EZ, EngineConfig, exclusion_zone,
+from ..config import (DEFAULT_EZ, SIGNALS, EngineConfig, exclusion_zone,
                       session_cpus)
 from ..kernels.block_join import (auto_profile, blocked_mp, blocked_mp_many,
                                   use_blocked)
 from ..kernels.mpx import mpx_diagonals, prepare_series
 from ..kernels.profile_types import MatrixProfile, merge_min
-from .signals import SIGNAL_COLUMNS, repeat_labels
+from .signals import repeat_labels
 
 _VALUE_COLS = ("mp", "pi", "lmp", "lpi", "rmp", "rpi")
 PROFILE_SCHEMA = pa.schema(
@@ -71,7 +71,7 @@ class ProfileKernel:
     more than ``max_turns`` turns are skipped — the sharded path owns them."""
 
     def __init__(self, window_size: int = 8, ez: float = DEFAULT_EZ,
-                 signals: tuple[str, ...] = SIGNAL_COLUMNS,
+                 signals: tuple[str, ...] = SIGNALS,
                  max_turns: int | None = None):
         self.w = int(window_size)
         self.ez = float(ez)
@@ -285,7 +285,7 @@ def _sharded_profiles_ds(ds_packed, cfg: EngineConfig, pool: int,
                 splits = strip_splits(p, zone, n_shards)
             else:
                 splits = _diag_splits(int(n), w, zone, n_shards)
-            for sig in SIGNAL_COLUMNS:
+            for sig in SIGNALS:
                 shard_refs = [_shard.remote(block_ref, row, sig, lo, hi)
                               for lo, hi in splits]
                 if shard_refs:

@@ -6,21 +6,20 @@ The rollup kernel is the engine generalization of the reference's
 (/root/reference/R/misc.R:463-522): per-bucket partial aggregates
 ``(n, sum, min, max, sumsq, first/last by ts)`` are MERGEABLE, so
 
-- ``rollup_from_signals``  : map_batches PARTIAL agg (one row per
-  (conv_id, signal, bucket) per batch — the combiner that keeps the shuffle
-  small) → ``groupby`` FINAL fold,
-- ``fold_tier``            : re-buckets a finished tier's partials into a
-  coarser tier with the exact same fold — so 1h-from-1m == 1h-from-raw
-  (tested point-for-point), the "continuous aggregate" property.
+- ``tiers_from_packed`` buckets each packed conversation's series into the
+  finest tier with ``reduceat`` and folds every coarser tier from the finer
+  tier's partial arrays — so 1h-from-1m == 1h-from-raw (tested
+  point-for-point), the "continuous aggregate" property. It is the one
+  rollup path: ``analyze()``, the query catalog and the benchmarks run it.
 
-Gap-fill (``gap_fill_tier``): per (conv_id, signal), emit missing buckets
-between a conversation's first and last bucket with ``n = 0``,
-``gap_filled = true`` and ``mean_v`` linearly interpolated between the
-neighboring real buckets (north_star: "raw → 1m → 1h → 1d rollups with
-gap-fill interpolation").
+Gap-fill: per (conv_id, signal), emit missing buckets between a
+conversation's first and last bucket with ``n = 0``, ``gap_filled = true``
+and ``mean_v`` linearly interpolated between the neighboring real buckets
+(north_star: "raw → 1m → 1h → 1d rollups with gap-fill interpolation"),
+bounded by ``max_gap`` buckets.
 
 Tier point schema (long format, one row per signal):
-    conv_id:string, signal:string, bucket_ts:timestamp[us],
+    conv_id:string, signal:string, bucket_ts:int64 (epoch µs),
     n:int64, sum_v:double, min_v:double, max_v:double, sumsq:double,
     first_ts:int64, first_v:double, last_ts:int64, last_v:double,
     mean_v:double, gap_filled:bool
@@ -33,61 +32,22 @@ mergeable, so global centering isn't available here; values are integral
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from ..config import TIERS
-from .signals import SIGNAL_COLUMNS, repeat_labels
+from ..config import SIGNALS, TIERS
+from .signals import repeat_labels
 
-PARTIAL_COLUMNS = ["conv_id", "signal", "bucket_ts", "n", "sum_v", "min_v",
-                   "max_v", "sumsq", "first_ts", "first_v", "last_ts", "last_v"]
-
-
-def _bucket(ts_us: np.ndarray, tier: str) -> np.ndarray:
-    width = TIERS[tier]
-    return (ts_us // width) * width
-
-
-def _partial_from_signals(batch: pa.Table, tier: str) -> pa.Table:
-    """Per-batch combiner: wide signal rows -> partial rows per
-    (conv_id, signal, bucket). Vectorized with pandas groupby."""
-    ts_us = batch["ts"].cast(pa.int64()).to_numpy()
-    base = pd.DataFrame(
-        {
-            "conv_id": batch["conv_id"].to_numpy(zero_copy_only=False),
-            "ts_us": ts_us,
-            "bucket_ts": _bucket(ts_us, tier),
-        }
-    )
-    order = np.argsort(ts_us, kind="stable")
-    outs = []
-    for sig in SIGNAL_COLUMNS:
-        v = batch[sig].to_numpy()
-        df = base.assign(v=v, v2=v * v)
-        part = df.groupby(["conv_id", "bucket_ts"], sort=False).agg(
-            n=("v", "size"), sum_v=("v", "sum"), min_v=("v", "min"),
-            max_v=("v", "max"), sumsq=("v2", "sum"),
-            first_ts=("ts_us", "min"), last_ts=("ts_us", "max"),
-        ).reset_index()
-        go = df.iloc[order].groupby(["conv_id", "bucket_ts"], sort=False)["v"]
-        part = part.merge(go.first().rename("first_v"),
-                          on=["conv_id", "bucket_ts"])
-        part = part.merge(go.last().rename("last_v"),
-                          on=["conv_id", "bucket_ts"])
-        part["signal"] = sig
-        outs.append(part)
-    out = pd.concat(outs, ignore_index=True)[PARTIAL_COLUMNS]
-    return pa.Table.from_pandas(out, preserve_index=False)
+#: packed conversations per ``map_batches`` batch of ``tiers_from_packed``
+TIERS_BATCH_CONVS = 4
 
 
 def _missing_buckets(bts: np.ndarray, width: int,
                      max_gap: int | None) -> np.ndarray:
     """Bucket timestamps ABSENT between a series' present buckets — THE
-    gap-fill candidate rule, shared by all three fill paths (``_fill_df``,
-    ``gap_fill_tier``, ``_emit_tier_arrays``) so their bitwise parity can't
-    drift. ``max_gap`` bounds interpolation: gaps wider than that many
-    buckets are left unfilled (None = fill everything)."""
+    gap-fill candidate rule. ``max_gap`` bounds interpolation: gaps wider
+    than that many buckets are left unfilled (interpolating across a week of
+    silence is noise, and unbounded fill inflates sparse series by orders of
+    magnitude — the scale guard). None = fill everything."""
     if len(bts) < 2:
         return np.empty(0, dtype=np.int64)
     if max_gap is not None:
@@ -100,8 +60,8 @@ def _missing_buckets(bts: np.ndarray, width: int,
     return np.setdiff1d(full, bts)
 
 
-#: filler values for a gap row's aggregate columns (mean_v is interpolated
-#: and gap_filled set True at each site) — one home for the NaN/-1 schema
+#: filler values for a gap row's aggregate columns (``_emit_tier_arrays``
+#: interpolates mean_v and sets gap_filled)
 _GAP_FILLER: dict[str, np.int64 | float] = {
     "n": np.int64(0), "sum_v": np.nan, "min_v": np.nan, "max_v": np.nan,
     "sumsq": np.nan, "first_ts": np.int64(-1), "first_v": np.nan,
@@ -109,164 +69,10 @@ _GAP_FILLER: dict[str, np.int64 | float] = {
 }
 
 
-def _fill_df(out: "pd.DataFrame", width: int, max_gap: int | None) -> "pd.DataFrame":
-    """Append gap rows (n=0, gap_filled, interpolated mean_v) to a folded
-    per-(conv,signal) bucket frame. Vectorized; bounded by max_gap buckets."""
-    bts = out["bucket_ts"].to_numpy()
-    missing = _missing_buckets(bts, width, max_gap)
-    if len(missing) == 0:
-        return out
-    filler = pd.DataFrame({
-        "conv_id": out["conv_id"].iloc[0], "signal": out["signal"].iloc[0],
-        "bucket_ts": missing, **_GAP_FILLER,
-        "mean_v": np.interp(missing, bts, out["mean_v"].to_numpy()),
-        "gap_filled": True,
-    })
-    return (pd.concat([out, filler], ignore_index=True)
-              .sort_values("bucket_ts", kind="stable").reset_index(drop=True))
-
-
-def _fold_group(batch: pa.Table, width: int | None = None,
-                max_gap: int | None = None) -> pa.Table:
-    """Vectorized final fold of ONE (conv_id, signal) group's partials across
-    all its buckets (one output row per bucket). Grouping only on
-    (conv_id, signal) keeps the number of Python group calls = #convs × 3
-    instead of #buckets; inside, pure numpy ``reduceat`` segments (the pandas
-    groupby this replaced cost ~3-5 ms/group × thousands of groups).
-    Sums are order-safe: partial values are exact-integral floats (module
-    doc), so any fold order matches the SQL oracle bitwise.
-    Optional fused gap-fill (saves a second shuffle)."""
-    col = {c: batch[c].to_numpy() for c in
-           ("bucket_ts", "n", "sum_v", "min_v", "max_v", "sumsq",
-            "first_ts", "first_v", "last_ts", "last_v")}
-    order = np.argsort(col["bucket_ts"], kind="stable")
-    b = col["bucket_ts"][order]
-    starts = np.flatnonzero(np.concatenate([[True], b[1:] != b[:-1]]))
-    ends = np.concatenate([starts[1:], [len(b)]])
-    # firsts: row with min first_ts per bucket = segment head after a
-    # (bucket, first_ts, first_v) lexsort; lasts: max last_ts = segment
-    # tail. The value is the TERTIARY key: when two partials tie on
-    # first_ts (two turns sharing a timestamp, split across partials), a
-    # bare stable sort would break the tie by partial ARRIVAL order —
-    # nondeterministic across runs. With the value key the fold is
-    # deterministic (min value among tied-ts firsts, max among lasts);
-    # under such ties it may differ from tiers_from_packed's
-    # sequence-order pick — the bitwise two-path parity holds on strictly
-    # increasing ts, which all driver datasets satisfy (verified: zero
-    # duplicate (user_id, ts) pairs at sf0.001/0.01/0.1; the SQL oracle's
-    # arg_min(v, ts) is itself tie-arbitrary).
-    o1 = np.lexsort((col["first_v"], col["first_ts"], col["bucket_ts"]))
-    o2 = np.lexsort((col["last_v"], col["last_ts"], col["bucket_ts"]))
-    n = np.add.reduceat(col["n"][order], starts)
-    sum_v = np.add.reduceat(col["sum_v"][order], starts)
-    out = pd.DataFrame({
-        "conv_id": batch["conv_id"][0].as_py(),
-        "signal": batch["signal"][0].as_py(),
-        "bucket_ts": b[starts],
-        "n": n,
-        "sum_v": sum_v,
-        "min_v": np.minimum.reduceat(col["min_v"][order], starts),
-        "max_v": np.maximum.reduceat(col["max_v"][order], starts),
-        "sumsq": np.add.reduceat(col["sumsq"][order], starts),
-        "first_ts": col["first_ts"][o1][starts],
-        "first_v": col["first_v"][o1][starts],
-        "last_ts": col["last_ts"][o2][ends - 1],
-        "last_v": col["last_v"][o2][ends - 1],
-        "mean_v": sum_v / n,
-        "gap_filled": False,
-    })
-    if width is not None:
-        out = _fill_df(out, width, max_gap)
-    return pa.Table.from_pandas(out, preserve_index=False)
-
-
-def rollup_from_signals(ds_signals, tier: str, gap_fill_max: int | None = None,
-                        gap_fill: bool = False):
-    """Wide signal Dataset -> tier points for ``tier`` (partial + final).
-    ``gap_fill=True`` fuses the interpolation into the fold's single shuffle."""
-    partial = ds_signals.map_batches(
-        lambda b: _partial_from_signals(b, tier), batch_format="pyarrow"
-    )
-    width = TIERS[tier] if gap_fill else None
-    return partial.groupby(["conv_id", "signal"]).map_groups(
-        lambda b: _fold_group(b, width, gap_fill_max), batch_format="pyarrow"
-    )
-
-
-def fold_tier(ds_tier, to_tier: str, gap_fill_max: int | None = None,
-              gap_fill: bool = False):
-    """Finished tier points -> coarser tier by re-bucketing + the same fold.
-    Valid because every column of the partial schema is mergeable. Gap rows of
-    the finer tier are dropped before folding; ``gap_fill=True`` fuses the
-    coarser tier's own fill into the fold shuffle."""
-
-    def rebucket(batch: pa.Table) -> pa.Table:
-        real = batch.filter(pc.equal(batch["gap_filled"], False))
-        b = _bucket(real["bucket_ts"].to_numpy(), to_tier)
-        return real.set_column(
-            real.column_names.index("bucket_ts"), "bucket_ts",
-            pa.array(b, pa.int64()),
-        )
-
-    rb = ds_tier.map_batches(rebucket, batch_format="pyarrow")
-    width = TIERS[to_tier] if gap_fill else None
-    return rb.groupby(["conv_id", "signal"]).map_groups(
-        lambda b: _fold_group(b, width, gap_fill_max), batch_format="pyarrow"
-    )
-
-
-def gap_fill_tier(ds_tier, tier: str, max_gap_buckets: int | None = None):
-    """Insert missing buckets per (conv_id, signal) with interpolated mean_v.
-
-    Runs per group (a conversation emits at most ~span/width buckets); emitted
-    rows carry n=0, gap_filled=true, min/max/sum/sumsq = NaN.
-
-    ``max_gap_buckets`` bounds interpolation: gaps wider than this many
-    buckets are left unfilled (interpolating across a week of silence is
-    noise, and unbounded fill inflates sparse series by orders of magnitude —
-    the scale guard). None = fill everything.
-    """
-    width = TIERS[tier]
-
-    def _fill(batch: pa.Table) -> pa.Table:
-        order = pc.sort_indices(batch, sort_keys=[("bucket_ts", "ascending")])
-        batch = batch.take(order)
-        bts = batch["bucket_ts"].to_numpy()
-        missing = _missing_buckets(bts, width, max_gap_buckets)
-        if len(missing) == 0:
-            return batch
-        means = batch["mean_v"].to_numpy()
-        nmiss = len(missing)
-        filler = pa.table(
-            {
-                "conv_id": pa.array([batch["conv_id"][0].as_py()] * nmiss),
-                "signal": pa.array([batch["signal"][0].as_py()] * nmiss),
-                "bucket_ts": pa.array(missing, pa.int64()),
-                **{k: pa.array(np.full(
-                       nmiss, v,
-                       dtype=np.int64 if isinstance(v, np.integer)
-                       else np.float64))
-                   for k, v in _GAP_FILLER.items()},
-                "mean_v": pa.array(np.interp(missing, bts, means)),
-                "gap_filled": pa.array(np.ones(nmiss, dtype=bool)),
-            }
-        )
-        merged = pa.concat_tables([batch, filler]).combine_chunks()
-        order2 = pc.sort_indices(merged, sort_keys=[("bucket_ts", "ascending")])
-        return merged.take(order2)
-
-    return ds_tier.groupby(["conv_id", "signal"]).map_groups(
-        _fill, batch_format="pyarrow"
-    )
-
-
-# ------------------------------------------------ zero-shuffle packed path
-
-
 def _series_tier_arrays(ts: np.ndarray, v: np.ndarray, width: int) -> dict:
-    """Tier partial arrays for ONE ascending-ts series, pure reduceat.
-    Identical arithmetic (and ADD ORDER — ts order) to the partial+fold
-    path, so the two paths agree bitwise (asserted in tests)."""
+    """Tier partial arrays for ONE ascending-ts series, pure reduceat (add
+    order = ts order; sums of the integral values are exact, so they match
+    the SQL oracle bitwise)."""
     b = (ts // width) * width
     starts = np.flatnonzero(np.concatenate([[True], b[1:] != b[:-1]]))
     ends = np.concatenate([starts[1:], [len(b)]])
@@ -284,7 +90,7 @@ def _series_tier_arrays(ts: np.ndarray, v: np.ndarray, width: int) -> dict:
 
 def _fold_arrays(p: dict, width: int) -> dict:
     """Fold finer-tier partial arrays (ascending bucket_ts) into a coarser
-    tier — the in-memory analog of ``fold_tier``'s per-group arithmetic."""
+    tier by re-bucketing — valid because every partial column merges."""
     b = (p["bucket_ts"] // width) * width
     starts = np.flatnonzero(np.concatenate([[True], b[1:] != b[:-1]]))
     ends = np.concatenate([starts[1:], [len(b)]])
@@ -302,8 +108,8 @@ def _fold_arrays(p: dict, width: int) -> dict:
 
 def _emit_tier_arrays(p: dict, width: int, gap_fill: bool,
                       max_gap: int | None) -> dict:
-    """Final tier columns (+ optional gap rows) from partial arrays; mirrors
-    ``_fold_group``+``_fill_df`` exactly (same interp, same NaN/-1 fills)."""
+    """Final tier columns (+ optional gap rows, interpolated mean_v and the
+    ``_GAP_FILLER`` NaN/-1 fills) from partial arrays."""
     bts = p["bucket_ts"]
     mean = p["sum_v"] / p["n"]
     out = {**p, "mean_v": mean,
@@ -325,10 +131,12 @@ def _emit_tier_arrays(p: dict, width: int, gap_fill: bool,
     return {k: a[order] for k, a in merged.items()}
 
 
-_TIER_EMIT_COLS = PARTIAL_COLUMNS[2:] + ["mean_v", "gap_filled"]
+_TIER_EMIT_COLS = ["bucket_ts", "n", "sum_v", "min_v", "max_v", "sumsq",
+                   "first_ts", "first_v", "last_ts", "last_v", "mean_v",
+                   "gap_filled"]
 
-#: combined-tier output schema (stable across the numpy fast path and the
-#: empty-batch case; types match what the pandas-built path produced)
+#: combined-tier output schema (stable across batches and the empty-batch
+#: case)
 _TIERS_COMBINED_SCHEMA = pa.schema(
     [("conv_id", pa.string()), ("signal", pa.string()),
      ("bucket_ts", pa.int64()), ("n", pa.int64()), ("sum_v", pa.float64()),
@@ -340,29 +148,25 @@ _TIERS_COMBINED_SCHEMA = pa.schema(
 
 
 def tiers_from_packed(ds_packed, tiers: tuple[str, ...] = ("1m", "1h", "1d"),
-                      gap_fill: bool = True, max_gap: int | None = None,
-                      batch_size: int = 4):
+                      gap_fill: bool = True, max_gap: int | None = None):
     """ALL tiers per conversation in ONE ``map_batches`` pass over PACKED
     rows — ZERO additional shuffles (the conv_id groupby that built the
-    packed rows was the only one). Each conversation's ascending series is
-    bucketed with ``reduceat``; coarser tiers fold the finer tier's partial
-    ARRAYS in-memory (the same mergeable-partial arithmetic as
-    ``fold_tier``, asserted equal in tests). This replaces a
-    sort-of-everything groupby per tier — the measured 32-CPU bottleneck
-    (the 1m Sort alone was 66s on the 12.7M-turn scaling shape; an
-    all-to-all that moves ~1.4× the raw data per tier and cannot
-    strong-scale on shared memory bandwidth) — with embarrassingly parallel
-    per-conv compute, which is also the right plan on a real cluster: tier
-    points ride along with the conversation partitioning.
+    packed rows was the only one). Each conversation's series is bucketed
+    with ``reduceat``; coarser tiers fold the finer tier's partial ARRAYS
+    in-memory. This replaces a sort-of-everything groupby per tier — the
+    measured 32-CPU bottleneck (the 1m Sort alone was 66s on the
+    12.7M-turn scaling shape; an all-to-all that moves ~1.4× the raw data
+    per tier and cannot strong-scale on shared memory bandwidth) — with
+    embarrassingly parallel per-conv compute, which is also the right plan
+    on a real cluster: tier points ride along with the conversation
+    partitioning.
 
     Returns {tier: Dataset}; all tiers come from one materialized combined
     Dataset filtered by the ``tier`` column (materialized once so three
     consumers don't recompute the pass; at 100 TB this materialize is the
     tier-partitioned parquet write — `state.lineage` layout — that each
     consumer reads back, with the object store spilling in between)."""
-    from ..config import TIERS as _T_
-
-    widths = [(t, _T_[t]) for t in tiers]
+    widths = [(t, TIERS[t]) for t in tiers]
     # the fold chain assumes strictly WIDENING, evenly-nested tiers: each
     # coarser tier re-buckets the previous tier's partials, so ("1h", "1m")
     # would silently attribute hour-level aggregates to minute buckets
@@ -386,19 +190,23 @@ def tiers_from_packed(ds_packed, tiers: tuple[str, ...] = ("1m", "1h", "1d"),
         conv_ids = batch["conv_id"].to_pylist()
         for r, conv in enumerate(conv_ids):
             ts = batch["ts"][r].values.to_numpy().astype(np.int64, copy=False)
-            # PRECONDITION: packed ts is ascending (pack_series sorts by
-            # turn_idx, and the synthetic/event ts is monotone in turn_idx).
-            # The run-boundary bucketing below silently emits duplicate
-            # bucket rows on unsorted input, so assert it cheaply here
-            # rather than diverge from the order-robust groupby path.
+            # packed rows are in turn_idx order; the run-boundary bucketing
+            # needs ascending ts. A conversation whose ts is not ascending
+            # in turn_idx is stably sorted by ts (signal values move with
+            # their turn) — partials merge under any arrival order, so only
+            # first/last see the order: on tied ts they follow turn_idx
+            # order. The SQL oracle's arg_min/arg_max(v, ts) is
+            # tie-arbitrary there.
+            order = None
             if len(ts) > 1 and not (ts[1:] >= ts[:-1]).all():
-                raise ValueError(
-                    f"tiers_from_packed: non-ascending ts in conversation "
-                    f"{conv!r}; pack input must be sorted by ts within conv")
-            for sig in SIGNAL_COLUMNS:
+                order = np.argsort(ts, kind="stable")
+                ts = ts[order]
+            for sig in SIGNALS:
                 v = (batch[sig][r].values
                      .to_numpy(zero_copy_only=False)
                      .astype(np.float64, copy=False))
+                if order is not None:
+                    v = v[order]
                 part = None
                 for tier, width in widths:
                     part = (_series_tier_arrays(ts, v, width) if part is None
@@ -419,8 +227,9 @@ def tiers_from_packed(ds_packed, tiers: tuple[str, ...] = ("1m", "1h", "1d"),
         out["tier"] = repeat_labels(group_tier, group_len)
         return pa.table(out).cast(_TIERS_COMBINED_SCHEMA)
 
-    combined = ds_packed.map_batches(_all, batch_format="pyarrow",
-                                     batch_size=batch_size).materialize()
+    combined = ds_packed.map_batches(
+        _all, batch_format="pyarrow", batch_size=TIERS_BATCH_CONVS
+    ).materialize()
     keep = ["conv_id", "signal", *_TIER_EMIT_COLS]
     return {t: combined.filter(expr=f"tier == '{t}'").select_columns(keep)
             for t, _ in widths}

@@ -5,18 +5,19 @@ Arrow batches (pyarrow.compute only): ``text_len = utf8_length(text)``,
 ``tool_call = (tool != '')``. No ordering required, so it runs before the
 shuffle and prunes ``text`` off the hot path.
 
-``derive_signals``: THE wide step — ``groupby(conv_id)`` then an in-group
+``pack_series``: THE wide step — ``groupby(conv_id)`` then an in-group
 stable sort by ``turn_idx`` (every kernel is order-dependent; SURVEY.md §7.4)
 and the order-dependent signal ``ts_delta`` (turn cadence in integer
-microseconds; first turn = 0). Emits the wide per-turn signal table
+microseconds; first turn = 0). Emits one packed row per conversation, the
+unit of work of the tier rollup and the matrix-profile stages;
+``unpack_signals`` explodes it back into the wide per-turn signal table
 
-    (conv_id, turn_idx, ts, ts_delta, text_len, tool_call)
+    (conv_id, turn_idx, ts, text_len, tool_call, ts_delta)
 
-consumed by both the tier rollup and the matrix-profile stages. A crc32
-rolling fingerprint of the stably-ordered texts is emitted per conversation by
-``conversation_fingerprints`` — the engine's per-turn text-equality invariant
-(north_rule) is asserted by comparing these between raw input and
-post-shuffle orderings.
+with no shuffle. A crc32 rolling fingerprint of the stably-ordered texts is
+emitted per conversation by ``conversation_fingerprints`` — the engine's
+per-turn text-equality invariant (north_rule) is asserted by comparing these
+between raw input and post-shuffle orderings.
 
 Reference mapping: a conversation's ordered signal is the engine analog of
 tsmp's implicit dense 1-D series (SURVEY.md §1.1: no timestamps in the
@@ -30,8 +31,6 @@ import zlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-
-SIGNAL_COLUMNS = ("ts_delta", "text_len", "tool_call")
 
 
 def repeat_labels(values: list[str], lens) -> pa.Array:
@@ -82,13 +81,6 @@ def _needs_features(ds) -> bool:
     # a lazy dataset just to sniff columns; unknown -> assume raw transcripts
     sch = ds.schema(fetch_if_missing=False)
     return sch is None or "text_len" not in sch.names
-
-
-def derive_signals(ds):
-    """transcript/feature Dataset -> wide signal Dataset (see module doc)."""
-    if _needs_features(ds):
-        ds = ds.map_batches(add_turn_features, batch_format="pyarrow")
-    return ds.groupby("conv_id").map_groups(_group_signals, batch_format="pyarrow")
 
 
 def _fingerprint_group(batch: pa.Table) -> pa.Table:
