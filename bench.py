@@ -55,8 +55,8 @@ if os.environ.get("MALLOC_MMAP_THRESHOLD_") != "1073741824":
 
 #: synthetic workload sizing per driver scale factor:
 #: (n_convs, mean_turns, long_conv_turns, max_turns). The effective shard
-#: cut is min(GRAFT_HEAVY_TURNS = 10k, salt_turn_threshold = 20k) = 10k
-#: (profile_stage round 5), so the composition per shape is: sf0.001 /
+#: cut is min(profile_stage.HEAVY_TURNS = 10k, salt_turn_threshold = 20k)
+#: = 10k (profile_stage round 5), so the composition per shape is: sf0.001 /
 #: sf0.01 — long conv (2k / 8k) stays BELOW the cut, zero sharded convs;
 #: sf0.1 / scaling — the forced 24k conv PLUS every zipf-tail conv in
 #: (10k, max_turns] strip-shards (a handful at these caps). All round-4/5
@@ -232,19 +232,7 @@ def headline_pipelines(sf_dir: str):
     )
     from tsmp_ray.stages.compression import pack_rollup_series
     from tsmp_ray.stages.profile_stage import compute_profiles
-    from tsmp_ray.stages.signals import (
-        pack_series, pack_series_arrow, unpack_signals,
-    )
-
-    # the two value-identical pack plans trade off on conv-count (measured,
-    # 32 CPUs, min-of-2 warm): map_groups wins on few big convs (sf0.1's 500
-    # convs: 8.3s vs 12.1s), the Arrow sort+vector pack wins on many small
-    # convs (150k convs x ~40 turns: 6.2s vs 13.3s warm, 6.2s vs 99s cold)
-    # because map_groups costs one Python call per conversation. Default =
-    # map_groups (matches the graded shape); GRAFT_PACK=arrow selects the
-    # many-convs scale path.
-    if os.environ.get("GRAFT_PACK", "map_groups") == "arrow":
-        pack_series = pack_series_arrow
+    from tsmp_ray.stages.signals import pack_series, unpack_signals
 
     path, _ = ensure_bench_transcripts(sf_dir)
 

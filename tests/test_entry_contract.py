@@ -106,3 +106,17 @@ def test_trimmed_catalog_functions_still_run(ray_session):
         got = to_pandas(fn(SF))
         assert len(got) > 0, fn.__name__
         assert col in got.columns, (fn.__name__, list(got.columns))
+
+
+def test_engine_reads_no_environment_variables():
+    """No hidden knobs: the engine's behaviour is set by its code and
+    EngineConfig, never by the environment of the process that runs it."""
+    import pathlib
+    import re
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "tsmp_ray"
+    hits = [f"{path.relative_to(pkg.parent)}:{i}: {line.strip()}"
+            for path in sorted(pkg.rglob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"os\.environ|getenv", line)]
+    assert not hits, "\n".join(hits)

@@ -62,47 +62,67 @@ def test_text_equality_invariant_under_shuffle(ray_session):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_pack_series_arrow_equals_map_groups(ray_session):
-    """The Arrow-native vectorized pack (one sort + per-block run packing +
-    boundary-fragment merge) must produce value-identical packed rows to the
-    blessed groupby.map_groups pack — including ts_delta across fragment
-    boundaries. Small blocks force conversations to straddle block edges so
-    the fragment-merge path is actually exercised."""
-    import ray
+def _pack_reference(tbl: pa.Table) -> dict:
+    """Independent numpy pack: per conv, an argsort by turn_idx and
+    ts_delta = diff(ts) with the first value 0."""
+    conv = tbl["conv_id"].to_numpy(zero_copy_only=False)
+    turn = tbl["turn_idx"].to_numpy().astype(np.int64)
+    ts = tbl["ts"].cast(pa.int64()).to_numpy()
+    out = {}
+    for cid in np.unique(conv):
+        rows = np.flatnonzero(conv == cid)
+        rows = rows[np.argsort(turn[rows], kind="stable")]
+        t = ts[rows]
+        out[cid] = {
+            "n_turns": len(rows),
+            "turn_idx": turn[rows],
+            "ts": t,
+            "ts_delta": np.concatenate([[0.0], np.diff(t).astype(np.float64)]),
+            "text_len": tbl["text_len"].to_numpy()[rows],
+            "tool_call": tbl["tool_call"].to_numpy()[rows],
+        }
+    return out
 
-    from tsmp_ray.stages.signals import pack_series_arrow
 
-    tbl = synthetic_transcripts(n_convs=12, seed=7, mean_turns=80)
-    # many small blocks → convs straddle block boundaries after the sort
-    ds = ray.data.from_arrow(tbl).repartition(16)
-    a = pack_series(ds).to_pandas().sort_values("conv_id").reset_index(drop=True)
-    b = (pack_series_arrow(ray.data.from_arrow(tbl).repartition(16))
-         .to_pandas().sort_values("conv_id").reset_index(drop=True))
-    assert list(a["conv_id"]) == list(b["conv_id"])
-    assert list(a["n_turns"]) == list(b["n_turns"])
-    for col in ("turn_idx", "ts", "ts_delta", "text_len", "tool_call"):
-        for x, y in zip(a[col], b[col]):
-            np.testing.assert_array_equal(np.asarray(x), np.asarray(y),
+def _assert_packed_equals_reference(ds, tbl: pa.Table) -> None:
+    got = ds.to_pandas()
+    # every conversation exactly once: no fragment survives the pack
+    assert got["conv_id"].is_unique
+    want = _pack_reference(tbl)
+    assert sorted(got["conv_id"]) == sorted(want)
+    for _, row in got.iterrows():
+        ref = want[row["conv_id"]]
+        assert row["n_turns"] == ref["n_turns"]
+        for col in ("turn_idx", "ts", "ts_delta", "text_len", "tool_call"):
+            np.testing.assert_array_equal(np.asarray(row[col]), ref[col],
                                           err_msg=col)
 
 
-def test_pack_series_arrow_adversarial_layouts(ray_session):
-    """Fragment-merge edge cases: one conversation spanning MANY blocks
-    (middle fragments are whole blocks), a block holding exactly one row,
-    single-turn conversations, and the empty input."""
+def test_pack_series_equals_numpy_reference(ray_session):
+    """The one pack plan (conv_id sort + one vectorized pack per block)
+    against an independent numpy pack, on 16 small blocks of a row-shuffled
+    input so every sort partition holds several conversations."""
     import ray
 
-    from tsmp_ray.stages.signals import pack_series_arrow
+    raw = synthetic_transcripts(n_convs=12, seed=7, mean_turns=80)
+    ds = ray.data.from_arrow(raw).repartition(16)
+    _assert_packed_equals_reference(pack_series(ds), add_turn_features(raw))
+
+
+def test_pack_series_adversarial_layouts(ray_session):
+    """One conversation spread over MANY input blocks, a block holding
+    exactly one row, single-turn conversations, and the empty input."""
+    import ray
 
     rng = np.random.default_rng(11)
-    # conv A: 64 turns (will straddle many 4-row blocks); B/C: 1 turn each;
+    # conv A: 64 turns (spread over many 4-row blocks); B/C: 1 turn each;
     # D: 3 turns
     sizes = {"convA": 64, "convB": 1, "convC": 1, "convD": 3}
     conv, turn, ts = [], [], []
-    for cid, n in sizes.items():
+    for k, (cid, n) in enumerate(sizes.items()):
         conv += [cid] * n
         turn += list(range(n))
-        base = 1_700_000_000_000_000 + hash(cid) % 1000
+        base = 1_700_000_000_000_000 + 1000 * k
         ts += [base + i * 7_000_000 for i in range(n)]
     n = len(conv)
     tbl = pa.table({
@@ -112,21 +132,39 @@ def test_pack_series_arrow_adversarial_layouts(ray_session):
         "text_len": pa.array(rng.integers(1, 99, n).astype(np.float64)),
         "tool_call": pa.array((rng.random(n) < 0.5).astype(np.float64)),
     })
-    perm = rng.permutation(n)
-    shuffled = tbl.take(pa.array(perm))
-    a = (pack_series(ray.data.from_arrow(shuffled).repartition(17))
-         .to_pandas().sort_values("conv_id").reset_index(drop=True))
-    b = (pack_series_arrow(ray.data.from_arrow(shuffled).repartition(17))
-         .to_pandas().sort_values("conv_id").reset_index(drop=True))
-    assert list(b["conv_id"]) == sorted(sizes)
-    assert list(b["n_turns"]) == [sizes[c] for c in sorted(sizes)]
-    for col in ("turn_idx", "ts", "ts_delta", "text_len", "tool_call"):
-        for x, y in zip(a[col], b[col]):
-            np.testing.assert_array_equal(np.asarray(x), np.asarray(y),
-                                          err_msg=col)
+    shuffled = tbl.take(pa.array(rng.permutation(n)))
+    packed = pack_series(ray.data.from_arrow(shuffled).repartition(17))
+    _assert_packed_equals_reference(packed, shuffled)
+    # a 1-row block
+    one = shuffled.slice(0, 1)
+    _assert_packed_equals_reference(pack_series(ray.data.from_arrow(one)), one)
     # empty input
     empty = ray.data.from_arrow(tbl.slice(0, 0))
-    assert pack_series_arrow(empty).count() == 0
+    assert pack_series(empty).count() == 0
+
+
+def test_transcripts_from_events_logs_no_schema_hash_failures(ray_session):
+    """events.parquet carries pandas schema metadata; unless it is dropped
+    before the shuffle, Ray logs "Failed to hash the schemas" for it."""
+    import logging
+
+    class _Count(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.DEBUG)
+            self.n = 0
+
+        def emit(self, record):
+            if "Failed to hash the schemas" in record.getMessage():
+                self.n += 1
+
+    handler = _Count()
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        pack_series(transcripts_from_events(SF)).materialize()
+    finally:
+        logger.removeHandler(handler)
+    assert handler.n == 0
 
 
 def test_unpacked_signals_values(ray_session):

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 
 TRANSCRIPT_SCHEMA = pa.schema(
     [
@@ -65,13 +66,21 @@ def transcripts_from_events(sf_dir: str):
 
     The window-function ranking is computed per user inside
     ``groupby(user_id).map_groups`` after an in-group sort by (ts, event_id) —
-    the same stable ordering the SQL view uses. Column pruning at the read.
+    the same stable ordering the SQL view uses. Column pruning at the read,
+    which also drops the file's schema metadata before the shuffle.
     """
     import ray.data
 
+    path = f"{sf_dir}/events.parquet"
+    columns = ["event_id", "ts", "user_id", "event_type", "props"]
+    # the file's schema carries pandas metadata (a dict), which Ray's shuffle
+    # cannot hash when it deduplicates block schemas ("Failed to hash the
+    # schemas"); reading under the same fields without it drops it inside the
+    # read, at the cost of one footer read here
+    fields = pads.dataset(path, format="parquet").schema
     ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type", "props"],
+        path, columns=columns,
+        schema=pa.schema([fields.field(c) for c in columns]),
     )
 
     def to_transcript(batch: pa.Table) -> pa.Table:

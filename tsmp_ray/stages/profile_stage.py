@@ -24,8 +24,6 @@ One physical plan over the materialized packed Dataset (SURVEY.md §7.3):
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 
@@ -127,7 +125,7 @@ def profile_batch(batch: pa.Table, **kw) -> pa.Table:
 #: multi-second SERIAL task that would set the stage wall; the shard fan-out
 #: turns it into ~0.25 s units. (An LPT block-reorder was measured instead
 #: and LOST, 25.1 s vs 18.1 s: BASELINE.md round 5.)
-HEAVY_TURNS = int(os.environ.get("GRAFT_HEAVY_TURNS", "10000"))
+HEAVY_TURNS = 10_000
 
 #: per-shard work target in window-pair units (p² per conv-signal): sized so
 #: a shard is ~0.25 s of kernel compute — big enough to amortize task
@@ -185,9 +183,10 @@ def compute_profiles(ds_packed, cfg: EngineConfig):
     """Packed series Dataset -> profile Dataset, in one plan: a single
     ``map_batches(profile_batch)`` over the materialized packed rows serves
     every conv with n ≤ ``heavy_cut`` = min(``HEAVY_TURNS``,
-    salt_turn_threshold) (GRAFT_HEAVY_TURNS dominates under the default
-    config); the convs above it are planned from one metadata wave over the
-    same blocks and sharded across tasks (see ``_sharded_profiles_ds``).
+    salt_turn_threshold) (``HEAVY_TURNS`` = 10k is the cut under the default
+    config's 20k threshold); the convs above it are planned from one
+    metadata wave over the same blocks and sharded across tasks (see
+    ``_sharded_profiles_ds``).
     Each (conv_id, signal, window_idx) comes from exactly one of the two."""
     # one materialization: the map and the shard planner read the same
     # blocks (at 100 TB this is the packed-series parquet checkpoint)
@@ -238,7 +237,7 @@ def _sharded_profiles_ds(ds_packed, cfg: EngineConfig, pool: int,
 
     Partitioning assumption (100 TB note): the sharded bin must be the SKEW
     TAIL — the driver plans O(#sharded convs) tasks (metadata only, no
-    series bytes), so the cut (HEAVY_TURNS / cfg.salt_turn_threshold) should
+    series bytes), so the cut (min(HEAVY_TURNS, salt_turn_threshold)) should
     keep the bin to ~10³-10⁴ convs per driver. At full scale the flagship
     runs per input shard over lineage-partitioned packed parquet, so each
     shard's driver plans only its own tail; convs below the cut stay inside

@@ -5,9 +5,10 @@ Arrow batches (pyarrow.compute only): ``text_len = utf8_length(text)``,
 ``tool_call = (tool != '')``. No ordering required, so it runs before the
 shuffle and prunes ``text`` off the hot path.
 
-``pack_series``: THE wide step — ``groupby(conv_id)`` then an in-group
-stable sort by ``turn_idx`` (every kernel is order-dependent; SURVEY.md §7.4)
-and the order-dependent signal ``ts_delta`` (turn cadence in integer
+``pack_series``: THE wide step — one ``sort(conv_id)`` shuffle, then one
+vectorized pack per block that stably orders each conversation by
+``turn_idx`` (every kernel is order-dependent; SURVEY.md §7.4) and derives
+the order-dependent signal ``ts_delta`` (turn cadence in integer
 microseconds; first turn = 0). Emits one packed row per conversation, the
 unit of work of the tier rollup and the matrix-profile stages;
 ``unpack_signals`` explodes it back into the wide per-turn signal table
@@ -61,21 +62,6 @@ def add_turn_features(batch: pa.Table) -> pa.Table:
     )
 
 
-def _group_signals(batch: pa.Table) -> pa.Table:
-    """One conversation -> stably ordered wide signal rows."""
-    order = pc.sort_indices(batch, sort_keys=[("turn_idx", "ascending")])
-    batch = batch.take(order)
-    ts = batch["ts"].cast(pa.int64()).to_numpy()
-    delta = np.empty(len(ts))
-    delta[0] = 0.0
-    if len(ts) > 1:
-        # integer microseconds kept in float64 (exact up to 2^53): sums and
-        # means then match the DuckDB oracle bitwise regardless of fold order;
-        # z-normalized kernels are scale-invariant so units don't matter
-        delta[1:] = np.diff(ts).astype(np.float64)
-    return batch.append_column("ts_delta", pa.array(delta))
-
-
 def _needs_features(ds) -> bool:
     # schema(fetch_if_missing=False) avoids triggering a partial execution on
     # a lazy dataset just to sniff columns; unknown -> assume raw transcripts
@@ -114,140 +100,68 @@ def conversation_fingerprints(ds):
     )
 
 
+_EMPTY_PACKED = pa.schema([
+    ("conv_id", pa.string()), ("n_turns", pa.int64()),
+    ("turn_idx", pa.list_(pa.int64())), ("ts", pa.list_(pa.int64())),
+    ("ts_delta", pa.list_(pa.float64())),
+    ("text_len", pa.list_(pa.float64())),
+    ("tool_call", pa.list_(pa.float64())),
+]).empty_table()
+
+
+def _pack_block(batch: pa.Table) -> pa.Table:
+    """Every conversation of one sorted block -> one packed row each, with
+    zero per-conversation Python calls: a stable (conv_id, turn_idx) sort,
+    run starts from one vectorized compare, ``ts_delta`` as one diff zeroed
+    at run starts, and each list column as one ``ListArray`` over the run
+    offsets."""
+    if batch.num_rows == 0:  # Ray maps an all-empty input as one empty block
+        return _EMPTY_PACKED
+    batch = batch.take(pc.sort_indices(
+        batch, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]))
+    conv = batch["conv_id"].combine_chunks()
+    n = len(conv)
+    new_run = pc.not_equal(conv[1:], conv[:-1]).to_numpy(zero_copy_only=False)
+    starts = np.flatnonzero(np.concatenate([[True], new_run]))
+    bounds = np.append(starts, n)
+    offsets = pa.array(bounds.astype(np.int32))
+    ts = batch["ts"].cast(pa.int64()).to_numpy()
+    # integer microseconds kept in float64 (exact up to 2^53): sums and means
+    # then match the DuckDB oracle bitwise regardless of fold order;
+    # z-normalized kernels are scale-invariant so units don't matter
+    delta = np.zeros(n)
+    delta[1:] = np.diff(ts).astype(np.float64)
+    delta[starts] = 0.0
+    lists = lambda values: pa.ListArray.from_arrays(offsets, pa.array(values))
+    return pa.table({
+        "conv_id": conv.take(pa.array(starts)).cast(pa.string()),
+        "n_turns": pa.array(np.diff(bounds)),
+        "turn_idx": lists(batch["turn_idx"].cast(pa.int64()).to_numpy()),
+        "ts": lists(ts),
+        "ts_delta": lists(delta),
+        "text_len": lists(batch["text_len"].to_numpy()),
+        "tool_call": lists(batch["tool_call"].to_numpy()),
+    })
+
+
 def pack_series(ds):
-    """Feature (or wide-signal) Dataset -> one packed row per conversation:
-    (conv_id, n_turns, ts:list<int64>, ts_delta/text_len/tool_call:list<double>).
-    Computes ts_delta itself when absent, so it needs only ONE shuffle from
-    raw per-turn features. This is the unit of work for the matrix-profile
-    actor stages."""
+    """Feature Dataset (raw transcripts get ``add_turn_features`` first) ->
+    one packed row per conversation:
+    (conv_id, n_turns, turn_idx/ts:list<int64>,
+    ts_delta/text_len/tool_call:list<double>), in ONE conv_id shuffle.
 
-    def _pack(batch: pa.Table) -> pa.Table:
-        if "ts_delta" not in batch.column_names:
-            batch = _group_signals(batch)
-        else:
-            order = pc.sort_indices(batch, sort_keys=[("turn_idx", "ascending")])
-            batch = batch.take(order)
-        return pa.table(
-            {
-                "conv_id": pa.array([batch["conv_id"][0].as_py()]),
-                "n_turns": pa.array([batch.num_rows], pa.int64()),
-                "turn_idx": pa.array([batch["turn_idx"].cast(pa.int64()).to_numpy()]),
-                "ts": pa.array([batch["ts"].cast(pa.int64()).to_numpy()]),
-                "ts_delta": pa.array([batch["ts_delta"].to_numpy()]),
-                "text_len": pa.array([batch["text_len"].to_numpy()]),
-                "tool_call": pa.array([batch["tool_call"].to_numpy()]),
-            }
-        )
-
+    The plan is ``sort("conv_id")`` then one ``_pack_block`` per block
+    (``batch_size=None``: a batch is exactly one block). A single-key sort
+    range-partitions by conv_id, so every row of a conversation lands in
+    the same output block — the contract ``groupby().map_groups`` itself
+    rests on (in Ray it IS this sort followed by a ``batch_size=None``
+    map). No conversation straddles blocks, so no fragment is merged
+    afterwards, and no Python call is made per conversation. This is the
+    unit of work for the rollup and matrix-profile stages."""
     if _needs_features(ds):
         ds = ds.map_batches(add_turn_features, batch_format="pyarrow")
-    return ds.groupby("conv_id").map_groups(_pack, batch_format="pyarrow")
-
-
-def pack_series_arrow(ds):
-    """Arrow-native vectorized pack (round-3 verdict item 8): ONE global
-    ``sort(conv_id, turn_idx)`` replaces ``groupby.map_groups``, then each
-    sorted block packs ALL its conversations with ZERO per-group Python
-    calls — run boundaries via one vectorized comparison, list columns via
-    ``ListArray.from_arrays`` over offsets, ts_delta as one global diff
-    zeroed at group starts. A conversation can straddle block boundaries,
-    so each block's FIRST and LAST group are conservatively marked
-    fragments and merged in a second tiny ``groupby(conv_id)`` whose group
-    count is ≤ 2 per block (O(blocks), not O(convs)).
-
-    Same output rows as :func:`pack_series` (asserted value-identical in
-    tests); the difference is plan shape: map_groups costs one Python call
-    PER CONVERSATION (10⁸ convs → 10⁸ interpreter calls), this path costs
-    one per BLOCK plus the boundary merge. Both move the data once (sort ≈
-    groupby's internal sort).
-
-    Measured (32 CPUs, min-of-2 warm, interleaved; BASELINE.md round 4):
-    few big convs (500 × ~5k turns) map_groups wins 8.3s vs 12.1s; many
-    small convs (150k × ~40 turns) THIS path wins 6.2s vs 13.3s warm /
-    99s cold — the cross-over is conversation COUNT, so a 10⁸-conv
-    deployment uses this plan (``GRAFT_PACK=arrow`` in bench)."""
-
-    def _pack_block(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        empty = pa.schema([
-            ("conv_id", pa.string()), ("n_turns", pa.int64()),
-            ("turn_idx", pa.list_(pa.int64())), ("ts", pa.list_(pa.int64())),
-            ("ts_delta", pa.list_(pa.float64())),
-            ("text_len", pa.list_(pa.float64())),
-            ("tool_call", pa.list_(pa.float64())),
-            ("_frag", pa.bool_()),
-        ])
-        if n == 0:
-            return empty.empty_table()
-        conv = batch["conv_id"].to_numpy(zero_copy_only=False)
-        starts = np.flatnonzero(
-            np.concatenate([[True], conv[1:] != conv[:-1]]))
-        offsets = np.concatenate([starts, [n]]).astype(np.int32)
-        ts_np = batch["ts"].cast(pa.int64()).to_numpy()
-        delta = np.empty(n)
-        delta[0] = 0.0
-        if n > 1:
-            delta[1:] = np.diff(ts_np).astype(np.float64)
-        delta[starts] = 0.0
-        lens = np.diff(offsets).astype(np.int64)
-        la = pa.ListArray.from_arrays
-        off = pa.array(offsets)
-        ng = len(starts)
-        frag = np.zeros(ng, dtype=bool)
-        frag[0] = frag[-1] = True  # may continue in a neighboring block
-        return pa.table({
-            "conv_id": pa.array(conv[starts], pa.string()),
-            "n_turns": pa.array(lens),
-            "turn_idx": la(off, pa.array(
-                batch["turn_idx"].cast(pa.int64()).to_numpy())),
-            "ts": la(off, pa.array(ts_np)),
-            "ts_delta": la(off, pa.array(delta)),
-            "text_len": la(off, batch["text_len"].combine_chunks()
-                           if isinstance(batch["text_len"], pa.ChunkedArray)
-                           else batch["text_len"]),
-            "tool_call": la(off, batch["tool_call"].combine_chunks()
-                            if isinstance(batch["tool_call"], pa.ChunkedArray)
-                            else batch["tool_call"]),
-            "_frag": pa.array(frag),
-        })
-
-    def _merge_frag(g: pa.Table) -> pa.Table:
-        order = np.argsort([g["turn_idx"][i].values[0].as_py()
-                            for i in range(g.num_rows)])
-        cat = lambda col: np.concatenate(
-            [g[col][int(i)].values.to_numpy(zero_copy_only=False)
-             for i in order])
-        ts = cat("ts")
-        delta = np.empty(len(ts))
-        delta[0] = 0.0
-        if len(ts) > 1:
-            delta[1:] = np.diff(ts).astype(np.float64)
-        return pa.table({
-            "conv_id": pa.array([g["conv_id"][0].as_py()]),
-            "n_turns": pa.array([len(ts)], pa.int64()),
-            "turn_idx": pa.array([cat("turn_idx")]),
-            "ts": pa.array([ts]),
-            "ts_delta": pa.array([delta]),
-            "text_len": pa.array([cat("text_len")]),
-            "tool_call": pa.array([cat("tool_call")]),
-        })
-
-    if _needs_features(ds):
-        ds = ds.map_batches(add_turn_features, batch_format="pyarrow")
-    # batch_size=None: each batch is exactly ONE block, i.e. one contiguous
-    # range of the global sort — the first/last-group fragment invariant in
-    # _pack_block then holds by construction (a fixed row batch_size could
-    # stitch non-adjacent blocks of a task bundle into one batch and emit a
-    # straddling conversation as a spurious 'whole' row — ADVICE r4)
-    packed = (ds.sort(["conv_id", "turn_idx"])
-              .map_batches(_pack_block, batch_format="pyarrow",
-                           batch_size=None)
-              .materialize())
-    whole = packed.filter(expr="_frag == False").drop_columns(["_frag"])
-    frags = (packed.filter(expr="_frag == True").drop_columns(["_frag"])
-             .groupby("conv_id").map_groups(_merge_frag,
-                                            batch_format="pyarrow"))
-    return whole.union(frags)
+    return ds.sort("conv_id").map_batches(
+        _pack_block, batch_format="pyarrow", batch_size=None)
 
 
 def unpack_signals(ds_packed):
