@@ -172,15 +172,20 @@ def blocked_mp_many(series: list[np.ndarray], w: int, ez: float = DEFAULT_EZ
     """``[blocked_mp(s, w, ez) for s in series]``, bitwise, with the
     one-block series sorted by length and run through :func:`_short_mp` in
     chunks of ≈``_CHUNK_CELLS`` correlation cells — one batched matmul per
-    chunk instead of one kernel call (≈300 µs fixed cost) per series."""
+    chunk instead of one kernel call (≈300 µs fixed cost) per series.
+
+    A chunk holds series of ONE length, so nothing is zero-padded and every
+    matmul has the one-series call's shape: BLAS picks its edge kernels by
+    shape (OpenBLAS on AVX-512 does), and a padded shape changes the
+    summation order of the correlations."""
     out = [None if len(s) - w < _BLOCK else blocked_mp(s, w, ez)
            for s in series]
     short = sorted((k for k, prof in enumerate(out) if prof is None),
                    key=lambda k: len(series[k]))
     while short:
-        n = 1
-        while (n < len(short) and
-               (n + 1) * (len(series[short[n]]) - w + 1) ** 2 <= _CHUNK_CELLS):
+        n, m = 1, len(series[short[0]])
+        while (n < len(short) and len(series[short[n]]) == m
+               and (n + 1) * (m - w + 1) ** 2 <= _CHUNK_CELLS):
             n += 1
         chunk, short = short[:n], short[n:]
         for k, prof in zip(chunk, _short_mp([series[k] for k in chunk], w, ez)):

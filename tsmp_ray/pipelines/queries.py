@@ -16,7 +16,8 @@ import pandas as pd
 import pyarrow as pa
 
 from ..config import TIERS, EngineConfig, exclusion_zone
-from ..sources.transcripts import TRANSCRIPTS_FROM_EVENTS_SQL, transcripts_from_events
+from ..sources.transcripts import (TRANSCRIPTS_FROM_EVENTS_SQL, read_parquet_plain,
+                                   transcripts_from_events)
 from ..stages import dedup as dd
 from ..stages import knn as knn_mod
 from ..stages import text as text_mod
@@ -1130,35 +1131,24 @@ WHERE bucket_ts >= (SELECT max(bucket_ts) FROM base) - {7 * 86_400_000_000}
 
 
 def q_dedup_exact(sf_dir: str):
-    import ray
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
+    ds = read_parquet_plain(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
     return dd.exact_dedup(ds)
 
 
 def q_token_counts(sf_dir: str):
-    import ray
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
+    ds = read_parquet_plain(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
     return ds.map_batches(text_mod.token_counts, batch_format="pyarrow") \
         .select_columns(["doc_id", "n_chars", "n_tokens"])
 
 
 def q_doc_quality(sf_dir: str):
-    import ray
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
+    ds = read_parquet_plain(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
     return ds.map_batches(text_mod.quality_batch, batch_format="pyarrow")
 
 
 def q_lang_id(sf_dir: str):
-    import ray
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text", "lang"])
+    ds = read_parquet_plain(f"{sf_dir}/documents.parquet",
+                            ["doc_id", "text", "lang"])
     return ds.map_batches(text_mod.lang_id_batch, batch_format="pyarrow") \
         .select_columns(["doc_id", "lang", "lang_pred"])
 
@@ -1198,19 +1188,13 @@ def q_fingerprints_checked(sf_dir: str):
 
 
 def q_fingerprints(sf_dir: str):
-    import ray
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
+    ds = read_parquet_plain(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
     return ds.map_batches(text_mod.fingerprints, batch_format="pyarrow") \
         .select_columns(["doc_id", "fingerprint"])
 
 
 def q_minhash_dedup(sf_dir: str):
-    import ray
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
+    ds = read_parquet_plain(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
     return dd.minhash_lsh_dedup(ds, threshold=0.7)
 
 
@@ -1221,10 +1205,7 @@ def q_dedup_components(sf_dir: str):
 
 
 def q_simhash_dedup(sf_dir: str):
-    import ray
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
+    ds = read_parquet_plain(f"{sf_dir}/documents.parquet", ["doc_id", "text"])
     return dd.simhash_dedup(ds, max_hamming=3)
 
 
@@ -1234,9 +1215,7 @@ def q_embedding_dedup(sf_dir: str):
     is why round 1's threshold-0.98 run correctly returned 0 rows); 0.4
     exercises the pipeline non-trivially and the SQL oracle verifies values.
     Production near-dup thresholds would be ≥0.9."""
-    import ray
-
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
+    ds = read_parquet_plain(f"{sf_dir}/embeddings.parquet")
     return dd.embedding_dedup(ds, threshold=0.4)
 
 
@@ -1247,7 +1226,6 @@ def q_embedding_dedup_lsh(sf_dir: str):
     seeding — identical output under any partitioning and no driver-side
     table pull (round-3 verdict item 6). The planted pairs are the expected
     output (recall asserted in pytest)."""
-    import ray
 
     def plant(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -1268,16 +1246,14 @@ def q_embedding_dedup_lsh(sf_dir: str):
             "embedding": pa.array(list(np.concatenate([emb, dup]))),
         })
 
-    ds = (ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
+    ds = (read_parquet_plain(f"{sf_dir}/embeddings.parquet")
           .select_columns(["vec_id", "embedding"])
           .map_batches(plant, batch_format="pyarrow"))
     return dd.embedding_dedup_lsh(ds, threshold=0.95)
 
 
 def _query_vectors(sf_dir: str):
-    import ray
-
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
+    ds = read_parquet_plain(f"{sf_dir}/embeddings.parquet")
     q = ds.filter(expr="vec_id < 5").to_pandas().sort_values("vec_id")
     qm = np.stack([np.asarray(e, dtype=np.float64) for e in q["embedding"]])
     return ds, qm, q["vec_id"].to_numpy()

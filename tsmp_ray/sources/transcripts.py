@@ -61,6 +61,21 @@ FROM events
 """
 
 
+def read_parquet_plain(path: str, columns: list[str] | None = None):
+    """Ray Dataset of a Parquet file under its own fields, without the
+    file's schema metadata. Files written from pandas carry that metadata
+    (a dict), which Ray's shuffles cannot hash when they deduplicate block
+    schemas ("Failed to hash the schemas"); reading under the bare fields
+    drops it inside the read, at the cost of one footer read here."""
+    import ray.data
+
+    fields = pads.dataset(path, format="parquet").schema
+    columns = list(columns or fields.names)
+    return ray.data.read_parquet(
+        path, columns=columns,
+        schema=pa.schema([fields.field(c) for c in columns]))
+
+
 def transcripts_from_events(sf_dir: str):
     """Ray Dataset of transcripts derived from ``events.parquet``.
 
@@ -69,19 +84,8 @@ def transcripts_from_events(sf_dir: str):
     the same stable ordering the SQL view uses. Column pruning at the read,
     which also drops the file's schema metadata before the shuffle.
     """
-    import ray.data
-
-    path = f"{sf_dir}/events.parquet"
-    columns = ["event_id", "ts", "user_id", "event_type", "props"]
-    # the file's schema carries pandas metadata (a dict), which Ray's shuffle
-    # cannot hash when it deduplicates block schemas ("Failed to hash the
-    # schemas"); reading under the same fields without it drops it inside the
-    # read, at the cost of one footer read here
-    fields = pads.dataset(path, format="parquet").schema
-    ds = ray.data.read_parquet(
-        path, columns=columns,
-        schema=pa.schema([fields.field(c) for c in columns]),
-    )
+    ds = read_parquet_plain(f"{sf_dir}/events.parquet",
+                            ["event_id", "ts", "user_id", "event_type", "props"])
 
     def to_transcript(batch: pa.Table) -> pa.Table:
         # batch = one user's events (map_groups feeds whole groups)

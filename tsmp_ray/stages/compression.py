@@ -27,16 +27,23 @@ with it per north_star):
   denormals and infinities (tested), because everything goes through raw u64
   views.
 
-Encoding is FULLY VECTORIZED: each value maps to ≤3 (code, width) items
-(numpy select over magnitude levels, vectorized clz/ctz), and one
-``_pack_codes`` pass expands all items into an MSB-first bit matrix packed
-with ``np.packbits`` — no per-value Python. The Gorilla encoder always emits
-an explicit '11' window per nonzero XOR (never the '10' previous-window
-reuse): the format stays decoder-compatible (reuse is an encoder choice) and
-the ~10 % size cost buys a fully-parallel encode. Decoding remains a
-sequential bit cursor (variable-length prefixes are data-dependent).
+Encoding is FULLY VECTORIZED and run-batched: ``encode_timestamp_runs`` /
+``encode_gorilla_runs`` encode many consecutive runs (series) in one call.
+Each point maps to ≤3 (code, width) items (numpy select over magnitude
+levels, vectorized clz/ctz), the items are placed at offsets from a cumsum
+of per-point item counts (plus each run's count header and byte pad), and
+one ``_pack_codes`` pass expands them into an MSB-first bit matrix packed
+with ``np.packbits`` — no per-value and no per-run Python. Each run comes
+out byte-aligned, so its slice of the buffer IS its blob;
+``encode_timestamps`` / ``encode_gorilla`` are the one-run calls. The
+Gorilla encoder always emits an explicit '11' window per nonzero XOR (never
+the '10' previous-window reuse): the format stays decoder-compatible (reuse
+is an encoder choice) and the ~10 % size cost buys a fully-parallel encode.
+Decoding remains a sequential bit cursor (see ``unpack_series``).
+
 ``pack_rollup_series`` turns a tier-point Dataset into one packed row per
-(conv_id, signal): (ts_dod:binary, val_gorilla:binary, n:int32).
+(conv_id, signal): (ts_dod:binary, val_gorilla:binary, n:int32), with one
+``sort("conv_id")`` and one encoder call per codec per block.
 """
 
 from __future__ import annotations
@@ -74,52 +81,49 @@ class _BitReader:
         self.pos = 0  # bit position
 
     def read(self, bits: int) -> int:
-        out = 0
+        """The next ``bits`` bits, MSB first: one ``int.from_bytes`` over the
+        bytes they span, not a loop per byte."""
         pos = self.pos
-        data = self.data
-        remaining = bits
-        while remaining > 0:
-            byte = data[pos >> 3]
-            avail = 8 - (pos & 7)
-            take = min(avail, remaining)
-            shift = avail - take
-            out = (out << take) | ((byte >> shift) & ((1 << take) - 1))
-            pos += take
-            remaining -= take
-        self.pos = pos
-        return out
+        head = pos & 7
+        first = pos >> 3
+        nbytes = (head + bits + 7) >> 3
+        self.pos = pos + bits
+        span = int.from_bytes(self.data[first : first + nbytes], "big")
+        return (span >> (8 * nbytes - head - bits)) & ((1 << bits) - 1)
 
 
 _DOD_LEVELS = ((7, 0b10, 2), (9, 0b110, 3), (12, 0b1110, 4), (32, 0b11110, 5))
+#: prefix of a DoD outside every level; the dod follows as two 32-bit halves
+_DOD_ESCAPE = 0b11111
 
 
 def _pack_codes(codes: np.ndarray, widths: np.ndarray) -> bytes:
     """Vectorized MSB-first bit packing of (code, width≤64) items: expand to
     a masked bit matrix, compress to the flat bit stream, ``np.packbits``.
-    Bit-identical to the sequential ``_BitWriter`` stream. Item chunks bound
-    the temp matrices (cache-resident; also caps first-touch cost where the
-    bench's malloc tuning isn't inherited)."""
+    Bit-identical to the sequential ``_BitWriter`` stream. Items go through
+    in chunks, and each chunk's whole bytes are packed before the next, so
+    the temporaries stay at ~``CH`` × 64 bytes however many items come in:
+    a whole block's streams are one call."""
     codes = codes.astype(np.uint64)
     widths = widths.astype(np.int64)
     if len(widths) == 0:
         return b""
-    total_bits = int(widths.sum())
-    flat = np.empty(total_bits, dtype=np.uint8)
-    pos = 0
-    CH = 32_768  # small chunks: temps stay cache-resident and the one-time
-    # heap first-touch (expensive in this sandbox) is ~45 MB, not hundreds
+    out = []
+    carry = np.empty(0, dtype=np.uint8)  # < 8 bits left over by a chunk
+    CH = 4_096  # temps stay cache-resident: 32k-item chunks over whole
+    # blocks raised the long-convs peak RSS by 5-8 %
     for lo in range(0, len(codes), CH):
         c = codes[lo : lo + CH]
         w = widths[lo : lo + CH].astype(np.int16)
-        w_max = int(w.max())
-        shifts = w[:, None] - 1 - np.arange(w_max, dtype=np.int16)[None, :]
-        valid = shifts >= 0
+        shifts = w[:, None] - 1 - np.arange(int(w.max()), dtype=np.int16)[None, :]
         bits = ((c[:, None] >> shifts.clip(min=0).astype(np.uint8))
                 & np.uint64(1)).astype(np.uint8)
-        nb = int(w.sum())
-        flat[pos : pos + nb] = bits[valid]  # row-major MSB-first per item
-        pos += nb
-    return np.packbits(flat, bitorder="big").tobytes()
+        flat = np.concatenate([carry, bits[shifts >= 0]])  # MSB-first per item
+        whole = len(flat) & ~7
+        out.append(np.packbits(flat[:whole], bitorder="big"))
+        carry = flat[whole:]
+    out.append(np.packbits(carry, bitorder="big"))  # zero-pads the last byte
+    return np.concatenate(out).tobytes()
 
 
 def _split64(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,52 +133,85 @@ def _split64(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (v >> np.uint64(32)).astype(np.uint64), (v & np.uint64(0xFFFFFFFF))
 
 
-def encode_timestamps(ts_us: np.ndarray) -> bytes:
+def _run_pos(lens: np.ndarray) -> np.ndarray:
+    """Position of every point within its run (0 at each run start)."""
+    starts = np.cumsum(lens) - lens
+    return np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(starts, lens)
+
+
+def _encode_runs(lens: np.ndarray, counts: np.ndarray,
+                 slots: list[tuple[np.ndarray, np.ndarray]]
+                 ) -> tuple[bytes, np.ndarray]:
+    """Consecutive runs of points -> one packed buffer and the byte offset of
+    every run (``len(lens) + 1`` of them).
+
+    Point ``i`` writes ``counts[i]`` items, item ``j`` being
+    ``slots[j] = (code, width)`` at ``i``. A run is its 32-bit point count,
+    its points' items in order, then zero bits up to the next byte, so
+    every run is the blob a one-run encode writes. Items are placed at
+    offsets computed from a cumsum of ``counts`` (each run adds its count
+    and pad items); one ``_pack_codes`` call packs them all."""
+    n_runs = len(lens)
+    bounds = np.concatenate([[0], np.cumsum(lens)])
+    items_before = np.concatenate([[0], np.cumsum(counts)])
+    point_bits = sum(np.where(counts > j, w, 0) for j, (_, w) in enumerate(slots))
+    bits_before = np.concatenate([[0], np.cumsum(point_bits)])
+    run_bits = 32 + bits_before[bounds[1:]] - bits_before[bounds[:-1]]
+    pad = -run_bits % 8
+    r = np.arange(n_runs)
+    codes = np.zeros(int(items_before[-1]) + 2 * n_runs, dtype=np.uint64)
+    widths = np.zeros(len(codes), dtype=np.int64)
+    head = items_before[bounds[:-1]] + 2 * r
+    codes[head], widths[head] = lens, 32
+    widths[items_before[bounds[1:]] + 2 * r + 1] = pad
+    at = items_before[:-1] + 2 * np.repeat(r, lens) + 1
+    for j, (c, w) in enumerate(slots):
+        m = counts > j
+        codes[at[m] + j], widths[at[m] + j] = c[m], w[m]
+    offsets = np.concatenate([[0], np.cumsum((run_bits + pad) // 8)])
+    return _pack_codes(codes, widths), offsets
+
+
+def encode_timestamp_runs(ts_us: np.ndarray, lens: np.ndarray
+                          ) -> tuple[bytes, np.ndarray]:
+    """Delta-of-delta blobs of consecutive runs (each sorted by time) as one
+    buffer plus per-run byte offsets. Per point: the first two of a run
+    write the first ts and the first delta (64 bits each, as two halves);
+    every later one writes its dod as a level code, classified over the
+    whole block at once."""
     ts = np.asarray(ts_us, dtype=np.int64)
-    n = len(ts)
-    items_c = [np.array([n], dtype=np.uint64)]
-    items_w = [np.array([32], dtype=np.int64)]
-    if n >= 1:
-        hi, lo = _split64(np.array([ts[0]], dtype=np.int64))
-        items_c += [hi, lo]
-        items_w += [np.array([32]), np.array([32])]
-    if n >= 2:
-        deltas = np.diff(ts)
-        hi, lo = _split64(deltas[:1])
-        items_c += [hi, lo]
-        items_w += [np.array([32]), np.array([32])]
-        dod = np.diff(deltas)
-        if len(dod):
-            # classify into the 6 magnitude levels, vectorized
-            mags = [(-(1 << (b - 1)), (1 << (b - 1))) for b, _, _ in _DOD_LEVELS]
-            conds = [dod == 0] + [(dod >= lo) & (dod < hi) for lo, hi in mags]
-            level = np.select(conds, np.arange(len(conds)), default=len(conds))
-            # one packed item per dod for levels 0-4
-            code = np.zeros(len(dod), dtype=np.uint64)
-            width = np.ones(len(dod), dtype=np.int64)
-            for li, (b, prefix, plen) in enumerate(_DOD_LEVELS, start=1):
-                m = level == li
-                offs = dod[m] + (1 << (b - 1))  # offset-binary payload
-                code[m] = ((np.uint64(prefix) << np.uint64(b))
-                           | offs.astype(np.uint64))
-                width[m] = plen + b
-            # escape level: 3 items (prefix, hi32, lo32) spliced in order
-            esc = level == len(conds)
-            if esc.any():
-                order = np.argsort(
-                    np.concatenate([np.arange(len(dod), dtype=np.int64),
-                                    np.flatnonzero(esc), np.flatnonzero(esc)]),
-                    kind="stable")
-                hi, lo = _split64(dod[esc])
-                code[esc] = np.uint64(0b11111)
-                width[esc] = 5
-                code = np.concatenate([code, hi, lo])[order]
-                width = np.concatenate(
-                    [width, np.full(esc.sum(), 32, dtype=np.int64),
-                     np.full(esc.sum(), 32, dtype=np.int64)])[order]
-            items_c.append(code)
-            items_w.append(width)
-    return _pack_codes(np.concatenate(items_c), np.concatenate(items_w))
+    lens = np.asarray(lens, dtype=np.int64)
+    k = _run_pos(lens)
+    delta = np.zeros(len(ts), dtype=np.int64)
+    delta[1:] = np.diff(ts)
+    dod = np.zeros(len(ts), dtype=np.int64)
+    dod[1:] = np.diff(delta)
+    mags = [(-(1 << (b - 1)), (1 << (b - 1))) for b, _, _ in _DOD_LEVELS]
+    conds = [dod == 0] + [(dod >= lo) & (dod < hi) for lo, hi in mags]
+    level = np.select(conds, np.arange(len(conds)), default=len(conds))
+    code = np.zeros(len(ts), dtype=np.uint64)
+    width = np.ones(len(ts), dtype=np.int64)
+    for li, (b, prefix, plen) in enumerate(_DOD_LEVELS, start=1):
+        m = level == li
+        offs = dod[m] + (1 << (b - 1))  # offset-binary payload
+        code[m] = (np.uint64(prefix) << np.uint64(b)) | offs.astype(np.uint64)
+        width[m] = plen + b
+    esc = level == len(conds)
+    code[esc], width[esc] = _DOD_ESCAPE, 5
+    first = k < 2
+    hi0, lo0 = _split64(np.where(k == 0, ts, delta))
+    esc_hi, esc_lo = _split64(dod)
+    counts = np.where(first, 2, np.where(esc, 3, 1))
+    thirty_two = np.full(len(ts), 32, dtype=np.int64)
+    return _encode_runs(lens, counts, [
+        (np.where(first, hi0, code), np.where(first, 32, width)),
+        (np.where(first, lo0, esc_hi), thirty_two),
+        (esc_lo, thirty_two),
+    ])
+
+
+def encode_timestamps(ts_us: np.ndarray) -> bytes:
+    return encode_timestamp_runs(ts_us, [len(ts_us)])[0]
 
 
 def decode_timestamps(data: bytes) -> np.ndarray:
@@ -225,41 +262,39 @@ def _bit_length_u64(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def encode_gorilla_runs(values: np.ndarray, lens: np.ndarray
+                        ) -> tuple[bytes, np.ndarray]:
+    """Gorilla XOR blobs of consecutive runs as one buffer plus per-run byte
+    offsets. Per point: a run's first value writes its raw 64 bits (two
+    halves); every later one XORs with its predecessor and writes '0' for
+    a zero XOR, else a '11' window header and the meaningful bits."""
+    bits_v = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    lens = np.asarray(lens, dtype=np.int64)
+    first = _run_pos(lens) == 0
+    xors = np.zeros(len(bits_v), dtype=np.uint64)
+    xors[1:] = np.bitwise_xor(bits_v[1:], bits_v[:-1])
+    nz = xors != 0
+    # vectorized leading/trailing zero counts
+    lead = np.minimum(64 - _bit_length_u64(xors), 31)
+    low = xors & (np.uint64(0) - xors)  # lowest set bit (power of two)
+    trail = np.maximum(_bit_length_u64(low) - 1, 0)
+    mlen = 64 - lead - trail
+    # '11'+lead+mlen-1 header (13 bits), then the meaningful bits (≤64)
+    header = ((np.uint64(0b11) << np.uint64(11))
+              | (lead.astype(np.uint64) << np.uint64(6))
+              | (mlen - 1).astype(np.uint64))
+    hi, lo = _split64(bits_v)
+    counts = np.where(first | nz, 2, 1)
+    return _encode_runs(lens, counts, [
+        (np.where(first, hi, np.where(nz, header, 0)),
+         np.where(first, 32, np.where(nz, 13, 1))),
+        (np.where(first, lo, xors >> trail.astype(np.uint64)),
+         np.where(first, 32, mlen)),
+    ])
+
+
 def encode_gorilla(values: np.ndarray) -> bytes:
-    vals = np.asarray(values, dtype=np.float64)
-    n = len(vals)
-    bits_v = vals.view(np.uint64)
-    items_c = [np.array([n], dtype=np.uint64)]
-    items_w = [np.array([32], dtype=np.int64)]
-    if n >= 1:
-        hi, lo = _split64(bits_v[:1])
-        items_c += [hi, lo]
-        items_w += [np.array([32]), np.array([32])]
-    if n >= 2:
-        xors = np.bitwise_xor(bits_v[1:], bits_v[:-1])
-        nz = xors != 0
-        # vectorized leading/trailing zero counts
-        lead = np.minimum(64 - _bit_length_u64(xors), 31)
-        low = xors & (np.uint64(0) - xors)  # lowest set bit (power of two)
-        trail = np.maximum(_bit_length_u64(low) - 1, 0)
-        mlen = 64 - lead - trail
-        # two items per nonzero xor: '11'+lead+mlen-1 header (13 bits) then
-        # the meaningful bits (≤64); zero xor is the single '0' bit
-        code = np.zeros(len(xors), dtype=np.uint64)
-        width = np.ones(len(xors), dtype=np.int64)
-        code[nz] = ((np.uint64(0b11) << np.uint64(11))
-                    | (lead[nz].astype(np.uint64) << np.uint64(6))
-                    | (mlen[nz] - 1).astype(np.uint64))
-        width[nz] = 13
-        payload = xors[nz] >> trail[nz].astype(np.uint64)
-        order = np.argsort(
-            np.concatenate([np.arange(len(xors), dtype=np.int64),
-                            np.flatnonzero(nz)]), kind="stable")
-        code = np.concatenate([code, payload])[order]
-        width = np.concatenate([width, mlen[nz]])[order]
-        items_c.append(code)
-        items_w.append(width)
-    return _pack_codes(np.concatenate(items_c), np.concatenate(items_w))
+    return encode_gorilla_runs(values, [len(values)])[0]
 
 
 def decode_gorilla(data: bytes) -> np.ndarray:
@@ -288,49 +323,91 @@ def decode_gorilla(data: bytes) -> np.ndarray:
 # ------------------------------------------------------------- Ray stage
 
 
+_PACKED_SCHEMA = pa.schema([
+    ("conv_id", pa.string()), ("signal", pa.string()), ("n", pa.int32()),
+    ("ts_dod", pa.binary()), ("val_gorilla", pa.binary())])
+
+
+def _binary(buf: bytes, offsets: np.ndarray) -> pa.Array:
+    """Consecutive blobs in one buffer -> a ``binary`` column, zero-copy."""
+    return pa.Array.from_buffers(
+        pa.binary(), len(offsets) - 1,
+        [None, pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(buf)])
+
+
+def _pack_block(batch: pa.Table) -> pa.Table:
+    """Every (conv_id, signal) run of one block -> one packed row each, with
+    zero per-run Python calls: a stable (conv_id, signal, bucket_ts) sort,
+    run starts from one vectorized compare, then one encoder call per
+    codec over the whole block, its runs byte-aligned in one buffer."""
+    if batch.num_rows == 0:  # Ray maps an all-empty input as one empty block
+        return _PACKED_SCHEMA.empty_table()
+    batch = batch.take(pc.sort_indices(batch, sort_keys=[
+        ("conv_id", "ascending"), ("signal", "ascending"),
+        ("bucket_ts", "ascending")]))
+    conv = batch["conv_id"].combine_chunks()
+    sig = batch["signal"].combine_chunks()
+    new_run = pc.or_(pc.not_equal(conv[1:], conv[:-1]),
+                     pc.not_equal(sig[1:], sig[:-1]))
+    starts = np.flatnonzero(np.concatenate(
+        [[True], new_run.to_numpy(zero_copy_only=False)]))
+    lens = np.diff(np.append(starts, batch.num_rows))
+    ts_buf, ts_off = encode_timestamp_runs(batch["bucket_ts"].to_numpy(), lens)
+    val_buf, val_off = encode_gorilla_runs(batch["mean_v"].to_numpy(), lens)
+    first = pa.array(starts)
+    return pa.table({
+        "conv_id": conv.take(first).cast(pa.string()),
+        "signal": sig.take(first).cast(pa.string()),
+        "n": pa.array(lens.astype(np.int32)),
+        "ts_dod": _binary(ts_buf, ts_off),
+        "val_gorilla": _binary(val_buf, val_off),
+    })
+
+
 def pack_rollup_series(ds_tier):
     """Tier points -> one packed row per (conv_id, signal):
     (conv_id, signal, n:int32, ts_dod:binary, val_gorilla:binary).
-    Values packed are the per-bucket means in bucket_ts order."""
+    Values packed are the per-bucket means in bucket_ts order.
 
-    def _pack(batch: pa.Table) -> pa.Table:
-        order = pc.sort_indices(batch, sort_keys=[("bucket_ts", "ascending")])
-        batch = batch.take(order)
-        ts = batch["bucket_ts"].to_numpy()
-        vals = batch["mean_v"].to_numpy()
-        return pa.table(
-            {
-                "conv_id": pa.array([batch["conv_id"][0].as_py()]),
-                "signal": pa.array([batch["signal"][0].as_py()]),
-                "n": pa.array([len(ts)], pa.int32()),
-                "ts_dod": pa.array([encode_timestamps(ts)], pa.binary()),
-                "val_gorilla": pa.array([encode_gorilla(vals)], pa.binary()),
-            }
-        )
+    The plan is ``sort("conv_id")`` then one ``_pack_block`` per block
+    (``batch_size=None``: a batch is exactly one block), as in
+    ``signals.pack_series``. The single-key sort range-partitions by
+    conv_id, so every run of a (conv_id, signal) lands in one block, and no
+    Python call is made per run: the two encoders see the whole block."""
+    return ds_tier.sort("conv_id").map_batches(
+        _pack_block, batch_format="pyarrow", batch_size=None)
 
-    return ds_tier.groupby(["conv_id", "signal"]).map_groups(
-        _pack, batch_format="pyarrow"
-    )
+
+def _blobs(col) -> list[memoryview]:
+    """A ``binary`` column as zero-copy views of its rows' bytes: the value
+    buffer and offsets are read once, not one ``as_py()`` per row."""
+    arr = col.combine_chunks()
+    if len(arr) == 0:
+        return []
+    offs = np.frombuffer(arr.buffers()[1], dtype=np.int32)[
+        arr.offset : arr.offset + len(arr) + 1].tolist()
+    data = memoryview(arr.buffers()[2]).cast("B")  # Arrow's view is signed
+    return [data[a:b] for a, b in zip(offs[:-1], offs[1:])]
 
 
 def unpack_series(batch: pa.Table) -> pa.Table:
     """Packed rows -> long rows (conv_id, signal, bucket_ts, mean_v).
-    Per-blob decode is the (sequential) bit cursor; row assembly is numpy
-    (np.repeat over run lengths), no Python value lists."""
-    ts_parts, val_parts, lens = [], [], []
-    for i in range(batch.num_rows):
-        ts = decode_timestamps(batch["ts_dod"][i].as_py())
-        val_parts.append(decode_gorilla(batch["val_gorilla"][i].as_py()))
-        ts_parts.append(ts)
-        lens.append(len(ts))
-    lens = np.array(lens, dtype=np.int64)
-    conv = np.repeat(batch["conv_id"].to_numpy(zero_copy_only=False), lens)
-    sig = np.repeat(batch["signal"].to_numpy(zero_copy_only=False), lens)
+
+    The decode stays a sequential bit cursor per blob: item widths hang on
+    prefix bits read just before them, and a vectorized pointer-doubling
+    decode over every bit offset measured no faster (0.19 s against the
+    cursor's 0.20 s on the long-convs Gorilla blobs, ≈33 bits per value).
+    Blob bytes come from one read of each binary column, and row assembly
+    is numpy (one take over the run lengths), no Python value lists."""
+    ts_parts = [decode_timestamps(b) for b in _blobs(batch["ts_dod"])]
+    val_parts = [decode_gorilla(b) for b in _blobs(batch["val_gorilla"])]
+    lens = np.array([len(t) for t in ts_parts], dtype=np.int64)
+    row = pa.array(np.repeat(np.arange(batch.num_rows), lens))
     empty_i, empty_f = np.empty(0, dtype=np.int64), np.empty(0)
     return pa.table(
         {
-            "conv_id": pa.array(conv, pa.string()),
-            "signal": pa.array(sig, pa.string()),
+            "conv_id": batch["conv_id"].take(row).cast(pa.string()),
+            "signal": batch["signal"].take(row).cast(pa.string()),
             "bucket_ts": pa.array(
                 np.concatenate(ts_parts) if ts_parts else empty_i, pa.int64()),
             "mean_v": pa.array(

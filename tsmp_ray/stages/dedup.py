@@ -220,7 +220,9 @@ def _bucket_pairs(bucket_ds, keys: list[str], carry: list[str] | None = None,
     def add_pair_part(batch: pa.Table) -> pa.Table:
         h = _hash64(batch["doc_id"].to_numpy().astype(np.uint64)
                     ^ _hash64(batch["dup_id"].to_numpy().astype(np.uint64)))
-        return batch.append_column(
+        # the pandas pair blocks carry pandas schema metadata (a dict), which
+        # the next shuffle cannot hash ("Failed to hash the schemas")
+        return batch.replace_schema_metadata(None).append_column(
             "ppart", pa.array((h % P).astype(np.int64)))
 
     def distinct_partition(g: pd.DataFrame) -> pd.DataFrame:
@@ -635,7 +637,8 @@ def _distinct_edges(edges_ds, n_parts: int | None = None):
     def add_part(batch: pa.Table) -> pa.Table:
         h = _hash64(batch["a"].to_numpy().astype(np.uint64)
                     ^ _hash64(batch["b"].to_numpy().astype(np.uint64)))
-        return batch.append_column(
+        # pandas edge blocks carry pandas schema metadata: see add_pair_part
+        return batch.replace_schema_metadata(None).append_column(
             "epart", pa.array((h % P).astype(np.int64)))
 
     def uniq(g: pd.DataFrame) -> pd.DataFrame:
