@@ -54,9 +54,8 @@ if os.environ.get("MALLOC_MMAP_THRESHOLD_") != "1073741824":
     os.execv(sys.executable, [sys.executable] + sys.argv)
 
 #: synthetic workload sizing per driver scale factor:
-#: (n_convs, mean_turns, long_conv_turns, max_turns). The effective shard
-#: cut is min(profile_stage.HEAVY_TURNS = 10k, salt_turn_threshold = 20k)
-#: = 10k (profile_stage round 5), so the composition per shape is: sf0.001 /
+#: (n_convs, mean_turns, long_conv_turns, max_turns). The shard cut is
+#: EngineConfig.salt_turn_threshold = 10k, so the composition per shape is: sf0.001 /
 #: sf0.01 — long conv (2k / 8k) stays BELOW the cut, zero sharded convs;
 #: sf0.1 / scaling — the forced 24k conv PLUS every zipf-tail conv in
 #: (10k, max_turns] strip-shards (a handful at these caps). All round-4/5

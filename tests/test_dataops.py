@@ -181,6 +181,30 @@ def test_fingerprints_stability(ray_session):
     assert shared >= len(km[0]) // 2
 
 
+def test_fingerprints_fold_is_warning_free_and_pinned():
+    """The uint64 fold wraps mod 2**64 by design: it must not warn, and its
+    values are pinned so a fix to the warning cannot move a fingerprint."""
+    import warnings
+
+    from tsmp_ray.stages.text import fingerprints
+
+    tbl = pa.table({
+        "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+        "text": ["the quick brown fox jumps over the lazy dog again and again",
+                 "a b c", "",
+                 "one two three four five six seven eight nine ten eleven twelve"],
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = fingerprints(tbl)
+    assert out["fingerprint"].to_pylist() == [
+        573677597199981897, 2164578142528828063, 0, -8330976694502744537]
+    assert out["kmin_hashes"].to_pylist()[1:3] == [
+        [112844655, 1908338681, 3904355907], [0]]
+    assert out["kmin_hashes"].to_pylist()[3][:2] == [
+        1459575122960349894, 3759118554910537647]
+
+
 def test_brute_force_topk_matches_numpy(ray_session):
     import ray
     from tsmp_ray.stages.knn import brute_force_topk

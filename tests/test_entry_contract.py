@@ -120,3 +120,20 @@ def test_engine_reads_no_environment_variables():
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if re.search(r"os\.environ|getenv", line)]
     assert not hits, "\n".join(hits)
+
+
+def test_engine_config_fields_are_read():
+    """No dead knobs: every EngineConfig field is read (``.<field>``)
+    somewhere in the engine outside config.py."""
+    import dataclasses
+    import pathlib
+    import re
+
+    from tsmp_ray.config import EngineConfig
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "tsmp_ray"
+    src = "\n".join(path.read_text() for path in sorted(pkg.rglob("*.py"))
+                    if path.name != "config.py" or path.parent != pkg)
+    unread = [f.name for f in dataclasses.fields(EngineConfig)
+              if not re.search(rf"\.{f.name}\b", src)]
+    assert not unread, f"EngineConfig fields nothing reads: {unread}"

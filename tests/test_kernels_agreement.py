@@ -12,7 +12,7 @@ import pytest
 
 from tsmp_ray.kernels import (
     StreamingProfile, brute_mp, mpx, mpx_diagonals, merge_min, mstomp,
-    prepare_series, scrimp, stamp, stomp, stomp_range,
+    prepare_series, scrimp, stamp, stomp,
 )
 from tsmp_ray.config import exclusion_zone
 
@@ -138,21 +138,6 @@ def test_ab_join_agreement():
         # BA orientation equals brute of (b, query=a)
         oracle_ba = brute_mp(b, w, query=a)
         np.testing.assert_allclose(got.mpb, oracle_ba.mp, atol=ATOL)
-
-
-def test_stomp_range_sharding_min_merges_to_full():
-    """The salted-shard plan: partial profiles over query ranges min-merge to
-    the exact profile (reference plan /root/reference/R/stomp-par.R:102-117,
-    249-264)."""
-    x = random_walk(400)
-    w = 16
-    full = stomp(x, w)
-    parts = [stomp_range(x, w, lo, hi) for lo, hi in [(0, 130), (130, 260), (260, 385)]]
-    merged = parts[0]
-    for prt in parts[1:]:
-        merged = merge_min(merged, prt)
-    # row-sharded stomp only fills rows it computed; mp/pi merge to exact
-    np.testing.assert_allclose(merged.mp, full.mp, atol=ATOL)
 
 
 def test_mpx_diagonal_sharding_min_merges_to_full():

@@ -256,20 +256,35 @@ def test_floss_cac_final_per_value_parity_with_batch():
     np.testing.assert_allclose(got, np.asarray(expect), atol=1e-12)
 
 
-def test_valmod_pruned_equals_exact_sweep():
-    """lb=True heap pruning must be IDENTICAL to the exact lb=False sweep
-    (our deliberate deviation from valmod.R:438-470 recomputes uncertified
-    queries exactly) — including on inputs with NaNs and flat runs."""
+def test_valmod_equals_brute_window_sweep():
+    """valmod equals an independent sweep: per window the brute-force
+    profile scaled by 1/sqrt(w), min taken across windows (strict '<' keeps
+    the smallest w) — including on inputs with NaNs and flat runs."""
+    from tsmp_ray.kernels import brute_mp
+
     rng = np.random.default_rng(42)
     clean = np.cumsum(rng.standard_normal(400))
     dirty = clean.copy()
     dirty[120:126] = np.nan
     dirty[200:240] = 3.25  # flat run → skip windows
+    wmin, wmax = 12, 24
     for x in (clean, dirty):
-        a = valmod(x, 12, 24, lb=True, heap_size=10)
-        b = valmod(x, 12, 24, lb=False)
-        np.testing.assert_allclose(a["mp"], b["mp"], atol=2e-5)
-        np.testing.assert_allclose(a["mp_raw"], b["mp_raw"], atol=2e-5)
-        assert (a["w"] == b["w"]).all()
-        np.testing.assert_allclose(a["evolution_motif"], b["evolution_motif"],
-                                   atol=2e-5)
+        p_out = len(x) - wmin + 1
+        mp = np.full(p_out, np.inf)
+        raw = np.full(p_out, np.inf)
+        best_w = np.full(p_out, -1)
+        evolution = np.full(wmax - wmin + 1, np.inf)
+        for w in range(wmin, wmax + 1):
+            d = brute_mp(x, w).mp
+            p = len(d)
+            if np.isfinite(d).any():
+                evolution[w - wmin] = d[np.isfinite(d)].min() ** 2 / np.sqrt(w)
+            upd = d / np.sqrt(w) < mp[:p]
+            mp[:p][upd] = d[upd] / np.sqrt(w)
+            raw[:p][upd] = d[upd]
+            best_w[:p][upd] = w
+        vm = valmod(x, wmin, wmax)
+        np.testing.assert_allclose(vm["mp"], mp, atol=2e-5)
+        np.testing.assert_allclose(vm["mp_raw"], raw, atol=2e-5)
+        assert (vm["w"] == best_w).all()
+        np.testing.assert_allclose(vm["evolution_motif"], evolution, atol=2e-5)

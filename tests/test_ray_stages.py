@@ -263,8 +263,7 @@ def test_distributed_profiles_match_oracle(ray_session):
     import ray
 
     tbl = synthetic_transcripts(n_convs=4, seed=6, mean_turns=80)
-    cfg = EngineConfig(window_size=8, profile_concurrency=2,
-                       salt_turn_threshold=10_000)
+    cfg = EngineConfig(window_size=8, salt_turn_threshold=10_000)
     packed = pack_series(ray.data.from_arrow(tbl))
     prof = compute_profiles(packed, cfg).to_pandas()
     # oracle: per conv/signal numpy stomp on the stably ordered series
@@ -293,8 +292,7 @@ def test_salted_path_equals_inline(ray_session):
         packed, EngineConfig(window_size=8, salt_turn_threshold=10_000)
     ).to_pandas()
     salted = compute_profiles(
-        packed, EngineConfig(window_size=8, salt_turn_threshold=500,
-                             profile_concurrency=3)
+        packed, EngineConfig(window_size=8, salt_turn_threshold=500)
     ).to_pandas()
     keys = ["conv_id", "signal", "window_idx"]
     a = sorted_df(inline, keys)
@@ -319,8 +317,7 @@ def test_salted_path_equals_inline_large_window_mpx_branch(ray_session):
         packed, EngineConfig(window_size=40, salt_turn_threshold=10_000)
     ).to_pandas()
     salted = compute_profiles(
-        packed, EngineConfig(window_size=40, salt_turn_threshold=300,
-                             profile_concurrency=3)
+        packed, EngineConfig(window_size=40, salt_turn_threshold=300)
     ).to_pandas()
     keys = ["conv_id", "signal", "window_idx"]
     a = sorted_df(inline, keys)
@@ -345,8 +342,7 @@ def test_sharded_mstomp_equals_single_task(ray_session):
         packed, EngineConfig(window_size=8, salt_turn_threshold=10_000)
     ).to_pandas()
     sharded = compute_mstomp(
-        packed, EngineConfig(window_size=8, salt_turn_threshold=500,
-                             profile_concurrency=3)
+        packed, EngineConfig(window_size=8, salt_turn_threshold=500)
     ).to_pandas()
     keys = ["conv_id", "k_dim", "window_idx"]
     a = sorted_df(inline, keys)
@@ -541,8 +537,7 @@ def test_profile_plan_emits_each_row_once(ray_session):
         packed, EngineConfig(window_size=8, salt_turn_threshold=10_000)
     ).to_pandas()
     salted = compute_profiles(
-        packed, EngineConfig(window_size=8, salt_turn_threshold=300,
-                             profile_concurrency=3)
+        packed, EngineConfig(window_size=8, salt_turn_threshold=300)
     ).to_pandas()
     want_rows = 3 * int(sum(n - 7 for n in n_turns if n >= 16))
     for df in (inline, salted):
@@ -577,8 +572,7 @@ def test_compute_mstomp_mixed_lengths_each_row_once(ray_session):
     packed = _mixed_length_packed()
     df = packed.to_pandas()
     out = compute_mstomp(
-        packed, EngineConfig(window_size=8, salt_turn_threshold=300,
-                             profile_concurrency=3)).to_pandas()
+        packed, EngineConfig(window_size=8, salt_turn_threshold=300)).to_pandas()
     keys = ["conv_id", "k_dim", "window_idx"]
     assert not out.duplicated(keys).any()
     for cid, n in zip(df["conv_id"], df["n_turns"]):

@@ -89,9 +89,12 @@ class EngineConfig:
 
     window_size: int = 8
     ez: float = DEFAULT_EZ
-    # convs with more turns than this get salted into diagonal shards
-    salt_turn_threshold: int = 20_000
-    profile_concurrency: int | None = None  # None = autosize to cluster CPUs
+    # convs with more turns than this are sharded across tasks: a
+    # near-threshold conv is a multi-second serial task that would set the
+    # stage wall, the shard fan-out turns it into ~0.25 s units (an LPT
+    # block-reorder was measured instead and lost, 25.1 s vs 18.1 s:
+    # BASELINE.md round 5)
+    salt_turn_threshold: int = 10_000
     # rollup
     tiers: tuple[str, ...] = ("1m", "1h", "1d")
     gap_fill: bool = True

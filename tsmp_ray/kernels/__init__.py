@@ -12,7 +12,7 @@ from .mstomp import MultiMatrixProfile, mstomp
 from .profile_types import MatrixProfile, empty_profile, merge_min
 from .scrimp import scrimp, stamp
 from .simple import simple_fast
-from .stomp import stomp, stomp_range
+from .stomp import stomp
 from .stompi import StreamingProfile
 
 __all__ = [
@@ -20,5 +20,5 @@ __all__ = [
     "StreamingProfile", "brute_dist_profile", "brute_mp", "clean_series",
     "dist_profile", "empty_profile", "mass_pre", "mass_v2", "mass_v3",
     "merge_min", "mpx", "mpx_diagonals", "mstomp", "prepare_series",
-    "scrimp", "simple_fast", "stamp", "stomp", "stomp_range",
+    "scrimp", "simple_fast", "stamp", "stomp",
 ]

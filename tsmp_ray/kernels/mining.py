@@ -626,8 +626,7 @@ def pmp_upper_bound(data: np.ndarray, threshold: float = 0.95,
 
 def valmod(data: np.ndarray, window_min: int, window_max: int,
            query: np.ndarray | None = None,
-           ez: float = DEFAULT_EZ, lb: bool = False,
-           heap_size: int = 50) -> dict:
+           ez: float = DEFAULT_EZ) -> dict:
     """Variable-length motif discovery over [window_min, window_max]
     (/root/reference/R/valmod.R:52-702): per-window MP, length-normalized by
     ``1/sqrt(w)`` for cross-window comparability, elementwise min across
@@ -636,34 +635,12 @@ def valmod(data: np.ndarray, window_min: int, window_max: int,
     ``query`` switches to JOIN similarity (valmod.R:56-62): per window the
     profile is the data-side AB-join (``mp[j] = min_i d(data_j, query_i)``,
     no exclusion zone), same min-over-windows fold. Equal lengths required
-    (valmod.R:90-92 stops on different sizes too). The join always runs the
-    exact sweep — the heap pruning's trivial-match geometry is self-join
-    only, so ``lb`` is ignored here; the reference's lb=TRUE join leaves
-    non-certified entries un-updated (partial VALMP), ours is exact at
-    every entry.
+    (valmod.R:90-92 stops on different sizes too).
 
-    ``lb=True`` runs the VALMOD heap lower-bound pruning (valmod.R:121-128,
-    328-470; Linardi et al., SIGMOD'18): a full STOMP pass at a window
-    captures, per query, the ``heap_size`` candidates with the smallest
-    LB = w·(1−corr₊²) (valmod.R:233-247); at each longer window the heap's
-    dot products / sums extend by one point in O(p·heap) total, and a query
-    is CERTIFIED when its best in-heap true distance beats the scaled bound
-    max_lb·σ_cap²/σ_cur² (valmod.R:352-356,415-417) — no O(p) row needed.
-    Deliberate deviation for exactness: queries that fail certification are
-    recomputed with one MASS profile each (the reference leaves them
-    un-updated, making its VALMP partial, valmod.R:438-470); too many
-    failures trigger a fresh STOMP re-capture (the reference's
-    motifs_per_size==0 rule, valmod.R:170). Results are IDENTICAL to the
-    exact ``lb=False`` sweep (asserted in tests, and both gated against the
-    SQL oracle via valmod_checked).
-
-    Default is ``lb=False``, MEASURED: on n=4000, w∈[20,60], the exact
-    sweep (vectorized mpx per window) runs 7.8–9.1 s vs 13.9–29.9 s for
-    the pruned path — VALMOD's pruning pays off in scalar per-cell
-    implementations (the regime of valmod.R / SIGMOD'18), but here the
-    uncertified-query MASS recomputes plus O(p²w) BLAS re-captures cost
-    more than the O(p²)-vectorized full profile it avoids. ``lb=True``
-    remains for reference-algorithm parity."""
+    This is the reference's exact sweep (its lower-bound switch off), one
+    vectorized mpx per window. The reference's default heap pruning
+    (valmod.R:121-128,328-470) leaves uncertified entries un-updated, so
+    its VALMP is partial; ours is exact at every entry."""
     if window_min < 4:
         raise ValueError("window_size must be at least 4")  # valmod.R:100
     if query is not None:
@@ -674,8 +651,6 @@ def valmod(data: np.ndarray, window_min: int, window_max: int,
                 "(valmod.R:90-92: different sizes not implemented)")
     qs = len(data) if query is None else len(query)
     raise_if_too_short(qs, window_min, ceiling=False)  # valmod.R:96-98
-    if query is None and lb:
-        return _valmod_pruned(data, window_min, window_max, ez, heap_size)
     p_out = len(data) - window_min + 1
     best = np.full(p_out, np.inf)
     best_w = np.full(p_out, -1, dtype=np.int64)
@@ -699,200 +674,6 @@ def valmod(data: np.ndarray, window_min: int, window_max: int,
         raw[:p][upd] = prof.mp[upd]
         best_w[:p][upd] = w
         best_pi[:p][upd] = prof.pi[upd]
-    return {"mp": best, "mp_raw": raw, "w": best_w, "pi": best_pi,
-            "evolution_motif": evolution,
-            "window_min": window_min, "window_max": window_max}
-
-
-def _valmod_capture(x: np.ndarray, w: int, zone: int, h: int):
-    """Full STOMP pass at window ``w`` that also captures, per query i, the
-    ``h`` candidates with smallest LB (valmod.R:233-283). Returns
-    (mp2, pi, heap-state). Distances squared (2w(1−corr)); LB = w(1−corr₊²);
-    real (population) SDs stored for the cross-window σ-ratio scaling."""
-    from .mass import _qt_fft
-
-    pre = mass_pre(x, w)
-    xd, mu, sig, skip = pre.data, pre.data_mu, pre.data_sig, pre.skip
-    n = pre.n
-    p = n - w + 1
-    hh = min(h, p)
-    mp2 = np.full(p, np.inf)
-    pidx = np.full(p, -1, dtype=np.int64)
-    J = np.full((p, hh), -1, dtype=np.int64)
-    DP = np.zeros((p, hh))
-    SUMD = np.zeros((p, hh))
-    SQD = np.zeros((p, hh))
-    D2 = np.full((p, hh), np.inf)
-    maxlb = np.full(p, np.inf)
-    sd_real = sig / np.sqrt(w)  # population SD per window
-    # data-window sums for the heap entries (extended incrementally later)
-    csum = np.concatenate([[0.0], np.cumsum(xd)])
-    csq = np.concatenate([[0.0], np.cumsum(xd * xd)])
-    wsum = csum[w:] - csum[:-w]
-    wsq = csq[w:] - csq[:-w]
-
-    # blocked-BLAS QT rows (the block_join trick): O(p²w) flops but fully
-    # vectorized — an order of magnitude faster than the per-row recurrence
-    # in Python for the window range valmod sweeps
-    wins = np.lib.stride_tricks.sliding_window_view(xd, w)
-    cols = np.arange(p)
-    blk = max(1, min(512, (1 << 22) // max(p, 1)))
-    for lo in range(0, p, blk):
-        hi = min(lo + blk, p)
-        qt = wins[lo:hi] @ wins.T  # (b × p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            corr = (qt - w * mu[lo:hi, None] * mu[None, :]) \
-                / (sig[lo:hi, None] * sig[None, :])
-        corr = np.clip(corr, -1.0, 1.0)
-        d2 = np.maximum(2.0 * w * (1.0 - corr), 0.0)
-        cpos = np.maximum(corr, 0.0)
-        lbr = w * (1.0 - cpos * cpos)  # == w where corr ≤ 0 (valmod.R:245-247)
-        band = np.abs(np.arange(lo, hi)[:, None] - cols[None, :]) <= zone
-        d2[band] = np.inf
-        lbr[band] = np.inf
-        d2[:, skip] = np.inf
-        lbr[:, skip] = np.inf
-        d2[skip[lo:hi]] = np.inf
-        lbr[skip[lo:hi]] = np.inf
-        jmin = np.argmin(d2, axis=1)
-        rows = np.arange(hi - lo)
-        dmin = d2[rows, jmin]
-        fin = np.isfinite(dmin)
-        mp2[lo:hi][fin] = dmin[fin]
-        pidx[lo:hi][fin] = jmin[fin]
-        sel = (np.argpartition(lbr, hh - 1, axis=1)[:, :hh]
-               if hh < p else np.tile(cols, (hi - lo, 1)))
-        J[lo:hi] = sel
-        DP[lo:hi] = np.take_along_axis(qt, sel, axis=1)
-        SUMD[lo:hi] = wsum[sel]
-        SQD[lo:hi] = wsq[sel]
-        D2[lo:hi] = np.take_along_axis(d2, sel, axis=1)
-        maxlb[lo:hi] = np.take_along_axis(lbr, sel, axis=1).max(axis=1)
-    mp2[skip] = np.inf
-    pidx[skip] = -1
-    J[skip] = -1
-    # non-finite positions of the ORIGINAL input (pre.data is cleaned): any
-    # window covering one is skipped at every w (clean_series semantics)
-    bad = np.concatenate([[0], np.cumsum(~np.isfinite(
-        np.asarray(x, dtype=np.float64)))])
-    state = {
-        "x": xd, "x_raw": np.asarray(x, dtype=np.float64), "w": w, "J": J,
-        "DP": DP, "SUMD": SUMD, "SQD": SQD,
-        "D2": D2, "maxlb": maxlb, "sd_cap": sd_real,
-        "sum_q": wsum.copy(), "sq_q": wsq.copy(), "bad_csum": bad,
-    }
-    return mp2, pidx, state
-
-
-def _valmod_extend(state: dict, w: int, zone: int):
-    """One incremental window step (w == state['w']+1) over the heap
-    (valmod.R:328-470 vectorized): extend sums/dots by one point, certify
-    per query, exact-MASS the uncertified. Returns (mp2, pi, n_uncert) or
-    None when certification collapses (caller re-captures)."""
-    from .movstats import movmax, movmin
-
-    x = state["x"]
-    n = len(x)
-    p = n - w + 1
-    i = np.arange(p)
-    J = state["J"][:p]
-    x_new_q = x[i + w - 1]
-    sum_q = state["sum_q"][:p] + x_new_q
-    sq_q = state["sq_q"][:p] + x_new_q * x_new_q
-    mu_q = sum_q / w
-    var_q = np.maximum(sq_q / w - mu_q * mu_q, 0.0)
-    sd_q = np.sqrt(var_q)
-    # EXACT skip set for this w (must match mass_pre/clean_series bitwise):
-    # window contains a non-finite original point, or is flat (movmin==movmax)
-    bad = state["bad_csum"]
-    skip_cur = ((bad[i + w] - bad[i]) > 0) | (movmin(x, w)[:p] == movmax(x, w)[:p])
-
-    in_range = (J >= 0) & (J + w - 1 < n)
-    nontriv = np.abs(J - i[:, None]) > zone
-    upd = in_range & nontriv  # valmod.R:373-377 (ez_v)
-    jn = np.where(upd, J + w - 1, 0)
-    xjn = x[jn]
-    DP = state["DP"][:p] + np.where(upd, x_new_q[:, None] * xjn, 0.0)
-    SUMD = state["SUMD"][:p] + np.where(upd, xjn, 0.0)
-    SQD = state["SQD"][:p] + np.where(upd, xjn * xjn, 0.0)
-    mu_d = SUMD / w
-    var_d = np.maximum(SQD / w - mu_d * mu_d, 0.0)
-    sd_d = np.sqrt(var_d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d2 = 2.0 * w * (1.0 - (DP - w * mu_q[:, None] * mu_d)
-                        / (w * sd_q[:, None] * sd_d))
-    d2 = np.maximum(d2, 0.0)
-    d2[~upd] = np.inf
-    d2[sd_d == 0] = np.inf
-    # self-join: skip_cur is the skip set for DATA windows at this w too
-    d2[np.where(in_range, skip_cur[np.clip(J, 0, p - 1)], False)] = np.inf
-    D2 = np.where(upd, d2, state["D2"][:p])
-
-    best_col = np.argmin(d2, axis=1)
-    min_d2 = d2[i, best_col]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lower = state["maxlb"][:p] * (state["sd_cap"][:p] / sd_q) ** 2
-    certified = np.isfinite(min_d2) & (min_d2 < lower)
-    certified |= skip_cur  # a skipped query is Inf by definition — no work
-
-    n_unc = int(p - certified.sum())
-    if n_unc > max(8, p // 8):  # reference's STOMP-fallback rule analog
-        return None
-
-    mp2 = np.where(certified & ~skip_cur, min_d2, np.inf)
-    pidx = np.where(certified & ~skip_cur, J[i, best_col], -1).astype(np.int64)
-    if n_unc:
-        # recompute on the RAW series (NaNs intact) so mass_pre rebuilds the
-        # exact skip set — the cleaned state["x"] would hide NaN windows
-        pre = mass_pre(state["x_raw"], w)
-        for qi in np.flatnonzero(~certified):
-            if pre.skip[qi]:
-                continue
-            d, _ = mass_v3(pre, x[qi : qi + w])
-            d = d * d
-            d[max(0, qi - zone) : qi + zone + 1] = np.inf
-            jj = int(np.argmin(d))
-            if np.isfinite(d[jj]):
-                mp2[qi] = d[jj]
-                pidx[qi] = jj
-    state.update(w=w, DP=DP, SUMD=SUMD, SQD=SQD, D2=D2, sum_q=sum_q,
-                 sq_q=sq_q, J=J, maxlb=state["maxlb"][:p],
-                 sd_cap=state["sd_cap"][:p])
-    return mp2, pidx, n_unc
-
-
-def _valmod_pruned(data: np.ndarray, window_min: int, window_max: int,
-                   ez: float, heap_size: int) -> dict:
-    x = np.asarray(data, dtype=np.float64)
-    p_out = len(x) - window_min + 1
-    best = np.full(p_out, np.inf)
-    best_w = np.full(p_out, -1, dtype=np.int64)
-    best_pi = np.full(p_out, -1, dtype=np.int64)
-    raw = np.full(p_out, np.inf)
-    evolution = np.full(window_max - window_min + 1, np.inf)
-    state = None
-    for w in range(window_min, window_max + 1):
-        p = len(x) - w + 1
-        if p < 2:
-            break
-        zone = exclusion_zone(w, ez)
-        step = None
-        if state is not None and w == state["w"] + 1:
-            step = _valmod_extend(state, w, zone)
-        if step is None:
-            mp2, pidx, state = _valmod_capture(x, w, zone, heap_size)
-        else:
-            mp2, pidx, _ = step
-        mp = np.sqrt(mp2)
-        finite = mp[np.isfinite(mp)]
-        if len(finite):
-            evolution[w - window_min] = float(finite.min()) ** 2 * np.sqrt(1.0 / w)
-        scaled = mp * np.sqrt(1.0 / w)
-        upd = scaled < best[:p]
-        best[:p][upd] = scaled[upd]
-        raw[:p][upd] = mp[upd]
-        best_w[:p][upd] = w
-        best_pi[:p][upd] = pidx[upd]
     return {"mp": best, "mp_raw": raw, "w": best_w, "pi": best_pi,
             "evolution_motif": evolution,
             "window_min": window_min, "window_max": window_max}

@@ -99,7 +99,7 @@ def movmin(x: np.ndarray, w: int) -> np.ndarray:
     """Sliding-window minimum over a zero-copy strided view — O(n·w) compares
     but fully vectorized (a Python monotonic deque would be O(n) in theory
     and slower in practice for the window sizes the engine sweeps; callers
-    budgeting per-step cost — e.g. _valmod_extend — should count the w)."""
+    budgeting per-step cost should count the w)."""
     x = np.asarray(x, dtype=np.float64)
     if w <= 1:
         return x.copy()

@@ -9,10 +9,8 @@ derived from row i-1 in O(1) per column —
 ``sqrt(2w(1 - (QT - w·μiμj)/(σ̂iσ̂j)))`` and clamped at 0 (stomp.R:167-171).
 
 The row loop is a Python loop over O(n) vectorized numpy rows — O(n²) work,
-O(n) memory. Per-conversation series run this inside actor-pool map_batches;
-``stomp_range`` exposes the query-range sharding used for salted long convs
-(the reference's own shard plan, /root/reference/R/stomp-par.R:102-117, merged
-with :func:`..profile_types.merge_min` per stomp-par.R:249-264).
+O(n) memory. Stages shard long self-joins through the blocked kernel's row
+strips or mpx diagonal ranges, not through this recurrence.
 """
 
 from __future__ import annotations
@@ -49,19 +47,11 @@ def stomp(
     qs = len(data) if query is None else len(query)
     raise_if_too_short(qs, w, ceiling=True)  # stomp.R:95-97
     if query is None:
-        return _stomp_self(data, w, ez, row_range=None)
+        return _stomp_self(data, w, ez)
     return _stomp_ab(data, query, w)
 
 
-def stomp_range(data: np.ndarray, w: int, row_lo: int, row_hi: int,
-                ez: float = DEFAULT_EZ) -> MatrixProfile:
-    """Self-join restricted to query rows [row_lo, row_hi): a partial profile
-    covering the FULL index range, suitable for elementwise min-merge."""
-    return _stomp_self(data, w, ez, row_range=(row_lo, row_hi))
-
-
-def _stomp_self(data: np.ndarray, w: int, ez: float,
-                row_range: tuple[int, int] | None) -> MatrixProfile:
+def _stomp_self(data: np.ndarray, w: int, ez: float) -> MatrixProfile:
     pre = mass_pre(data, w)
     x, mu, sig, skip = pre.data, pre.data_mu, pre.data_sig, pre.skip
     n = pre.n
@@ -72,14 +62,9 @@ def _stomp_self(data: np.ndarray, w: int, ez: float,
     prof = empty_profile(p, w, ez, directional=True, algorithm="stomp")
 
     qt_first = _qt_fft(pre, x[:w])  # QT_0[j] == QT_j[0] by symmetry
-    lo, hi = row_range if row_range is not None else (0, p)
-    qt = None
-    for i in range(lo, hi):
-        if i == 0:
-            qt = qt_first.copy()
-        elif qt is None:  # seed mid-range with one FFT (stomp-par.R re-seed plan)
-            qt = _qt_fft(pre, x[i : i + w])
-        else:
+    qt = qt_first.copy()
+    for i in range(p):
+        if i > 0:
             new = qt[:-1] - x[: p - 1] * x[i - 1] + x[w:n] * x[i + w - 1]
             qt[1:] = new
             qt[0] = qt_first[i]

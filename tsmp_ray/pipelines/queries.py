@@ -1342,10 +1342,9 @@ def q_pmp(sf_dir: str):
 
 
 def q_valmod(sf_dir: str):
-    """Variable-length motif sweep (VALMOD semantics; exact per-window
-    sweep — the measured-faster path, see valmod_op) for EVERY conversation,
-    distributed per conv. The heap-pruned lb=True path is oracle-gated by
-    ``valmod_checked``."""
+    """Variable-length motif sweep (VALMOD semantics, exact per-window
+    sweep) for EVERY conversation, distributed per conv; ``valmod_checked``
+    gates the same sweep against SQL."""
     from ..stages.mining_stage import per_conv_stage, valmod_op
 
     packed = pack_series(transcripts_from_events(sf_dir))
@@ -1489,9 +1488,9 @@ def q_mpdist_checked(sf_dir: str):
 
 
 def q_valmod_checked(sf_dir: str):
-    """Heap-pruned valmod tied to SQL: per-window oracle-order profiles,
-    1/sqrt(w) normalized, rounded-before-min with smallest-w ties; the
-    production lb=True sweep asserted in-op (10 smallest convs)."""
+    """valmod tied to SQL: per-window oracle-order profiles, 1/sqrt(w)
+    normalized, rounded-before-min with smallest-w ties; the production
+    sweep asserted in-op (10 smallest convs)."""
     from ..stages.mining_stage import per_conv_stage, valmod_checked_op
 
     packed = pack_series(transcripts_from_events(sf_dir))

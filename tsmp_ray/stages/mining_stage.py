@@ -7,10 +7,9 @@ loops, no full-dataset ``to_pandas``.
 Each op recomputes the needed matrix profile inline from the packed series
 (one pass per conv: the profile is O(n²), the mining step O(n) — fusing them
 avoids a profile→series shuffle join). Partitioning assumption: a single
-conversation's series fits one task. Conversations above the salting
-threshold would route through ``profile_stage.compute_profiles``'s diagonal
-shards first; the mining ops below that consume only a finished profile
-(`find_chains`, `fluss_cac`…) accept that profile unchanged.
+conversation's series fits one task, however long: these ops never shard a
+conversation's profile. Only ``compute_mstomp`` fans a conversation above
+``EngineConfig.salt_turn_threshold`` out as index-range shards.
 
 Reference semantics per op cited in the kernels
 (/root/reference/R/find-motifs.R, find-discord.R, fluss.R, find-chains.R,
@@ -238,8 +237,7 @@ def compute_mstomp(ds_packed, cfg: EngineConfig,
     out = per_conv_stage(ds_packed, mstomp_op,
                          {"w": cfg.window_size, "signals": signals,
                           "max_turns": thr})
-    out_big = _sharded_mstomp_ds(ds_packed, cfg, signals,
-                                 cfg.profile_concurrency or session_cpus(2))
+    out_big = _sharded_mstomp_ds(ds_packed, cfg, signals, session_cpus(2))
     if out_big is None:
         return out
     return out.union(out_big)
@@ -757,11 +755,9 @@ _VALMOD_SCHEMA = pa.schema([
 def valmod_op(conv_id, batch, r, *, wmin: int, wmax: int,
               signal: str = "text_len"):
     """Variable-length motif sweep per conversation
-    (/root/reference/R/valmod.R:52-470). Uses the EXACT per-window sweep
-    (``lb=False`` — measured faster than the heap-pruned path at these
-    window counts, see the note in kernels/mining.py); the heap
-    lower-bound pruning itself (lb=True) is exercised and oracle-gated by
-    ``valmod_checked_op``."""
+    (the reference's R/valmod.R:52-470) with the exact per-window sweep;
+    ``valmod_checked_op`` gates the same ``valmod`` call against the SQL
+    oracle."""
     from ..kernels.mining import valmod
 
     if conv_id is None:
@@ -1252,9 +1248,8 @@ def valmod_checked_op(conv_id, batch, r, *, wmin: int, wmax: int,
     the oracle-order exact profile, length-normalized 1/sqrt(w)
     (valmod.R:169,609-640), ROUNDED to ``round_dp`` before the cross-window
     min (strict '<' keeps the SMALLEST w on ties — deterministic in both
-    numpy and SQL's ORDER BY scaled, w). The production heap-pruned
-    ``valmod`` (lb=True) is asserted against the oracle per index — gating
-    the pruning/certification logic itself, not just the exact sweep."""
+    numpy and SQL's ORDER BY scaled, w). The production ``valmod`` sweep
+    is asserted against the oracle per index."""
     from ..config import exclusion_zone
     from ..kernels.mining import valmod
 
@@ -1279,7 +1274,7 @@ def valmod_checked_op(conv_id, batch, r, *, wmin: int, wmax: int,
         upd = scaled < best[:p]
         best[:p][upd] = scaled[upd]
         bw[:p][upd] = w
-    prod = valmod(x, wmin, wmax, ez=ez, lb=True)
+    prod = valmod(x, wmin, wmax, ez=ez)
     _assert_finiteness_agrees(np.isfinite(best), prod["mp"],
                               "valmod_checked", conv_id, symmetric=False)
     both = np.isfinite(best) & np.isfinite(prod["mp"])
@@ -1287,7 +1282,7 @@ def valmod_checked_op(conv_id, batch, r, *, wmin: int, wmax: int,
                        atol=atol + 10.0 ** -round_dp):
         worst = float(np.abs(prod["mp"][both] - best[both]).max())
         raise AssertionError(
-            f"heap-pruned valmod deviates from oracle-order sweep on conv "
+            f"valmod deviates from oracle-order sweep on conv "
             f"{conv_id}: max|Δ|={worst:.2e}")
     idx = np.flatnonzero(np.isfinite(best))
     return pa.table({

@@ -6,7 +6,8 @@ Packed per-conversation series rows → long-format profile rows
 
 One physical plan over the materialized packed Dataset (SURVEY.md §7.3):
 
-- **inline** (every conv with n ≤ ``heavy_cut``): ONE task-pool
+- **inline** (every conv with n ≤ ``heavy_cut`` =
+  ``EngineConfig.salt_turn_threshold``): ONE task-pool
   ``map_batches(profile_batch)``; rows above the cut are skipped inside the
   kernel, not filtered out. Conv-signals that fit one 256-window block run
   as one batched matmul per chunk (``block_join.blocked_mp_many``), bitwise
@@ -120,13 +121,6 @@ def profile_batch(batch: pa.Table, **kw) -> pa.Table:
     return ProfileKernel(**kw)(batch)
 
 
-#: shard a conversation's kernel across tasks once its turn count exceeds
-#: this (clamped to cfg.salt_turn_threshold): a near-threshold conv is a
-#: multi-second SERIAL task that would set the stage wall; the shard fan-out
-#: turns it into ~0.25 s units. (An LPT block-reorder was measured instead
-#: and LOST, 25.1 s vs 18.1 s: BASELINE.md round 5.)
-HEAVY_TURNS = 10_000
-
 #: per-shard work target in window-pair units (p² per conv-signal): sized so
 #: a shard is ~0.25 s of kernel compute — big enough to amortize task
 #: dispatch, small enough that the last wave never sets the stage wall.
@@ -182,22 +176,19 @@ def _parallel_block_meta(ds):
 def compute_profiles(ds_packed, cfg: EngineConfig):
     """Packed series Dataset -> profile Dataset, in one plan: a single
     ``map_batches(profile_batch)`` over the materialized packed rows serves
-    every conv with n ≤ ``heavy_cut`` = min(``HEAVY_TURNS``,
-    salt_turn_threshold) (``HEAVY_TURNS`` = 10k is the cut under the default
-    config's 20k threshold); the convs above it are planned from one
-    metadata wave over the same blocks and sharded across tasks (see
-    ``_sharded_profiles_ds``).
+    every conv with n ≤ ``cfg.salt_turn_threshold``; the convs above it are
+    planned from one metadata wave over the same blocks and sharded across
+    tasks (see ``_sharded_profiles_ds``).
     Each (conv_id, signal, window_idx) comes from exactly one of the two."""
     # one materialization: the map and the shard planner read the same
     # blocks (at 100 TB this is the packed-series parquet checkpoint)
     ds_packed = ds_packed.materialize()
-    heavy_cut = min(HEAVY_TURNS, cfg.salt_turn_threshold)
+    heavy_cut = cfg.salt_turn_threshold
     profiles = ds_packed.map_batches(
         profile_batch, batch_format="pyarrow", batch_size=None, num_cpus=1,
         fn_kwargs={"window_size": cfg.window_size, "ez": cfg.ez,
                    "max_turns": heavy_cut})
-    ds_big = _sharded_profiles_ds(
-        ds_packed, cfg, cfg.profile_concurrency or session_cpus(2), heavy_cut)
+    ds_big = _sharded_profiles_ds(ds_packed, cfg, session_cpus(2), heavy_cut)
     if ds_big is None:
         return profiles
     return profiles.union(ds_big)
@@ -237,7 +228,7 @@ def _sharded_profiles_ds(ds_packed, cfg: EngineConfig, pool: int,
 
     Partitioning assumption (100 TB note): the sharded bin must be the SKEW
     TAIL — the driver plans O(#sharded convs) tasks (metadata only, no
-    series bytes), so the cut (min(HEAVY_TURNS, salt_turn_threshold)) should
+    series bytes), so the cut (``salt_turn_threshold``) should
     keep the bin to ~10³-10⁴ convs per driver. At full scale the flagship
     runs per input shard over lineage-partitioned packed parquet, so each
     shard's driver plans only its own tail; convs below the cut stay inside

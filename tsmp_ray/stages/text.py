@@ -176,8 +176,9 @@ def fingerprints(batch: pa.Table, k: int = 8) -> pa.Table:
         sel = np.sort(roll)[:k]
         kmins.append(sel.astype(np.int64))
         acc = np.uint64(0)
-        for v in sel:
-            acc = (acc * B) ^ v
+        with np.errstate(over="ignore"):  # the fold wraps mod 2**64 by design
+            for v in sel:
+                acc = (acc * B) ^ v
         fps[i] = np.int64(acc.astype(np.int64))
     return pa.table(
         {
