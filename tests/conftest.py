@@ -1,3 +1,4 @@
+import logging
 import os
 
 import pytest
@@ -27,3 +28,27 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture
+def schema_hash_failures():
+    """Counts Ray's "Failed to hash the schemas" records on the ``ray.data``
+    logger while the test runs: a shuffle input carrying pandas schema
+    metadata."""
+
+    class _Count(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.DEBUG)
+            self.n = 0
+
+        def emit(self, record):
+            if "Failed to hash the schemas" in record.getMessage():
+                self.n += 1
+
+    handler = _Count()
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        yield handler
+    finally:
+        logger.removeHandler(handler)

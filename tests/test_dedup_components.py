@@ -53,10 +53,9 @@ def test_multimodal_audio_and_frames(ray_session):
         AudioFeatures, SampleFrames, decode_wav, synthetic_media,
     )
 
-    tbl = synthetic_media(48, seed=3, real=True)
+    tbl = synthetic_media(48, seed=3)
     ds = ray.data.from_arrow(tbl)
-    audio = ds.map_batches(AudioFeatures, fn_constructor_kwargs={"fake": False},
-                           batch_format="pyarrow", batch_size=8,
+    audio = ds.map_batches(AudioFeatures, batch_format="pyarrow", batch_size=8,
                            concurrency=(1, 2)).to_pandas()
     assert len(audio) > 0
     assert (audio["n_frames"] > 0).all()
@@ -69,21 +68,24 @@ def test_multimodal_audio_and_frames(ray_session):
     want = np.sqrt((x[: nf * 512].reshape(nf, 512) ** 2).mean(axis=1))
     np.testing.assert_allclose(np.asarray(row0["rms"]), want)
 
-    frames = ds.map_batches(SampleFrames, fn_constructor_kwargs={"fake": False},
-                            batch_format="pyarrow", batch_size=8,
+    frames = ds.map_batches(SampleFrames, batch_format="pyarrow", batch_size=8,
                             concurrency=(1, 2)).to_pandas()
     assert len(frames) > 0
     assert (frames["frame_idx"] % 4 == 0).all()
     assert np.isfinite(frames["frame_mean"]).all()
 
-    # compressed decode is declared-unimplemented, not silently wrong: the
-    # real=False table carries raw random bytes (no RIFF/BMPV magic)
+    # compressed decode is declared-unimplemented, not silently wrong: raw
+    # random payloads carry no RIFF/BMPV magic
     import pytest as _pytest
 
-    raw = ray.data.from_arrow(synthetic_media(48, seed=3, real=False))
+    rng = np.random.default_rng(3)
+    raw = ray.data.from_arrow(tbl.set_column(
+        tbl.schema.get_field_index("payload"), "payload",
+        pa.array([rng.integers(0, 256, size=int(rng.integers(256, 4096)),
+                               dtype=np.uint8).tobytes()
+                  for _ in range(tbl.num_rows)], pa.binary())))
     with _pytest.raises(Exception):
-        raw.map_batches(AudioFeatures, fn_constructor_kwargs={"fake": False},
-                        batch_format="pyarrow").materialize()
+        raw.map_batches(AudioFeatures, batch_format="pyarrow").materialize()
 
 
 def test_dup_components_long_path_graph(ray_session):

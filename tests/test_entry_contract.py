@@ -49,7 +49,9 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
 
 
-def test_all_queries_run_and_oracles_match(ray_session, con):
+def test_all_queries_run_and_oracles_match(ray_session, con,
+                                           schema_hash_failures):
+    """Also: no query's shuffle input carries pandas schema metadata."""
     import __ray_entry__ as entrymod
 
     qs = entrymod.queries()
@@ -84,6 +86,7 @@ def test_all_queries_run_and_oracles_match(ray_session, con):
         except AssertionError as e:
             failures.append((name, str(e)[:500]))
     assert not failures, "\n\n".join(f"== {n}\n{m}" for n, m in failures)
+    assert schema_hash_failures.n == 0
 
 
 def test_entry_smoke(ray_session):

@@ -60,6 +60,14 @@ def test_text_equality_invariant_under_shuffle(ray_session):
     a = sorted_df(fp1, ["conv_id"])
     b = sorted_df(fp2, ["conv_id"])
     pd.testing.assert_frame_equal(a, b)
+    # the digest is the md5 of the turn_idx-ordered texts joined by U+001F
+    import hashlib
+
+    one = tbl.to_pandas()
+    one = one[one["conv_id"] == a["conv_id"][0]].sort_values("turn_idx")
+    assert a["n_turns"][0] == len(one)
+    assert a["digest"][0] == hashlib.md5(
+        "\x1f".join(one["text"]).encode()).hexdigest()
 
 
 def _pack_reference(tbl: pa.Table) -> dict:
@@ -143,28 +151,12 @@ def test_pack_series_adversarial_layouts(ray_session):
     assert pack_series(empty).count() == 0
 
 
-def test_transcripts_from_events_logs_no_schema_hash_failures(ray_session):
+def test_transcripts_from_events_logs_no_schema_hash_failures(
+        ray_session, schema_hash_failures):
     """events.parquet carries pandas schema metadata; unless it is dropped
     before the shuffle, Ray logs "Failed to hash the schemas" for it."""
-    import logging
-
-    class _Count(logging.Handler):
-        def __init__(self):
-            super().__init__(logging.DEBUG)
-            self.n = 0
-
-        def emit(self, record):
-            if "Failed to hash the schemas" in record.getMessage():
-                self.n += 1
-
-    handler = _Count()
-    logger = logging.getLogger("ray.data")
-    logger.addHandler(handler)
-    try:
-        pack_series(transcripts_from_events(SF)).materialize()
-    finally:
-        logger.removeHandler(handler)
-    assert handler.n == 0
+    pack_series(transcripts_from_events(SF)).materialize()
+    assert schema_hash_failures.n == 0
 
 
 def test_unpacked_signals_values(ray_session):

@@ -2,13 +2,9 @@
 at the shape the sandbox tables never reach — ~1M short documents with a
 planted near-dup rate — and record
 
-1. the `_n_parts` fanout the timed run actually used (the bucket shuffle
-   now threads its band-row count) plus a beyond-the-CPU-floor sample
-   showing the row-count term taking over (the derivation itself is pinned
-   by tests/test_dataops.py::test_n_parts_scales_with_input),
-2. the `_verify_jaccard` size gate's two plans (broadcast vs the forced
-   hash-join it switches to past the 256 MB budget) — pair-identical,
-3. wall time and found-pair count at the shape.
+1. the `_verify_jaccard` size gate's two plans (broadcast vs the forced
+   sort-join it switches to past the 256 MB budget) — pair-identical,
+2. wall time and found-pair count at the shape.
 
 Deterministic generator (doc i duplicated with a one-token edit when
 i % DUP_EVERY == 0 — near-dup rate 1/DUP_EVERY), built inside map_batches
@@ -84,16 +80,9 @@ def main():
     ds = ray.data.range(N_DOCS).map_batches(
         make_docs, batch_format="pyarrow").materialize()
 
-    # 1. fanout: what the timed run's bucket shuffle uses (band-row count =
-    # 16 bands × docs — below ~2M docs the 2×CPU floor dominates), plus a
-    # beyond-the-floor sample showing the row-count term take over
-    parts_small = dd._n_parts(10_000)
-    parts_here = dd._n_parts(N_DOCS * 16)
-    parts_100m_docs = dd._n_parts(100_000_000 * 16)
-
-    # 2. both verify plans at the many-doc shape: the default broadcast
+    # both verify plans at the many-doc shape: the default broadcast
     # (candidate texts are the near-dup subset — small) and the forced
-    # salted hash-join (what the gate switches to past the 256 MB budget).
+    # sort-join (what the gate switches to past the 256 MB budget).
     # best-of-2 per plan, interleaved (single-shot timings are noise in this
     # sandbox — CLAUDE.md perf rule)
     walls: dict[str, list[float]] = {"broadcast": [], "join": []}
@@ -117,9 +106,6 @@ def main():
         "pairs_found": n_pairs,
         "pairs_found_join": n_pairs_j,
         "planted_pairs": expect_planted,
-        "n_parts_small_input": parts_small,
-        "n_parts_this_input": parts_here,
-        "n_parts_100m_docs": parts_100m_docs,
         "broadcast_budget_mb": dd._BROADCAST_TEXT_BYTES // (1024 * 1024),
     }
     print(json.dumps(out))

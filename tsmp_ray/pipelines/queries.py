@@ -24,7 +24,8 @@ from ..stages import text as text_mod
 from ..stages.compression import pack_rollup_series, unpack_series
 from ..stages.profile_stage import compute_profiles
 from ..stages.rollup import tiers_from_packed
-from ..stages.signals import pack_series, unpack_signals
+from ..stages.signals import (conversation_fingerprints, pack_series,
+                              unpack_signals)
 from ..stages.retention import apply_retention
 
 CFG = EngineConfig(window_size=8)
@@ -1163,28 +1164,11 @@ FROM transcripts GROUP BY conv_id
 
 def q_fingerprints_checked(sf_dir: str):
     """Per-conversation md5 content digest under STABLE (turn_idx) order —
-    the text-equality / ordering invariant gated by a SQL oracle (the crc32
-    variant in ``q_fingerprints`` has no DuckDB analog). Any shuffle that
-    breaks stable in-group ordering changes the digest."""
-    import hashlib
-
-    ds = transcripts_from_events(sf_dir).select_columns(
-        ["conv_id", "turn_idx", "text"])
-
-    def fp(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        order = pc.sort_indices(batch, sort_keys=[("turn_idx", "ascending")])
-        batch = batch.take(order)
-        texts = batch["text"].to_pylist()
-        return pa.table({
-            "conv_id": pa.array([batch["conv_id"][0].as_py()]),
-            "digest": pa.array([hashlib.md5(
-                "\x1f".join(texts).encode()).hexdigest()]),
-            "n_turns": pa.array([batch.num_rows], pa.int64()),
-        })
-
-    return ds.groupby("conv_id").map_groups(fp, batch_format="pyarrow")
+    the text-equality / ordering invariant gated by a SQL oracle
+    (``q_fingerprints`` is a different op: winnowing fingerprints of
+    documents). Any shuffle that breaks stable in-group ordering changes
+    the digest."""
+    return conversation_fingerprints(transcripts_from_events(sf_dir))
 
 
 def q_fingerprints(sf_dir: str):
@@ -1609,13 +1593,13 @@ def q_multimodal(sf_dir: str):
     """Image decode over REAL bytes (round-5): the synthetic table carries
     genuine image payloads alternating per image between 24-bit BMP and
     zlib-compressed 8-bit PNG, and the actor pool decodes both with the
-    pure-stdlib parsers (fake=False) — no stub in the driver row."""
+    pure-stdlib parsers — no stub in the driver row."""
     import ray
 
     from ..stages.multimodal import decode_stage, synthetic_media
 
-    ds = ray.data.from_arrow(synthetic_media(64, seed=9, real=True))
-    return decode_stage(ds, fake=False)
+    ds = ray.data.from_arrow(synthetic_media(64, seed=9))
+    return decode_stage(ds)
 
 
 def q_floss_streaming(sf_dir: str):

@@ -3,11 +3,17 @@ pipeline ops the engine adds beyond the reference (task brief; the reference's
 exclusion zone is its only near-dedup notion, SURVEY.md §2.6 "Exact dedup").
 
 All follow the scale pattern from the Ray guide: vectorized per-batch
-signatures → explode to (bucket, doc) rows → ``groupby(bucket)`` → verify
+signatures → explode to (bucket, doc) rows → co-locate each bucket → verify
 candidates exactly → connected components by min-label propagation.
 
-- ``exact_dedup``: content-hash partition + per-group min-id winner (hash
-  groups verified by true text equality, so collisions can't merge docs).
+Every keyed shuffle here is one plan (:func:`_sort_map`): ``sort(<key>)``,
+which range-partitions on the key so all rows sharing it land in one block,
+then ONE block-wide pandas call per block that groups inside itself. No hash
+salt and no partition count: the sort makes as many partitions as it has
+input blocks, so the memory of one call is bounded by Ray's block size.
+
+- ``exact_dedup``: content-hash sort + per-text min-id winner (texts compared
+  for true equality, so hash collisions can't merge docs).
 - ``minhash_lsh_dedup``: word-shingle Jaccard via MinHash (k permutations of a
   64-bit universal hash), banded LSH; candidates verified with exact n-gram
   Jaccard.
@@ -94,10 +100,10 @@ def ngram_jaccard(a: str, b: str, n: int = 3) -> float:
 
 
 def _as_table(t) -> pa.Table | None:
-    """Dataset blocks may be Arrow or pandas (pandas after a ``map_groups``
-    stage), and Ray's groupby can emit SCHEMA-LESS empty blocks for empty
-    sort partitions; reduce tasks that read block refs normalize to Arrow
-    and must skip the ``None`` (empty/schema-less) case."""
+    """Dataset blocks may be Arrow or pandas (pandas after a pandas-format
+    ``map_batches``), and Ray's sort can emit SCHEMA-LESS empty blocks for
+    empty range partitions; reduce tasks that read block refs normalize to
+    Arrow and must skip the ``None`` (empty/schema-less) case."""
     if isinstance(t, pd.DataFrame):
         if not len(t.columns):
             return None
@@ -110,12 +116,31 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
     return np.unpackbits(x.astype(np.uint64).view(np.uint8)).reshape(len(x), 8 * 8).sum(axis=1)
 
 
+def _plain(batch: pa.Table) -> pa.Table:
+    # pandas-format blocks carry pandas schema metadata (a dict), which a
+    # shuffle cannot hash ("Failed to hash the schemas")
+    return batch.replace_schema_metadata(None)
+
+
+def _sort_map(ds, keys, fn):
+    """Co-locate every row sharing ``keys`` in one block, then make ONE
+    pandas call ``fn`` per block. The sort range-partitions on ``keys``, so
+    no key straddles blocks (the contract Ray's own grouped map rests on —
+    it IS this sort followed by a ``batch_size=None`` map); ``fn`` groups
+    inside the block, never one call per key. ``fn`` must map a 0-row block,
+    columns or not, to its typed empty output."""
+    return (ds.map_batches(_plain, batch_format="pyarrow")
+            .sort(keys)
+            .map_batches(fn, batch_format="pandas", batch_size=None))
+
+
 # ------------------------------------------------------------------ exact
 
 
 def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
-    """Keep the min-id document per distinct text. Hash-partitioned; the
-    per-group step compares true texts so hash collisions are safe.
+    """Keep the min-id document per distinct text. Sorted on the content
+    hash ``_h`` so equal texts share a block; the block step compares true
+    texts, so hash collisions are safe.
     Oracle SQL: SELECT min(doc_id) AS doc_id, text GROUP BY text."""
 
     def add_hash(batch: pa.Table) -> pa.Table:
@@ -123,88 +148,51 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
         return batch.append_column("_h", pa.array(h.astype(np.int64)))
 
     def keep_first(g: pd.DataFrame) -> pd.DataFrame:
+        if g.empty:  # may be a column-less empty range partition
+            return g.drop(columns="_h", errors="ignore")
         # drop_duplicates keeps whole ROWS: groupby().first() would take the
         # first NON-NULL value per column, so a null field on the min-id doc
         # would silently inherit a loser row's value (a chimera row)
-        return g.sort_values(id_col).drop_duplicates(subset=text_col,
-                                                     keep="first")
+        return (g.sort_values(id_col).drop_duplicates(subset=text_col,
+                                                      keep="first")
+                .drop(columns="_h"))
 
-    return (
-        ds.map_batches(add_hash, batch_format="pyarrow")
-        .groupby("_h")
-        .map_groups(keep_first, batch_format="pandas")
-        .drop_columns(["_h"])
-    )
+    return _sort_map(ds.map_batches(add_hash, batch_format="pyarrow"),
+                     "_h", keep_first)
 
 
-#: target rows per salted shuffle partition — bounds per-partition memory:
-#: one partition is ONE vectorized pandas call, so its row count must stay
-#: heap-sized no matter how large the corpus grows.
-_TARGET_ROWS_PER_PART = 1_000_000
+def _bucket_pairs(bucket_ds, keys: list[str], carry: list[str] | None = None):
+    """Distributed candidate pairs from bucket membership, in two sort
+    steps (no driver materialization):
+    1. ``sort(keys)`` puts every bucket in one block, and one vectorized
+       pandas call pairs ALL buckets of its block (bucket groups are tiny;
+       only the hot ones reach a per-bucket loop);
+    2. pairs found in several buckets collapse to one row after a
+       ``sort(doc_id, dup_id)``.
 
-
-def _n_parts(n_rows: int | None = None) -> int:
-    """Salted-shuffle fanout, derived instead of fixed (round-3 verdict:
-    the constant 32 capped shuffle parallelism and let per-partition memory
-    grow linearly with corpus size). At least 2 partitions per cluster CPU
-    (shuffle parallelism ≥ the machine), and — when the caller knows the row
-    count (e.g. a materialized edge set) — enough partitions that one
-    vectorized pandas call sees ≤ ``_TARGET_ROWS_PER_PART`` rows. The floor
-    of 32 keeps small inputs behaving exactly as before; the 65536 cap
-    bounds scheduler metadata (at that point each partition still holds ≥1M
-    rows of a ~10¹¹-row input)."""
-    from ..config import session_cpus
-
-    parts = max(32, 2 * session_cpus())
-    if n_rows:
-        parts = max(parts, min(65536, int(n_rows // _TARGET_ROWS_PER_PART) + 1))
-    return parts
-
-
-def _bucket_pairs(bucket_ds, keys: list[str], carry: list[str] | None = None,
-                  n_parts: int | None = None):
-    """Distributed candidate pairs from bucket membership.
-
-    Salted two-stage plan (no driver materialization):
-    1. add ``part = hash(bucket key) % n_parts``; ``groupby(part)`` so one
-       vectorized pandas call pairs ALL buckets of its partition (bucket
-       groups are tiny; partition count is bounded, not per-bucket);
-    2. pairs found in several buckets collapse to one row via a second
-       bounded-fanout salted groupby on ``hash(pair) % n_parts``.
-
-    ``n_parts`` defaults to :func:`_n_parts` (scales with cluster CPUs;
-    callers that know the bucket-row count pass it through).
     ``carry`` columns (e.g. each side's signature) are carried onto the pair
     rows as ``<col>_a`` / ``<col>_b`` so verification needs no further join.
     Returns a Dataset (doc_id, dup_id[, carries]), doc_id < dup_id, distinct.
     """
     carry = carry or []
-    P = np.uint64(n_parts or _n_parts())
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        h = np.zeros(batch.num_rows, dtype=np.uint64)
-        for k in keys:
-            h = _hash64(h ^ batch[k].to_numpy().astype(np.uint64))
-        return batch.append_column(
-            "part", pa.array((h % P).astype(np.int64)))
-
-    def pair_partition(g: pd.DataFrame) -> pd.DataFrame:
-        # vectorized prefilter: almost every bucket is a singleton — only the
-        # hot buckets reach the per-bucket pairing loop
-        g = g[g.groupby(keys, sort=False)["doc_id"].transform("size") > 1]
+    def pair_block(g: pd.DataFrame) -> pd.DataFrame:
         outs = []
-        for _, grp in g.groupby(keys, sort=False):
-            grp = grp.sort_values("doc_id").drop_duplicates("doc_id")
-            n = len(grp)
-            if n < 2:
-                continue
-            a, b = np.triu_indices(n, k=1)
-            row = {"doc_id": grp["doc_id"].to_numpy()[a],
-                   "dup_id": grp["doc_id"].to_numpy()[b]}
-            for c in carry:
-                row[f"{c}_a"] = grp[c].to_numpy()[a]
-                row[f"{c}_b"] = grp[c].to_numpy()[b]
-            outs.append(pd.DataFrame(row))
+        if not g.empty:
+            # vectorized prefilter: almost every bucket is a singleton — only
+            # the hot buckets reach the per-bucket pairing loop
+            g = g[g.groupby(keys, sort=False)["doc_id"].transform("size") > 1]
+            for _, grp in g.groupby(keys, sort=False):
+                grp = grp.sort_values("doc_id").drop_duplicates("doc_id")
+                if len(grp) < 2:
+                    continue
+                a, b = np.triu_indices(len(grp), k=1)
+                row = {"doc_id": grp["doc_id"].to_numpy()[a],
+                       "dup_id": grp["doc_id"].to_numpy()[b]}
+                for c in carry:
+                    row[f"{c}_a"] = grp[c].to_numpy()[a]
+                    row[f"{c}_b"] = grp[c].to_numpy()[b]
+                outs.append(pd.DataFrame(row))
         if not outs:
             cols = {"doc_id": pd.Series([], dtype=np.int64),
                     "dup_id": pd.Series([], dtype=np.int64)}
@@ -217,25 +205,13 @@ def _bucket_pairs(bucket_ds, keys: list[str], carry: list[str] | None = None,
             return pd.DataFrame(cols)
         return pd.concat(outs, ignore_index=True)
 
-    def add_pair_part(batch: pa.Table) -> pa.Table:
-        h = _hash64(batch["doc_id"].to_numpy().astype(np.uint64)
-                    ^ _hash64(batch["dup_id"].to_numpy().astype(np.uint64)))
-        # the pandas pair blocks carry pandas schema metadata (a dict), which
-        # the next shuffle cannot hash ("Failed to hash the schemas")
-        return batch.replace_schema_metadata(None).append_column(
-            "ppart", pa.array((h % P).astype(np.int64)))
+    def distinct_block(g: pd.DataFrame) -> pd.DataFrame:
+        if g.empty:
+            return pair_block(g)
+        return g.drop_duplicates(["doc_id", "dup_id"], ignore_index=True)
 
-    def distinct_partition(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["doc_id", "dup_id"]).drop(columns=["ppart"])
-
-    return (
-        bucket_ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pair_partition, batch_format="pandas")
-        .map_batches(add_pair_part, batch_format="pyarrow")
-        .groupby("ppart")
-        .map_groups(distinct_partition, batch_format="pandas")
-    )
+    return _sort_map(_sort_map(bucket_ds, keys, pair_block),
+                     ["doc_id", "dup_id"], distinct_block)
 
 
 # ------------------------------------------------------------------ minhash
@@ -280,7 +256,7 @@ def minhash_lsh_dedup(ds, *, num_perm: int = 64, bands: int = 16,
     Returns a Dataset of verified duplicate pairs
     (doc_id:int64, dup_id:int64, jaccard:double), doc_id < dup_id.
     Banding: ``bands`` bands of ``num_perm // bands`` rows; a pair colliding
-    in ≥1 band becomes a candidate (``_bucket_pairs`` salted shuffle);
+    in ≥1 band becomes a candidate (``_bucket_pairs``' bucket sort);
     candidates are verified with exact string-shingle ``ngram_jaccard`` in a
     ``map_batches`` stage whose doc_id→text lookup is broadcast via
     ``ray.put`` — built from ONLY the candidate ids (bounded by the near-dup
@@ -314,15 +290,8 @@ def minhash_lsh_dedup(ds, *, num_perm: int = 64, bands: int = 16,
             }
         )
 
-    # materialize the (small: band, bhash, doc_id) band rows so their count
-    # is free metadata — the salted shuffle right after materializes its
-    # input anyway. Threading the count keeps the bucket-pairing fanout
-    # memory-bounded at ≤ _TARGET_ROWS_PER_PART rows per partition at any
-    # corpus size (without it the fanout was the CPU-derived default, so
-    # partition size grew linearly with the corpus).
-    band_ds = sig_ds.map_batches(to_bands, batch_format="pyarrow").materialize()
-    cand = _bucket_pairs(band_ds, ["band", "bhash"],
-                         n_parts=_n_parts(band_ds.count())).materialize()
+    band_ds = sig_ds.map_batches(to_bands, batch_format="pyarrow")
+    cand = _bucket_pairs(band_ds, ["band", "bhash"])
     return _verify_jaccard(ds, cand, threshold, shingle_n,
                            force_join=force_join)
 
@@ -333,21 +302,18 @@ _PAIR_JACCARD_SCHEMA = pa.schema([
 
 
 def _attach_texts(pairs_ds, texts_ds, key_col: str, out_col: str,
-                  n_parts: int, carry_text: list[str]):
-    """Salted hash-join: attach ``texts_ds`` (doc_id, text) onto ``pairs_ds``
-    by ``pairs_ds[key_col]`` as string column ``out_col``.
+                  carry_text: list[str]):
+    """Sort-join: attach ``texts_ds`` (doc_id, text) onto ``pairs_ds`` by
+    ``pairs_ds[key_col]`` as string column ``out_col``.
 
-    Both sides are salted by ``hash(key) % n_parts`` and co-grouped; each
-    partition builds a lookup over only ITS OWN text rows, so per-partition
-    memory is bounded by ``n_parts`` however dup-heavy the corpus is —
-    nothing global ever materializes in one object (round-3's single
-    id→text plasma dict is gone; verdict item 3). ``carry_text`` names
+    Both sides are tagged with the join key ``_k``, unioned and sorted on
+    it; each block builds a lookup over only ITS OWN text rows, so a call's
+    memory is bounded by the block size however dup-heavy the corpus is —
+    nothing global ever materializes in one object. ``carry_text`` names
     string columns already attached to the pair rows (previous join
     passes)."""
-    P = np.uint64(n_parts)
 
     def tag_pairs(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy().astype(np.uint64)
         return pa.table({
             "doc_id": batch["doc_id"].cast(pa.int64()),
             "dup_id": batch["dup_id"].cast(pa.int64()),
@@ -355,11 +321,9 @@ def _attach_texts(pairs_ds, texts_ds, key_col: str, out_col: str,
             "_k": batch[key_col].cast(pa.int64()),
             "_t": pa.nulls(batch.num_rows, pa.string()),
             "_is_txt": pa.array(np.zeros(batch.num_rows, dtype=bool)),
-            "part": pa.array((_hash64(k) % P).astype(np.int64)),
         })
 
     def tag_texts(batch: pa.Table) -> pa.Table:
-        k = batch["doc_id"].to_numpy().astype(np.uint64)
         neg = pa.array(np.full(batch.num_rows, -1, dtype=np.int64))
         return pa.table({
             "doc_id": neg,
@@ -368,12 +332,14 @@ def _attach_texts(pairs_ds, texts_ds, key_col: str, out_col: str,
             "_k": batch["doc_id"].cast(pa.int64()),
             "_t": batch["text"].cast(pa.string()),
             "_is_txt": pa.array(np.ones(batch.num_rows, dtype=bool)),
-            "part": pa.array((_hash64(k) % P).astype(np.int64)),
         })
 
     out_cols = ["doc_id", "dup_id", *carry_text, out_col]
 
-    def join_part(g: pd.DataFrame) -> pd.DataFrame:
+    def join_block(g: pd.DataFrame) -> pd.DataFrame:
+        if g.empty:
+            return pd.DataFrame({c: pd.Series([], dtype=np.int64 if c in (
+                "doc_id", "dup_id") else object) for c in out_cols})
         txt = g[g["_is_txt"]]
         prs = g[~g["_is_txt"]]
         lookup = dict(zip(txt["_k"], txt["_t"]))
@@ -387,13 +353,13 @@ def _attach_texts(pairs_ds, texts_ds, key_col: str, out_col: str,
 
     both = (pairs_ds.map_batches(tag_pairs, batch_format="pyarrow")
             .union(texts_ds.map_batches(tag_texts, batch_format="pyarrow")))
-    return both.groupby("part").map_groups(join_part, batch_format="pandas")
+    return _sort_map(both, "_k", join_block)
 
 
 #: candidate-text bytes below which verification broadcasts one id→text
-#: lookup instead of running the two salted join shuffles. Broadcasting a
+#: lookup instead of running the two sort-join shuffles. Broadcasting a
 #: SMALL side is the blessed Ray pattern (one plasma object, zero-ish-copy
-#: reads, no all-to-all); the salted join is only needed when a dup-heavy
+#: reads, no all-to-all); the sort-join is only needed when a dup-heavy
 #: corpus makes the candidate texts too big for one object.
 _BROADCAST_TEXT_BYTES = 256 * 1024 * 1024
 
@@ -407,10 +373,10 @@ def _verify_jaccard(ds, cand, threshold: float, shingle_n: int,
     2. the pruned texts reach the verify tasks by a SIZE-GATED plan:
        ≤ ``_BROADCAST_TEXT_BYTES`` (the common case — candidates are the
        near-dup subset, not the corpus) → ONE broadcast id→text object,
-       zero extra shuffles; larger → candidate pairs are hash-joined
+       zero extra shuffles; larger → candidate pairs are joined
        against the texts twice (doc_id side, then dup_id side) via
-       :func:`_attach_texts`, a salted co-group whose per-partition memory
-       stays bounded however dup-heavy the corpus is;
+       :func:`_attach_texts`, a sort-join whose per-call memory stays
+       bounded by the block size however dup-heavy the corpus is;
     3. each verify task computes exact string-shingle jaccard.
     Both plans produce identical rows (the gate is exercised both ways in
     tests via the explicit ``force_join`` keyword, threaded from
@@ -421,8 +387,7 @@ def _verify_jaccard(ds, cand, threshold: float, shingle_n: int,
     import ray
 
     cand = cand.materialize()
-    n_cand = cand.count()
-    if n_cand == 0:
+    if cand.count() == 0:
         return ray.data.from_arrow(_PAIR_JACCARD_SCHEMA.empty_table())
     cand_blocks = [br for bu in cand.iter_internal_ref_bundles()
                    for br in bu.block_refs]
@@ -484,10 +449,9 @@ def _verify_jaccard(ds, cand, threshold: float, shingle_n: int,
 
         return cand.map_batches(verify_bc, batch_format="pyarrow")
 
-    parts = _n_parts(2 * n_cand)
     sel = cand.select_columns(["doc_id", "dup_id"])
-    with_a = _attach_texts(sel, filtered, "doc_id", "_ta", parts, [])
-    with_b = _attach_texts(with_a, filtered, "dup_id", "_tb", parts, ["_ta"])
+    with_a = _attach_texts(sel, filtered, "doc_id", "_ta", [])
+    with_b = _attach_texts(with_a, filtered, "dup_id", "_tb", ["_ta"])
 
     def verify(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -550,9 +514,8 @@ def simhash_dedup(ds, max_hamming: int = 3):
                          "doc_id": pa.array(np.concatenate(outd)),
                          "simhash": pa.array(np.concatenate(outs))})
 
-    chunk_ds = sig.map_batches(to_chunks, batch_format="pyarrow").materialize()
-    cand = _bucket_pairs(chunk_ds, ["chunk", "chash"], carry=["simhash"],
-                         n_parts=_n_parts(chunk_ds.count()))
+    chunk_ds = sig.map_batches(to_chunks, batch_format="pyarrow")
+    cand = _bucket_pairs(chunk_ds, ["chunk", "chash"], carry=["simhash"])
 
     def verify(batch: pa.Table) -> pa.Table:
         schema = pa.schema([("doc_id", pa.int64()), ("dup_id", pa.int64()),
@@ -576,33 +539,32 @@ def simhash_dedup(ds, max_hamming: int = 3):
 
 
 _COMP_SCHEMA = pa.schema([("doc_id", pa.int64()), ("component", pa.int64())])
+_EMPTY_EDGES = pd.DataFrame({"a": pd.Series([], dtype=np.int64),
+                             "b": pd.Series([], dtype=np.int64)})
 
 
-def _star_round(edges_ds, large: bool, n_parts: int | None = None):
+def _star_round(edges_ds, large: bool):
     """One large-star / small-star step over an undirected edge Dataset
     ``(a, b)`` with ``a < b`` (Kiveris et al., "Connected Components in
     MapReduce and Beyond", PODS'14). Fan both directions out as
-    ``(center, nbr)`` rows, salt by ``hash(center) % n_parts`` so every
-    center's neighborhood lands in one partition, then ONE vectorized pandas
-    call per partition (groupby-transform min — never a per-node Python
-    call):
+    ``(center, nbr)`` rows, sort on ``center`` so every center's
+    neighborhood lands in one block, then ONE vectorized pandas call per
+    block (groupby-transform min — never a per-node Python call):
 
     - large-star(u): m = min(Γ(u) ∪ {u}); emit (m, v) for v ∈ Γ(u), v > u
     - small-star(u): over N≤ = {v ∈ Γ(u): v ≤ u}: m = min(N≤ ∪ {u});
       emit (m, v) for v ∈ N≤ ∪ {u}, v ≠ m
     """
-    P = np.uint64(n_parts or _n_parts())
 
     def expand(batch: pa.Table) -> pa.Table:
         a = batch["a"].to_numpy().astype(np.int64)
         b = batch["b"].to_numpy().astype(np.int64)
-        center = np.concatenate([a, b])
-        nbr = np.concatenate([b, a])
-        part = (_hash64(center.astype(np.uint64)) % P).astype(np.int64)
-        return pa.table({"center": pa.array(center), "nbr": pa.array(nbr),
-                         "part": pa.array(part)})
+        return pa.table({"center": pa.array(np.concatenate([a, b])),
+                         "nbr": pa.array(np.concatenate([b, a]))})
 
     def star(g: pd.DataFrame) -> pd.DataFrame:
+        if g.empty:
+            return _EMPTY_EDGES
         center = g["center"].to_numpy()
         nbr = g["nbr"].to_numpy()
         if large:
@@ -625,28 +587,20 @@ def _star_round(edges_ds, large: bool, n_parts: int | None = None):
         return (pd.DataFrame({"a": lo[keep], "b": hi[keep]})
                 .drop_duplicates(ignore_index=True))
 
-    return (edges_ds.map_batches(expand, batch_format="pyarrow")
-            .groupby("part").map_groups(star, batch_format="pandas"))
+    return _sort_map(edges_ds.map_batches(expand, batch_format="pyarrow"),
+                     "center", star)
 
 
-def _distinct_edges(edges_ds, n_parts: int | None = None):
-    """Salted distinct on (a, b): bounded ``n_parts`` fanout, vectorized
-    drop_duplicates per partition."""
-    P = np.uint64(n_parts or _n_parts())
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        h = _hash64(batch["a"].to_numpy().astype(np.uint64)
-                    ^ _hash64(batch["b"].to_numpy().astype(np.uint64)))
-        # pandas edge blocks carry pandas schema metadata: see add_pair_part
-        return batch.replace_schema_metadata(None).append_column(
-            "epart", pa.array((h % P).astype(np.int64)))
+def _distinct_edges(edges_ds):
+    """Distinct on (a, b): sorted on both, one vectorized drop_duplicates
+    per block."""
 
     def uniq(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["a", "b"], ignore_index=True) \
-                .drop(columns=["epart"])
+        if g.empty:
+            return _EMPTY_EDGES
+        return g.drop_duplicates(["a", "b"], ignore_index=True)
 
-    return (edges_ds.map_batches(add_part, batch_format="pyarrow")
-            .groupby("epart").map_groups(uniq, batch_format="pandas"))
+    return _sort_map(edges_ds, ["a", "b"], uniq)
 
 
 def _edge_checksum(edges_ds) -> tuple[int, int, int]:
@@ -676,9 +630,9 @@ def dup_components(pairs_ds, max_rounds: int = 16):
     """Connected components over duplicate PAIRS: alternating large-star /
     small-star contraction (Kiveris et al., PODS'14) until the edge set is a
     star forest rooted at each component's min doc_id. Fully distributed:
-    labels never materialize on the driver, every step is a fixed-fanout
-    salted shuffle with one VECTORIZED pandas call per partition (the round-2
-    per-node ``map_groups`` fold and driver label dict are gone), and
+    labels never materialize on the driver, every step is a sort with one
+    VECTORIZED pandas call per block (no per-node Python call and no driver
+    label dict), and
     convergence is O(log² n) rounds — no small-diameter assumption. Returns
     (doc_id, component) where component = min doc_id reachable; SQL oracle =
     recursive transitive closure (queries.DEDUP_COMPONENTS_SQL)."""
@@ -701,13 +655,8 @@ def dup_components(pairs_ds, max_rounds: int = 16):
     sig = _edge_checksum(edges)
     converged = False
     for _ in range(max_rounds):
-        # fanout re-derived per round from the materialized edge count, so
-        # partition memory stays bounded however large the pair set is
-        parts = _n_parts(sig[0])
         edges = _distinct_edges(
-            _star_round(_star_round(edges, large=True, n_parts=parts),
-                        large=False, n_parts=parts),
-            n_parts=parts,
+            _star_round(_star_round(edges, large=True), large=False),
         ).materialize()
         new_sig = _edge_checksum(edges)
         if new_sig == sig:
@@ -735,20 +684,14 @@ def dup_components(pairs_ds, max_rounds: int = 16):
             "component": pa.array(np.concatenate([a, a])),
         }, schema=_COMP_SCHEMA)
 
-    label_parts = np.uint64(_n_parts(sig[0]))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        h = _hash64(batch["doc_id"].to_numpy().astype(np.uint64))
-        return batch.append_column(
-            "part", pa.array((h % label_parts).astype(np.int64)))
-
     def fold_min(g: pd.DataFrame) -> pd.DataFrame:
+        if g.empty:
+            return _COMP_SCHEMA.empty_table().to_pandas()
         return (g.groupby("doc_id", as_index=False)["component"].min()
                 .astype(np.int64))
 
-    return (edges.map_batches(labels, batch_format="pyarrow")
-            .map_batches(add_part, batch_format="pyarrow")
-            .groupby("part").map_groups(fold_min, batch_format="pandas"))
+    return _sort_map(edges.map_batches(labels, batch_format="pyarrow"),
+                     "doc_id", fold_min)
 
 
 # ------------------------------------------------------------------ embeddings
@@ -840,7 +783,7 @@ def embedding_dedup_lsh(ds_embeddings, *, threshold: float = 0.95,
     ``n_tables`` independent tables of ``n_planes`` hyperplanes: a pair at
     angle θ collides in one table with (1-θ/π)^planes, across tables with
     1-(1-(1-θ/π)^p)^T ≈ 0.999+ for near-dups (θ ≤ 11°). Bucket rows fan out
-    per table; candidate pairs from the salted ``_bucket_pairs`` shuffle
+    per table; candidate pairs from the ``_bucket_pairs`` bucket sort
     carry both embeddings, verified by exact cosine in the same stage."""
 
     dim = len(ds_embeddings.take(1)[0]["embedding"])
@@ -877,10 +820,8 @@ def embedding_dedup_lsh(ds_embeddings, *, threshold: float = 0.95,
                  for e in embs]),
         })
 
-    bucket_ds = ds_embeddings.map_batches(bucketize,
-                                          batch_format="pyarrow").materialize()
-    cand = _bucket_pairs(bucket_ds, ["table", "bucket"], carry=["embedding"],
-                         n_parts=_n_parts(bucket_ds.count()))
+    bucket_ds = ds_embeddings.map_batches(bucketize, batch_format="pyarrow")
+    cand = _bucket_pairs(bucket_ds, ["table", "bucket"], carry=["embedding"])
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):

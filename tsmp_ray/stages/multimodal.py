@@ -7,9 +7,7 @@ filters, gray/RGB/RGBA, non-interlaced), PCM WAV (stdlib ``wave``), and a
 length-prefixed concatenated-BMP video container — so the stages genuinely
 decode bytes end-to-end, including a genuinely COMPRESSED image codec.
 Codecs that need external libraries (JPEG/MP4/Opus) raise
-``NotImplementedError`` (an honest stub, per the task brief), and
-``fake=True`` substitutes a deterministic payload-seeded decoder so plumbing
-tests can run on arbitrary bytes.
+``NotImplementedError`` (an honest stub, per the task brief).
 
 Scale notes (per the brief): binary payloads are large, so stages run with
 small ``batch_size`` and ``batch_format='pyarrow'`` (binary round-trips Arrow
@@ -270,26 +268,16 @@ def decode_bmpv_frame(payload: bytes, frame_idx: int) -> np.ndarray:
 # ----------------------------------------------------------- synthetic table
 
 
-def synthetic_media(n: int = 32, seed: int = 0, real: bool = True) -> pa.Table:
-    """Deterministic media table. ``real=True`` (default) emits genuinely
-    decodable payloads — alternating BMP/PNG images, PCM WAV audio, BMPV
-    video — so the decode stages exercise the real byte parsers (including
-    the compressed PNG path); ``real=False`` emits random bytes for the
-    fake-decoder plumbing path."""
+def synthetic_media(n: int = 32, seed: int = 0) -> pa.Table:
+    """Deterministic media table of genuinely decodable payloads —
+    alternating BMP/PNG images, PCM WAV audio, BMPV video — so the decode
+    stages exercise the real byte parsers (including the compressed PNG
+    path)."""
     rng = np.random.default_rng(seed)
     kinds = rng.choice(["image", "audio", "video"], size=n)
     payloads, w, h, sr, nf = [], [], [], [], []
     n_images = 0
     for k in kinds:
-        if not real:
-            size = int(rng.integers(256, 4096))
-            payloads.append(
-                rng.integers(0, 256, size=size, dtype=np.uint8).tobytes())
-            w.append(int(rng.integers(8, 64)) if k != "audio" else 0)
-            h.append(int(rng.integers(8, 64)) if k != "audio" else 0)
-            sr.append(16000 if k == "audio" else 0)
-            nf.append(int(rng.integers(4, 16)) if k == "video" else 1)
-            continue
         if k == "image":
             wi, hi = int(rng.integers(8, 64)), int(rng.integers(8, 64))
             img = rng.integers(0, 256, size=(hi, wi, 3), dtype=np.uint8)
@@ -330,31 +318,19 @@ def synthetic_media(n: int = 32, seed: int = 0, real: bool = True) -> pa.Table:
     )
 
 
-def _fake_pixels(payload: bytes, h: int, w: int) -> np.ndarray:
-    """Deterministic fake decode: seed an RNG from the payload bytes."""
-    seed = zlib.crc32(payload)
-    return np.random.default_rng(seed).integers(0, 256, size=(h, w, 3),
-                                                dtype=np.uint8)
-
-
 class DecodeImage:
     """Actor-pool stage: binary payload -> fixed-size feature vector.
 
-    ``fake=False`` (the real path) decodes 24-bit BMP and 8-bit PNG
-    payloads with the pure-stdlib parsers (gray/RGBA PNGs normalize to
-    RGB); JPEG raises NotImplementedError — it needs PIL/cv2, absent in
-    this container. ``fake=True`` substitutes the deterministic
-    payload-seeded decoder.
+    Decodes 24-bit BMP and 8-bit PNG payloads with the pure-stdlib parsers
+    (gray/RGBA PNGs normalize to RGB); JPEG raises NotImplementedError — it
+    needs PIL/cv2, absent in this container.
     Resize to (out_h, out_w) then emit per-channel mean/std features.
     """
 
-    def __init__(self, out_h: int = 16, out_w: int = 16, fake: bool = False):
+    def __init__(self, out_h: int = 16, out_w: int = 16):
         self.out_h, self.out_w = out_h, out_w
-        self.fake = fake
 
     def _decode(self, payload: bytes, h: int, w: int) -> np.ndarray:
-        if self.fake:
-            return _fake_pixels(payload, max(h, 1), max(w, 1))
         if payload[:2] == b"BM":
             return decode_bmp(payload)
         if payload[:8] == _PNG_SIG:
@@ -364,8 +340,7 @@ class DecodeImage:
             return img[:, :, :3]                    # RGBA -> drop alpha
         raise NotImplementedError(
             "JPEG decode requires PIL/cv2, not present in this container; "
-            "BMP and PNG decode for real, or construct with fake=True for "
-            "the deterministic stub")
+            "BMP and PNG decode for real")
 
     @staticmethod
     def _resize(img: np.ndarray, oh: int, ow: int) -> np.ndarray:
@@ -400,25 +375,19 @@ class DecodeImage:
 
 class AudioFeatures:
     """Audio stage: binary payload -> framed waveform features (RMS + zero
-    crossings per frame). ``fake=False`` decodes 16-bit mono PCM WAV via the
-    stdlib ``wave`` module; compressed codecs raise NotImplementedError (no
-    soundfile/ffmpeg here). ``fake=True`` synthesizes a deterministic
-    waveform from the payload."""
+    crossings per frame). Decodes 16-bit mono PCM WAV via the stdlib
+    ``wave`` module; compressed codecs raise NotImplementedError (no
+    soundfile/ffmpeg here)."""
 
-    def __init__(self, frame: int = 512, fake: bool = False):
+    def __init__(self, frame: int = 512):
         self.frame = frame
-        self.fake = fake
 
     def _decode(self, payload: bytes, sr: int) -> np.ndarray:
-        if self.fake:
-            rng = np.random.default_rng(zlib.crc32(payload))
-            n = max(len(payload) * 4, self.frame)
-            return rng.standard_normal(n).astype(np.float32)
         if payload[:4] == b"RIFF":
             return decode_wav(payload)[0]
         raise NotImplementedError(
             "compressed audio decode requires soundfile/ffmpeg, not present "
-            "in this container; construct with fake=True for the stub")
+            "in this container")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids, rms, zc, nfr = [], [], [], []
@@ -447,14 +416,12 @@ class AudioFeatures:
 
 class SampleFrames:
     """Video stage: sample every k-th frame and emit one row per sampled
-    frame. ``fake=False`` seeks into BMPV payloads and DECODES each sampled
-    frame (emitting its mean intensity as proof of decode); MP4/AVI raise
-    NotImplementedError (ffmpeg absent). ``fake=True`` emits indices from
-    the metadata only, frame_mean = NaN."""
+    frame. Seeks into BMPV payloads and DECODES each sampled frame
+    (emitting its mean intensity as proof of decode); MP4/AVI raise
+    NotImplementedError (ffmpeg absent)."""
 
-    def __init__(self, stride: int = 4, fake: bool = False):
+    def __init__(self, stride: int = 4):
         self.stride = stride
-        self.fake = fake
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids, frames, means = [], [], []
@@ -462,22 +429,18 @@ class SampleFrames:
             if batch["kind"][i].as_py() != "video":
                 continue
             nf = batch["n_frames"][i].as_py()
-            payload = None
-            if not self.fake:
-                payload = batch["payload"][i].as_py()
-                if payload[:4] != _BMPV_MAGIC:
-                    raise NotImplementedError(
-                        "MP4/AVI decode requires ffmpeg, not present; BMPV "
-                        "payloads decode for real, or use fake=True")
+            payload = batch["payload"][i].as_py()
+            if payload[:4] != _BMPV_MAGIC:
+                raise NotImplementedError(
+                    "MP4/AVI decode requires ffmpeg, not present; BMPV "
+                    "payloads decode for real")
             picks = list(range(0, nf, self.stride))
             # one forward pass over the container for ALL sampled frames
-            decoded = (decode_bmpv_frames(payload, picks)
-                       if payload is not None else None)
+            decoded = decode_bmpv_frames(payload, picks)
             for fi, f in enumerate(picks):
                 ids.append(batch["media_id"][i].as_py())
                 frames.append(f)
-                means.append(float(decoded[fi].mean())
-                             if decoded is not None else float("nan"))
+                means.append(float(decoded[fi].mean()))
         return pa.table(
             {
                 "media_id": pa.array(ids, pa.int64()),
@@ -487,7 +450,7 @@ class SampleFrames:
         )
 
 
-def decode_stage(ds_media, *, fake: bool = False, batch_size: int = 8):
+def decode_stage(ds_media, *, batch_size: int = 8):
     """Wire the image-decode actor pool with multimodal-appropriate sizing:
     small batches (large binary rows), arrow format, autoscaling pool whose
     CEILING tracks the session's CPUs (round-4 verdict item 3: decode is
@@ -499,7 +462,6 @@ def decode_stage(ds_media, *, fake: bool = False, batch_size: int = 8):
     cpus = session_cpus(4)
     return ds_media.map_batches(
         DecodeImage,
-        fn_constructor_kwargs={"fake": fake},
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=(1, cpus),

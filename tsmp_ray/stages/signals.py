@@ -15,10 +15,10 @@ unit of work of the tier rollup and the matrix-profile stages;
 
     (conv_id, turn_idx, ts, text_len, tool_call, ts_delta)
 
-with no shuffle. A crc32 rolling fingerprint of the stably-ordered texts is
-emitted per conversation by ``conversation_fingerprints`` — the engine's
-per-turn text-equality invariant (north_rule) is asserted by comparing these
-between raw input and post-shuffle orderings.
+with no shuffle. An md5 digest of the stably-ordered texts is emitted per
+conversation by ``conversation_fingerprints`` — the engine's per-turn
+text-equality invariant (north_rule), compared between raw input and
+post-shuffle orderings and gated against DuckDB by ``fingerprints_checked``.
 
 Reference mapping: a conversation's ordered signal is the engine analog of
 tsmp's implicit dense 1-D series (SURVEY.md §1.1: no timestamps in the
@@ -27,7 +27,7 @@ reference — indices are the join keys; here (conv_id, turn_idx) is).
 
 from __future__ import annotations
 
-import zlib
+import hashlib
 
 import numpy as np
 import pyarrow as pa
@@ -69,35 +69,47 @@ def _needs_features(ds) -> bool:
     return sch is None or "text_len" not in sch.names
 
 
-def _fingerprint_group(batch: pa.Table) -> pa.Table:
-    order = pc.sort_indices(batch, sort_keys=[("turn_idx", "ascending")])
-    batch = batch.take(order)
-    # crc32 chained over per-turn texts == crc32 of their concatenation, and
-    # an Arrow string array's value buffer IS that concatenation in order —
-    # one C crc32 call over the buffer slice, no per-row as_py() (round-4
-    # verdict item 7). large_binary cast: 64-bit offsets, byte (not char)
-    # view; offset arithmetic handles sliced/taken arrays.
-    txt = batch["text"].combine_chunks().cast(pa.large_binary())
-    off = np.frombuffer(txt.buffers()[1], dtype=np.int64,
-                        count=len(txt) + 1, offset=8 * txt.offset)
-    crc = zlib.crc32(memoryview(txt.buffers()[2])[off[0]:off[-1]])
-    return pa.table(
-        {
-            "conv_id": pa.array([batch["conv_id"][0].as_py()]),
-            "n_turns": pa.array([batch.num_rows], pa.int64()),
-            "text_crc": pa.array([crc], pa.int64()),
-        }
-    )
+_EMPTY_DIGESTS = pa.schema([
+    ("conv_id", pa.string()), ("digest", pa.string()), ("n_turns", pa.int64()),
+]).empty_table()
+
+
+def _conv_runs(batch: pa.Table):
+    """One block stably sorted on (conv_id, turn_idx), its conv_id column
+    and the run bounds of its conversations (``bounds[i]:bounds[i+1]``)."""
+    batch = batch.take(pc.sort_indices(
+        batch, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]))
+    conv = batch["conv_id"].combine_chunks()
+    new_run = pc.not_equal(conv[1:], conv[:-1]).to_numpy(zero_copy_only=False)
+    starts = np.flatnonzero(np.concatenate([[True], new_run]))
+    return batch, conv, np.append(starts, len(conv))
+
+
+def _digest_block(batch: pa.Table) -> pa.Table:
+    """Every conversation of one sorted block -> one (conv_id, digest,
+    n_turns) row; one md5 call per conversation, no per-group table."""
+    if batch.num_rows == 0:
+        return _EMPTY_DIGESTS
+    batch, conv, bounds = _conv_runs(batch)
+    texts = batch["text"].to_pylist()
+    return pa.table({
+        "conv_id": conv.take(pa.array(bounds[:-1])).cast(pa.string()),
+        "digest": pa.array([hashlib.md5("\x1f".join(texts[a:b]).encode())
+                            .hexdigest()
+                            for a, b in zip(bounds[:-1], bounds[1:])]),
+        "n_turns": pa.array(np.diff(bounds)),
+    })
 
 
 def conversation_fingerprints(ds):
-    """Per-conv (n_turns, crc32-of-texts-in-stable-order) — the per-turn
-    text-equality invariant (north_rule): identical between any two orderings
-    of the same logical table iff per-turn texts match under stable order."""
-    cols = [c for c in ("conv_id", "turn_idx", "text") if c in ds.schema().names]
-    return ds.select_columns(cols).groupby("conv_id").map_groups(
-        _fingerprint_group, batch_format="pyarrow"
-    )
+    """Per-conv (digest, n_turns): the md5 of the conversation's texts joined
+    by U+001F in stable ``turn_idx`` order — the per-turn text-equality
+    invariant (north_rule): identical between any two orderings of the same
+    logical table iff per-turn texts match under stable order. Same plan as
+    ``pack_series``: ``sort("conv_id")`` then one call per block."""
+    return ds.select_columns(["conv_id", "turn_idx", "text"]).sort(
+        "conv_id").map_batches(_digest_block, batch_format="pyarrow",
+                               batch_size=None)
 
 
 _EMPTY_PACKED = pa.schema([
@@ -117,19 +129,14 @@ def _pack_block(batch: pa.Table) -> pa.Table:
     offsets."""
     if batch.num_rows == 0:  # Ray maps an all-empty input as one empty block
         return _EMPTY_PACKED
-    batch = batch.take(pc.sort_indices(
-        batch, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]))
-    conv = batch["conv_id"].combine_chunks()
-    n = len(conv)
-    new_run = pc.not_equal(conv[1:], conv[:-1]).to_numpy(zero_copy_only=False)
-    starts = np.flatnonzero(np.concatenate([[True], new_run]))
-    bounds = np.append(starts, n)
+    batch, conv, bounds = _conv_runs(batch)
+    starts = bounds[:-1]
     offsets = pa.array(bounds.astype(np.int32))
     ts = batch["ts"].cast(pa.int64()).to_numpy()
     # integer microseconds kept in float64 (exact up to 2^53): sums and means
     # then match the DuckDB oracle bitwise regardless of fold order;
     # z-normalized kernels are scale-invariant so units don't matter
-    delta = np.zeros(n)
+    delta = np.zeros(len(conv))
     delta[1:] = np.diff(ts).astype(np.float64)
     delta[starts] = 0.0
     lists = lambda values: pa.ListArray.from_arrays(offsets, pa.array(values))
