@@ -125,6 +125,21 @@ def test_engine_reads_no_environment_variables():
     assert not hits, "\n".join(hits)
 
 
+def test_engine_makes_no_map_groups_call():
+    """One keyed-shuffle plan: every keyed shuffle is ``sort(key)`` plus one
+    block call, never ``groupby().map_groups`` (one Python call per
+    group)."""
+    import pathlib
+    import re
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "tsmp_ray"
+    hits = [f"{path.relative_to(pkg.parent)}:{i}: {line.strip()}"
+            for path in sorted(pkg.rglob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"\.map_groups\(", line)]
+    assert not hits, "\n".join(hits)
+
+
 def test_engine_config_fields_are_read():
     """No dead knobs: every EngineConfig field is read (``.<field>``)
     somewhere in the engine outside config.py."""

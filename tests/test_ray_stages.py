@@ -47,6 +47,62 @@ def test_transcripts_from_events_matches_sql(ray_session, duck):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
+def _adversarial_events(n_users=40, seed=3):
+    """events rows with ts ties inside a user (broken by event_id, which
+    runs against file order), single-event users, shuffled."""
+    rng = np.random.default_rng(seed)
+    sizes = np.where(np.arange(n_users) % 4 == 0, 1,
+                     rng.integers(2, 60, n_users))
+    user = np.repeat(rng.permutation(n_users) * 7 + 1, sizes)
+    n = len(user)
+    ts = (1_700_000_000_000_000
+          + rng.integers(0, 20, n) * 1_000_000).astype(np.int64)
+    types = np.array(["view", "click", "purchase", "search"])
+    tbl = pa.table({
+        "event_id": pa.array(rng.permutation(n).astype(np.int64)),
+        "ts": pa.array(ts, pa.timestamp("us")),
+        "user_id": pa.array(user.astype(np.int64)),
+        "event_type": pa.array(types[rng.integers(0, 4, n)]),
+        "value": pa.array(rng.random(n)),
+        "props": pa.array([f"p{i}" for i in range(n)]),
+    })
+    return tbl.take(pa.array(rng.permutation(n)))
+
+
+@pytest.mark.parametrize("layout", ["row_groups", "files", "empty"])
+def test_transcripts_from_events_adversarial_matches_sql(ray_session,
+                                                         tmp_path, layout):
+    """The block-wide ranking equals the SQL view's window ranking on
+    shuffled events split over 16 row groups or 4 files (a user's events
+    straddle both), on tied ts and single-event users, and on 0 rows."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    tbl = _adversarial_events()
+    path = tmp_path / "events.parquet"
+    if layout == "files":
+        path.mkdir()
+        cuts = np.linspace(0, tbl.num_rows, 5).astype(int)
+        for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+            pq.write_table(tbl.slice(lo, hi - lo), path / f"part-{i}.parquet")
+        glob = f"{path}/*.parquet"
+    else:
+        if layout == "empty":
+            tbl = tbl.slice(0, 0)
+        pq.write_table(tbl, path, row_group_size=max(tbl.num_rows // 16, 1))
+        assert layout == "empty" or pq.ParquetFile(path).num_row_groups >= 16
+        glob = str(path)
+    got = transcripts_from_events(str(tmp_path)).to_pandas()
+    want = duckdb.sql(TRANSCRIPTS_FROM_EVENTS_SQL.replace(
+        "FROM events", f"FROM '{glob}'")).df()
+    assert len(got) == len(want) == tbl.num_rows
+    if len(got):
+        keys = ["conv_id", "turn_idx"]
+        pd.testing.assert_frame_equal(
+            sorted_df(got, keys)[want.columns.tolist()],
+            sorted_df(want, keys), check_dtype=False)
+
+
 def test_text_equality_invariant_under_shuffle(ray_session):
     import ray
 

@@ -4,7 +4,7 @@ re-hosted per SURVEY.md §7.0):
 
     read transcripts
       → add_turn_features (stateless, zero-copy Arrow)
-      → groupby(conv_id) packed, stable-ordered series [THE shuffle]
+      → sort(conv_id) packed, stable-ordered series   [THE shuffle]
       → tier rollup raw→1m→1h→1d (+ gap-fill)          [per-conv, no shuffle]
       → pack (delta-of-delta ts + Gorilla values)
       → matrix profiles (actor pool, salted long convs)
@@ -24,7 +24,7 @@ def analyze(ds_transcripts, cfg: EngineConfig | None = None):
     """Full pipeline on a transcript Dataset. Returns dict of Datasets:
     signals, tiers (1m/1h/1d), profiles, mining.
 
-    ONE ``groupby(conv_id)`` shuffle total: the packed-series rows are the
+    ONE ``sort(conv_id)`` shuffle total: the packed-series rows are the
     shuffle's output; the tiers, profiles and mining read them directly, and
     the wide signal rows are recovered from them by a stateless explode
     (``unpack_signals``) — the raw transcript table is scanned exactly

@@ -1259,9 +1259,9 @@ def q_knn_ivf(sf_dir: str):
 def q_knn_ivf_checked(sf_dir: str):
     """IVF with EXHAUSTIVE probing (nprobe = n_centroids) is exact — every
     (query, vector) pair scored once through the full IVF plan (centroid
-    training, bucket groupby, per-bucket probe, rounded-rank merge) — so it
-    must equal brute force row-for-row and hence the same SQL oracle as
-    `knn_topk`. Asserted in-op before emitting."""
+    training, per-batch bucket assignment, per-bucket probe, rounded-rank
+    merge) — so it must equal brute force row-for-row and hence the same
+    SQL oracle as `knn_topk`. Asserted in-op before emitting."""
     ds, qm, qids = _query_vectors(sf_dir)
     ivf = (knn_mod.ivf_topk(ds, qm, qids, k=10, n_centroids=16, nprobe=16,
                             round_dp=6)

@@ -33,6 +33,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
+from ..stages.signals import key_runs
+
 TRANSCRIPT_SCHEMA = pa.schema(
     [
         ("conv_id", pa.string()),
@@ -76,42 +78,44 @@ def read_parquet_plain(path: str, columns: list[str] | None = None):
         schema=pa.schema([fields.field(c) for c in columns]))
 
 
+def _transcript_block(batch: pa.Table) -> pa.Table:
+    """Every user of one ``user_id``-sorted block -> its transcript rows:
+    one stable (user_id, ts, event_id) sort, ``turn_idx`` as the row's
+    offset from its run start, and every column one vectorized op."""
+    if batch.num_rows == 0:  # Ray maps an all-empty input as one empty block
+        return TRANSCRIPT_SCHEMA.empty_table()
+    batch, bounds = key_runs(batch, ["user_id"], ["ts", "event_id"])
+    turn = (np.arange(batch.num_rows)
+            - np.repeat(bounds[:-1], np.diff(bounds))).astype(np.int32)
+    et = batch["event_type"]
+    return pa.table(
+        {
+            "conv_id": pc.binary_join_element_wise(
+                "c", pc.cast(batch["user_id"], pa.string()), ""),
+            "turn_idx": pa.array(turn),
+            "role": pc.if_else(pa.array(turn % 2 == 0), "user", "assistant"),
+            "text": batch["props"],
+            "tool": pc.if_else(
+                pc.is_in(et, value_set=pa.array(TOOL_EVENT_TYPES)), et, ""),
+            "ts": batch["ts"],
+        },
+        schema=TRANSCRIPT_SCHEMA,
+    )
+
+
 def transcripts_from_events(sf_dir: str):
     """Ray Dataset of transcripts derived from ``events.parquet``.
 
-    The window-function ranking is computed per user inside
-    ``groupby(user_id).map_groups`` after an in-group sort by (ts, event_id) —
-    the same stable ordering the SQL view uses. Column pruning at the read,
-    which also drops the file's schema metadata before the shuffle.
+    The plan is ``sort("user_id")`` then one ``_transcript_block`` per block,
+    as in ``signals.pack_series``; the window-function ranking is the run
+    offset after a stable (ts, event_id) sort — the ordering the SQL view
+    uses. Column pruning at the read, which also drops the file's schema
+    metadata before the shuffle.
     """
     ds = read_parquet_plain(f"{sf_dir}/events.parquet",
                             ["event_id", "ts", "user_id", "event_type", "props"])
-
-    def to_transcript(batch: pa.Table) -> pa.Table:
-        # batch = one user's events (map_groups feeds whole groups)
-        order = pc.sort_indices(
-            batch, sort_keys=[("ts", "ascending"), ("event_id", "ascending")]
-        )
-        batch = batch.take(order)
-        n = batch.num_rows
-        user = batch["user_id"][0].as_py()
-        turn_idx = pa.array(np.arange(n, dtype=np.int32))
-        role = pa.array(np.where(np.arange(n) % 2 == 0, "user", "assistant"))
-        et = batch["event_type"].to_numpy(zero_copy_only=False)
-        tool = pa.array(np.where(np.isin(et, TOOL_EVENT_TYPES), et, ""))
-        return pa.table(
-            {
-                "conv_id": pa.array([f"c{user}"] * n),
-                "turn_idx": turn_idx,
-                "role": role,
-                "text": batch["text"] if "text" in batch.column_names else batch["props"],
-                "tool": tool,
-                "ts": batch["ts"],
-            },
-            schema=TRANSCRIPT_SCHEMA,
-        )
-
-    return ds.groupby("user_id").map_groups(to_transcript, batch_format="pyarrow")
+    return ds.sort("user_id").map_batches(
+        _transcript_block, batch_format="pyarrow", batch_size=None)
 
 
 _WORDS = np.array(

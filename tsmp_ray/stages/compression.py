@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
+
+from .signals import key_runs
 
 
 class _BitWriter:
@@ -342,22 +343,14 @@ def _pack_block(batch: pa.Table) -> pa.Table:
     codec over the whole block, its runs byte-aligned in one buffer."""
     if batch.num_rows == 0:  # Ray maps an all-empty input as one empty block
         return _PACKED_SCHEMA.empty_table()
-    batch = batch.take(pc.sort_indices(batch, sort_keys=[
-        ("conv_id", "ascending"), ("signal", "ascending"),
-        ("bucket_ts", "ascending")]))
-    conv = batch["conv_id"].combine_chunks()
-    sig = batch["signal"].combine_chunks()
-    new_run = pc.or_(pc.not_equal(conv[1:], conv[:-1]),
-                     pc.not_equal(sig[1:], sig[:-1]))
-    starts = np.flatnonzero(np.concatenate(
-        [[True], new_run.to_numpy(zero_copy_only=False)]))
-    lens = np.diff(np.append(starts, batch.num_rows))
+    batch, bounds = key_runs(batch, ["conv_id", "signal"], ["bucket_ts"])
+    starts, lens = bounds[:-1], np.diff(bounds)
     ts_buf, ts_off = encode_timestamp_runs(batch["bucket_ts"].to_numpy(), lens)
     val_buf, val_off = encode_gorilla_runs(batch["mean_v"].to_numpy(), lens)
     first = pa.array(starts)
     return pa.table({
-        "conv_id": conv.take(first).cast(pa.string()),
-        "signal": sig.take(first).cast(pa.string()),
+        "conv_id": batch["conv_id"].take(first).cast(pa.string()),
+        "signal": batch["signal"].take(first).cast(pa.string()),
         "n": pa.array(lens.astype(np.int32)),
         "ts_dod": _binary(ts_buf, ts_off),
         "val_gorilla": _binary(val_buf, val_off),

@@ -16,9 +16,10 @@
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .signals import key_runs
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -62,18 +63,44 @@ def _empty_partials() -> pa.Table:
                      "cosine": pa.array([], pa.float64())})
 
 
-def _final_topk(k: int):
-    """Per-query rank merge of k-sized partials, shared by the brute and IVF
-    paths — the brute path is the IVF gate's oracle, so ONE implementation
-    keeps their (-cosine, vec_id) tie-break and ranking in lockstep."""
+def _topk_partials(qids: np.ndarray, cos: np.ndarray, vec_ids: np.ndarray,
+                   k: int, round_dp: int | None) -> pa.Table:
+    """Per-query partial top-k (the combiner) of one (queries × vectors)
+    cosine matrix: each row, rounded to ``round_dp`` first, ordered by
+    (-cosine, vec_id) with one row-wise ``lexsort``, its first ``k`` kept."""
+    if round_dp is not None:
+        cos = np.round(cos, round_dp)
+    kk = min(k, cos.shape[1])
+    order = np.lexsort((np.broadcast_to(vec_ids, cos.shape), -cos),
+                       axis=1)[:, :kk]
+    return pa.table(
+        {
+            "query_id": pa.array(np.repeat(qids, kk).astype(np.int64)),
+            "vec_id": pa.array(vec_ids[order].ravel().astype(np.int64)),
+            "cosine": pa.array(np.take_along_axis(cos, order, 1).ravel()),
+        }
+    )
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
 
-    return merge
+def _merge(partials, k: int):
+    """Per-query rank merge of k-sized partials: ``sort("query_id")`` then
+    one call per block ranking each query's run by (-cosine, vec_id).
+    Shared by the brute and IVF paths — the brute path is the IVF gate's
+    oracle, so ONE implementation keeps their tie-break and ranking in
+    lockstep."""
+
+    def merge(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:  # may be a schema-less empty sort partition
+            batch = _empty_partials()
+        batch, bounds = key_runs(batch, ["query_id"], [
+            ("cosine", "descending"), ("vec_id", "ascending")])
+        rank = (np.arange(1, batch.num_rows + 1)
+                - np.repeat(bounds[:-1], np.diff(bounds)))
+        return batch.append_column("rank", pa.array(rank)).filter(
+            pa.array(rank <= k))
+
+    return partials.sort("query_id").map_batches(
+        merge, batch_format="pyarrow", batch_size=None)
 
 
 def brute_force_topk(ds_embeddings, query_matrix: np.ndarray,
@@ -97,30 +124,10 @@ def brute_force_topk(ds_embeddings, query_matrix: np.ndarray,
         q, qids = ray.get(qref)  # broadcast read (plasma, zero-copy numpy)
         m = _normalize(_stack(batch["embedding"]))
         vec_ids = batch["vec_id"].to_numpy()
-        cos = q @ m.T  # (nq × nbatch)
-        if round_dp is not None:
-            cos = np.round(cos, round_dp)
-        kk = min(k, cos.shape[1])
-        # per-batch partial top-k (combiner): sort by (-cos, vec_id)
-        out_q, out_v, out_c = [], [], []
-        for qi in range(cos.shape[0]):
-            order = np.lexsort((vec_ids, -cos[qi]))[:kk]
-            out_q.append(np.full(kk, qids[qi]))
-            out_v.append(vec_ids[order])
-            out_c.append(cos[qi][order])
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q).astype(np.int64)),
-                "vec_id": pa.array(np.concatenate(out_v).astype(np.int64)),
-                "cosine": pa.array(np.concatenate(out_c)),
-            }
-        )
+        return _topk_partials(qids, q @ m.T, vec_ids, k, round_dp)
 
-    partials = ds_embeddings.map_batches(partial_topk, batch_format="pyarrow",
-                                         batch_size=4096)
-
-    return partials.groupby("query_id").map_groups(_final_topk(k),
-                                                   batch_format="pandas")
+    return _merge(ds_embeddings.map_batches(
+        partial_topk, batch_format="pyarrow", batch_size=4096), k)
 
 
 def train_centroids(ds_embeddings, n_centroids: int = 16, iters: int = 8,
@@ -174,7 +181,7 @@ def ivf_topk(ds_embeddings, query_matrix: np.ndarray, query_ids: np.ndarray,
     its sub-matrix against only the queries probing that bucket and emit
     k-sized per-(batch, query) partials. Work per task is bounded by
     ``batch_size``; the only shuffle left is the per-query merge of k-sized
-    partials (the same ``final_merge`` as the brute path). A persistent
+    partials (the same ``_merge`` as the brute path). A persistent
     100-TB IVF index would instead pay the bucket shuffle ONCE at index
     build (write bucket-partitioned parquet) and serve reads from probed
     partitions only — this one-shot query path never needs it.
@@ -204,34 +211,15 @@ def ivf_topk(ds_embeddings, query_matrix: np.ndarray, query_ids: np.ndarray,
         m = _normalize(_stack(batch["embedding"]))
         vec_ids = batch["vec_id"].to_numpy()
         assign = (m @ cent_m.T).argmax(axis=1)
-        out_q, out_v, out_c = [], [], []
+        parts = []
         for b in np.unique(assign):
             q_here = np.flatnonzero(pmask[:, b])
             if not len(q_here):
                 continue
             sel = assign == b
-            mb, vb = m[sel], vec_ids[sel]
-            cos = qm[q_here] @ mb.T
-            if round_dp is not None:
-                cos = np.round(cos, round_dp)
-            kk = min(k, cos.shape[1])
-            for r, qi in enumerate(q_here):
-                order = np.lexsort((vb, -cos[r]))[:kk]
-                out_q.append(np.full(kk, qi_all[qi]))
-                out_v.append(vb[order])
-                out_c.append(cos[r][order])
-        if not out_q:
-            return _empty_partials()
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q).astype(np.int64)),
-                "vec_id": pa.array(np.concatenate(out_v).astype(np.int64)),
-                "cosine": pa.array(np.concatenate(out_c)),
-            }
-        )
+            parts.append(_topk_partials(qi_all[q_here], qm[q_here] @ m[sel].T,
+                                        vec_ids[sel], k, round_dp))
+        return pa.concat_tables(parts) if parts else _empty_partials()
 
-    partials = ds_embeddings.map_batches(probe_batch, batch_format="pyarrow",
-                                         batch_size=4096)
-
-    return partials.groupby("query_id").map_groups(_final_topk(k),
-                                                   batch_format="pandas")
+    return _merge(ds_embeddings.map_batches(
+        probe_batch, batch_format="pyarrow", batch_size=4096), k)

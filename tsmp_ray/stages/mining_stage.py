@@ -35,7 +35,7 @@ from ..kernels.mining import (
 from ..kernels.mpx import mpx
 from ..kernels.mstomp import mstomp
 from ..kernels.stompi import StreamingProfile
-from .signals import repeat_labels
+from .signals import key_runs, repeat_labels
 
 
 def _const_col(value: str, n: int) -> pa.Array:
@@ -858,35 +858,43 @@ def conv_pair_stage(ds_packed, fn, fn_kwargs: dict | None = None):
     """Fan out ``fn(id_a, xa, id_b, xb, **kw) -> pa.Table | None`` over
     CONSECUTIVE conversation pairs: numeric-id 2k pairs with 2k+1. The
     pairing key is derived from the numeric conv-id suffix INSIDE each batch
-    (no global rank/sort), then one ``groupby(pair_id)`` shuffle co-locates
-    each pair — the same conv-level key cardinality as ``per_conv_stage``,
-    so the one-Python-call-per-group cost is per PAIR, not per row. Odd
-    leftover ids (no partner) are dropped."""
+    (no global rank), then ``sort(pair_id)`` co-locates each pair and one
+    call per block loops over its pairs (runs of ``signals.key_runs``).
+    Odd leftover ids (no partner) are dropped."""
     kw = fn_kwargs or {}
+    sig = kw.get("signal", "text_len")
 
     def add_pair(batch: pa.Table) -> pa.Table:
         num = np.array([_conv_num(s) for s in batch["conv_id"].to_pylist()],
                        dtype=np.int64)
         return batch.append_column("pair_id", pa.array(num // 2))
 
-    def run_pair(g: pa.Table) -> pa.Table:
-        if g.num_rows < 2:
-            return fn(None, None, None, None, **kw)
-        ids = g["conv_id"].to_pylist()
-        if g.num_rows > 2:
-            # duplicate numeric suffixes across prefixes ('a4' and 'b4')
-            # would silently pair two arbitrary members and drop the rest
-            raise ValueError(
-                f"conv_pair_stage: pair group holds {g.num_rows} convs "
-                f"{ids!r}; numeric conv-id suffixes must be unique")
-        order = np.argsort([_conv_num(s) for s in ids])
-        a, b = int(order[0]), int(order[1])
-        sig = kw.get("signal", "text_len")
-        t = fn(ids[a], _series(g, a, sig), ids[b], _series(g, b, sig), **kw)
-        return t if t is not None else fn(None, None, None, None, **kw)
+    def run_pairs(batch: pa.Table) -> pa.Table:
+        outs = []
+        if batch.num_rows:
+            batch, bounds = key_runs(batch, ["pair_id"])
+            ids = batch["conv_id"].to_pylist()
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                if hi - lo > 2:
+                    # duplicate numeric suffixes across prefixes ('a4' and
+                    # 'b4') would silently pair two arbitrary members and
+                    # drop the rest
+                    raise ValueError(
+                        f"conv_pair_stage: pair group holds {hi - lo} convs "
+                        f"{ids[lo:hi]!r}; numeric conv-id suffixes must be "
+                        f"unique")
+                if hi - lo == 2:
+                    a, b = sorted((lo, lo + 1),
+                                  key=lambda r: _conv_num(ids[r]))
+                    outs.append(fn(ids[a], _series(batch, a, sig),
+                                   ids[b], _series(batch, b, sig), **kw))
+        outs = [t for t in outs if t is not None]
+        return (pa.concat_tables(outs) if outs
+                else fn(None, None, None, None, **kw))
 
     return (ds_packed.map_batches(add_pair, batch_format="pyarrow")
-            .groupby("pair_id").map_groups(run_pair, batch_format="pyarrow"))
+            .sort("pair_id")
+            .map_batches(run_pairs, batch_format="pyarrow", batch_size=None))
 
 
 _MPDIST_SCHEMA = pa.schema([

@@ -19,8 +19,8 @@ One physical plan over the materialized packed Dataset (SURVEY.md §7.3):
   the reference's own shard plan (its R/stomp-par.R:102-117 and
   src/mpx.cpp:339-346); partials min-merge
   (stomp-par.R:249-264 via profile_types.merge_min). Raw tasks, because
-  the unit of work is a *slice of one group*, which the Dataset groupby
-  model cannot express. No heavy conv → no shard task and no ``union``.
+  the unit of work is a *slice of one conversation*, which a keyed
+  shuffle cannot express. No heavy conv → no shard task and no ``union``.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ SHARD_UNITS_MPX = 3.0e7
 
 
 def _block_meta_impl(tbl):
-    # Blocks may be pandas and may be SCHEMA-LESS empties (Ray groupby emits
-    # those for empty sort partitions) — skip them.
+    # Blocks may be pandas and may be SCHEMA-LESS empties (Ray's sort emits
+    # those for empty partitions) — skip them.
     import pandas as pd
 
     if isinstance(tbl, pd.DataFrame):

@@ -69,28 +69,12 @@ _GAP_FILLER: dict[str, np.int64 | float] = {
 }
 
 
-def _series_tier_arrays(ts: np.ndarray, v: np.ndarray, width: int) -> dict:
-    """Tier partial arrays for ONE ascending-ts series, pure reduceat (add
+def _fold_arrays(p: dict, width: int) -> dict:
+    """Fold finer partial arrays (ascending bucket_ts) into a coarser tier by
+    re-bucketing — valid because every partial column merges. The raw series
+    enters as one-point partials, so the finest tier is a fold too (add
     order = ts order; sums of the integral values are exact, so they match
     the SQL oracle bitwise)."""
-    b = (ts // width) * width
-    starts = np.flatnonzero(np.concatenate([[True], b[1:] != b[:-1]]))
-    ends = np.concatenate([starts[1:], [len(b)]])
-    return {
-        "bucket_ts": b[starts],
-        "n": (ends - starts).astype(np.int64),
-        "sum_v": np.add.reduceat(v, starts),
-        "min_v": np.minimum.reduceat(v, starts),
-        "max_v": np.maximum.reduceat(v, starts),
-        "sumsq": np.add.reduceat(v * v, starts),
-        "first_ts": ts[starts], "first_v": v[starts],
-        "last_ts": ts[ends - 1], "last_v": v[ends - 1],
-    }
-
-
-def _fold_arrays(p: dict, width: int) -> dict:
-    """Fold finer-tier partial arrays (ascending bucket_ts) into a coarser
-    tier by re-bucketing — valid because every partial column merges."""
     b = (p["bucket_ts"] // width) * width
     starts = np.flatnonzero(np.concatenate([[True], b[1:] != b[:-1]]))
     ends = np.concatenate([starts[1:], [len(b)]])
@@ -150,7 +134,7 @@ _TIERS_COMBINED_SCHEMA = pa.schema(
 def tiers_from_packed(ds_packed, tiers: tuple[str, ...] = ("1m", "1h", "1d"),
                       gap_fill: bool = True, max_gap: int | None = None):
     """ALL tiers per conversation in ONE ``map_batches`` pass over PACKED
-    rows — ZERO additional shuffles (the conv_id groupby that built the
+    rows — ZERO additional shuffles (the conv_id sort that built the
     packed rows was the only one). Each conversation's series is bucketed
     with ``reduceat``; coarser tiers fold the finer tier's partial ARRAYS
     in-memory. This replaces a sort-of-everything groupby per tier — the
@@ -207,10 +191,12 @@ def tiers_from_packed(ds_packed, tiers: tuple[str, ...] = ("1m", "1h", "1d"),
                      .astype(np.float64, copy=False))
                 if order is not None:
                     v = v[order]
-                part = None
+                part = {"bucket_ts": ts, "n": np.ones(len(ts), np.int64),
+                        "sum_v": v, "min_v": v, "max_v": v, "sumsq": v * v,
+                        "first_ts": ts, "first_v": v,
+                        "last_ts": ts, "last_v": v}
                 for tier, width in widths:
-                    part = (_series_tier_arrays(ts, v, width) if part is None
-                            else _fold_arrays(part, width))
+                    part = _fold_arrays(part, width)
                     emit = _emit_tier_arrays(part, width, gap_fill, max_gap)
                     for c in _TIER_EMIT_COLS:
                         cols[c].append(emit[c])

@@ -47,6 +47,26 @@ def repeat_labels(values: list[str], lens) -> pa.Array:
         pa.string())
 
 
+def key_runs(batch: pa.Table, keys: list[str], order=()):
+    """One block stably sorted by ``keys`` then ``order``, and the bounds of
+    its key runs (run ``i`` is rows ``bounds[i]:bounds[i+1]``) — THE run
+    finder of every block function behind a ``sort(key)`` shuffle. An
+    ``order`` entry is a column name (ascending) or a (name, "ascending" |
+    "descending") pair; run starts come from one vectorized compare per key
+    column."""
+    sort_keys = [(k, "ascending") for k in keys] + [
+        (o, "ascending") if isinstance(o, str) else tuple(o) for o in order]
+    batch = batch.take(pc.sort_indices(batch, sort_keys=sort_keys))
+    n = batch.num_rows
+    new_run = np.zeros(max(n - 1, 0), dtype=bool)
+    for k in keys:
+        col = batch[k].combine_chunks()
+        new_run |= pc.not_equal(col[1:], col[:-1]).to_numpy(
+            zero_copy_only=False)
+    starts = np.flatnonzero(np.concatenate([[n > 0], new_run]))
+    return batch, np.append(starts, n)
+
+
 def add_turn_features(batch: pa.Table) -> pa.Table:
     """Vectorized per-batch features; keeps (conv_id, turn_idx, ts) keys."""
     text_len = pc.cast(pc.utf8_length(batch["text"]), pa.float64())
@@ -74,26 +94,16 @@ _EMPTY_DIGESTS = pa.schema([
 ]).empty_table()
 
 
-def _conv_runs(batch: pa.Table):
-    """One block stably sorted on (conv_id, turn_idx), its conv_id column
-    and the run bounds of its conversations (``bounds[i]:bounds[i+1]``)."""
-    batch = batch.take(pc.sort_indices(
-        batch, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]))
-    conv = batch["conv_id"].combine_chunks()
-    new_run = pc.not_equal(conv[1:], conv[:-1]).to_numpy(zero_copy_only=False)
-    starts = np.flatnonzero(np.concatenate([[True], new_run]))
-    return batch, conv, np.append(starts, len(conv))
-
-
 def _digest_block(batch: pa.Table) -> pa.Table:
     """Every conversation of one sorted block -> one (conv_id, digest,
     n_turns) row; one md5 call per conversation, no per-group table."""
     if batch.num_rows == 0:
         return _EMPTY_DIGESTS
-    batch, conv, bounds = _conv_runs(batch)
+    batch, bounds = key_runs(batch, ["conv_id"], ["turn_idx"])
     texts = batch["text"].to_pylist()
     return pa.table({
-        "conv_id": conv.take(pa.array(bounds[:-1])).cast(pa.string()),
+        "conv_id": batch["conv_id"].take(pa.array(bounds[:-1])).cast(
+            pa.string()),
         "digest": pa.array([hashlib.md5("\x1f".join(texts[a:b]).encode())
                             .hexdigest()
                             for a, b in zip(bounds[:-1], bounds[1:])]),
@@ -129,19 +139,19 @@ def _pack_block(batch: pa.Table) -> pa.Table:
     offsets."""
     if batch.num_rows == 0:  # Ray maps an all-empty input as one empty block
         return _EMPTY_PACKED
-    batch, conv, bounds = _conv_runs(batch)
+    batch, bounds = key_runs(batch, ["conv_id"], ["turn_idx"])
     starts = bounds[:-1]
     offsets = pa.array(bounds.astype(np.int32))
     ts = batch["ts"].cast(pa.int64()).to_numpy()
     # integer microseconds kept in float64 (exact up to 2^53): sums and means
     # then match the DuckDB oracle bitwise regardless of fold order;
     # z-normalized kernels are scale-invariant so units don't matter
-    delta = np.zeros(len(conv))
+    delta = np.zeros(batch.num_rows)
     delta[1:] = np.diff(ts).astype(np.float64)
     delta[starts] = 0.0
     lists = lambda values: pa.ListArray.from_arrays(offsets, pa.array(values))
     return pa.table({
-        "conv_id": conv.take(pa.array(starts)).cast(pa.string()),
+        "conv_id": batch["conv_id"].take(pa.array(starts)).cast(pa.string()),
         "n_turns": pa.array(np.diff(bounds)),
         "turn_idx": lists(batch["turn_idx"].cast(pa.int64()).to_numpy()),
         "ts": lists(ts),
@@ -174,7 +184,7 @@ def pack_series(ds):
 def unpack_signals(ds_packed):
     """Packed rows -> the wide per-turn signal table (the inverse of
     ``pack_series``'s packing, minus nothing): a stateless vectorized explode,
-    NO shuffle. Lets one ``groupby(conv_id)`` serve both the rollup (long
+    NO shuffle. Lets one ``sort(conv_id)`` serve both the rollup (long
     rows) and the profile stage (packed rows) — THE conv_id shuffle happens
     once per pipeline."""
 

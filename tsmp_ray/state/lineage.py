@@ -75,20 +75,26 @@ def resumable_write(ds, out_dir: str, partition_col: str,
     """Write ``ds`` partitioned by ``partition_col``; skip partitions already
     in the manifest. Returns {partition: 'written'|'skipped'}.
 
-    ONE scan + one ``groupby(partition_col)`` shuffle writes every pending
+    ONE scan + one ``sort(partition_col)`` shuffle writes every pending
     partition in parallel (round-1 shape filtered the full dataset once per
-    value — O(partitions × scan), wrong for high-cardinality keys). Each
-    group task writes its directory atomically (tmp + rename) and drops a
-    ``_SUCCESS`` marker; partitions completed by a crashed run are ADOPTED
-    into the manifest on the next call instead of rewritten, so kill-resume
-    granularity is per partition. Rows are sorted by all columns before the
-    write, making partition bytes deterministic under Ray's nondeterministic
-    in-group ordering (byte-identical resume, tested). Workers write to
-    ``out_dir`` directly — on a multi-node cluster this must be shared
-    storage (the same assumption ``ds.write_parquet`` makes).
+    value — O(partitions × scan), wrong for high-cardinality keys): the
+    sort keeps each partition in one block, and one call per block writes
+    each of its key runs (``signals.key_runs``). Each partition's directory
+    is written atomically (tmp + rename) with a ``_SUCCESS`` marker;
+    partitions completed by a crashed run are ADOPTED into the manifest on
+    the next call instead of rewritten, so kill-resume granularity is per
+    partition. A block is sorted by the partition column and then every
+    other column before the write, making partition bytes deterministic
+    under Ray's nondeterministic row order (byte-identical resume,
+    tested). Workers write to ``out_dir`` directly — on a multi-node
+    cluster this must be shared storage (the same assumption
+    ``ds.write_parquet`` makes).
     """
     import pyarrow as pa
     import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from ..stages.signals import key_runs
 
     man = Manifest(out_dir)
 
@@ -129,22 +135,17 @@ def resumable_write(ds, out_dir: str, partition_col: str,
     def only_pending(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.is_in(batch[partition_col], value_set=val_set))
 
-    def write_group(batch: pa.Table) -> pa.Table:
+    def write_partition(part: pa.Table) -> dict:
         t0 = time.time()
-        val = batch[partition_col][0].as_py()
-        key = f"{partition_col}={val}"
+        key = f"{partition_col}={part[partition_col][0].as_py()}"
         final = os.path.join(out_dir, key)
         tmp = f"{final}.tmp-{os.getpid()}"
         shutil.rmtree(tmp, ignore_errors=True)
         os.makedirs(tmp, exist_ok=True)
-        order = pc.sort_indices(
-            batch, sort_keys=[(c, "ascending") for c in batch.column_names])
-        import pyarrow.parquet as pq
-
-        pq.write_table(batch.take(order), os.path.join(tmp, "part-0.parquet"))
+        pq.write_table(part, os.path.join(tmp, "part-0.parquet"))
         entry = {
             "inputs": inputs or [],
-            "rows": batch.num_rows,
+            "rows": part.num_rows,
             "content_crc32": _content_hash(tmp),
             "wall_sec": round(time.time() - t0, 3),
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -153,13 +154,22 @@ def resumable_write(ds, out_dir: str, partition_col: str,
             json.dump(entry, f)
         shutil.rmtree(final, ignore_errors=True)
         os.replace(tmp, final)
-        return pa.table({"partition": pa.array([key]),
-                         "entry": pa.array([json.dumps(entry)])})
+        return {"partition": key, "entry": json.dumps(entry)}
+
+    def write_block(batch: pa.Table) -> pa.Table:
+        written = []
+        if batch.num_rows:
+            batch, bounds = key_runs(batch, [partition_col], [
+                c for c in batch.column_names if c != partition_col])
+            written = [write_partition(batch.slice(lo, hi - lo))
+                       for lo, hi in zip(bounds[:-1], bounds[1:])]
+        return pa.Table.from_pylist(written, schema=pa.schema(
+            [("partition", pa.string()), ("entry", pa.string())]))
 
     markers = (
         ds.map_batches(only_pending, batch_format="pyarrow")
-        .groupby(partition_col)
-        .map_groups(write_group, batch_format="pyarrow")
+        .sort(partition_col)
+        .map_batches(write_block, batch_format="pyarrow", batch_size=None)
         .take_all()
     )
     for m in markers:
