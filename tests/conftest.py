@@ -30,11 +30,9 @@ def ray_session():
     ray.shutdown()
 
 
-@pytest.fixture
-def schema_hash_failures():
-    """Counts Ray's "Failed to hash the schemas" records on the ``ray.data``
-    logger while the test runs: a shuffle input carrying pandas schema
-    metadata."""
+def _count_ray_data_records(needle: str):
+    """Count the ``ray.data`` log records containing ``needle`` while the
+    test runs."""
 
     class _Count(logging.Handler):
         def __init__(self):
@@ -42,7 +40,7 @@ def schema_hash_failures():
             self.n = 0
 
         def emit(self, record):
-            if "Failed to hash the schemas" in record.getMessage():
+            if needle in record.getMessage():
                 self.n += 1
 
     handler = _Count()
@@ -52,3 +50,18 @@ def schema_hash_failures():
         yield handler
     finally:
         logger.removeHandler(handler)
+
+
+@pytest.fixture
+def schema_hash_failures():
+    """Counts Ray's "Failed to hash the schemas" records: a shuffle input
+    carrying pandas schema metadata."""
+    yield from _count_ray_data_records("Failed to hash the schemas")
+
+
+@pytest.fixture
+def schema_divergences():
+    """Counts Ray's "Operator produced a RefBundle with a different schema"
+    records: an operator emitting blocks of unlike schemas, e.g. empty
+    schema-less blocks beside typed ones."""
+    yield from _count_ray_data_records("RefBundle with a different schema")

@@ -1,0 +1,99 @@
+"""Every ``*_checked`` op's gate fires: with the production kernel it
+calls poisoned (every value moved off the oracle), the op must raise its
+own AssertionError. Pure local (no Ray): the ops are called on one packed
+row built by hand, and the pair ops on two series."""
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+from tsmp_ray.config import SIGNALS
+from tsmp_ray.kernels.stompi import StreamingProfile
+from tsmp_ray.stages import mining_stage as ms
+
+W, ZONE = 8, 4
+
+
+def _series(seed: int, n: int = 120) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 8, n).astype(np.float64)
+
+
+XS = [_series(s) for s in range(len(SIGNALS))]
+BATCH = pa.table({"conv_id": ["c0"], **{
+    sig: pa.array([x.tolist()], pa.list_(pa.float64()))
+    for sig, x in zip(SIGNALS, XS)}})
+
+
+def _wrap(real, poison):
+    return lambda *a, **k: poison(real(*a, **k))
+
+
+def _moved(obj, attr, by=0.01):
+    setattr(obj, attr, getattr(obj, attr) + by)
+    return obj
+
+
+class _DriftingStream(StreamingProfile):
+    def update(self, new_data):
+        super().update(new_data)
+        _moved(self.profile, "mp")
+
+
+# op name -> (run the op, kernel attribute on mining_stage, poisoned kernel)
+GATES = {
+    "profile_checked": (
+        lambda: ms.profile_checked_op("c0", BATCH, 0, w=W, zone=ZONE),
+        "auto_profile", _wrap(ms.auto_profile, lambda p: _moved(p, "mp"))),
+    "chains_checked": (
+        lambda: ms.chains_checked_op("c0", BATCH, 0, w=W, zone=ZONE),
+        "find_chains", lambda prof: {"chains": [[0, 1, 2]], "best": []}),
+    "fluss_cac_checked": (
+        lambda: ms.fluss_cac_checked_op("c0", BATCH, 0, w=W, zone=ZONE),
+        "fluss_cac", _wrap(ms.fluss_cac, lambda c: c - 0.5)),
+    "fluss_segments_checked": (
+        lambda: ms.fluss_segments_checked_op("c0", BATCH, 0, w=W, zone=ZONE),
+        "fluss_cac", _wrap(ms.fluss_cac, lambda c: c - 0.5)),
+    "dist_profile_checked": (
+        lambda: ms.distprof_checked_op("c0", BATCH, 0, w=W),
+        "dist_profile", _wrap(ms.dist_profile, lambda r: (r[0] + 0.01, r[1]))),
+    "stompi_checked": (
+        lambda: ms.stompi_checked_op("c0", BATCH, 0, w=W, zone=ZONE),
+        "StreamingProfile", _DriftingStream),
+    "ab_join_checked": (
+        lambda: ms.abjoin_checked_pair_op("c0", XS[0], "c1", XS[1], w=W),
+        "mpx", _wrap(ms.mpx, lambda p: _moved(p, "mp"))),
+    "motifs_checked": (
+        lambda: ms.motifs_checked_op("c0", BATCH, 0, w=W, zone=ZONE),
+        "find_motifs", _wrap(ms.find_motifs, lambda found: [
+            dict(m, distance=m["distance"] + 1.0) for m in found])),
+    "mstomp_checked": (
+        lambda: ms.mstomp_checked_op("c0", BATCH, 0, w=W, zone=ZONE),
+        "mstomp", _wrap(ms.mstomp, lambda r: _moved(r, "mp"))),
+    "valmod_checked": (
+        lambda: ms.valmod_checked_op("c0", BATCH, 0, wmin=6, wmax=12),
+        "valmod", _wrap(ms.valmod, lambda r: dict(r, mp=r["mp"] + 0.01))),
+    "pmp_checked": (
+        lambda: ms.pmp_checked_op("c0", BATCH, 0, windows=[6, 8, 10, 12]),
+        "pmp", _wrap(ms.pmp, lambda r: dict(r, pmp={
+            w: v + 0.01 for w, v in r["pmp"].items()}))),
+    "snippets_checked": (
+        lambda: ms.snippet_checked_op("c0", BATCH, 0, s_size=16, w=W),
+        "find_snippet", _wrap(ms.find_snippet, lambda r: dict(
+            r, snippet_idx=[i + 1 for i in r["snippet_idx"]]))),
+    "mpdist_checked": (
+        lambda: ms.mpdist_checked_pair_op("c0", XS[0], "c1", XS[1], w=W),
+        "mpdist", _wrap(ms.mpdist, lambda d: d + 0.01)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATES))
+def test_checked_gate_fires_on_poisoned_kernel(name, monkeypatch):
+    """No gate is vacuous: the op passes and emits rows with the real
+    kernel, and raises its own "deviate(s)" AssertionError once that kernel
+    is poisoned."""
+    run, attr, poisoned = GATES[name]
+    out = run()
+    assert out is not None and out.num_rows > 0
+    monkeypatch.setattr(ms, attr, poisoned)
+    with pytest.raises(AssertionError, match="deviate"):
+        run()

@@ -140,6 +140,27 @@ def test_engine_makes_no_map_groups_call():
     assert not hits, "\n".join(hits)
 
 
+def test_checked_ops_build_pairwise_distances_in_one_core():
+    """One oracle-order core: every ``*_checked`` op takes its pairwise
+    z-distances from ``mining_stage._blocked_d2``; no other code in the
+    module broadcasts z-windows against each other (``[:, None, :] -``),
+    so the next checked op cannot regrow a private copy of the masking."""
+    import ast
+    import pathlib
+    import re
+
+    path = (pathlib.Path(__file__).resolve().parent.parent / "tsmp_ray"
+            / "stages" / "mining_stage.py")
+    src = path.read_text()
+    core = next(f for f in ast.parse(src).body
+                if isinstance(f, ast.FunctionDef) and f.name == "_blocked_d2")
+    hits = [f"{path.name}:{i}: {line.strip()}"
+            for i, line in enumerate(src.splitlines(), 1)
+            if re.search(r"None,\s*:\]\s*-", line)
+            and not core.lineno <= i <= core.end_lineno]
+    assert not hits, "\n".join(hits)
+
+
 def test_engine_config_fields_are_read():
     """No dead knobs: every EngineConfig field is read (``.<field>``)
     somewhere in the engine outside config.py."""

@@ -215,6 +215,23 @@ def test_transcripts_from_events_logs_no_schema_hash_failures(
     assert schema_hash_failures.n == 0
 
 
+@pytest.mark.parametrize("query", ["mpdist_checked", "ab_join_checked"])
+def test_pair_checked_queries_log_no_schema_divergence(
+        ray_session, schema_divergences, query):
+    """The pair oracle rows run the pair stage over every packed conv and
+    skip pairs past id 9 inside the pair call; filtering convs before the
+    stage's ``sort(pair_id)`` left most blocks empty and schema-less, and
+    Ray logged "a RefBundle with a different schema" three times per
+    query."""
+    from tsmp_ray.pipelines.queries import QUERIES
+    from tsmp_ray.stages.mining_stage import _conv_num
+
+    got = QUERIES[query](SF).to_pandas()
+    assert len(got) > 0
+    assert max(map(_conv_num, got["conv_b"])) < 10
+    assert schema_divergences.n == 0
+
+
 def test_unpacked_signals_values(ray_session):
     import ray
 

@@ -592,7 +592,7 @@ def valmod_checked_sql(wmin: int, wmax: int, ez: float) -> str:
     join PER window length (zone scales with w), each profile length-
     normalized by 1/sqrt(w) and rounded BEFORE the cross-window min; ties
     keep the smallest w (ORDER BY scaled, w) — gating
-    ``valmod_checked_op``'s heap-pruned production valmod."""
+    ``valmod_checked_op``'s production valmod sweep."""
     parts = [
         _T,
         f", sig AS ({SIGNALS_SQL.replace(_T, '')})",
@@ -1072,6 +1072,38 @@ def _packed(sf_dir: str):
     return pack_series(transcripts_from_events(sf_dir)).materialize()
 
 
+#: the self-join exclusion zone of every per-conv oracle row (w = 8)
+_ZONE = exclusion_zone(CFG.window_size, CFG.ez)
+
+
+def _first_convs(sf_dir: str, op, **kw):
+    """``op`` fanned out per conv over the 10 smallest conv ids: the
+    selection every per-conv oracle SQL makes (``ORDER BY conv_id LIMIT
+    10``)."""
+    from ..stages.mining_stage import per_conv_stage
+
+    sel = pack_series(transcripts_from_events(sf_dir)).sort("conv_id").limit(10)
+    return per_conv_stage(sel, op, kw)
+
+
+def _first_pairs(sf_dir: str, op):
+    """``op`` over the consecutive conv pairs among numeric conv ids < 10,
+    the pairs the pair oracle SQL selects. The pair stage runs over every
+    packed conv and the pairs past id 9 are skipped inside the pair call:
+    filtering convs before the stage's ``sort(pair_id)`` left most of its
+    blocks empty and schema-less, and Ray logged "Operator produced a
+    RefBundle with a different schema" for them."""
+    from ..stages.mining_stage import _conv_num, conv_pair_stage
+
+    def first_pair_op(id_a, xa, id_b, xb, **kw):
+        if id_a is not None and _conv_num(id_b) >= 10:
+            return None
+        return op(id_a, xa, id_b, xb, **kw)
+
+    packed = pack_series(transcripts_from_events(sf_dir))
+    return conv_pair_stage(packed, first_pair_op, {"w": CFG.window_size})
+
+
 def q_signals(sf_dir: str):
     return unpack_signals(_packed(sf_dir))
 
@@ -1367,13 +1399,9 @@ def q_mp_exact(sf_dir: str):
     """Oracle-checked matrix profile (text_len, w=8) over the 10 smallest
     conv_ids — the flagship correctness gate: a SQL self-join computes the
     identical znorm-ED profile (see MP_EXACT_SQL), distributed per conv."""
-    from ..stages.mining_stage import mp_exact_op, per_conv_stage
+    from ..stages.mining_stage import mp_exact_op
 
-    packed = pack_series(transcripts_from_events(sf_dir))
-    sel = packed.sort("conv_id").limit(10)
-    return per_conv_stage(
-        sel, mp_exact_op,
-        {"w": CFG.window_size, "zone": exclusion_zone(CFG.window_size, CFG.ez)})
+    return _first_convs(sf_dir, mp_exact_op, w=CFG.window_size, zone=_ZONE)
 
 
 def q_profiles_checked(sf_dir: str):
@@ -1382,28 +1410,20 @@ def q_profiles_checked(sf_dir: str):
     10 convs as ``mp_exact``: the op asserts kernel == oracle-order exact
     within 2e-5 per window (raising on drift) and emits the oracle-order
     values, so the DuckDB hash compare gates the hot kernel itself."""
-    from ..stages.mining_stage import per_conv_stage, profile_checked_op
+    from ..stages.mining_stage import profile_checked_op
 
-    packed = pack_series(transcripts_from_events(sf_dir))
-    sel = packed.sort("conv_id").limit(10)
-    return per_conv_stage(
-        sel, profile_checked_op,
-        {"w": CFG.window_size, "ez": CFG.ez,
-         "zone": exclusion_zone(CFG.window_size, CFG.ez)})
+    return _first_convs(sf_dir, profile_checked_op,
+                        w=CFG.window_size, ez=CFG.ez, zone=_ZONE)
 
 
 def q_motifs_checked(sf_dir: str):
     """find_motifs/find_discords tied to SQL: oracle-order top pair + top
     discord (rounded-before-selection, deterministic tie-breaks) with the
     production miners' distances asserted in-op (10 smallest convs)."""
-    from ..stages.mining_stage import motifs_checked_op, per_conv_stage
+    from ..stages.mining_stage import motifs_checked_op
 
-    packed = pack_series(transcripts_from_events(sf_dir))
-    sel = packed.sort("conv_id").limit(10)
-    return per_conv_stage(
-        sel, motifs_checked_op,
-        {"w": CFG.window_size, "ez": CFG.ez,
-         "zone": exclusion_zone(CFG.window_size, CFG.ez)})
+    return _first_convs(sf_dir, motifs_checked_op,
+                        w=CFG.window_size, ez=CFG.ez, zone=_ZONE)
 
 
 def q_fluss_cac_checked(sf_dir: str):
@@ -1412,14 +1432,10 @@ def q_fluss_cac_checked(sf_dir: str):
     argmin with smallest-j tie-break, the op asserts the production CAC
     against the SQL-order arithmetic in-op and emits the oracle-order
     values."""
-    from ..stages.mining_stage import fluss_cac_checked_op, per_conv_stage
+    from ..stages.mining_stage import fluss_cac_checked_op
 
-    packed = pack_series(transcripts_from_events(sf_dir))
-    sel = packed.sort("conv_id").limit(10)
-    return per_conv_stage(
-        sel, fluss_cac_checked_op,
-        {"w": CFG.window_size, "ez": CFG.ez,
-         "zone": exclusion_zone(CFG.window_size, CFG.ez)})
+    return _first_convs(sf_dir, fluss_cac_checked_op,
+                        w=CFG.window_size, ez=CFG.ez, zone=_ZONE)
 
 
 def q_fluss_segments_checked(sf_dir: str):
@@ -1427,14 +1443,11 @@ def q_fluss_segments_checked(sf_dir: str):
     cac ≥ 1) tied to SQL on the same 10 convs: both sides extract from the
     same rounded deterministic CAC; the SQL unrolls the loop to 3 chained
     argmin levels; integer-only member rows hash-matched."""
-    from ..stages.mining_stage import fluss_segments_checked_op, per_conv_stage
+    from ..stages.mining_stage import fluss_segments_checked_op
 
-    packed = pack_series(transcripts_from_events(sf_dir))
-    sel = packed.sort("conv_id").limit(10)
-    return per_conv_stage(
-        sel, fluss_segments_checked_op,
-        {"w": CFG.window_size, "ez_factor": 1.0, "num_segments": 3,
-         "zone": exclusion_zone(CFG.window_size, CFG.ez)})
+    return _first_convs(sf_dir, fluss_segments_checked_op,
+                        w=CFG.window_size, ez_factor=1.0, num_segments=3,
+                        zone=_ZONE)
 
 
 def q_chains_checked(sf_dir: str):
@@ -1442,70 +1455,46 @@ def q_chains_checked(sf_dir: str):
     directional rounded-argmin indices, maximal-path chain set asserted
     in-op, integer member rows hash-matched against a recursive-CTE
     oracle."""
-    from ..stages.mining_stage import chains_checked_op, per_conv_stage
+    from ..stages.mining_stage import chains_checked_op
 
-    packed = pack_series(transcripts_from_events(sf_dir))
-    sel = packed.sort("conv_id").limit(10)
-    return per_conv_stage(
-        sel, chains_checked_op,
-        {"w": CFG.window_size, "ez": CFG.ez,
-         "zone": exclusion_zone(CFG.window_size, CFG.ez)})
+    return _first_convs(sf_dir, chains_checked_op,
+                        w=CFG.window_size, ez=CFG.ez, zone=_ZONE)
 
 
 def q_mpdist_checked(sf_dir: str):
     """Production mpdist kernel tied to SQL: consecutive pairs among numeric
     conv ids < 10, oracle-order k-th-smallest asserted in-op."""
-    from ..stages.mining_stage import conv_pair_stage, mpdist_checked_pair_op
+    from ..stages.mining_stage import mpdist_checked_pair_op
 
-    packed = pack_series(transcripts_from_events(sf_dir))
-
-    def flt(batch: pa.Table) -> pa.Table:
-        from ..stages.mining_stage import _conv_num
-
-        num = np.array([_conv_num(s) for s in batch["conv_id"].to_pylist()],
-                       dtype=np.int64)
-        return batch.filter(pa.array(num < 10))
-
-    packed = packed.map_batches(flt, batch_format="pyarrow")
-    return conv_pair_stage(packed, mpdist_checked_pair_op,
-                           {"w": CFG.window_size})
+    return _first_pairs(sf_dir, mpdist_checked_pair_op)
 
 
 def q_valmod_checked(sf_dir: str):
     """valmod tied to SQL: per-window oracle-order profiles, 1/sqrt(w)
     normalized, rounded-before-min with smallest-w ties; the production
     sweep asserted in-op (10 smallest convs)."""
-    from ..stages.mining_stage import per_conv_stage, valmod_checked_op
+    from ..stages.mining_stage import valmod_checked_op
 
-    packed = pack_series(transcripts_from_events(sf_dir))
-    sel = packed.sort("conv_id").limit(10)
-    return per_conv_stage(sel, valmod_checked_op,
-                          {"wmin": 6, "wmax": 12, "ez": CFG.ez})
+    return _first_convs(sf_dir, valmod_checked_op, wmin=6, wmax=12, ez=CFG.ez)
 
 
 def q_mstomp_checked(sf_dir: str):
     """Production mstomp kernel tied to SQL: oracle-order k-of-3 averaged
     z-distance profiles, asserted in-op (10 smallest convs)."""
-    from ..stages.mining_stage import mstomp_checked_op, per_conv_stage
+    from ..stages.mining_stage import mstomp_checked_op
 
-    packed = pack_series(transcripts_from_events(sf_dir))
-    sel = packed.sort("conv_id").limit(10)
-    return per_conv_stage(
-        sel, mstomp_checked_op,
-        {"w": CFG.window_size,
-         "zone": exclusion_zone(CFG.window_size, CFG.ez)})
+    return _first_convs(sf_dir, mstomp_checked_op,
+                        w=CFG.window_size, zone=_ZONE)
 
 
 def q_pmp_checked(sf_dir: str):
     """Production pmp sweep tied to SQL: per-window oracle-order exact
     profiles over windows [6, 8, 10, 12], mpx-per-window asserted in-op
     with finiteness-mask agreement (10 smallest conv_ids)."""
-    from ..stages.mining_stage import per_conv_stage, pmp_checked_op
+    from ..stages.mining_stage import pmp_checked_op
 
-    packed = pack_series(transcripts_from_events(sf_dir))
-    sel = packed.sort("conv_id").limit(10)
-    return per_conv_stage(sel, pmp_checked_op,
-                          {"windows": [6, 8, 10, 12], "ez": CFG.ez})
+    return _first_convs(sf_dir, pmp_checked_op,
+                        windows=[6, 8, 10, 12], ez=CFG.ez)
 
 
 def q_snippets_checked(sf_dir: str):
@@ -1528,44 +1517,27 @@ def q_dist_profile_checked(sf_dir: str):
     """MASS v3 tied to SQL: oracle-order z-distance of window 0 vs the MASS
     kernel, asserted in-op, oracle-order values emitted (10 smallest
     convs)."""
-    from ..stages.mining_stage import distprof_checked_op, per_conv_stage
+    from ..stages.mining_stage import distprof_checked_op
 
-    packed = pack_series(transcripts_from_events(sf_dir))
-    sel = packed.sort("conv_id").limit(10)
-    return per_conv_stage(sel, distprof_checked_op, {"w": CFG.window_size})
+    return _first_convs(sf_dir, distprof_checked_op, w=CFG.window_size)
 
 
 def q_stompi_checked(sf_dir: str):
     """Streaming stompi tied to SQL: 2/3 seed + 1/3 incremental appends must
     equal the oracle-order batch profile (asserted in-op), which the
     mp_exact SQL (min length 4w) recomputes."""
-    from ..stages.mining_stage import per_conv_stage, stompi_checked_op
+    from ..stages.mining_stage import stompi_checked_op
 
-    packed = pack_series(transcripts_from_events(sf_dir))
-    sel = packed.sort("conv_id").limit(10)
-    return per_conv_stage(
-        sel, stompi_checked_op,
-        {"w": CFG.window_size,
-         "zone": exclusion_zone(CFG.window_size, CFG.ez)})
+    return _first_convs(sf_dir, stompi_checked_op,
+                        w=CFG.window_size, zone=_ZONE)
 
 
 def q_ab_join_checked(sf_dir: str):
     """AB-join kernel tied to SQL: consecutive pairs among numeric conv ids
     < 10, mpx query-mode vs oracle-order cross distance asserted in-op."""
-    from ..stages.mining_stage import abjoin_checked_pair_op, conv_pair_stage
+    from ..stages.mining_stage import abjoin_checked_pair_op
 
-    packed = pack_series(transcripts_from_events(sf_dir))
-
-    def flt(batch: pa.Table) -> pa.Table:
-        from ..stages.mining_stage import _conv_num
-
-        num = np.array([_conv_num(s) for s in batch["conv_id"].to_pylist()],
-                       dtype=np.int64)
-        return batch.filter(pa.array(num < 10))
-
-    packed = packed.map_batches(flt, batch_format="pyarrow")
-    return conv_pair_stage(packed, abjoin_checked_pair_op,
-                           {"w": CFG.window_size})
+    return _first_pairs(sf_dir, abjoin_checked_pair_op)
 
 
 def q_dist_profile(sf_dir: str):
@@ -1603,7 +1575,8 @@ def q_multimodal(sf_dir: str):
 
 
 def q_floss_streaming(sf_dir: str):
-    """Streaming FLOSS segmentation per conversation (keyed actor stage)."""
+    """Streaming FLOSS segmentation per conversation: each packed conv is
+    replayed chunkwise through one ``FlossState`` inside an actor pool."""
     from ..stages.floss_stage import floss_over_dataset
 
     packed = pack_series(transcripts_from_events(sf_dir))

@@ -1,19 +1,23 @@
-"""FLOSS — streaming semantic segmentation as a keyed Ray actor stage.
+"""FLOSS — streaming semantic segmentation, replayed per conversation.
 
 Engine analog of the reference's online loop (``floss()``
 /root/reference/R/fluss.R:66-137: chunks of new points → ``stompi_update`` →
 ``floss_cac`` one-sided corrected arc counts → threshold extraction
-``floss_extract`` fluss.R:163-230), re-hosted as per-conversation keyed state
-inside an actor (SURVEY.md §3.3): {tail buffer, profile arrays, cac_final,
-offset} per conv. The same shape is the template for incremental tier updates.
+``floss_extract`` fluss.R:163-230). ``FlossState`` holds one stream's state
+(SURVEY.md §3.3): {tail buffer, profile arrays, cac_final, offset}; feed it
+chunks with ``append`` for true streaming.
 
-Ordering contract: batches must arrive per conv in turn order (the engine's
-stable (conv_id, turn_idx) invariant). No watermark/late data — matching the
-reference's in-order append assumption (SURVEY.md §2.10).
+``floss_over_dataset`` runs it distributed over a packed Dataset:
+``FlossActor.__call__`` builds a FRESH ``FlossState`` per packed row and
+replays that conversation's whole series through it in ``chunk``-point
+appends, so nothing is kept across rows or batches — the actor holds only
+its constructor settings, and there is no keyed cross-batch state to lose
+or resume. Keyed state that survives across micro-batches (and a
+checkpoint for it) does not exist yet (ROADMAP item 7).
 
-Use ``FlossActor`` directly for true streaming (feed micro-batches), or
-``floss_over_dataset`` to run it distributed per conversation over a packed
-Dataset (each conv replayed in chunks inside ``map_batches`` actors).
+Ordering contract: a stream's chunks must arrive in turn order (the
+engine's stable (conv_id, turn_idx) invariant). No watermark/late data —
+matching the reference's in-order append assumption (SURVEY.md §2.10).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from ..kernels.stompi import StreamingProfile
 
 
 class FlossState:
-    """Per-conversation FLOSS state (one entry in the actor's dict)."""
+    """One stream's FLOSS state; ``FlossActor`` builds one per packed row."""
 
     def __init__(self, w: int, data_window: int, ez: float = DEFAULT_EZ,
                  threshold: float = 0.35):

@@ -21,21 +21,36 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..config import DEFAULT_EZ, SIGNALS, EngineConfig, session_cpus
+from ..config import (DEFAULT_EZ, EPS, SIGNALS, EngineConfig, exclusion_zone,
+                      session_cpus)
 from ..kernels.block_join import auto_profile
+from ..kernels.mass import dist_profile
 from ..kernels.mining import (
     av_complexity,
     find_chains,
     find_discords,
     find_motifs,
+    find_snippet,
     fluss,
     fluss_cac,
     fluss_extract,
+    mpdist,
+    pmp,
+    valmod,
 )
 from ..kernels.mpx import mpx
 from ..kernels.mstomp import mstomp
+from ..kernels.profile_types import empty_profile
+from ..kernels.salient import salient_subsequences
 from ..kernels.stompi import StreamingProfile
 from .signals import key_runs, repeat_labels
+
+
+#: the signal every oracle-checked op and ``conv_pair_stage`` read, and the
+#: decimal places of the values the checked ops emit (the SQL oracles round
+#: to the same 6 dp)
+_ORACLE_SIGNAL = "text_len"
+_DP = 6
 
 
 def _const_col(value: str, n: int) -> pa.Array:
@@ -44,30 +59,39 @@ def _const_col(value: str, n: int) -> pa.Array:
     return repeat_labels([value], [n])
 
 
-def _assert_finiteness_agrees(oracle_fin: np.ndarray, prod: np.ndarray,
-                              what: str, conv_id,
-                              symmetric: bool = True) -> None:
-    """Gate hardening (round-3 ADVICE): the value asserts below compare only
-    where BOTH oracle and production are finite, so a kernel regression that
-    wrongly emits Inf/NaN at oracle-finite windows would pass vacuously
-    (np.allclose on an empty mask is True). Assert the masks themselves:
-    production must be finite wherever the oracle is (and, for the 1-D
-    kernels whose skip semantics are defined to match the oracle's sd==0
-    rule exactly, vice versa)."""
-    prod_fin = np.isfinite(prod[: len(oracle_fin)])
-    bad = oracle_fin & ~prod_fin
-    if bad.any():
+def _assert_agrees(prod: np.ndarray, oracle: np.ndarray, what: str,
+                   where: str, atol: float, fin: np.ndarray | None = None,
+                   symmetric: bool = True) -> None:
+    """The one production-vs-oracle gate of every ``*_checked`` op: ``prod``
+    (cut to the oracle's length) must lie within ``atol`` of ``oracle``
+    with rtol=0 (np.allclose's default rtol silently weakens the gate).
+
+    With ``fin`` (the oracle's finite mask) values are compared only where
+    both sides are finite, and the masks are asserted first: np.allclose on
+    an empty mask is True, so a kernel that wrongly emits Inf/NaN would
+    otherwise pass vacuously. Production must be finite wherever the oracle
+    is and, when ``symmetric`` (kernels whose skip rule is exactly the
+    oracle's sd==0 rule), non-finite wherever it is not. ``fin=None``
+    compares every position, finite or not."""
+    prod = prod[: len(oracle)]
+    both = slice(None)
+    if fin is not None:
+        prod_fin = np.isfinite(prod)
+        sides = [("non-finite", fin & ~prod_fin)]
+        if symmetric:
+            sides.append(("finite", prod_fin & ~fin))
+        for state, bad in sides:
+            if bad.any():
+                raise AssertionError(
+                    f"{what} deviates from the oracle on {where}: {state} "
+                    f"at {int(bad.sum())} window(s) where the oracle is not "
+                    f"(first at {int(np.flatnonzero(bad)[0])})")
+        both = fin & prod_fin
+    if not np.allclose(prod[both], oracle[both], rtol=0.0, atol=atol):
+        worst = float(np.abs(prod[both] - oracle[both]).max())
         raise AssertionError(
-            f"{what}: production kernel non-finite at {int(bad.sum())} "
-            f"oracle-finite window(s) on conv {conv_id} "
-            f"(first at {int(np.flatnonzero(bad)[0])})")
-    if symmetric:
-        bad = prod_fin & ~oracle_fin
-        if bad.any():
-            raise AssertionError(
-                f"{what}: production kernel finite at {int(bad.sum())} "
-                f"oracle-non-finite window(s) on conv {conv_id} "
-                f"(first at {int(np.flatnonzero(bad)[0])})")
+            f"{what} deviates from the oracle-order value on {where}: "
+            f"max|Δ|={worst:.2e} > atol={atol}")
 
 
 def _series(batch: pa.Table, row: int, sig: str) -> np.ndarray:
@@ -76,10 +100,9 @@ def _series(batch: pa.Table, row: int, sig: str) -> np.ndarray:
             .astype(np.float64, copy=False))
 
 
-def per_conv_stage(ds_packed, fn, fn_kwargs: dict | None = None, *,
-                   batch_size: int = 1, num_cpus: float = 1.0):
+def per_conv_stage(ds_packed, fn, fn_kwargs: dict | None = None):
     """Generic fan-out: ``fn(conv_id, batch, row, **kw) -> pa.Table | None``
-    over packed conversation rows; one conv per task by default."""
+    over packed conversation rows; one conv per task."""
 
     def runner(batch: pa.Table, fn=fn, kw=fn_kwargs or {}) -> pa.Table:
         outs = []
@@ -93,7 +116,7 @@ def per_conv_stage(ds_packed, fn, fn_kwargs: dict | None = None, *,
         return pa.concat_tables(outs)
 
     return ds_packed.map_batches(runner, batch_format="pyarrow",
-                                 batch_size=batch_size, num_cpus=num_cpus)
+                                 batch_size=1, num_cpus=1)
 
 
 # ------------------------------------------------------------------- ops
@@ -315,8 +338,6 @@ def distprofile_op(conv_id, batch, r, *, w: int, signal: str = "text_len",
     mass-pre-w.R:35-91). Skip locations stay +Inf (valid float64 parquet)."""
     if conv_id is None:
         return _DISTPROF_SCHEMA.empty_table()
-    from ..kernels.mass import dist_profile
-
     x = _series(batch, r, signal)
     if len(x) < 2 * w + query_at:
         return None
@@ -338,22 +359,47 @@ _MP_EXACT_SCHEMA = pa.schema([
 ])
 
 
-def _blocked_self_d2(z: np.ndarray, ok: np.ndarray, zone: int):
+def _z_windows(x: np.ndarray, w: int):
+    """Oracle-order z-normalized window rows + validity mask (sd > 0)."""
+    win = np.lib.stride_tricks.sliding_window_view(x, w)
+    mu = win.mean(axis=1)
+    sd = win.std(axis=1)
+    ok = sd > 0
+    z = np.where(ok[:, None],
+                 (win - mu[:, None]) / np.where(ok, sd, 1.0)[:, None], 0.0)
+    return z, ok
+
+
+def _blocked_d2(za: np.ndarray, zb: np.ndarray, okb: np.ndarray,
+                zone: int | None = None):
     """Yield (lo, hi, d2) ROW BLOCKS of pairwise squared distances between
-    oracle-order z-rows (``_z_windows``), with the |i-j| ≤ zone exclusion
-    band and sd==0 columns masked to inf — the one home for the self-join
-    oracle-order masking semantics (memory O(block × p), never O(p²); the
-    k-sum's summation order is absorbed by the callers' round_dp)."""
-    p = len(z)
-    col_idx = np.arange(p)
-    blk_rows = p if p <= 2048 else 512
-    for lo in range(0, p, blk_rows):
-        hi = min(lo + blk_rows, p)
-        d2 = ((z[lo:hi, None, :] - z[None, :, :]) ** 2).sum(axis=2)
-        band = np.abs(np.arange(lo, hi)[:, None] - col_idx[None, :]) <= zone
-        d2[band] = np.inf
-        d2[:, ~ok] = np.inf
+    oracle-order z-rows (``_z_windows``) of A (rows) and B (columns), sd==0
+    B columns masked to inf; for a self-join (B = A) ``zone`` also masks
+    the |i-j| ≤ zone exclusion band. The one home for the oracle-order
+    pairwise arithmetic of every ``*_checked`` op: one block up to 4M
+    pairs, else 512 rows at a time (memory O(512 × p_b)); the k-sum's
+    summation order is absorbed by the callers' rounding."""
+    p_a, p_b = len(za), len(zb)
+    step = p_a if p_a * p_b <= 1 << 22 else 512
+    col_idx = np.arange(p_b)
+    for lo in range(0, p_a, step):
+        hi = min(lo + step, p_a)
+        d2 = ((za[lo:hi, None, :] - zb[None, :, :]) ** 2).sum(axis=2)
+        if zone is not None:
+            d2[np.abs(np.arange(lo, hi)[:, None] - col_idx[None, :])
+               <= zone] = np.inf
+        d2[:, ~okb] = np.inf
         yield lo, hi, d2
+
+
+def _row_min(ok: np.ndarray, blocks) -> np.ndarray:
+    """sqrt of each row's minimum over ``_blocked_d2`` blocks; inf at the
+    rows that are not ``ok`` (sd==0 query windows)."""
+    d2min = np.full(len(ok), np.inf)
+    for lo, hi, d2 in blocks:
+        d2min[lo:hi] = d2.min(axis=1)
+    d2min[~ok] = np.inf
+    return np.sqrt(d2min)
 
 
 def _oracle_order_mp(x: np.ndarray, w: int, zone: int):
@@ -362,42 +408,42 @@ def _oracle_order_mp(x: np.ndarray, w: int, zone: int):
     sqrt(min over |i-j|>zone of Σ_k (zi_k - zj_k)²) — the exact arithmetic a
     SQL self-join oracle performs. Returns (mp, ok-mask)."""
     z, ok = _z_windows(x, w)
-    mp2 = np.full(len(z), np.inf)
-    for lo, hi, d2 in _blocked_self_d2(z, ok, zone):
-        mp2[lo:hi] = d2.min(axis=1)
-    mp2[~ok] = np.inf
-    return np.sqrt(mp2), ok
+    return _row_min(ok, _blocked_d2(z, z, ok, zone)), ok
 
 
-def _mp_exact_table(conv_id: str, mp: np.ndarray, ok: np.ndarray,
-                    round_dp: int) -> pa.Table:
+def _cross_min(xa: np.ndarray, xb: np.ndarray, w: int) -> np.ndarray:
+    """Oracle-order AB-join profile: per A-window, sqrt(min over sd>0
+    B-windows of the z-distance²); inf at sd==0 A-windows — the cross-join
+    minimum the AB-join and MPdist SQL oracles compute."""
+    za, oka = _z_windows(xa, w)
+    zb, okb = _z_windows(xb, w)
+    return _row_min(oka, _blocked_d2(za, zb, okb))
+
+
+def _mp_exact_table(conv_id: str, mp: np.ndarray, ok: np.ndarray) -> pa.Table:
     keep = ok & np.isfinite(mp)
     idx = np.flatnonzero(keep)
     return pa.table({
         "conv_id": _const_col(conv_id, len(idx)),
         "window_idx": pa.array(idx.astype(np.int64)),
-        "mp": pa.array(np.round(mp[idx], round_dp)),
+        "mp": pa.array(np.round(mp[idx], _DP)),
     }, schema=_MP_EXACT_SCHEMA)
 
 
-def mp_exact_op(conv_id, batch, r, *, w: int, zone: int,
-                signal: str = "text_len", round_dp: int = 6):
+def mp_exact_op(conv_id, batch, r, *, w: int, zone: int):
     """Oracle-order matrix profile (see ``_oracle_order_mp``) — the
     oracle-friendly flagship-correctness query; rounded values hash-match a
     SQL self-join computing the identical znorm-ED arithmetic."""
     if conv_id is None:
         return _MP_EXACT_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+    x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
-    mp, ok = _oracle_order_mp(x, w, zone)
-    return _mp_exact_table(conv_id, mp, ok, round_dp)
+    return _mp_exact_table(conv_id, *_oracle_order_mp(x, w, zone))
 
 
 def profile_checked_op(conv_id, batch, r, *, w: int, zone: int,
-                       ez: float = DEFAULT_EZ,
-                       signal: str = "text_len", round_dp: int = 6,
-                       atol: float = 2e-5):
+                       ez: float = DEFAULT_EZ, atol: float = 2e-5):
     """PRODUCTION-kernel profile (blocked/mpx auto-pick — the same kernel the
     flagship ``profiles`` query runs) tied to the SQL oracle: the op also
     computes the oracle-order exact profile, ASSERTS the production kernel
@@ -408,72 +454,45 @@ def profile_checked_op(conv_id, batch, r, *, w: int, zone: int,
     row (round-2 verdict item 5)."""
     if conv_id is None:
         return _MP_EXACT_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+    x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
     mp, ok = _oracle_order_mp(x, w, zone)
-    prod = auto_profile(x, w, ez)
-    pm = prod.mp[: len(mp)]
-    _assert_finiteness_agrees(ok & np.isfinite(mp), pm,
-                              "profile_checked", conv_id)
-    both = ok & np.isfinite(mp) & np.isfinite(pm)
-    if not np.allclose(pm[both], mp[both], rtol=0.0, atol=atol):
-        worst = float(np.abs(pm[both] - mp[both]).max())
-        raise AssertionError(
-            f"production profile kernel deviates from oracle-order exact "
-            f"profile on conv {conv_id}: max|Δ|={worst:.2e} > atol={atol}")
-    return _mp_exact_table(conv_id, mp, ok, round_dp)
+    _assert_agrees(auto_profile(x, w, ez).mp, mp, "production profile kernel",
+                   f"conv {conv_id}", atol, fin=ok & np.isfinite(mp))
+    return _mp_exact_table(conv_id, mp, ok)
 
 
-def _oracle_order_pi(x: np.ndarray, w: int, zone: int, round_dp: int = 6):
-    """Oracle-order profile INDEX: per window, the argmin over |i-j|>zone of
-    the 6dp-ROUNDED z-normalized distance, ties broken by smallest j — the
-    deterministic selection a SQL ``row_number() OVER (ORDER BY dist, j)``
-    reproduces (the motifs_checked recipe: round BEFORE selection, because
-    integer signals make exact distance ties common). sd==0 windows are
-    dropped on both sides; returns pi (-1 where no valid pair) of length
-    p = n - w + 1."""
-    z, ok = _z_windows(x, w)
-    pi = np.full(len(z), -1, dtype=np.int64)
-    for lo, hi, d2 in _blocked_self_d2(z, ok, zone):
-        dr = np.round(np.sqrt(d2), round_dp)
-        j = np.argmin(dr, axis=1)  # first minimum = smallest j tie-break
-        has = np.isfinite(dr[np.arange(hi - lo), j])
-        pi[lo:hi][has] = j[has]
-    pi[~ok] = -1
-    return pi, ok
-
-
-def _oracle_order_dir(x: np.ndarray, w: int, zone: int, round_dp: int = 6):
-    """Oracle-order DIRECTIONAL profile indices: per window i, the
-    rounded-argmin (smallest-j tie-break) over the left candidates
-    (j < i - zone) and the right candidates (j > i + zone) separately —
-    the deterministic selection a SQL row_number reproduces. Returns
-    (lpi, rpi, rmp_rounded): -1 / inf where a side has no valid candidate;
-    sd==0 windows dropped on both sides."""
+def _oracle_order_pi(x: np.ndarray, w: int, zone: int):
+    """Oracle-order profile INDICES: per window i, the argmin over |i-j|>zone
+    of the ``_DP``-ROUNDED z-normalized distance, ties broken by smallest j
+    — the deterministic selection a SQL ``row_number() OVER (ORDER BY dist,
+    j)`` reproduces (round BEFORE selection: integer signals make exact
+    distance ties common). One pass selects over the left (j < i) and right
+    (j > i) candidates; the two-sided index is the better side, the left
+    one on ties (its j is smaller). sd==0 windows are dropped on both sides.
+    Returns (pi, lpi, rpi, rmp_rounded, ok): -1 / inf where there is no
+    valid candidate."""
     z, ok = _z_windows(x, w)
     p = len(z)
     col_idx = np.arange(p)
-    lpi = np.full(p, -1, dtype=np.int64)
-    rpi = np.full(p, -1, dtype=np.int64)
-    rmp = np.full(p, np.inf)
-    for lo, hi, d2 in _blocked_self_d2(z, ok, zone):
+    idx = np.full((2, p), -1, dtype=np.int64)
+    dist = np.full((2, p), np.inf)
+    for lo, hi, d2 in _blocked_d2(z, z, ok, zone):
         rows = np.arange(lo, hi)[:, None]
-        dr = np.round(np.sqrt(d2), round_dp)
-        left = np.where(col_idx[None, :] < rows, dr, np.inf)
-        right = np.where(col_idx[None, :] > rows, dr, np.inf)
+        dr = np.round(np.sqrt(d2), _DP)
         r = np.arange(hi - lo)
-        jl = np.argmin(left, axis=1)
-        hasl = np.isfinite(left[r, jl])
-        lpi[lo:hi][hasl] = jl[hasl]
-        jr = np.argmin(right, axis=1)
-        hasr = np.isfinite(right[r, jr])
-        rpi[lo:hi][hasr] = jr[hasr]
-        rmp[lo:hi][hasr] = right[r, jr][hasr]
-    lpi[~ok] = -1
-    rpi[~ok] = -1
-    rmp[~ok] = np.inf
-    return lpi, rpi, rmp
+        for s, side in enumerate((col_idx[None, :] < rows,
+                                  col_idx[None, :] > rows)):
+            ds = np.where(side, dr, np.inf)
+            j = np.argmin(ds, axis=1)  # first minimum = smallest j tie-break
+            has = np.isfinite(ds[r, j])
+            idx[s, lo:hi][has] = j[has]
+            dist[s, lo:hi][has] = ds[r, j][has]
+    idx[:, ~ok] = -1
+    dist[:, ~ok] = np.inf
+    pi = np.where(dist[1] < dist[0], idx[1], idx[0])
+    return pi, idx[0], idx[1], dist[1], ok
 
 
 _CHAINS_CHECKED_SCHEMA = pa.schema([
@@ -483,26 +502,22 @@ _CHAINS_CHECKED_SCHEMA = pa.schema([
 
 
 def chains_checked_op(conv_id, batch, r, *, w: int, zone: int,
-                      ez: float = DEFAULT_EZ, signal: str = "text_len",
-                      round_dp: int = 6):
+                      ez: float = DEFAULT_EZ):
     """PRODUCTION ``find_chains`` (rpi-walk with lpi back-link check,
     /root/reference/R/find-chains.R:18-77) tied to SQL: both sides build
     directional indices by the deterministic rounded-argmin selection
-    (:func:`_oracle_order_dir`); the op derives the chain set independently
+    (:func:`_oracle_order_pi`); the op derives the chain set independently
     as the maximal paths of the edge relation {j → rpi[j] iff
     lpi[rpi[j]] == j} (in/out-degree ≤ 1 ⇒ simple paths), ASSERTS the
     production walker returns exactly those chains, and emits the
     integer-only member rows (chains longer than 2) that a recursive-CTE
     SQL oracle reproduces."""
-    from ..kernels.mining import find_chains
-    from ..kernels.profile_types import empty_profile
-
     if conv_id is None:
         return _CHAINS_CHECKED_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+    x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
-    lpi, rpi, rmp = _oracle_order_dir(x, w, zone, round_dp)
+    _, lpi, rpi, rmp, _ = _oracle_order_pi(x, w, zone)
     p = len(lpi)
     # oracle chain set: maximal paths of the edge relation
     src = np.flatnonzero((rpi >= 0) & (rpi < p))
@@ -570,49 +585,50 @@ def _oracle_cac(pi_o: np.ndarray, zf: int) -> np.ndarray:
     return cac
 
 
+def _gated_cac(conv_id, x: np.ndarray, w: int, zone: int, ez_factor: float,
+               atol: float):
+    """Oracle-order CAC (:func:`_oracle_cac`, edge zone round(w·ez_factor))
+    on the rounded-argmin pi, with the production ``fluss_cac`` gated on
+    the same pi (linspace vs pos/(p-1) division differ only in ulps); None
+    when no window is valid."""
+    pi_o, *_, ok = _oracle_order_pi(x, w, zone)
+    if not ok.any():
+        return None
+    cac = _oracle_cac(pi_o, int(round(w * ez_factor + EPS)))
+    prof = empty_profile(len(pi_o), w, ez_factor / 10.0, algorithm="checked")
+    prof.pi = pi_o
+    _assert_agrees(fluss_cac(prof, ez_factor=ez_factor), cac,
+                   "production fluss_cac", f"conv {conv_id}", atol)
+    return cac
+
+
 def fluss_cac_checked_op(conv_id, batch, r, *, w: int, zone: int,
-                         ez: float = DEFAULT_EZ, signal: str = "text_len",
-                         round_dp: int = 6, atol: float = 2e-5):
+                         ez: float = DEFAULT_EZ, atol: float = 2e-5):
     """PRODUCTION ``fluss_cac`` (arc scatter/cumsum, beta(2,2) ideal
     parabola, clamps, edge-zone forcing — kernels/mining.py,
     /root/reference/R/fluss.R:307-355) tied to SQL: both sides build the
     profile index by the deterministic rounded-argmin selection
     (:func:`_oracle_order_pi`), the op runs the production CAC on that pi,
-    asserts it equals the SQL-order arithmetic (linspace vs pos/(p-1)
-    division differ only in ulps) and emits the oracle-order values.
+    asserts it equals the SQL-order arithmetic and emits the oracle-order
+    values.
 
     Scope: this gates the CAC pipeline; the pi VALUES themselves are gated
     at distance level by ``profiles_checked`` (index ties under unrounded
     production kernels are legitimately arbitrary, so the production mpx
     pi cannot be hash-compared directly)."""
-    from ..config import EPS
-    from ..kernels.mining import fluss_cac
-    from ..kernels.profile_types import empty_profile
-
     if conv_id is None:
         return _FLUSS_CAC_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+    x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
-    pi_o, ok = _oracle_order_pi(x, w, zone, round_dp)
-    if not ok.any():
+    cac = _gated_cac(conv_id, x, w, zone, ez * 10, atol)
+    if cac is None:
         return None
-    p = len(pi_o)
-    zf = int(round(w * ez * 10 + EPS))
-    cac = _oracle_cac(pi_o, zf)
-    # gate the production kernel on the same deterministic pi
-    prof = empty_profile(p, w, ez, algorithm="checked")
-    prof.pi = pi_o
-    prod = fluss_cac(prof)
-    if not np.allclose(prod, cac, rtol=0.0, atol=atol):
-        worst = float(np.abs(prod - cac).max())
-        raise AssertionError(
-            f"production fluss_cac deviates from oracle-order CAC on conv "
-            f"{conv_id}: max|Δ|={worst:.2e} > atol={atol}")
+    p = len(cac)
     return pa.table({
         "conv_id": _const_col(conv_id, p),
         "window_idx": pa.array(np.arange(p, dtype=np.int64)),
-        "cac": pa.array(np.round(cac, round_dp)),
+        "cac": pa.array(np.round(cac, _DP)),
     }, schema=_FLUSS_CAC_SCHEMA)
 
 
@@ -624,13 +640,12 @@ _FLUSS_SEG_CHECKED_SCHEMA = pa.schema([
 
 def fluss_segments_checked_op(conv_id, batch, r, *, w: int, zone: int,
                               ez_factor: float = 1.0, num_segments: int = 3,
-                              signal: str = "text_len", round_dp: int = 6,
                               atol: float = 2e-5):
     """PRODUCTION ``fluss_extract`` (iterative argmin + ±zone·suppression,
     stop at cac ≥ 1 — /root/reference/R/fluss.R:254-282) tied to SQL.
 
     Both sides build the CAC deterministically (rounded-argmin pi, the
-    :func:`_oracle_cac` arithmetic, values rounded to ``round_dp`` BEFORE
+    :func:`_oracle_cac` arithmetic, values rounded to ``_DP`` BEFORE
     extraction — argmin on unrounded floats would make selection ties
     fold-order-dependent); the op asserts the production ``fluss_cac``
     against the oracle-order CAC, then runs the production ``fluss_extract``
@@ -644,32 +659,16 @@ def fluss_segments_checked_op(conv_id, batch, r, *, w: int, zone: int,
     defaults to 1.0 — the reference default 10·ez = 5 forces the whole CAC
     to 1 on sf0.01-sized convs (p ≈ 60 < 2·zone = 80), which would gate
     nothing."""
-    from ..config import EPS
-    from ..kernels.mining import fluss_cac, fluss_extract
-    from ..kernels.profile_types import empty_profile
-
     if conv_id is None:
         return _FLUSS_SEG_CHECKED_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+    x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
-    pi_o, ok = _oracle_order_pi(x, w, zone, round_dp)
-    if not ok.any():
+    cac = _gated_cac(conv_id, x, w, zone, ez_factor, atol)
+    if cac is None:
         return None
-    p = len(pi_o)
-    zf = int(round(w * ez_factor + EPS))
-    cac = _oracle_cac(pi_o, zf)
-    # gate the production CAC kernel on the same deterministic pi
-    prof = empty_profile(p, w, ez_factor / 10.0, algorithm="checked")
-    prof.pi = pi_o
-    prod_cac = fluss_cac(prof, ez_factor=ez_factor)
-    if not np.allclose(prod_cac, cac, rtol=0.0, atol=atol):
-        worst = float(np.abs(prod_cac - cac).max())
-        raise AssertionError(
-            f"production fluss_cac deviates from oracle-order CAC on conv "
-            f"{conv_id}: max|Δ|={worst:.2e} > atol={atol}")
     # PRODUCTION extraction loop on the rounded oracle CAC (bitwise == SQL)
-    segs = fluss_extract(np.round(cac, round_dp), w,
+    segs = fluss_extract(np.round(cac, _DP), w,
                          num_segments=num_segments, ez_factor=ez_factor)
     if not segs:
         return None
@@ -721,8 +720,6 @@ _PMP_SCHEMA = pa.schema([
 def pmp_op(conv_id, batch, r, *, windows, signal: str = "text_len"):
     """Pan-matrix-profile sweep per conversation
     (/root/reference/R/pmp.R:166-211)."""
-    from ..kernels.mining import pmp
-
     if conv_id is None:
         return _PMP_SCHEMA.empty_table()
     x = _series(batch, r, signal)
@@ -758,8 +755,6 @@ def valmod_op(conv_id, batch, r, *, wmin: int, wmax: int,
     (the reference's R/valmod.R:52-470) with the exact per-window sweep;
     ``valmod_checked_op`` gates the same ``valmod`` call against the SQL
     oracle."""
-    from ..kernels.mining import valmod
-
     if conv_id is None:
         return _VALMOD_SCHEMA.empty_table()
     x = _series(batch, r, signal)
@@ -786,8 +781,6 @@ def salient_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
                n_bits: int = 6, n_cand: int = 8, signal: str = "text_len"):
     """MDL salient subsequences per conversation
     (/root/reference/R/salient.R)."""
-    from ..kernels.salient import salient_subsequences
-
     if conv_id is None:
         return _SALIENT_SCHEMA.empty_table()
     x = _series(batch, r, signal)
@@ -817,8 +810,6 @@ def snippet_op(conv_id, batch, r, *, s_size: int, n_snippets: int = 2,
                w: int = 8, signal: str = "text_len"):
     """Representative snippets per conversation
     (/root/reference/R/find-snippet.R:47-142)."""
-    from ..kernels.mining import find_snippet
-
     if conv_id is None:
         return _SNIPPET_SCHEMA.empty_table()
     x = _series(batch, r, signal)
@@ -859,10 +850,10 @@ def conv_pair_stage(ds_packed, fn, fn_kwargs: dict | None = None):
     CONSECUTIVE conversation pairs: numeric-id 2k pairs with 2k+1. The
     pairing key is derived from the numeric conv-id suffix INSIDE each batch
     (no global rank), then ``sort(pair_id)`` co-locates each pair and one
-    call per block loops over its pairs (runs of ``signals.key_runs``).
-    Odd leftover ids (no partner) are dropped."""
+    call per block loops over its pairs (runs of ``signals.key_runs``),
+    passing each conv's ``text_len`` series. Odd leftover ids (no partner)
+    are dropped."""
     kw = fn_kwargs or {}
-    sig = kw.get("signal", "text_len")
 
     def add_pair(batch: pa.Table) -> pa.Table:
         num = np.array([_conv_num(s) for s in batch["conv_id"].to_pylist()],
@@ -886,8 +877,9 @@ def conv_pair_stage(ds_packed, fn, fn_kwargs: dict | None = None):
                 if hi - lo == 2:
                     a, b = sorted((lo, lo + 1),
                                   key=lambda r: _conv_num(ids[r]))
-                    outs.append(fn(ids[a], _series(batch, a, sig),
-                                   ids[b], _series(batch, b, sig), **kw))
+                    outs.append(fn(ids[a], _series(batch, a, _ORACLE_SIGNAL),
+                                   ids[b], _series(batch, b, _ORACLE_SIGNAL),
+                                   **kw))
         outs = [t for t in outs if t is not None]
         return (pa.concat_tables(outs) if outs
                 else fn(None, None, None, None, **kw))
@@ -903,10 +895,8 @@ _MPDIST_SCHEMA = pa.schema([
 ])
 
 
-def mpdist_pair_op(id_a, xa, id_b, xb, *, w: int, signal: str = "text_len"):
+def mpdist_pair_op(id_a, xa, id_b, xb, *, w: int):
     """MPdist between a conversation pair (/root/reference/R/mpdist.R)."""
-    from ..kernels.mining import mpdist
-
     if id_a is None:
         return _MPDIST_SCHEMA.empty_table()
     if len(xa) < 2 * w or len(xb) < 2 * w:
@@ -923,11 +913,9 @@ _ABJOIN_SCHEMA = pa.schema([
 ])
 
 
-def abjoin_pair_op(id_a, xa, id_b, xb, *, w: int, signal: str = "text_len"):
+def abjoin_pair_op(id_a, xa, id_b, xb, *, w: int):
     """AB similarity join, BOTH orientations (join/join-reversed — the
     reference's stamp/stomp AB mode, /root/reference/R/stomp.R query path)."""
-    from ..kernels.mpx import mpx
-
     if id_a is None:
         return _ABJOIN_SCHEMA.empty_table()
     if len(xa) < w or len(xb) < w or min(len(xa), len(xb)) < 2 * w:
@@ -964,32 +952,17 @@ def abjoin_pair_op(id_a, xa, id_b, xb, *, w: int, signal: str = "text_len"):
 # oracle-order values so the hash compare is ulp-immune.
 
 
-def _z_windows(x: np.ndarray, w: int):
-    """Oracle-order z-normalized window rows + validity mask (sd > 0)."""
-    win = np.lib.stride_tricks.sliding_window_view(x, w)
-    mu = win.mean(axis=1)
-    sd = win.std(axis=1)
-    ok = sd > 0
-    z = np.where(ok[:, None],
-                 (win - mu[:, None]) / np.where(ok, sd, 1.0)[:, None], 0.0)
-    return z, ok
-
-
 _DISTPROF_CHECKED_SCHEMA = pa.schema([
     ("conv_id", pa.string()), ("window_idx", pa.int64()), ("d", pa.float64()),
 ])
 
 
-def distprof_checked_op(conv_id, batch, r, *, w: int,
-                        signal: str = "text_len", round_dp: int = 6,
-                        atol: float = 2e-5):
+def distprof_checked_op(conv_id, batch, r, *, w: int, atol: float = 2e-5):
     """MASS v3 distance profile of each conv's window 0, gated by the
     oracle-order exact z-distance (SQL: DIST_PROFILE_CHECKED_SQL)."""
-    from ..kernels.mass import dist_profile
-
     if conv_id is None:
         return _DISTPROF_CHECKED_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+    x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
     z, ok = _z_windows(x, w)
@@ -997,25 +970,18 @@ def distprof_checked_op(conv_id, batch, r, *, w: int,
         return None
     d = np.sqrt(((z - z[0]) ** 2).sum(axis=1))
     d[~ok] = np.inf
-    prod, _ = dist_profile(x, x[:w], method="v3")
-    _assert_finiteness_agrees(ok & np.isfinite(d), prod,
-                              "dist_profile_checked", conv_id)
-    both = ok & np.isfinite(d) & np.isfinite(prod)
-    if not np.allclose(prod[both], d[both], rtol=0.0, atol=atol):
-        worst = float(np.abs(prod[both] - d[both]).max())
-        raise AssertionError(
-            f"MASS v3 deviates from oracle-order distance profile on conv "
-            f"{conv_id}: max|Δ|={worst:.2e} > atol={atol}")
-    idx = np.flatnonzero(ok & np.isfinite(d))
+    fin = ok & np.isfinite(d)
+    _assert_agrees(dist_profile(x, x[:w], method="v3")[0], d, "MASS v3",
+                   f"conv {conv_id}", atol, fin=fin)
+    idx = np.flatnonzero(fin)
     return pa.table({
         "conv_id": _const_col(conv_id, len(idx)),
         "window_idx": pa.array(idx.astype(np.int64)),
-        "d": pa.array(np.round(d[idx], round_dp)),
+        "d": pa.array(np.round(d[idx], _DP)),
     }, schema=_DISTPROF_CHECKED_SCHEMA)
 
 
 def stompi_checked_op(conv_id, batch, r, *, w: int, zone: int,
-                      signal: str = "text_len", round_dp: int = 6,
                       atol: float = 2e-5):
     """STREAMING profile (2/3 seed + 1/3 incremental stompi appends) gated by
     the oracle-order exact batch profile — proving the incremental recurrence
@@ -1024,23 +990,16 @@ def stompi_checked_op(conv_id, batch, r, *, w: int, zone: int,
     bound)."""
     if conv_id is None:
         return _MP_EXACT_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+    x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 4 * w:
         return None
     cut = 2 * len(x) // 3
     sp = StreamingProfile(x[:cut], w)
     sp.update(x[cut:])
-    mp_s = sp.profile.mp
     mp_e, ok = _oracle_order_mp(x, w, zone)
-    _assert_finiteness_agrees(ok & np.isfinite(mp_e), mp_s,
-                              "stompi_checked", conv_id)
-    both = ok & np.isfinite(mp_e) & np.isfinite(mp_s[: len(mp_e)])
-    if not np.allclose(mp_s[: len(mp_e)][both], mp_e[both], rtol=0.0, atol=atol):
-        worst = float(np.abs(mp_s[: len(mp_e)][both] - mp_e[both]).max())
-        raise AssertionError(
-            f"streaming stompi profile deviates from oracle-order batch "
-            f"profile on conv {conv_id}: max|Δ|={worst:.2e} > atol={atol}")
-    return _mp_exact_table(conv_id, mp_e, ok, round_dp)
+    _assert_agrees(sp.profile.mp, mp_e, "streaming stompi profile",
+                   f"conv {conv_id}", atol, fin=ok & np.isfinite(mp_e))
+    return _mp_exact_table(conv_id, mp_e, ok)
 
 
 _ABJOIN_CHECKED_SCHEMA = pa.schema([
@@ -1049,14 +1008,10 @@ _ABJOIN_CHECKED_SCHEMA = pa.schema([
 ])
 
 
-def abjoin_checked_pair_op(id_a, xa, id_b, xb, *, w: int,
-                           signal: str = "text_len", round_dp: int = 6,
-                           atol: float = 2e-5):
+def abjoin_checked_pair_op(id_a, xa, id_b, xb, *, w: int, atol: float = 2e-5):
     """AB join (both directions) gated by the oracle-order exact cross
     z-distance (SQL: AB_JOIN_CHECKED_SQL). Direction is encoded by the
     (conv_a, conv_b) column pair."""
-    from ..kernels.mpx import mpx
-
     if id_a is None:
         return _ABJOIN_CHECKED_SCHEMA.empty_table()
     if len(xa) < 2 * w or len(xb) < 2 * w:
@@ -1067,36 +1022,16 @@ def abjoin_checked_pair_op(id_a, xa, id_b, xb, *, w: int,
     outs = []
     for ia, ib, sa, sb, kernel_mp in ((id_a, id_b, xa, xb, joined.mp),
                                       (id_b, id_a, xb, xa, joined.mpb)):
-        za, oka = _z_windows(sa, w)
-        zb, okb = _z_windows(sb, w)
-        d2 = (((za[:, None, :] - zb[None, :, :]) ** 2).sum(axis=2)
-              if len(za) * len(zb) <= 1 << 22 else None)
-        if d2 is None:  # row blocks for big pairs: O(block × pb) memory
-            d2min = np.full(len(za), np.inf)
-            for lo in range(0, len(za), 512):
-                hi = min(lo + 512, len(za))
-                blk = ((za[lo:hi, None, :] - zb[None, :, :]) ** 2).sum(axis=2)
-                blk[:, ~okb] = np.inf
-                d2min[lo:hi] = blk.min(axis=1)
-        else:
-            d2[:, ~okb] = np.inf
-            d2min = d2.min(axis=1)
-        d = np.sqrt(d2min)
-        d[~oka] = np.inf
-        _assert_finiteness_agrees(oka & np.isfinite(d), kernel_mp,
-                                  "ab_join_checked", f"({ia}, {ib})")
-        both = oka & np.isfinite(d) & np.isfinite(kernel_mp[: len(d)])
-        if not np.allclose(kernel_mp[: len(d)][both], d[both], rtol=0.0, atol=atol):
-            worst = float(np.abs(kernel_mp[: len(d)][both] - d[both]).max())
-            raise AssertionError(
-                f"AB-join kernel deviates from oracle-order cross distance "
-                f"on pair ({ia}, {ib}): max|Δ|={worst:.2e} > atol={atol}")
-        idx = np.flatnonzero(oka & np.isfinite(d))
+        d = _cross_min(sa, sb, w)
+        fin = np.isfinite(d)
+        _assert_agrees(kernel_mp, d, "AB-join kernel", f"pair ({ia}, {ib})",
+                       atol, fin=fin)
+        idx = np.flatnonzero(fin)
         outs.append(pa.table({
             "conv_a": _const_col(ia, len(idx)),
             "conv_b": _const_col(ib, len(idx)),
             "window_idx": pa.array(idx.astype(np.int64)),
-            "mp": pa.array(np.round(d[idx], round_dp)),
+            "mp": pa.array(np.round(d[idx], _DP)),
         }, schema=_ABJOIN_CHECKED_SCHEMA))
     return pa.concat_tables(outs)
 
@@ -1110,43 +1045,37 @@ _MOTIFS_CHECKED_SCHEMA = pa.schema([
 
 
 def motifs_checked_op(conv_id, batch, r, *, w: int, zone: int,
-                      ez: float = DEFAULT_EZ,
-                      signal: str = "text_len", round_dp: int = 6,
-                      atol: float = 2e-5):
+                      ez: float = DEFAULT_EZ, atol: float = 2e-5):
     """Top motif pair + top discord tied to SQL (MOTIFS_CHECKED_SQL): the
-    oracle-order selection rounds distances to ``round_dp`` BEFORE the
+    oracle-order selection rounds distances to ``_DP`` BEFORE the
     argmin/argmax and breaks ties by (i, j) — deterministic in both numpy and
     DuckDB despite summation-order ulp differences (integer-valued signals
-    make exact distance ties common). The production ``find_motifs`` /
-    ``find_discords`` top distances are asserted against the oracle's."""
-    from ..kernels.mining import find_discords, find_motifs
-
+    make exact distance ties common). One pass over the masked distance
+    blocks yields both the profile (for the discord) and the top pair. The
+    production ``find_motifs`` / ``find_discords`` top distances are
+    asserted against the oracle's."""
     if conv_id is None:
         return _MOTIFS_CHECKED_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+    x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
-    mp, ok = _oracle_order_mp(x, w, zone)
-    if not np.isfinite(mp).any():
-        return None
-    # full rounded pair-distance matrix for the motif argmin (convs here are
-    # the 10 smallest; p is a few hundred)
-    z, _ = _z_windows(x, w)
+    z, ok = _z_windows(x, w)
     p = len(z)
-    d2 = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)
-    band = np.abs(np.arange(p)[:, None] - np.arange(p)[None, :]) <= zone
-    d = np.round(np.sqrt(d2), round_dp)
-    d[band] = np.inf
-    d[~ok] = np.inf
-    d[:, ~ok] = np.inf
-    iu = np.triu_indices(p, k=1)
-    vals = d[iu]
-    if not np.isfinite(vals).any():
+    mp2 = np.full(p, np.inf)
+    mdist, ma, mb = np.inf, -1, -1
+    for lo, hi, d2 in _blocked_d2(z, z, ok, zone):
+        d2[~ok[lo:hi]] = np.inf
+        mp2[lo:hi] = d2.min(axis=1)
+        d = np.round(np.sqrt(d2), _DP)
+        d[np.arange(lo, hi)[:, None] >= np.arange(p)[None, :]] = np.inf
+        # row-major first minimum = smallest (i, j) among the tied pairs
+        i, j = np.unravel_index(np.argmin(d), d.shape)
+        if d[i, j] < mdist:
+            mdist, ma, mb = float(d[i, j]), lo + int(i), int(j)
+    mp = np.sqrt(mp2)
+    if not np.isfinite(mdist):
         return None
-    order = np.lexsort((iu[1], iu[0], vals))
-    best = order[0]
-    ma, mb, mdist = int(iu[0][best]), int(iu[1][best]), float(vals[best])
-    mp_r = np.round(mp, round_dp)
+    mp_r = np.round(mp, _DP)
     mp_r[~np.isfinite(mp)] = -np.inf
     disc = int(np.argmax(mp_r))  # argmax takes the FIRST max (ties by i)
     ddist = float(mp_r[disc])
@@ -1179,8 +1108,7 @@ _MSTOMP_CHECKED_SCHEMA = pa.schema([
 
 
 def mstomp_checked_op(conv_id, batch, r, *, w: int, zone: int,
-                      signals: tuple[str, ...] = SIGNALS,
-                      round_dp: int = 6, atol: float = 2e-5):
+                      atol: float = 2e-5):
     """Multidimensional profile tied to SQL (MSTOMP_CHECKED_SQL): oracle-order
     per-dim z-distance² (= the kernel's 2w(1−corr) in exact arithmetic),
     k-of-d average of the k smallest dims per pair, sqrt at the end
@@ -1190,48 +1118,39 @@ def mstomp_checked_op(conv_id, batch, r, *, w: int, zone: int,
     are asserted against the oracle per k."""
     if conv_id is None:
         return _MSTOMP_CHECKED_SCHEMA.empty_table()
-    mats = [_series(batch, r, s) for s in signals]
+    mats = [_series(batch, r, s) for s in SIGNALS]
     n = len(mats[0])
     if n < 2 * w:
         return None
-    p = n - w + 1
-    nd = len(signals)
-    D = np.empty((nd, p, p))
-    okq = np.ones(p, dtype=bool)
-    for di, x in enumerate(mats):
-        z, ok = _z_windows(x, w)
-        d2 = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)
-        d2[:, ~ok] = np.inf      # candidate degenerate in THIS dim
-        D[di] = d2
-        okq &= ok                # query degenerate in ANY dim → row dropped
-    band = np.abs(np.arange(p)[:, None] - np.arange(p)[None, :]) <= zone
-    D[:, band] = np.inf
-    srt = np.sort(D, axis=0)
-    cum = np.cumsum(srt, axis=0)
+    nd = len(SIGNALS)
+    zs = [_z_windows(x, w) for x in mats]
+    okq = np.logical_and.reduce([ok for _, ok in zs])  # degenerate in ANY dim
+    mp2 = np.full((nd, n - w + 1), np.inf)
+    # the same row blocks of every dim: a candidate degenerate in ONE dim is
+    # inf in that dim only
+    for dims in zip(*(_blocked_d2(z, z, ok, zone) for z, ok in zs)):
+        lo, hi = dims[0][:2]
+        cum = np.cumsum(np.sort(np.stack([d2 for *_, d2 in dims]), axis=0),
+                        axis=0)
+        for k in range(1, nd + 1):
+            with np.errstate(invalid="ignore"):
+                avg = cum[k - 1] / k
+            avg[~okq[lo:hi]] = np.inf
+            mp2[k - 1, lo:hi] = avg.min(axis=1)
     res = mstomp(np.stack(mats, axis=1), w)
     ks, idxs, mps = [], [], []
     for k in range(1, nd + 1):
-        with np.errstate(invalid="ignore"):
-            avg = cum[k - 1] / k
-        avg[~okq] = np.inf
-        mp_k = np.sqrt(avg.min(axis=1))
-        prod = res.mp[k - 1]
+        mp_k = np.sqrt(mp2[k - 1])
         # one-directional: the kernel may legitimately skip extra windows
         # under its own multidim degeneracy rules, but must never be
         # non-finite where the oracle found a finite k-of-d profile value
-        _assert_finiteness_agrees(np.isfinite(mp_k), prod,
-                                  f"mstomp_checked k={k}", conv_id,
-                                  symmetric=False)
-        both = np.isfinite(mp_k) & np.isfinite(prod)
-        if both.any() and not np.allclose(prod[both], mp_k[both], rtol=0.0, atol=atol):
-            worst = float(np.abs(prod[both] - mp_k[both]).max())
-            raise AssertionError(
-                f"mstomp kernel deviates from oracle-order k={k} profile on "
-                f"conv {conv_id}: max|Δ|={worst:.2e} > atol={atol}")
+        _assert_agrees(res.mp[k - 1], mp_k, f"mstomp kernel k={k}",
+                       f"conv {conv_id}", atol, fin=np.isfinite(mp_k),
+                       symmetric=False)
         fin = np.flatnonzero(np.isfinite(mp_k))
         ks.append(np.full(len(fin), k, dtype=np.int64))
         idxs.append(fin.astype(np.int64))
-        mps.append(np.round(mp_k[fin], round_dp))
+        mps.append(np.round(mp_k[fin], _DP))
     tot = sum(len(a) for a in idxs)
     if not tot:
         return None
@@ -1250,48 +1169,32 @@ _VALMOD_CHECKED_SCHEMA = pa.schema([
 
 
 def valmod_checked_op(conv_id, batch, r, *, wmin: int, wmax: int,
-                      ez: float = DEFAULT_EZ, signal: str = "text_len",
-                      round_dp: int = 6, atol: float = 2e-5):
+                      ez: float = DEFAULT_EZ, atol: float = 2e-5):
     """Variable-length sweep tied to SQL (VALMOD_CHECKED_SQL): per window
     the oracle-order exact profile, length-normalized 1/sqrt(w)
-    (valmod.R:169,609-640), ROUNDED to ``round_dp`` before the cross-window
+    (valmod.R:169,609-640), ROUNDED to ``_DP`` before the cross-window
     min (strict '<' keeps the SMALLEST w on ties — deterministic in both
     numpy and SQL's ORDER BY scaled, w). The production ``valmod`` sweep
-    is asserted against the oracle per index."""
-    from ..config import exclusion_zone
-    from ..kernels.mining import valmod
-
+    is asserted against the oracle per index, within ``atol`` plus the
+    rounding step."""
     if conv_id is None:
         return _VALMOD_CHECKED_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+    x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * wmax:
         return None
     p_out = len(x) - wmin + 1
     best = np.full(p_out, np.inf)
     bw = np.full(p_out, -1, dtype=np.int64)
     for w in range(wmin, wmax + 1):
-        z, ok = _z_windows(x, w)
-        p = len(z)
-        zone = exclusion_zone(w, ez)
-        d2 = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)
-        band = np.abs(np.arange(p)[:, None] - np.arange(p)[None, :]) <= zone
-        d2[band] = np.inf
-        d2[~ok] = np.inf
-        d2[:, ~ok] = np.inf
-        scaled = np.round(np.sqrt(d2.min(axis=1)) / np.sqrt(w), round_dp)
+        mp, _ = _oracle_order_mp(x, w, exclusion_zone(w, ez))
+        scaled = np.round(mp / np.sqrt(w), _DP)
+        p = len(scaled)
         upd = scaled < best[:p]
         best[:p][upd] = scaled[upd]
         bw[:p][upd] = w
-    prod = valmod(x, wmin, wmax, ez=ez)
-    _assert_finiteness_agrees(np.isfinite(best), prod["mp"],
-                              "valmod_checked", conv_id, symmetric=False)
-    both = np.isfinite(best) & np.isfinite(prod["mp"])
-    if not np.allclose(prod["mp"][both], best[both], rtol=0.0,
-                       atol=atol + 10.0 ** -round_dp):
-        worst = float(np.abs(prod["mp"][both] - best[both]).max())
-        raise AssertionError(
-            f"valmod deviates from oracle-order sweep on conv "
-            f"{conv_id}: max|Δ|={worst:.2e}")
+    _assert_agrees(valmod(x, wmin, wmax, ez=ez)["mp"], best, "valmod",
+                   f"conv {conv_id}", atol + 10.0 ** -_DP,
+                   fin=np.isfinite(best), symmetric=False)
     idx = np.flatnonzero(np.isfinite(best))
     return pa.table({
         "conv_id": _const_col(conv_id, len(idx)),
@@ -1308,7 +1211,6 @@ _PMP_CHECKED_SCHEMA = pa.schema([
 
 
 def pmp_checked_op(conv_id, batch, r, *, windows, ez: float = DEFAULT_EZ,
-                   signal: str = "text_len", round_dp: int = 6,
                    atol: float = 2e-5):
     """Pan-matrix-profile tied to SQL (PMP_CHECKED_SQL — round-3 verdict
     item 4): per window length the oracle-order exact profile; the
@@ -1316,34 +1218,22 @@ def pmp_checked_op(conv_id, batch, r, *, windows, ez: float = DEFAULT_EZ,
     /root/reference/R/pmp.R:166-211) asserted in-op per w — values within
     ``atol`` AND finiteness masks equal — then the oracle-order values are
     emitted so the DuckDB hash compare is ulp-immune."""
-    from ..config import exclusion_zone
-    from ..kernels.mining import pmp
-
     if conv_id is None:
         return _PMP_CHECKED_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+    x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * max(windows):
         return None
     res = pmp(x, windows=windows, ez=ez)
     ws, idxs, mps = [], [], []
     for w in sorted(res["pmp"]):
-        zone = exclusion_zone(w, ez)
-        mp_e, ok = _oracle_order_mp(x, w, zone)
-        prod = res["pmp"][w]
+        mp_e, ok = _oracle_order_mp(x, w, exclusion_zone(w, ez))
         oracle_fin = ok & np.isfinite(mp_e)
-        _assert_finiteness_agrees(oracle_fin, prod,
-                                  f"pmp_checked w={w}", conv_id)
-        both = oracle_fin & np.isfinite(prod[: len(mp_e)])
-        if not np.allclose(prod[: len(mp_e)][both], mp_e[both],
-                           rtol=0.0, atol=atol):
-            worst = float(np.abs(prod[: len(mp_e)][both] - mp_e[both]).max())
-            raise AssertionError(
-                f"pmp kernel deviates from oracle-order profile at w={w} on "
-                f"conv {conv_id}: max|Δ|={worst:.2e} > atol={atol}")
+        _assert_agrees(res["pmp"][w], mp_e, f"pmp kernel at w={w}",
+                       f"conv {conv_id}", atol, fin=oracle_fin)
         fin = np.flatnonzero(oracle_fin)
         ws.append(np.full(len(fin), w, dtype=np.int64))
         idxs.append(fin.astype(np.int64))
-        mps.append(np.round(mp_e[fin], round_dp))
+        mps.append(np.round(mp_e[fin], _DP))
     tot = sum(len(a) for a in idxs)
     if not tot:
         return None
@@ -1362,34 +1252,31 @@ _SNIPPET_CHECKED_SCHEMA = pa.schema([
 
 
 def snippet_checked_op(conv_id, batch, r, *, s_size: int = 16, w: int = 8,
-                       thr: float = 0.05, signal: str = "text_len",
-                       round_dp: int = 6):
+                       thr: float = 0.05):
     """find_snippet tied to SQL (SNIPPETS_CHECKED_SQL — round-3 verdict
     item 4), n_snippets=2: the oracle-order MPdist profile matrix
     ``M[s, i]`` is rebuilt from the exact z-distance matrix of the
     zero-padded series (mpdist_vect semantics,
     /root/reference/R/find-snippet.R:86-131 and mpdist.R:143-182: per-out-
     position k-th smallest of the candidate's sliding row minima plus its
-    column minima, k = ceil(thr·2·s_size)), ROUNDED to ``round_dp`` before
+    column minima, k = ceil(thr·2·s_size)), ROUNDED to ``_DP`` before
     the greedy area-minimizing selection (ties → smallest start, matching
     SQL ORDER BY area, s); fractions use the reference's total_min−1 tie
     rule. The production ``find_snippet`` (FFT mpdist_vect) is asserted
     in-op: identical snippet indices, fractions within ties/out_len (a
     position where both chosen rounded profiles tie exactly can flip sides
     under FFT last-ulp noise — the bound is the tie count)."""
-    from ..kernels.mining import find_snippet
-
     if conv_id is None:
         return _SNIPPET_CHECKED_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+    x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 4 * s_size:
         return None
     pad = int(np.ceil(len(x) / s_size)) * s_size - len(x)
     padded = np.concatenate([x, np.zeros(pad)])
     z, ok = _z_windows(padded, w)
-    D = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2))
+    # no exclusion band: every window pair counts
+    D = np.sqrt(np.vstack([d2 for *_, d2 in _blocked_d2(z, z, ok)]))
     D[~ok] = np.inf
-    D[:, ~ok] = np.inf
     m_sub = s_size - w + 1
     starts = np.arange(0, len(padded) - s_size, s_size)
     out_len = len(padded) - s_size + 1
@@ -1402,7 +1289,7 @@ def snippet_checked_op(conv_id, batch, r, *, s_size: int = 16, w: int = 8,
         right = swv(block.min(axis=0), m_sub)         # (out_len × m_sub)
         vals = np.concatenate([left.T, right], axis=1)
         M[si] = np.sort(vals, axis=1)[:, k - 1]
-    M = np.round(M, round_dp)
+    M = np.round(M, _DP)
 
     minis = np.full(out_len, np.inf)
     order: list[int] = []
@@ -1449,7 +1336,6 @@ _MPDIST_CHECKED_SCHEMA = pa.schema([
 
 
 def mpdist_checked_pair_op(id_a, xa, id_b, xb, *, w: int, thr: float = 0.05,
-                           signal: str = "text_len", round_dp: int = 6,
                            atol: float = 2e-5):
     """MPdist tied to SQL (MPDIST_CHECKED_SQL): oracle-order per-window
     cross-distance minima from BOTH directions, concatenated, k-th smallest
@@ -1457,22 +1343,11 @@ def mpdist_checked_pair_op(id_a, xa, id_b, xb, *, w: int, thr: float = 0.05,
     The production ``mpdist`` kernel is asserted against the oracle value.
     Pairs where fewer than k finite per-window minima exist emit nothing
     (the kernel returns Inf there)."""
-    from ..kernels.mining import mpdist
-
     if id_a is None:
         return _MPDIST_CHECKED_SCHEMA.empty_table()
     if len(xa) < 2 * w or len(xb) < 2 * w:
         return None
-    mins = []
-    for sa, sb in ((xa, xb), (xb, xa)):
-        za, oka = _z_windows(sa, w)
-        zb, okb = _z_windows(sb, w)
-        d2 = ((za[:, None, :] - zb[None, :, :]) ** 2).sum(axis=2)
-        d2[:, ~okb] = np.inf
-        m = d2.min(axis=1)
-        m[~oka] = np.inf
-        mins.append(m)
-    abba = np.sqrt(np.concatenate(mins))
+    abba = np.concatenate([_cross_min(xa, xb, w), _cross_min(xb, xa, w)])
     k = max(int(np.ceil(thr * (len(xa) + len(xb)))), 1)
     fin = np.sort(abba[np.isfinite(abba)])
     if len(fin) < k:
@@ -1484,5 +1359,5 @@ def mpdist_checked_pair_op(id_a, xa, id_b, xb, *, w: int, thr: float = 0.05,
             f"mpdist kernel deviates from oracle-order value on pair "
             f"({id_a}, {id_b}): |{prod} - {val}| > {atol}")
     return pa.Table.from_pylist([{
-        "conv_a": id_a, "conv_b": id_b, "mpdist": round(val, round_dp),
+        "conv_a": id_a, "conv_b": id_b, "mpdist": round(val, _DP),
     }], schema=_MPDIST_CHECKED_SCHEMA)
