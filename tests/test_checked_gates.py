@@ -11,7 +11,7 @@ from tsmp_ray.config import SIGNALS
 from tsmp_ray.kernels.stompi import StreamingProfile
 from tsmp_ray.stages import mining_stage as ms
 
-W, ZONE = 8, 4
+W = 8
 
 
 def _series(seed: int, n: int = 120) -> np.ndarray:
@@ -42,32 +42,32 @@ class _DriftingStream(StreamingProfile):
 # op name -> (run the op, kernel attribute on mining_stage, poisoned kernel)
 GATES = {
     "profile_checked": (
-        lambda: ms.profile_checked_op("c0", BATCH, 0, w=W, zone=ZONE),
+        lambda: ms.profile_checked_op("c0", BATCH, 0, w=W),
         "auto_profile", _wrap(ms.auto_profile, lambda p: _moved(p, "mp"))),
     "chains_checked": (
-        lambda: ms.chains_checked_op("c0", BATCH, 0, w=W, zone=ZONE),
+        lambda: ms.chains_checked_op("c0", BATCH, 0, w=W),
         "find_chains", lambda prof: {"chains": [[0, 1, 2]], "best": []}),
     "fluss_cac_checked": (
-        lambda: ms.fluss_cac_checked_op("c0", BATCH, 0, w=W, zone=ZONE),
+        lambda: ms.fluss_cac_checked_op("c0", BATCH, 0, w=W),
         "fluss_cac", _wrap(ms.fluss_cac, lambda c: c - 0.5)),
     "fluss_segments_checked": (
-        lambda: ms.fluss_segments_checked_op("c0", BATCH, 0, w=W, zone=ZONE),
+        lambda: ms.fluss_segments_checked_op("c0", BATCH, 0, w=W),
         "fluss_cac", _wrap(ms.fluss_cac, lambda c: c - 0.5)),
     "dist_profile_checked": (
         lambda: ms.distprof_checked_op("c0", BATCH, 0, w=W),
         "dist_profile", _wrap(ms.dist_profile, lambda r: (r[0] + 0.01, r[1]))),
     "stompi_checked": (
-        lambda: ms.stompi_checked_op("c0", BATCH, 0, w=W, zone=ZONE),
+        lambda: ms.stompi_checked_op("c0", BATCH, 0, w=W),
         "StreamingProfile", _DriftingStream),
     "ab_join_checked": (
         lambda: ms.abjoin_checked_pair_op("c0", XS[0], "c1", XS[1], w=W),
         "mpx", _wrap(ms.mpx, lambda p: _moved(p, "mp"))),
     "motifs_checked": (
-        lambda: ms.motifs_checked_op("c0", BATCH, 0, w=W, zone=ZONE),
+        lambda: ms.motifs_checked_op("c0", BATCH, 0, w=W),
         "find_motifs", _wrap(ms.find_motifs, lambda found: [
             dict(m, distance=m["distance"] + 1.0) for m in found])),
     "mstomp_checked": (
-        lambda: ms.mstomp_checked_op("c0", BATCH, 0, w=W, zone=ZONE),
+        lambda: ms.mstomp_checked_op("c0", BATCH, 0, w=W),
         "mstomp", _wrap(ms.mstomp, lambda r: _moved(r, "mp"))),
     "valmod_checked": (
         lambda: ms.valmod_checked_op("c0", BATCH, 0, wmin=6, wmax=12),
@@ -92,8 +92,8 @@ def test_checked_gate_fires_on_poisoned_kernel(name, monkeypatch):
     kernel, and raises its own "deviate(s)" AssertionError once that kernel
     is poisoned."""
     run, attr, poisoned = GATES[name]
-    out = run()
-    assert out is not None and out.num_rows > 0
+    out = run()  # the op's columns
+    assert out is not None and len(next(iter(out.values()))) > 0
     monkeypatch.setattr(ms, attr, poisoned)
     with pytest.raises(AssertionError, match="deviate"):
         run()

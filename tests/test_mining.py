@@ -256,6 +256,51 @@ def test_floss_cac_final_per_value_parity_with_batch():
     np.testing.assert_allclose(got, np.asarray(expect), atol=1e-12)
 
 
+
+def test_floss_state_refused_chunk_leaves_state_unchanged():
+    """A chunk longer than the CAC window (data_window - w + 1) is refused
+    before it moves any state: after a caught refusal the point count, the
+    cac record and the streaming profile's data and offset are as they
+    were, so the stream stays aligned with cac_final."""
+    from tsmp_ray.stages.floss_stage import FlossState
+
+    x = np.cumsum(np.random.default_rng(4).standard_normal(150))
+    st = FlossState(w=8, data_window=40)  # CAC window = 33
+    st.append(x[:100], chunk=25)
+    seen, cac, data, offset = (st.seen, list(st.cac_final),
+                               st.sp.data.copy(), st.sp.offset)
+    with pytest.raises(ValueError, match="CAC window"):
+        st.append(x[100:], chunk=50)
+    assert (st.seen, st.cac_final, st.sp.offset) == (seen, cac, offset)
+    np.testing.assert_array_equal(st.sp.data, data)
+
+
+@pytest.mark.parametrize("seed, w, data_window, digest", [
+    (0, 8, 100,
+     "d0c686e788fcf37f7ebf8aa572770485de8b67fb38e398f4ca945a31484609ac"),
+    (1, 10, 150,
+     "b77cea390b9d5d3bf7ea22d15062c3c9ed61d9da19951da45e41360ca7c5834e"),
+    (2, 16, 200,
+     "0e00458ef52c20172384f1d55ffced18eb2f13ffc16c98fa75cc7983eab9b821"),
+    (3, 6, 120,
+     "729c3883b65ead1e808424b2616bbeedd5141fe35eaff314157b654d969f9b48"),
+])
+def test_floss_ref_pinned_on_seeded_walks(seed, w, data_window, digest):
+    """floss_ref's cac_final bytes and segments on seeded random walks,
+    pinned by sha256: the reference known-answer test needs the reference's
+    own data, so this keeps the online-CAC bookkeeping gated without it."""
+    import hashlib
+    import json
+
+    from tsmp_ray.kernels.floss_ref import floss_ref
+
+    x = np.cumsum(np.random.default_rng(seed).standard_normal(600))
+    res = floss_ref(x[:data_window // 2], x[data_window // 2:], data_window, w)
+    h = hashlib.sha256(np.asarray(res["cac_final"], np.float64).tobytes())
+    h.update(json.dumps([list(map(int, res["floss"])),
+                         list(map(float, res["floss_vals"]))]).encode())
+    assert h.hexdigest() == digest
+
 def test_valmod_equals_brute_window_sweep():
     """valmod equals an independent sweep: per window the brute-force
     profile scaled by 1/sqrt(w), min taken across windows (strict '<' keeps

@@ -471,6 +471,47 @@ def test_conv_pair_stage_pairs_and_values(ray_session):
     np.testing.assert_allclose(one["mp"].to_numpy(), prof.mp, atol=1e-9)
 
 
+
+def _required_kwargs(fn) -> dict:
+    """A mining op's required keyword options at the catalog's values."""
+    import inspect
+
+    values = {"w": 8, "wmin": 6, "wmax": 12, "windows": [6, 8, 10, 12],
+              "s_size": 16}
+    return {name: values[name]
+            for name, p in inspect.signature(fn).parameters.items()
+            if p.kind is p.KEYWORD_ONLY and p.default is p.empty}
+
+
+@pytest.mark.parametrize("rows", ["all_short", "filtered_out", "limit_0"])
+def test_mining_stages_emit_declared_schema_when_nothing_comes_back(
+        ray_session, schema_divergences, rows):
+    """Every op through its stage (per-conv ops through per_conv_stage,
+    pair ops through conv_pair_stage) gives 0 rows with exactly the op's
+    declared schema, and Ray logs no schema divergence, when every
+    conversation is shorter than 2w (every op call returns nothing) and
+    when the input has no rows at all."""
+    import ray
+
+    from tsmp_ray.stages import mining_stage as ms
+
+    tbl = synthetic_transcripts(n_convs=6, seed=5, mean_turns=8, max_turns=15)
+    packed = pack_series(ray.data.from_arrow(tbl)).materialize()
+    assert packed.to_pandas()["n_turns"].max() < 16  # < 2w at w = 8
+    packed = {"all_short": packed,
+              "filtered_out": packed.filter(expr="n_turns > 1000"),
+              "limit_0": packed.limit(0)}[rows]
+    ops = [f for f in vars(ms).values()
+           if isinstance(getattr(f, "schema", None), pa.Schema)]
+    assert len(ops) == 27
+    for fn in ops:
+        stage = (ms.conv_pair_stage if "conv_a" in fn.schema.names
+                 else ms.per_conv_stage)
+        out = stage(packed, fn, _required_kwargs(fn)).materialize()
+        assert out.count() == 0, fn.__name__
+        assert out.schema().base_schema == fn.schema, fn.__name__
+    assert schema_divergences.n == 0
+
 def test_checked_ops_gate_production_kernels(ray_session):
     """profile/distprof/stompi/abjoin _checked ops run green on real packed
     data (the in-op assertion passes) and raise on a poisoned kernel."""
@@ -483,7 +524,7 @@ def test_checked_ops_gate_production_kernels(ray_session):
 
     tbl = synthetic_transcripts(n_convs=4, seed=11, mean_turns=100)
     packed = pack_series(ray.data.from_arrow(tbl))
-    kw = {"w": 8, "zone": 4}
+    kw = {"w": 8}
     prof = per_conv_stage(packed, profile_checked_op, kw).to_pandas()
     dp = per_conv_stage(packed, distprof_checked_op, {"w": 8}).to_pandas()
     st = per_conv_stage(packed, stompi_checked_op, kw).to_pandas()

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import DEFAULT_EZ, EPS, KMODE, exclusion_zone
+from ..config import DEFAULT_EZ, KMODE, exclusion_zone
+from .mining import floss_cac_online
 from .stompi import StreamingProfile
 
 __all__ = ["floss_ref"]
@@ -20,42 +21,20 @@ __all__ = ["floss_ref"]
 
 def _floss_cac(sp: StreamingProfile, data_window: int, new_data_size: int,
                cac_final: list[float]) -> np.ndarray:
-    """fluss.R:385-455 — one-sided CAC over the trailing window + append the
-    mode-centered slice of length new_data_size to cac_final."""
+    """fluss.R:385-455 — one-sided CAC over the trailing window
+    (:func:`floss_cac_online`) + append the mode-centered slice of length
+    new_data_size to cac_final."""
     w, ez = sp.w, sp.ez
     profile_size = len(sp.profile.mp)
     cac_size = data_window - w + 1
-    start_idx = profile_size - cac_size  # 0-based (R: profile_size-cac_size+1)
-    zone = exclusion_zone(w, ez)
-    end_idx = profile_size - zone - 1  # exclusive bound in R slice semantics
-    pi = sp.profile.pi[max(start_idx, 0) : end_idx]
-
-    nnmark = np.zeros(cac_size)
-    # R: j <- pi[i]; skip j < 0 (unset) or j > cac_size (1-based bound);
-    # indices are window-relative when the profile is truncated to the window
-    base = max(start_idx, 0)
-    for i, j in enumerate(np.asarray(pi)):
-        jj = int(j) - base  # rebase absolute pi to the window
-        if j < 0 or jj < 0 or jj >= cac_size:
-            continue
-        lo, hi = min(i, jj), max(i, jj)
-        nnmark[lo] += 1
-        nnmark[hi] -= 1
-    arc = np.cumsum(nnmark)
-    x = np.linspace(0.0, 1.0, cac_size)
-    if sp.offset > 0:
-        mode = KMODE
-        a, b = 1.939274, 1.698150
-        with np.errstate(invalid="ignore"):
-            ideal = a * b * x ** (a - 1) * (1 - x ** a) ** (b - 1) * cac_size / 4.035477
-    else:
-        mode = 0.5
-        ideal = 6.0 * x * (1.0 - x) * cac_size / 3.0  # dbeta(x,2,2)·n/3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cac = np.minimum(arc / ideal, 1.0)
-    cac[: min(zone, cac_size)] = 1.0
-    cac[(cac < 0) | ~np.isfinite(cac)] = 1.0
+    base = max(profile_size - cac_size, 0)  # R: profile_size-cac_size+1
+    # R's window ends zone+1 short of the profile (exclusive bound); pi is
+    # rebased to the window, arcs leaving it are dropped
+    pi = sp.profile.pi[base : profile_size - exclusion_zone(w, ez) - 1]
+    cac = floss_cac_online(pi - base, w, cac_size, online=sp.offset > 0,
+                           ez=ez)
     # mode-centered slice appended (fluss.R:439-448); R mid_idx is 1-based
+    mode = KMODE if sp.offset > 0 else 0.5
     mid_idx = int(round(cac_size * mode)) - new_data_size // 2 - 1
     cac_final.extend(cac[mid_idx : mid_idx + new_data_size].tolist())
     return cac

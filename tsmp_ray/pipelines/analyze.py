@@ -40,13 +40,10 @@ def analyze(ds_transcripts, cfg: EngineConfig | None = None):
             "mining": mining}
 
 
-def mining_results(ds_packed, cfg: EngineConfig, n_motifs: int = 2,
-                   n_discords: int = 1):
+def mining_results(ds_packed, cfg: EngineConfig):
     """Distributed per-conv mining (motifs/discords/segment) — map_batches
     tasks over packed rows; replaces the round-1 driver-side pandas loop."""
     from ..stages.mining_stage import mining_op, per_conv_stage
 
-    return per_conv_stage(
-        ds_packed, mining_op,
-        {"w": cfg.window_size, "ez": cfg.ez,
-         "n_motifs": n_motifs, "n_discords": n_discords})
+    return per_conv_stage(ds_packed, mining_op,
+                          {"w": cfg.window_size, "ez": cfg.ez})

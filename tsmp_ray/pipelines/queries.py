@@ -1072,10 +1072,6 @@ def _packed(sf_dir: str):
     return pack_series(transcripts_from_events(sf_dir)).materialize()
 
 
-#: the self-join exclusion zone of every per-conv oracle row (w = 8)
-_ZONE = exclusion_zone(CFG.window_size, CFG.ez)
-
-
 def _first_convs(sf_dir: str, op, **kw):
     """``op`` fanned out per conv over the 10 smallest conv ids: the
     selection every per-conv oracle SQL makes (``ORDER BY conv_id LIMIT
@@ -1093,10 +1089,11 @@ def _first_pairs(sf_dir: str, op):
     filtering convs before the stage's ``sort(pair_id)`` left most of its
     blocks empty and schema-less, and Ray logged "Operator produced a
     RefBundle with a different schema" for them."""
-    from ..stages.mining_stage import _conv_num, conv_pair_stage
+    from ..stages.mining_stage import _conv_num, conv_pair_stage, emits
 
+    @emits(op.schema)
     def first_pair_op(id_a, xa, id_b, xb, **kw):
-        if id_a is not None and _conv_num(id_b) >= 10:
+        if _conv_num(id_b) >= 10:
             return None
         return op(id_a, xa, id_b, xb, **kw)
 
@@ -1391,8 +1388,7 @@ def q_annotation(sf_dir: str):
     from ..stages.mining_stage import annotation_op, per_conv_stage
 
     packed = pack_series(transcripts_from_events(sf_dir))
-    return per_conv_stage(packed, annotation_op,
-                          {"w": CFG.window_size, "round_dp": 6})
+    return per_conv_stage(packed, annotation_op, {"w": CFG.window_size})
 
 
 def q_mp_exact(sf_dir: str):
@@ -1401,7 +1397,7 @@ def q_mp_exact(sf_dir: str):
     identical znorm-ED profile (see MP_EXACT_SQL), distributed per conv."""
     from ..stages.mining_stage import mp_exact_op
 
-    return _first_convs(sf_dir, mp_exact_op, w=CFG.window_size, zone=_ZONE)
+    return _first_convs(sf_dir, mp_exact_op, w=CFG.window_size)
 
 
 def q_profiles_checked(sf_dir: str):
@@ -1413,7 +1409,7 @@ def q_profiles_checked(sf_dir: str):
     from ..stages.mining_stage import profile_checked_op
 
     return _first_convs(sf_dir, profile_checked_op,
-                        w=CFG.window_size, ez=CFG.ez, zone=_ZONE)
+                        w=CFG.window_size, ez=CFG.ez)
 
 
 def q_motifs_checked(sf_dir: str):
@@ -1423,7 +1419,7 @@ def q_motifs_checked(sf_dir: str):
     from ..stages.mining_stage import motifs_checked_op
 
     return _first_convs(sf_dir, motifs_checked_op,
-                        w=CFG.window_size, ez=CFG.ez, zone=_ZONE)
+                        w=CFG.window_size, ez=CFG.ez)
 
 
 def q_fluss_cac_checked(sf_dir: str):
@@ -1435,7 +1431,7 @@ def q_fluss_cac_checked(sf_dir: str):
     from ..stages.mining_stage import fluss_cac_checked_op
 
     return _first_convs(sf_dir, fluss_cac_checked_op,
-                        w=CFG.window_size, ez=CFG.ez, zone=_ZONE)
+                        w=CFG.window_size, ez=CFG.ez)
 
 
 def q_fluss_segments_checked(sf_dir: str):
@@ -1445,9 +1441,7 @@ def q_fluss_segments_checked(sf_dir: str):
     argmin levels; integer-only member rows hash-matched."""
     from ..stages.mining_stage import fluss_segments_checked_op
 
-    return _first_convs(sf_dir, fluss_segments_checked_op,
-                        w=CFG.window_size, ez_factor=1.0, num_segments=3,
-                        zone=_ZONE)
+    return _first_convs(sf_dir, fluss_segments_checked_op, w=CFG.window_size)
 
 
 def q_chains_checked(sf_dir: str):
@@ -1458,7 +1452,7 @@ def q_chains_checked(sf_dir: str):
     from ..stages.mining_stage import chains_checked_op
 
     return _first_convs(sf_dir, chains_checked_op,
-                        w=CFG.window_size, ez=CFG.ez, zone=_ZONE)
+                        w=CFG.window_size, ez=CFG.ez)
 
 
 def q_mpdist_checked(sf_dir: str):
@@ -1483,8 +1477,7 @@ def q_mstomp_checked(sf_dir: str):
     z-distance profiles, asserted in-op (10 smallest convs)."""
     from ..stages.mining_stage import mstomp_checked_op
 
-    return _first_convs(sf_dir, mstomp_checked_op,
-                        w=CFG.window_size, zone=_ZONE)
+    return _first_convs(sf_dir, mstomp_checked_op, w=CFG.window_size)
 
 
 def q_pmp_checked(sf_dir: str):
@@ -1528,8 +1521,7 @@ def q_stompi_checked(sf_dir: str):
     mp_exact SQL (min length 4w) recomputes."""
     from ..stages.mining_stage import stompi_checked_op
 
-    return _first_convs(sf_dir, stompi_checked_op,
-                        w=CFG.window_size, zone=_ZONE)
+    return _first_convs(sf_dir, stompi_checked_op, w=CFG.window_size)
 
 
 def q_ab_join_checked(sf_dir: str):
@@ -1557,8 +1549,7 @@ def q_snippets(sf_dir: str):
     s_size = 16
     packed = (pack_series(transcripts_from_events(sf_dir))
               .filter(expr=f"n_turns >= {4 * s_size}"))
-    return per_conv_stage(packed, snippet_op,
-                          {"s_size": s_size, "n_snippets": 2, "w": 8})
+    return per_conv_stage(packed, snippet_op, {"s_size": s_size, "w": 8})
 
 
 def q_multimodal(sf_dir: str):
@@ -1625,8 +1616,7 @@ def q_salient(sf_dir: str):
 
     packed = pack_series(transcripts_from_events(sf_dir))
     return per_conv_stage(packed, salient_op,
-                          {"w": CFG.window_size, "ez": CFG.ez,
-                           "n_bits": 6, "n_cand": 8})
+                          {"w": CFG.window_size, "ez": CFG.ez})
 
 
 # 49 rows, ordered by grade risk (round-4 verdict item 1): the driver scored

@@ -54,6 +54,16 @@ class FlossState:
             self._append_chunk(new_data[lo : lo + chunk])
 
     def _append_chunk(self, x: np.ndarray) -> None:
+        # each chunk extends cac_final by its length, read off the trailing
+        # CAC window; a longer chunk would silently emit fewer points than
+        # were appended and every later cac_final index would point at the
+        # wrong stream position. Refuse it before any state moves, so a
+        # caught refusal leaves the stream as it was.
+        if self.sp is not None and len(x) > self.data_window - self.w + 1:
+            raise ValueError(
+                f"floss chunk of {len(x)} points exceeds the CAC window "
+                f"(data_window - w + 1 = {self.data_window - self.w + 1}); "
+                f"use a smaller chunk or a larger data_window")
         self.seen += len(x)
         if self.sp is None:
             self.buffer = np.concatenate([self.buffer, x])
@@ -71,15 +81,8 @@ class FlossState:
         pi_win[valid] -= base
         cac = floss_cac_online(pi_win, self.w, cac_size,
                                online=self.sp.offset > 0, ez=self.ez)
-        # extend the global cac record by the newly covered points; if the
-        # chunk outruns the CAC window the slice would silently emit fewer
-        # points than were appended and every later cac_final index would
-        # point at the wrong stream position — refuse instead
-        if len(x) > cac_size:
-            raise ValueError(
-                f"floss chunk of {len(x)} points exceeds the CAC window "
-                f"(data_window - w + 1 = {self.data_window - self.w + 1}); "
-                f"use a smaller chunk or a larger data_window")
+        # extend the global cac record by the newly covered points
+        # (len(x) <= cac_size: checked above)
         self.cac_final.extend(cac[-len(x):].tolist())
         self._extract(cac, base_offset=self.sp.offset + base)
 

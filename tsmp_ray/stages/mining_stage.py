@@ -46,17 +46,45 @@ from ..kernels.stompi import StreamingProfile
 from .signals import key_runs, repeat_labels
 
 
-#: the signal every oracle-checked op and ``conv_pair_stage`` read, and the
-#: decimal places of the values the checked ops emit (the SQL oracles round
-#: to the same 6 dp)
+#: the signal every single-signal op (but ``fluss_op``: ``tool_call``) and
+#: ``conv_pair_stage`` read, and the decimal places of the values the
+#: checked ops emit (the SQL oracles round to the same 6 dp)
 _ORACLE_SIGNAL = "text_len"
 _DP = 6
 
 
-def _const_col(value: str, n: int) -> pa.Array:
-    """Constant string column of length ``n`` (dictionary-encoded, O(1)
-    string storage) — the single-label case of :func:`repeat_labels`."""
-    return repeat_labels([value], [n])
+def emits(schema: pa.Schema):
+    """Declare an op's output schema, once: the stage running the op reads
+    ``fn.schema`` to assemble its blocks and to type an empty one."""
+    def declare(fn):
+        fn.schema = schema
+        return fn
+    return declare
+
+
+def _keyed(*fields) -> pa.Schema:
+    """A per-conversation op's output schema: the ``conv_id`` key column
+    that ``per_conv_stage`` prepends, then the op's own ``fields``."""
+    return pa.schema([("conv_id", pa.string()), *fields])
+
+
+def _emit(schema: pa.Schema, parts) -> pa.Table:
+    """One output block of ``schema`` from the column dicts of a batch's op
+    calls (None = no output): their concatenation, or the typed empty table
+    when nothing came back, so every block a stage emits has the op's one
+    schema."""
+    tables = [pa.table(p, schema=schema) for p in parts if p is not None]
+    tables = [t for t in tables if t.num_rows]
+    return pa.concat_tables(tables) if tables else schema.empty_table()
+
+
+def _typed(ds, schema: pa.Schema):
+    """``ds`` plus one empty block of ``schema``: Ray Data passes an empty
+    input block around a batch UDF without calling it, so a stage over a
+    zero-row input would otherwise come back with no schema at all."""
+    import ray
+
+    return ds.union(ray.data.from_arrow(schema.empty_table()))
 
 
 def _assert_agrees(prod: np.ndarray, oracle: np.ndarray, what: str,
@@ -100,150 +128,130 @@ def _series(batch: pa.Table, row: int, sig: str) -> np.ndarray:
             .astype(np.float64, copy=False))
 
 
+def _with_key(conv_id: str, cols: dict) -> dict:
+    """A per-conv op's columns with the ``conv_id`` key column prepended."""
+    n = len(next(iter(cols.values())))
+    return {"conv_id": repeat_labels([conv_id], [n]), **cols}
+
+
+def _run_convs(batch: pa.Table, fn, kw: dict) -> pa.Table:
+    """One ``per_conv_stage`` batch: ``fn``'s columns for each conversation,
+    keyed by its ``conv_id``, as one block of ``fn.schema``."""
+    ids = batch["conv_id"].to_pylist()
+    outs = ((cid, fn(cid, batch, r, **kw)) for r, cid in enumerate(ids))
+    return _emit(fn.schema, [_with_key(cid, cols) for cid, cols in outs
+                             if cols is not None])
+
+
 def per_conv_stage(ds_packed, fn, fn_kwargs: dict | None = None):
-    """Generic fan-out: ``fn(conv_id, batch, row, **kw) -> pa.Table | None``
-    over packed conversation rows; one conv per task."""
-
-    def runner(batch: pa.Table, fn=fn, kw=fn_kwargs or {}) -> pa.Table:
-        outs = []
-        conv_ids = batch["conv_id"].to_pylist()
-        for r, conv_id in enumerate(conv_ids):
-            t = fn(conv_id, batch, r, **kw)
-            if t is not None and t.num_rows:
-                outs.append(t)
-        if not outs:
-            return fn(None, None, -1, **kw)  # schema-only empty table
-        return pa.concat_tables(outs)
-
-    return ds_packed.map_batches(runner, batch_format="pyarrow",
-                                 batch_size=1, num_cpus=1)
+    """Generic fan-out of an ``@emits(_keyed(...))`` op over packed
+    conversation rows, one conv per task: ``fn(conv_id, batch, row, **kw)``
+    returns its non-key columns (name → 1-D values) or None; the stage
+    owns the ``conv_id`` column and the block's schema."""
+    return _typed(ds_packed.map_batches(
+        _run_convs, fn_kwargs={"fn": fn, "kw": fn_kwargs or {}},
+        batch_format="pyarrow", batch_size=1, num_cpus=1), fn.schema)
 
 
 # ------------------------------------------------------------------- ops
-# Every op returns its empty-schema table when called with conv_id=None so
-# the runner can emit a typed empty block.
 
-_MINING_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("signal", pa.string()),
+_MINING_SCHEMA = _keyed(
+    ("signal", pa.string()),
     ("motif_a", pa.int64()), ("motif_b", pa.int64()),
     ("motif_dist", pa.float64()),
     ("discord", pa.int64()), ("discord_dist", pa.float64()),
     ("segment", pa.int64()),
-])
+)
 
 
-def mining_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
-              n_motifs: int = 2, n_discords: int = 1,
-              signals: tuple[str, ...] = SIGNALS):
+@emits(_MINING_SCHEMA)
+def mining_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ):
     """Per (conv, signal): top motif pair + top discord + first FLUSS segment
     (the reference's ``analyze()`` mining tail, /root/reference/R/analyze.R:69-72)."""
-    if conv_id is None:
-        return _MINING_SCHEMA.empty_table()
     rows = []
-    for sig in signals:
+    for sig in SIGNALS:
         x = _series(batch, r, sig)
         if len(x) < 2 * w:
             continue
         prof = auto_profile(x, w, ez)
-        motifs = find_motifs(x, prof, n_motifs=n_motifs)
-        discords = find_discords(x, prof, n_discords=n_discords)
+        motifs = find_motifs(x, prof, n_motifs=2)
+        discords = find_discords(x, prof, n_discords=1)
         segs = fluss_extract(fluss_cac(prof), w, num_segments=1)
-        rows.append({
-            "conv_id": conv_id, "signal": sig,
-            "motif_a": motifs[0]["motifs"][0] if motifs else -1,
-            "motif_b": motifs[0]["motifs"][1] if motifs else -1,
-            "motif_dist": motifs[0]["distance"] if motifs else np.nan,
-            "discord": discords[0]["discord"] if discords else -1,
-            "discord_dist": discords[0]["distance"] if discords else np.nan,
-            "segment": segs[0] if segs else -1,
-        })
-    if not rows:
-        return None
-    return pa.Table.from_pylist(rows, schema=_MINING_SCHEMA)
+        rows.append((
+            sig,
+            motifs[0]["motifs"][0] if motifs else -1,
+            motifs[0]["motifs"][1] if motifs else -1,
+            motifs[0]["distance"] if motifs else np.nan,
+            discords[0]["discord"] if discords else -1,
+            discords[0]["distance"] if discords else np.nan,
+            segs[0] if segs else -1,
+        ))
+    return dict(zip(_MINING_SCHEMA.names[1:], zip(*rows))) if rows else None
 
 
-_FLUSS_SCHEMA = pa.schema([("conv_id", pa.string()), ("segment", pa.int64())])
-
-
-def fluss_op(conv_id, batch, r, *, w: int, signal: str = "tool_call"):
-    if conv_id is None:
-        return _FLUSS_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+@emits(_keyed(("segment", pa.int64())))
+def fluss_op(conv_id, batch, r, *, w: int):
+    x = _series(batch, r, "tool_call")
     if len(x) < 4 * w:
         return None
     res = fluss(x, w, num_segments=1)
-    seg = res["fluss"][0] if res["fluss"] else -1
-    return pa.Table.from_pylist(
-        [{"conv_id": conv_id, "segment": seg}], schema=_FLUSS_SCHEMA)
+    return {"segment": [res["fluss"][0] if res["fluss"] else -1]}
 
 
-_CHAINS_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("signal", pa.string()),
+_CHAINS_SCHEMA = _keyed(
+    ("signal", pa.string()),
     ("best_chain_len", pa.int64()), ("n_chains", pa.int64()),
-])
+)
 
 
-def chains_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
-              signals: tuple[str, ...] = SIGNALS):
-    if conv_id is None:
-        return _CHAINS_SCHEMA.empty_table()
+@emits(_CHAINS_SCHEMA)
+def chains_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ):
     rows = []
-    for sig in signals:
+    for sig in SIGNALS:
         x = _series(batch, r, sig)
         if len(x) < 2 * w:
             continue
         res = find_chains(auto_profile(x, w, ez))
-        rows.append({"conv_id": conv_id, "signal": sig,
-                     "best_chain_len": len(res["best"]),
-                     "n_chains": len(res["chains"])})
-    if not rows:
-        return None
-    return pa.Table.from_pylist(rows, schema=_CHAINS_SCHEMA)
+        rows.append((sig, len(res["best"]), len(res["chains"])))
+    return dict(zip(_CHAINS_SCHEMA.names[1:], zip(*rows))) if rows else None
 
 
-_MSTOMP_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("k_dim", pa.int64()),
+_MSTOMP_SCHEMA = _keyed(
+    ("k_dim", pa.int64()),
     ("window_idx", pa.int64()), ("mp", pa.float64()), ("pi", pa.int64()),
     ("lmp", pa.float64()), ("lpi", pa.int64()),
     ("rmp", pa.float64()), ("rpi", pa.int64()),
-])
+)
 
 
-def _mstomp_table(conv_id: str, res, offset: int = 0) -> pa.Table:
-    """Long-format rows from a (possibly index-range) MultiMatrixProfile;
+def _mstomp_cols(res, offset: int = 0) -> dict:
+    """Long-format columns of a (possibly index-range) MultiMatrixProfile;
     ``offset`` = the range's global start (window_idx stays global)."""
     d, p = res.mp.shape
-    k_dim = np.repeat(np.arange(1, d + 1, dtype=np.int64), p)
-    idx = np.tile(np.arange(offset, offset + p, dtype=np.int64), d)
-    return pa.table({
-        "conv_id": _const_col(conv_id, d * p),
-        "k_dim": pa.array(k_dim),
-        "window_idx": pa.array(idx),
-        "mp": pa.array(res.mp.reshape(-1)),
-        "pi": pa.array(res.pi.reshape(-1).astype(np.int64)),
-        "lmp": pa.array(res.lmp.reshape(-1)),
-        "lpi": pa.array(res.lpi.reshape(-1).astype(np.int64)),
-        "rmp": pa.array(res.rmp.reshape(-1)),
-        "rpi": pa.array(res.rpi.reshape(-1).astype(np.int64)),
-    }, schema=_MSTOMP_SCHEMA)
+    return {
+        "k_dim": np.repeat(np.arange(1, d + 1, dtype=np.int64), p),
+        "window_idx": np.tile(np.arange(offset, offset + p, dtype=np.int64), d),
+        "mp": res.mp.reshape(-1),
+        "pi": res.pi.reshape(-1).astype(np.int64),
+        "lmp": res.lmp.reshape(-1),
+        "lpi": res.lpi.reshape(-1).astype(np.int64),
+        "rmp": res.rmp.reshape(-1),
+        "rpi": res.rpi.reshape(-1).astype(np.int64),
+    }
 
 
-def mstomp_op(conv_id, batch, r, *, w: int,
-              signals: tuple[str, ...] = SIGNALS,
-              max_turns: int | None = None):
+@emits(_MSTOMP_SCHEMA)
+def mstomp_op(conv_id, batch, r, *, w: int, max_turns: int | None = None):
     """One conv's multivariate profile; None for convs shorter than 2w or
     longer than ``max_turns`` (the sharded path owns those)."""
-    if conv_id is None:
-        return _MSTOMP_SCHEMA.empty_table()
-    mats = [_series(batch, r, s) for s in signals]
+    mats = [_series(batch, r, s) for s in SIGNALS]
     n = len(mats[0])
     if n < 2 * w or (max_turns is not None and n > max_turns):
         return None
-    return _mstomp_table(conv_id, mstomp(np.stack(mats, axis=1), w))
+    return _mstomp_cols(mstomp(np.stack(mats, axis=1), w))
 
 
-def compute_mstomp(ds_packed, cfg: EngineConfig,
-                   signals: tuple[str, ...] = SIGNALS):
+def compute_mstomp(ds_packed, cfg: EngineConfig):
     """Multivariate profiles for EVERY conversation, salting the long tail,
     in one plan over the materialized packed rows: ``mstomp_op`` runs one
     task per conv and skips convs over ``cfg.salt_turn_threshold``; those
@@ -258,16 +266,14 @@ def compute_mstomp(ds_packed, cfg: EngineConfig,
     thr = cfg.salt_turn_threshold
     ds_packed = ds_packed.materialize()
     out = per_conv_stage(ds_packed, mstomp_op,
-                         {"w": cfg.window_size, "signals": signals,
-                          "max_turns": thr})
-    out_big = _sharded_mstomp_ds(ds_packed, cfg, signals, session_cpus(2))
+                         {"w": cfg.window_size, "max_turns": thr})
+    out_big = _sharded_mstomp_ds(ds_packed, cfg, session_cpus(2))
     if out_big is None:
         return out
     return out.union(out_big)
 
 
-def _sharded_mstomp_ds(ds_packed, cfg: EngineConfig,
-                       signals: tuple[str, ...], pool: int):
+def _sharded_mstomp_ds(ds_packed, cfg: EngineConfig, pool: int):
     import ray
 
     from .profile_stage import _parallel_block_meta
@@ -276,9 +282,10 @@ def _sharded_mstomp_ds(ds_packed, cfg: EngineConfig,
 
     @ray.remote
     def _shard(tbl: pa.Table, row: int, lo: int, hi: int, conv_id: str):
-        mats = [_series(tbl, row, s) for s in signals]
+        mats = [_series(tbl, row, s) for s in SIGNALS]
         res = mstomp(np.stack(mats, axis=1), w, index_range=(lo, hi))
-        return _mstomp_table(conv_id, res, offset=lo)
+        return pa.table(_with_key(conv_id, _mstomp_cols(res, offset=lo)),
+                        schema=_MSTOMP_SCHEMA)
 
     table_refs = []
     for block_ref, conv_ids, n_turns in _parallel_block_meta(ds_packed):
@@ -298,65 +305,39 @@ def _sharded_mstomp_ds(ds_packed, cfg: EngineConfig,
     return ray.data.from_arrow_refs(table_refs)
 
 
-_STOMPI_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("window_idx", pa.int64()),
-    ("mp", pa.float64()), ("pi", pa.int64()),
-])
-
-
-def stompi_op(conv_id, batch, r, *, w: int, signal: str = "text_len"):
+@emits(_keyed(("window_idx", pa.int64()), ("mp", pa.float64()),
+              ("pi", pa.int64())))
+def stompi_op(conv_id, batch, r, *, w: int):
     """2/3 batch seed + 1/3 incremental append (equals the batch profile —
     asserted in tests; /root/reference/R/stompi.R:52-96 semantics)."""
-    if conv_id is None:
-        return _STOMPI_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+    x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 4 * w:
         return None
     cut = 2 * len(x) // 3
     sp = StreamingProfile(x[:cut], w)
     sp.update(x[cut:])
-    p = len(sp.profile.mp)
-    return pa.table({
-        "conv_id": _const_col(conv_id, p),
-        "window_idx": pa.array(np.arange(p, dtype=np.int64)),
-        "mp": pa.array(sp.profile.mp),
-        "pi": pa.array(sp.profile.pi.astype(np.int64)),
-    }, schema=_STOMPI_SCHEMA)
+    return {"window_idx": np.arange(len(sp.profile.mp), dtype=np.int64),
+            "mp": sp.profile.mp, "pi": sp.profile.pi.astype(np.int64)}
 
 
-_DISTPROF_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("window_idx", pa.int64()),
-    ("d_v3", pa.float64()), ("d_weighted", pa.float64()),
-])
-
-
-def distprofile_op(conv_id, batch, r, *, w: int, signal: str = "text_len",
-                   query_at: int = 0):
-    """Per-conv distance profiles of the conv's own window at ``query_at``:
-    MASS v3 plus the weighted variant with a center-emphasis weight vector
+@emits(_keyed(("window_idx", pa.int64()), ("d_v3", pa.float64()),
+              ("d_weighted", pa.float64())))
+def distprofile_op(conv_id, batch, r, *, w: int):
+    """Per-conv distance profiles of the conv's own first window: MASS v3
+    plus the weighted variant with a center-emphasis weight vector
     (dist_profile dispatcher parity — /root/reference/R/dist_profile.R:69-180,
     mass-pre-w.R:35-91). Skip locations stay +Inf (valid float64 parquet)."""
-    if conv_id is None:
-        return _DISTPROF_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
-    if len(x) < 2 * w + query_at:
+    x = _series(batch, r, _ORACLE_SIGNAL)
+    if len(x) < 2 * w:
         return None
-    q = x[query_at : query_at + w]
-    d3, _ = dist_profile(x, q, method="v3")
+    d3, _ = dist_profile(x, x[:w], method="v3")
     wt = 1.0 - 0.5 * np.abs(np.linspace(-1.0, 1.0, w))  # center-weighted
-    dw, _ = dist_profile(x, q, method="weighted", weight=wt)
-    p = len(d3)
-    return pa.table({
-        "conv_id": _const_col(conv_id, p),
-        "window_idx": pa.array(np.arange(p, dtype=np.int64)),
-        "d_v3": pa.array(d3),
-        "d_weighted": pa.array(dw),
-    }, schema=_DISTPROF_SCHEMA)
+    dw, _ = dist_profile(x, x[:w], method="weighted", weight=wt)
+    return {"window_idx": np.arange(len(d3), dtype=np.int64),
+            "d_v3": d3, "d_weighted": dw}
 
 
-_MP_EXACT_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("window_idx", pa.int64()), ("mp", pa.float64()),
-])
+_MP_EXACT_SCHEMA = _keyed(("window_idx", pa.int64()), ("mp", pa.float64()))
 
 
 def _z_windows(x: np.ndarray, w: int):
@@ -420,30 +401,26 @@ def _cross_min(xa: np.ndarray, xb: np.ndarray, w: int) -> np.ndarray:
     return _row_min(oka, _blocked_d2(za, zb, okb))
 
 
-def _mp_exact_table(conv_id: str, mp: np.ndarray, ok: np.ndarray) -> pa.Table:
-    keep = ok & np.isfinite(mp)
-    idx = np.flatnonzero(keep)
-    return pa.table({
-        "conv_id": _const_col(conv_id, len(idx)),
-        "window_idx": pa.array(idx.astype(np.int64)),
-        "mp": pa.array(np.round(mp[idx], _DP)),
-    }, schema=_MP_EXACT_SCHEMA)
+def _mp_exact_cols(mp: np.ndarray, ok: np.ndarray) -> dict:
+    idx = np.flatnonzero(ok & np.isfinite(mp))
+    return {"window_idx": idx.astype(np.int64),
+            "mp": np.round(mp[idx], _DP)}
 
 
-def mp_exact_op(conv_id, batch, r, *, w: int, zone: int):
+@emits(_MP_EXACT_SCHEMA)
+def mp_exact_op(conv_id, batch, r, *, w: int):
     """Oracle-order matrix profile (see ``_oracle_order_mp``) — the
     oracle-friendly flagship-correctness query; rounded values hash-match a
     SQL self-join computing the identical znorm-ED arithmetic."""
-    if conv_id is None:
-        return _MP_EXACT_SCHEMA.empty_table()
     x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
-    return _mp_exact_table(conv_id, *_oracle_order_mp(x, w, zone))
+    return _mp_exact_cols(*_oracle_order_mp(x, w, exclusion_zone(w)))
 
 
-def profile_checked_op(conv_id, batch, r, *, w: int, zone: int,
-                       ez: float = DEFAULT_EZ, atol: float = 2e-5):
+@emits(_MP_EXACT_SCHEMA)
+def profile_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
+                       atol: float = 2e-5):
     """PRODUCTION-kernel profile (blocked/mpx auto-pick — the same kernel the
     flagship ``profiles`` query runs) tied to the SQL oracle: the op also
     computes the oracle-order exact profile, ASSERTS the production kernel
@@ -452,15 +429,13 @@ def profile_checked_op(conv_id, batch, r, *, w: int, zone: int,
     hash compare is immune to FFT last-ulp noise. This closes the gap where
     only the oracle-order arithmetic (not the hot kernel) had a green SQL
     row (round-2 verdict item 5)."""
-    if conv_id is None:
-        return _MP_EXACT_SCHEMA.empty_table()
     x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
-    mp, ok = _oracle_order_mp(x, w, zone)
+    mp, ok = _oracle_order_mp(x, w, exclusion_zone(w, ez))
     _assert_agrees(auto_profile(x, w, ez).mp, mp, "production profile kernel",
                    f"conv {conv_id}", atol, fin=ok & np.isfinite(mp))
-    return _mp_exact_table(conv_id, mp, ok)
+    return _mp_exact_cols(mp, ok)
 
 
 def _oracle_order_pi(x: np.ndarray, w: int, zone: int):
@@ -495,14 +470,9 @@ def _oracle_order_pi(x: np.ndarray, w: int, zone: int):
     return pi, idx[0], idx[1], dist[1], ok
 
 
-_CHAINS_CHECKED_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("chain_start", pa.int64()),
-    ("seq", pa.int64()), ("window_idx", pa.int64()),
-])
-
-
-def chains_checked_op(conv_id, batch, r, *, w: int, zone: int,
-                      ez: float = DEFAULT_EZ):
+@emits(_keyed(("chain_start", pa.int64()), ("seq", pa.int64()),
+              ("window_idx", pa.int64())))
+def chains_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ):
     """PRODUCTION ``find_chains`` (rpi-walk with lpi back-link check,
     /root/reference/R/find-chains.R:18-77) tied to SQL: both sides build
     directional indices by the deterministic rounded-argmin selection
@@ -512,12 +482,10 @@ def chains_checked_op(conv_id, batch, r, *, w: int, zone: int,
     production walker returns exactly those chains, and emits the
     integer-only member rows (chains longer than 2) that a recursive-CTE
     SQL oracle reproduces."""
-    if conv_id is None:
-        return _CHAINS_CHECKED_SCHEMA.empty_table()
     x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
-    _, lpi, rpi, rmp, _ = _oracle_order_pi(x, w, zone)
+    _, lpi, rpi, rmp, _ = _oracle_order_pi(x, w, exclusion_zone(w, ez))
     p = len(lpi)
     # oracle chain set: maximal paths of the edge relation
     src = np.flatnonzero((rpi >= 0) & (rpi < p))
@@ -544,21 +512,13 @@ def chains_checked_op(conv_id, batch, r, *, w: int, zone: int,
             f"paths on conv {conv_id}: {got} != {chains_o}")
     if not chains_o:
         return None
-    heads = np.concatenate([[c[0]] * len(c) for c in chains_o])
-    seqs = np.concatenate([np.arange(len(c)) for c in chains_o])
-    nodes = np.concatenate(chains_o)
-    return pa.table({
-        "conv_id": _const_col(conv_id, len(nodes)),
-        "chain_start": pa.array(heads.astype(np.int64)),
-        "seq": pa.array(seqs.astype(np.int64)),
-        "window_idx": pa.array(nodes.astype(np.int64)),
-    }, schema=_CHAINS_CHECKED_SCHEMA)
-
-
-_FLUSS_CAC_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("window_idx", pa.int64()),
-    ("cac", pa.float64()),
-])
+    return {
+        "chain_start": np.concatenate([[c[0]] * len(c) for c in chains_o]
+                                      ).astype(np.int64),
+        "seq": np.concatenate([np.arange(len(c)) for c in chains_o]
+                              ).astype(np.int64),
+        "window_idx": np.concatenate(chains_o).astype(np.int64),
+    }
 
 
 def _oracle_cac(pi_o: np.ndarray, zf: int) -> np.ndarray:
@@ -602,8 +562,9 @@ def _gated_cac(conv_id, x: np.ndarray, w: int, zone: int, ez_factor: float,
     return cac
 
 
-def fluss_cac_checked_op(conv_id, batch, r, *, w: int, zone: int,
-                         ez: float = DEFAULT_EZ, atol: float = 2e-5):
+@emits(_keyed(("window_idx", pa.int64()), ("cac", pa.float64())))
+def fluss_cac_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
+                         atol: float = 2e-5):
     """PRODUCTION ``fluss_cac`` (arc scatter/cumsum, beta(2,2) ideal
     parabola, clamps, edge-zone forcing — kernels/mining.py,
     /root/reference/R/fluss.R:307-355) tied to SQL: both sides build the
@@ -616,30 +577,18 @@ def fluss_cac_checked_op(conv_id, batch, r, *, w: int, zone: int,
     at distance level by ``profiles_checked`` (index ties under unrounded
     production kernels are legitimately arbitrary, so the production mpx
     pi cannot be hash-compared directly)."""
-    if conv_id is None:
-        return _FLUSS_CAC_SCHEMA.empty_table()
     x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
-    cac = _gated_cac(conv_id, x, w, zone, ez * 10, atol)
+    cac = _gated_cac(conv_id, x, w, exclusion_zone(w, ez), ez * 10, atol)
     if cac is None:
         return None
-    p = len(cac)
-    return pa.table({
-        "conv_id": _const_col(conv_id, p),
-        "window_idx": pa.array(np.arange(p, dtype=np.int64)),
-        "cac": pa.array(np.round(cac, _DP)),
-    }, schema=_FLUSS_CAC_SCHEMA)
+    return {"window_idx": np.arange(len(cac), dtype=np.int64),
+            "cac": np.round(cac, _DP)}
 
 
-_FLUSS_SEG_CHECKED_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("seg_rank", pa.int64()),
-    ("window_idx", pa.int64()),
-])
-
-
-def fluss_segments_checked_op(conv_id, batch, r, *, w: int, zone: int,
-                              ez_factor: float = 1.0, num_segments: int = 3,
+@emits(_keyed(("seg_rank", pa.int64()), ("window_idx", pa.int64())))
+def fluss_segments_checked_op(conv_id, batch, r, *, w: int,
                               atol: float = 2e-5):
     """PRODUCTION ``fluss_extract`` (iterative argmin + ±zone·suppression,
     stop at cac ≥ 1 — /root/reference/R/fluss.R:254-282) tied to SQL.
@@ -651,58 +600,38 @@ def fluss_segments_checked_op(conv_id, batch, r, *, w: int, zone: int,
     against the oracle-order CAC, then runs the production ``fluss_extract``
     loop on the rounded oracle CAC and emits its segments as INTEGER-only
     (conv_id, seg_rank, window_idx) rows. The SQL oracle reproduces the
-    loop as ``num_segments`` chained argmin levels, each excluding
-    [prev − zone, prev + zone) of every earlier pick (the reference's
-    asymmetric 1-based mask) and emitting only while min(cac) < 1.
+    loop as 3 chained argmin levels, each excluding [prev − zone,
+    prev + zone) of every earlier pick (the reference's asymmetric 1-based
+    mask) and emitting only while min(cac) < 1.
 
-    ``ez_factor`` (edge-forcing AND suppression zone = round(w·ez_factor))
-    defaults to 1.0 — the reference default 10·ez = 5 forces the whole CAC
-    to 1 on sf0.01-sized convs (p ≈ 60 < 2·zone = 80), which would gate
-    nothing."""
-    if conv_id is None:
-        return _FLUSS_SEG_CHECKED_SCHEMA.empty_table()
+    The edge-forcing AND suppression zone is round(w·1.0) (``ez_factor`` =
+    1.0) — the reference default 10·ez = 5 forces the whole CAC to 1 on
+    sf0.01-sized convs (p ≈ 60 < 2·zone = 80), which would gate nothing."""
     x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
-    cac = _gated_cac(conv_id, x, w, zone, ez_factor, atol)
+    cac = _gated_cac(conv_id, x, w, exclusion_zone(w), 1.0, atol)
     if cac is None:
         return None
     # PRODUCTION extraction loop on the rounded oracle CAC (bitwise == SQL)
-    segs = fluss_extract(np.round(cac, _DP), w,
-                         num_segments=num_segments, ez_factor=ez_factor)
+    segs = fluss_extract(np.round(cac, _DP), w, num_segments=3,
+                         ez_factor=1.0)
     if not segs:
         return None
-    return pa.table({
-        "conv_id": _const_col(conv_id, len(segs)),
-        "seg_rank": pa.array(np.arange(len(segs), dtype=np.int64)),
-        "window_idx": pa.array(np.asarray(segs, dtype=np.int64)),
-    }, schema=_FLUSS_SEG_CHECKED_SCHEMA)
+    return {"seg_rank": np.arange(len(segs), dtype=np.int64),
+            "window_idx": np.asarray(segs, dtype=np.int64)}
 
 
-_ANNOT_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("window_idx", pa.int64()), ("av", pa.float64()),
-])
-
-
-def annotation_op(conv_id, batch, r, *, w: int, signal: str = "text_len",
-                  round_dp: int | None = None):
-    """``round_dp`` rounds the av values so the result hash-matches the SQL
-    oracle (numpy pairwise summation vs SQL sequential sums differ in the
-    last ulp; the value is O(1) so 6 dp absorbs it)."""
-    if conv_id is None:
-        return _ANNOT_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+@emits(_keyed(("window_idx", pa.int64()), ("av", pa.float64())))
+def annotation_op(conv_id, batch, r, *, w: int):
+    """av_complexity per window, rounded to ``_DP`` so the result
+    hash-matches the SQL oracle (numpy pairwise summation vs SQL sequential
+    sums differ in the last ulp; the value is O(1) so 6 dp absorbs it)."""
+    x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
-    av = av_complexity(x, w)
-    if round_dp is not None:
-        av = np.round(av, round_dp)
-    p = len(av)
-    return pa.table({
-        "conv_id": _const_col(conv_id, p),
-        "window_idx": pa.array(np.arange(p, dtype=np.int64)),
-        "av": pa.array(av),
-    }, schema=_ANNOT_SCHEMA)
+    av = np.round(av_complexity(x, w), _DP)
+    return {"window_idx": np.arange(len(av), dtype=np.int64), "av": av}
 
 
 # --------------------------------------------- distributed demo-bounded ops
@@ -711,120 +640,75 @@ def annotation_op(conv_id, batch, r, *, w: int, signal: str = "text_len",
 # EVERY conversation via per_conv_stage / conv_pair_stage.
 
 
-_PMP_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("w", pa.int64()), ("window_idx", pa.int64()),
-    ("mp", pa.float64()), ("pi", pa.int64()),
-])
-
-
-def pmp_op(conv_id, batch, r, *, windows, signal: str = "text_len"):
+@emits(_keyed(("w", pa.int64()), ("window_idx", pa.int64()),
+              ("mp", pa.float64()), ("pi", pa.int64())))
+def pmp_op(conv_id, batch, r, *, windows):
     """Pan-matrix-profile sweep per conversation
     (/root/reference/R/pmp.R:166-211)."""
-    if conv_id is None:
-        return _PMP_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+    x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * max(windows):
         return None
     res = pmp(x, windows=windows)
-    ws, idxs, mps, pis = [], [], [], []
-    for w in sorted(res["pmp"]):
-        mp = res["pmp"][w]
-        ws.append(np.full(len(mp), w, dtype=np.int64))
-        idxs.append(np.arange(len(mp), dtype=np.int64))
-        mps.append(mp)
-        pis.append(res["pmpi"][w].astype(np.int64))
-    n = sum(len(a) for a in mps)
-    return pa.table({
-        "conv_id": _const_col(conv_id, n),
-        "w": pa.array(np.concatenate(ws)),
-        "window_idx": pa.array(np.concatenate(idxs)),
-        "mp": pa.array(np.concatenate(mps)),
-        "pi": pa.array(np.concatenate(pis)),
-    }, schema=_PMP_SCHEMA)
+    ws = sorted(res["pmp"])
+    return {
+        "w": np.concatenate([np.full(len(res["pmp"][w]), w, dtype=np.int64)
+                             for w in ws]),
+        "window_idx": np.concatenate([
+            np.arange(len(res["pmp"][w]), dtype=np.int64) for w in ws]),
+        "mp": np.concatenate([res["pmp"][w] for w in ws]),
+        "pi": np.concatenate([res["pmpi"][w].astype(np.int64) for w in ws]),
+    }
 
 
-_VALMOD_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("window_idx", pa.int64()),
-    ("mp_norm", pa.float64()), ("best_w", pa.int64()), ("pi", pa.int64()),
-])
-
-
-def valmod_op(conv_id, batch, r, *, wmin: int, wmax: int,
-              signal: str = "text_len"):
+@emits(_keyed(("window_idx", pa.int64()), ("mp_norm", pa.float64()),
+              ("best_w", pa.int64()), ("pi", pa.int64())))
+def valmod_op(conv_id, batch, r, *, wmin: int, wmax: int):
     """Variable-length motif sweep per conversation
     (the reference's R/valmod.R:52-470) with the exact per-window sweep;
     ``valmod_checked_op`` gates the same ``valmod`` call against the SQL
     oracle."""
-    if conv_id is None:
-        return _VALMOD_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+    x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * wmax:
         return None
     res = valmod(x, wmin, wmax)
-    p = len(res["mp"])
-    return pa.table({
-        "conv_id": _const_col(conv_id, p),
-        "window_idx": pa.array(np.arange(p, dtype=np.int64)),
-        "mp_norm": pa.array(res["mp"]),
-        "best_w": pa.array(res["w"].astype(np.int64)),
-        "pi": pa.array(res["pi"].astype(np.int64)),
-    }, schema=_VALMOD_SCHEMA)
+    return {"window_idx": np.arange(len(res["mp"]), dtype=np.int64),
+            "mp_norm": res["mp"], "best_w": res["w"].astype(np.int64),
+            "pi": res["pi"].astype(np.int64)}
 
 
-_SALIENT_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("rank", pa.int64()),
-    ("index", pa.int64()), ("bit_size", pa.int64()),
-])
-
-
-def salient_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
-               n_bits: int = 6, n_cand: int = 8, signal: str = "text_len"):
+@emits(_keyed(("rank", pa.int64()), ("index", pa.int64()),
+              ("bit_size", pa.int64())))
+def salient_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ):
     """MDL salient subsequences per conversation
-    (/root/reference/R/salient.R)."""
-    if conv_id is None:
-        return _SALIENT_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+    (/root/reference/R/salient.R), 6-bit discretization over 8 candidates
+    per round."""
+    x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
-    prof = auto_profile(x, w, ez)
-    sal = salient_subsequences(x, prof, n_bits=n_bits, n_cand=n_cand)
+    sal = salient_subsequences(x, auto_profile(x, w, ez), n_bits=6, n_cand=8)
     k = len(sal["indexes"])
     if not k:
         return None
-    return pa.table({
-        "conv_id": _const_col(conv_id, k),
-        "rank": pa.array(np.arange(k, dtype=np.int64)),
-        "index": pa.array(np.asarray(sal["indexes"], dtype=np.int64)),
-        "bit_size": pa.array(np.asarray(
-            sal["idx_bit_size"][:k], dtype=np.int64)),
-    }, schema=_SALIENT_SCHEMA)
+    return {"rank": np.arange(k, dtype=np.int64),
+            "index": np.asarray(sal["indexes"], dtype=np.int64),
+            "bit_size": np.asarray(sal["idx_bit_size"][:k], dtype=np.int64)}
 
 
-_SNIPPET_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("rank", pa.int64()),
-    ("snippet_idx", pa.int64()), ("fraction", pa.float64()),
-])
+_SNIPPET_SCHEMA = _keyed(("rank", pa.int64()), ("snippet_idx", pa.int64()),
+                         ("fraction", pa.float64()))
 
 
-def snippet_op(conv_id, batch, r, *, s_size: int, n_snippets: int = 2,
-               w: int = 8, signal: str = "text_len"):
-    """Representative snippets per conversation
+@emits(_SNIPPET_SCHEMA)
+def snippet_op(conv_id, batch, r, *, s_size: int, w: int = 8):
+    """The 2 representative snippets per conversation
     (/root/reference/R/find-snippet.R:47-142)."""
-    if conv_id is None:
-        return _SNIPPET_SCHEMA.empty_table()
-    x = _series(batch, r, signal)
+    x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 4 * s_size:
         return None
-    res = find_snippet(x, s_size=s_size, n_snippets=n_snippets, w=w)
-    k = len(res["snippet_idx"])
-    return pa.table({
-        "conv_id": _const_col(conv_id, k),
-        "rank": pa.array(np.arange(k, dtype=np.int64)),
-        "snippet_idx": pa.array(np.asarray(res["snippet_idx"],
-                                           dtype=np.int64)),
-        "fraction": pa.array(np.asarray(res["snippet_frac"],
-                                        dtype=np.float64)),
-    }, schema=_SNIPPET_SCHEMA)
+    res = find_snippet(x, s_size=s_size, n_snippets=2, w=w)
+    return {"rank": np.arange(len(res["snippet_idx"]), dtype=np.int64),
+            "snippet_idx": np.asarray(res["snippet_idx"], dtype=np.int64),
+            "fraction": np.asarray(res["snippet_frac"], dtype=np.float64)}
 
 
 # ------------------------------------------------------------- pair stage
@@ -846,7 +730,8 @@ def _conv_num(s: str) -> int:
 
 
 def conv_pair_stage(ds_packed, fn, fn_kwargs: dict | None = None):
-    """Fan out ``fn(id_a, xa, id_b, xb, **kw) -> pa.Table | None`` over
+    """Fan out an ``@emits`` pair op ``fn(id_a, xa, id_b, xb, **kw)`` (every
+    column of ``fn.schema``, ``conv_a``/``conv_b`` included, or None) over
     CONSECUTIVE conversation pairs: numeric-id 2k pairs with 2k+1. The
     pairing key is derived from the numeric conv-id suffix INSIDE each batch
     (no global rank), then ``sort(pair_id)`` co-locates each pair and one
@@ -862,31 +747,28 @@ def conv_pair_stage(ds_packed, fn, fn_kwargs: dict | None = None):
 
     def run_pairs(batch: pa.Table) -> pa.Table:
         outs = []
-        if batch.num_rows:
-            batch, bounds = key_runs(batch, ["pair_id"])
-            ids = batch["conv_id"].to_pylist()
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                if hi - lo > 2:
-                    # duplicate numeric suffixes across prefixes ('a4' and
-                    # 'b4') would silently pair two arbitrary members and
-                    # drop the rest
-                    raise ValueError(
-                        f"conv_pair_stage: pair group holds {hi - lo} convs "
-                        f"{ids[lo:hi]!r}; numeric conv-id suffixes must be "
-                        f"unique")
-                if hi - lo == 2:
-                    a, b = sorted((lo, lo + 1),
-                                  key=lambda r: _conv_num(ids[r]))
-                    outs.append(fn(ids[a], _series(batch, a, _ORACLE_SIGNAL),
-                                   ids[b], _series(batch, b, _ORACLE_SIGNAL),
-                                   **kw))
-        outs = [t for t in outs if t is not None]
-        return (pa.concat_tables(outs) if outs
-                else fn(None, None, None, None, **kw))
+        batch, bounds = key_runs(batch, ["pair_id"])
+        ids = batch["conv_id"].to_pylist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi - lo > 2:
+                # duplicate numeric suffixes across prefixes ('a4' and 'b4')
+                # would silently pair two arbitrary members and drop the rest
+                raise ValueError(
+                    f"conv_pair_stage: pair group holds {hi - lo} convs "
+                    f"{ids[lo:hi]!r}; numeric conv-id suffixes must be "
+                    f"unique")
+            if hi - lo == 2:
+                a, b = sorted((lo, lo + 1), key=lambda r: _conv_num(ids[r]))
+                outs.append(fn(ids[a], _series(batch, a, _ORACLE_SIGNAL),
+                               ids[b], _series(batch, b, _ORACLE_SIGNAL),
+                               **kw))
+        return _emit(fn.schema, outs)
 
-    return (ds_packed.map_batches(add_pair, batch_format="pyarrow")
-            .sort("pair_id")
-            .map_batches(run_pairs, batch_format="pyarrow", batch_size=None))
+    return _typed(
+        ds_packed.map_batches(add_pair, batch_format="pyarrow")
+        .sort("pair_id")
+        .map_batches(run_pairs, batch_format="pyarrow", batch_size=None),
+        fn.schema)
 
 
 _MPDIST_SCHEMA = pa.schema([
@@ -895,30 +777,23 @@ _MPDIST_SCHEMA = pa.schema([
 ])
 
 
+@emits(_MPDIST_SCHEMA)
 def mpdist_pair_op(id_a, xa, id_b, xb, *, w: int):
     """MPdist between a conversation pair (/root/reference/R/mpdist.R)."""
-    if id_a is None:
-        return _MPDIST_SCHEMA.empty_table()
     if len(xa) < 2 * w or len(xb) < 2 * w:
         return None
-    return pa.Table.from_pylist(
-        [{"conv_a": id_a, "conv_b": id_b, "mpdist": mpdist(xa, xb, w)}],
-        schema=_MPDIST_SCHEMA)
+    return {"conv_a": [id_a], "conv_b": [id_b], "mpdist": [mpdist(xa, xb, w)]}
 
 
-_ABJOIN_SCHEMA = pa.schema([
+@emits(pa.schema([
     ("conv_a", pa.string()), ("conv_b", pa.string()),
     ("orientation", pa.string()), ("window_idx", pa.int64()),
     ("mp", pa.float64()), ("pi", pa.int64()),
-])
-
-
+]))
 def abjoin_pair_op(id_a, xa, id_b, xb, *, w: int):
     """AB similarity join, BOTH orientations (join/join-reversed — the
     reference's stamp/stomp AB mode, /root/reference/R/stomp.R query path)."""
-    if id_a is None:
-        return _ABJOIN_SCHEMA.empty_table()
-    if len(xa) < w or len(xb) < w or min(len(xa), len(xb)) < 2 * w:
+    if min(len(xa), len(xb)) < 2 * w:
         return None
     # ONE join pass: mpx's AB mode fills both orientations in the same
     # diagonal sweep (mp/pi = A side, mpb/pib = B side — mpx.cpp:234-248),
@@ -928,20 +803,16 @@ def abjoin_pair_op(id_a, xa, id_b, xb, *, w: int):
     # diagonal order differ), so exact-distance tie-breaks can differ.
     # Distances stay atol-gated through ab_join_checked.
     prof = mpx(xa, w, query=xb)
-    outs = []
-    for ia, ib, mp_arr, pi_arr, tag in (
-            (id_a, id_b, prof.mp, prof.pi, "ab"),
-            (id_b, id_a, prof.mpb, prof.pib, "ba")):
-        p = len(mp_arr)
-        outs.append(pa.table({
-            "conv_a": _const_col(ia, p),
-            "conv_b": _const_col(ib, p),
-            "orientation": _const_col(tag, p),
-            "window_idx": pa.array(np.arange(p, dtype=np.int64)),
-            "mp": pa.array(mp_arr),
-            "pi": pa.array(pi_arr.astype(np.int64)),
-        }, schema=_ABJOIN_SCHEMA))
-    return pa.concat_tables(outs)
+    lens = [len(prof.mp), len(prof.mpb)]
+    return {
+        "conv_a": repeat_labels([id_a, id_b], lens),
+        "conv_b": repeat_labels([id_b, id_a], lens),
+        "orientation": repeat_labels(["ab", "ba"], lens),
+        "window_idx": np.concatenate([np.arange(n, dtype=np.int64)
+                                      for n in lens]),
+        "mp": np.concatenate([prof.mp, prof.mpb]),
+        "pi": np.concatenate([prof.pi, prof.pib]).astype(np.int64),
+    }
 
 
 # ------------------------------------------------- oracle-checked kernels
@@ -952,16 +823,10 @@ def abjoin_pair_op(id_a, xa, id_b, xb, *, w: int):
 # oracle-order values so the hash compare is ulp-immune.
 
 
-_DISTPROF_CHECKED_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("window_idx", pa.int64()), ("d", pa.float64()),
-])
-
-
+@emits(_keyed(("window_idx", pa.int64()), ("d", pa.float64())))
 def distprof_checked_op(conv_id, batch, r, *, w: int, atol: float = 2e-5):
     """MASS v3 distance profile of each conv's window 0, gated by the
     oracle-order exact z-distance (SQL: DIST_PROFILE_CHECKED_SQL)."""
-    if conv_id is None:
-        return _DISTPROF_CHECKED_SCHEMA.empty_table()
     x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
@@ -974,78 +839,61 @@ def distprof_checked_op(conv_id, batch, r, *, w: int, atol: float = 2e-5):
     _assert_agrees(dist_profile(x, x[:w], method="v3")[0], d, "MASS v3",
                    f"conv {conv_id}", atol, fin=fin)
     idx = np.flatnonzero(fin)
-    return pa.table({
-        "conv_id": _const_col(conv_id, len(idx)),
-        "window_idx": pa.array(idx.astype(np.int64)),
-        "d": pa.array(np.round(d[idx], _DP)),
-    }, schema=_DISTPROF_CHECKED_SCHEMA)
+    return {"window_idx": idx.astype(np.int64), "d": np.round(d[idx], _DP)}
 
 
-def stompi_checked_op(conv_id, batch, r, *, w: int, zone: int,
-                      atol: float = 2e-5):
+@emits(_MP_EXACT_SCHEMA)
+def stompi_checked_op(conv_id, batch, r, *, w: int, atol: float = 2e-5):
     """STREAMING profile (2/3 seed + 1/3 incremental stompi appends) gated by
     the oracle-order exact batch profile — proving the incremental recurrence
     (/root/reference/R/stompi.R:52-96) converges to the batch answer, checked
     all the way to SQL (reuses the mp_exact oracle with a 4w min-length
     bound)."""
-    if conv_id is None:
-        return _MP_EXACT_SCHEMA.empty_table()
     x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 4 * w:
         return None
     cut = 2 * len(x) // 3
     sp = StreamingProfile(x[:cut], w)
     sp.update(x[cut:])
-    mp_e, ok = _oracle_order_mp(x, w, zone)
+    mp_e, ok = _oracle_order_mp(x, w, exclusion_zone(w))
     _assert_agrees(sp.profile.mp, mp_e, "streaming stompi profile",
                    f"conv {conv_id}", atol, fin=ok & np.isfinite(mp_e))
-    return _mp_exact_table(conv_id, mp_e, ok)
+    return _mp_exact_cols(mp_e, ok)
 
 
-_ABJOIN_CHECKED_SCHEMA = pa.schema([
+@emits(pa.schema([
     ("conv_a", pa.string()), ("conv_b", pa.string()),
     ("window_idx", pa.int64()), ("mp", pa.float64()),
-])
-
-
+]))
 def abjoin_checked_pair_op(id_a, xa, id_b, xb, *, w: int, atol: float = 2e-5):
     """AB join (both directions) gated by the oracle-order exact cross
     z-distance (SQL: AB_JOIN_CHECKED_SQL). Direction is encoded by the
     (conv_a, conv_b) column pair."""
-    if id_a is None:
-        return _ABJOIN_CHECKED_SCHEMA.empty_table()
     if len(xa) < 2 * w or len(xb) < 2 * w:
         return None
     # one kernel pass for both orientations (see abjoin_pair_op): the BA
     # side's production values are the same sweep's mpb
     joined = mpx(xa, w, query=xb)
-    outs = []
+    idxs, mps = [], []
     for ia, ib, sa, sb, kernel_mp in ((id_a, id_b, xa, xb, joined.mp),
                                       (id_b, id_a, xb, xa, joined.mpb)):
         d = _cross_min(sa, sb, w)
         fin = np.isfinite(d)
         _assert_agrees(kernel_mp, d, "AB-join kernel", f"pair ({ia}, {ib})",
                        atol, fin=fin)
-        idx = np.flatnonzero(fin)
-        outs.append(pa.table({
-            "conv_a": _const_col(ia, len(idx)),
-            "conv_b": _const_col(ib, len(idx)),
-            "window_idx": pa.array(idx.astype(np.int64)),
-            "mp": pa.array(np.round(d[idx], _DP)),
-        }, schema=_ABJOIN_CHECKED_SCHEMA))
-    return pa.concat_tables(outs)
+        idxs.append(np.flatnonzero(fin).astype(np.int64))
+        mps.append(np.round(d[fin], _DP))
+    lens = [len(i) for i in idxs]
+    return {"conv_a": repeat_labels([id_a, id_b], lens),
+            "conv_b": repeat_labels([id_b, id_a], lens),
+            "window_idx": np.concatenate(idxs), "mp": np.concatenate(mps)}
 
 
-_MOTIFS_CHECKED_SCHEMA = pa.schema([
-    ("conv_id", pa.string()),
-    ("motif_a", pa.int64()), ("motif_b", pa.int64()),
-    ("motif_dist", pa.float64()),
-    ("discord", pa.int64()), ("discord_dist", pa.float64()),
-])
-
-
-def motifs_checked_op(conv_id, batch, r, *, w: int, zone: int,
-                      ez: float = DEFAULT_EZ, atol: float = 2e-5):
+@emits(_keyed(("motif_a", pa.int64()), ("motif_b", pa.int64()),
+              ("motif_dist", pa.float64()),
+              ("discord", pa.int64()), ("discord_dist", pa.float64())))
+def motifs_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
+                      atol: float = 2e-5):
     """Top motif pair + top discord tied to SQL (MOTIFS_CHECKED_SQL): the
     oracle-order selection rounds distances to ``_DP`` BEFORE the
     argmin/argmax and breaks ties by (i, j) — deterministic in both numpy and
@@ -1054,8 +902,6 @@ def motifs_checked_op(conv_id, batch, r, *, w: int, zone: int,
     blocks yields both the profile (for the discord) and the top pair. The
     production ``find_motifs`` / ``find_discords`` top distances are
     asserted against the oracle's."""
-    if conv_id is None:
-        return _MOTIFS_CHECKED_SCHEMA.empty_table()
     x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
@@ -1063,7 +909,7 @@ def motifs_checked_op(conv_id, batch, r, *, w: int, zone: int,
     p = len(z)
     mp2 = np.full(p, np.inf)
     mdist, ma, mb = np.inf, -1, -1
-    for lo, hi, d2 in _blocked_d2(z, z, ok, zone):
+    for lo, hi, d2 in _blocked_d2(z, z, ok, exclusion_zone(w, ez)):
         d2[~ok[lo:hi]] = np.inf
         mp2[lo:hi] = d2.min(axis=1)
         d = np.round(np.sqrt(d2), _DP)
@@ -1080,10 +926,6 @@ def motifs_checked_op(conv_id, batch, r, *, w: int, zone: int,
     disc = int(np.argmax(mp_r))  # argmax takes the FIRST max (ties by i)
     ddist = float(mp_r[disc])
 
-    # thread ez so the production profile's exclusion zone matches the
-    # oracle band above (every other checked op does the same; a caller
-    # passing a non-default zone without ez would otherwise gate
-    # mismatched semantics)
     prof = auto_profile(x, w, ez)
     motifs = find_motifs(x, prof, n_motifs=1)
     discords = find_discords(x, prof, n_discords=1)
@@ -1095,20 +937,13 @@ def motifs_checked_op(conv_id, batch, r, *, w: int, zone: int,
         raise AssertionError(
             f"find_discords top distance {discords[0]['distance']} deviates "
             f"from oracle-order {ddist} on conv {conv_id}")
-    return pa.Table.from_pylist([{
-        "conv_id": conv_id, "motif_a": ma, "motif_b": mb,
-        "motif_dist": mdist, "discord": disc, "discord_dist": ddist,
-    }], schema=_MOTIFS_CHECKED_SCHEMA)
+    return {"motif_a": [ma], "motif_b": [mb], "motif_dist": [mdist],
+            "discord": [disc], "discord_dist": [ddist]}
 
 
-_MSTOMP_CHECKED_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("k_dim", pa.int64()),
-    ("window_idx", pa.int64()), ("mp", pa.float64()),
-])
-
-
-def mstomp_checked_op(conv_id, batch, r, *, w: int, zone: int,
-                      atol: float = 2e-5):
+@emits(_keyed(("k_dim", pa.int64()), ("window_idx", pa.int64()),
+              ("mp", pa.float64())))
+def mstomp_checked_op(conv_id, batch, r, *, w: int, atol: float = 2e-5):
     """Multidimensional profile tied to SQL (MSTOMP_CHECKED_SQL): oracle-order
     per-dim z-distance² (= the kernel's 2w(1−corr) in exact arithmetic),
     k-of-d average of the k smallest dims per pair, sqrt at the end
@@ -1116,8 +951,6 @@ def mstomp_checked_op(conv_id, batch, r, *, w: int, zone: int,
     dropped (mstomp.R:204-206); a candidate degenerate in one dim still
     competes through its other dims. The production ``mstomp`` kernel rows
     are asserted against the oracle per k."""
-    if conv_id is None:
-        return _MSTOMP_CHECKED_SCHEMA.empty_table()
     mats = [_series(batch, r, s) for s in SIGNALS]
     n = len(mats[0])
     if n < 2 * w:
@@ -1126,6 +959,7 @@ def mstomp_checked_op(conv_id, batch, r, *, w: int, zone: int,
     zs = [_z_windows(x, w) for x in mats]
     okq = np.logical_and.reduce([ok for _, ok in zs])  # degenerate in ANY dim
     mp2 = np.full((nd, n - w + 1), np.inf)
+    zone = exclusion_zone(w)
     # the same row blocks of every dim: a candidate degenerate in ONE dim is
     # inf in that dim only
     for dims in zip(*(_blocked_d2(z, z, ok, zone) for z, ok in zs)):
@@ -1151,23 +985,12 @@ def mstomp_checked_op(conv_id, batch, r, *, w: int, zone: int,
         ks.append(np.full(len(fin), k, dtype=np.int64))
         idxs.append(fin.astype(np.int64))
         mps.append(np.round(mp_k[fin], _DP))
-    tot = sum(len(a) for a in idxs)
-    if not tot:
-        return None
-    return pa.table({
-        "conv_id": _const_col(conv_id, tot),
-        "k_dim": pa.array(np.concatenate(ks)),
-        "window_idx": pa.array(np.concatenate(idxs)),
-        "mp": pa.array(np.concatenate(mps)),
-    }, schema=_MSTOMP_CHECKED_SCHEMA)
+    return {"k_dim": np.concatenate(ks), "window_idx": np.concatenate(idxs),
+            "mp": np.concatenate(mps)}
 
 
-_VALMOD_CHECKED_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("window_idx", pa.int64()),
-    ("mp_norm", pa.float64()), ("best_w", pa.int64()),
-])
-
-
+@emits(_keyed(("window_idx", pa.int64()), ("mp_norm", pa.float64()),
+              ("best_w", pa.int64())))
 def valmod_checked_op(conv_id, batch, r, *, wmin: int, wmax: int,
                       ez: float = DEFAULT_EZ, atol: float = 2e-5):
     """Variable-length sweep tied to SQL (VALMOD_CHECKED_SQL): per window
@@ -1177,8 +1000,6 @@ def valmod_checked_op(conv_id, batch, r, *, wmin: int, wmax: int,
     numpy and SQL's ORDER BY scaled, w). The production ``valmod`` sweep
     is asserted against the oracle per index, within ``atol`` plus the
     rounding step."""
-    if conv_id is None:
-        return _VALMOD_CHECKED_SCHEMA.empty_table()
     x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * wmax:
         return None
@@ -1196,20 +1017,12 @@ def valmod_checked_op(conv_id, batch, r, *, wmin: int, wmax: int,
                    f"conv {conv_id}", atol + 10.0 ** -_DP,
                    fin=np.isfinite(best), symmetric=False)
     idx = np.flatnonzero(np.isfinite(best))
-    return pa.table({
-        "conv_id": _const_col(conv_id, len(idx)),
-        "window_idx": pa.array(idx.astype(np.int64)),
-        "mp_norm": pa.array(best[idx]),
-        "best_w": pa.array(bw[idx]),
-    }, schema=_VALMOD_CHECKED_SCHEMA)
+    return {"window_idx": idx.astype(np.int64), "mp_norm": best[idx],
+            "best_w": bw[idx]}
 
 
-_PMP_CHECKED_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("w", pa.int64()), ("window_idx", pa.int64()),
-    ("mp", pa.float64()),
-])
-
-
+@emits(_keyed(("w", pa.int64()), ("window_idx", pa.int64()),
+              ("mp", pa.float64())))
 def pmp_checked_op(conv_id, batch, r, *, windows, ez: float = DEFAULT_EZ,
                    atol: float = 2e-5):
     """Pan-matrix-profile tied to SQL (PMP_CHECKED_SQL — round-3 verdict
@@ -1218,8 +1031,6 @@ def pmp_checked_op(conv_id, batch, r, *, windows, ez: float = DEFAULT_EZ,
     /root/reference/R/pmp.R:166-211) asserted in-op per w — values within
     ``atol`` AND finiteness masks equal — then the oracle-order values are
     emitted so the DuckDB hash compare is ulp-immune."""
-    if conv_id is None:
-        return _PMP_CHECKED_SCHEMA.empty_table()
     x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * max(windows):
         return None
@@ -1234,40 +1045,25 @@ def pmp_checked_op(conv_id, batch, r, *, windows, ez: float = DEFAULT_EZ,
         ws.append(np.full(len(fin), w, dtype=np.int64))
         idxs.append(fin.astype(np.int64))
         mps.append(np.round(mp_e[fin], _DP))
-    tot = sum(len(a) for a in idxs)
-    if not tot:
-        return None
-    return pa.table({
-        "conv_id": _const_col(conv_id, tot),
-        "w": pa.array(np.concatenate(ws)),
-        "window_idx": pa.array(np.concatenate(idxs)),
-        "mp": pa.array(np.concatenate(mps)),
-    }, schema=_PMP_CHECKED_SCHEMA)
+    return {"w": np.concatenate(ws), "window_idx": np.concatenate(idxs),
+            "mp": np.concatenate(mps)}
 
 
-_SNIPPET_CHECKED_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("rank", pa.int64()),
-    ("snippet_idx", pa.int64()), ("fraction", pa.float64()),
-])
-
-
-def snippet_checked_op(conv_id, batch, r, *, s_size: int = 16, w: int = 8,
-                       thr: float = 0.05):
+@emits(_SNIPPET_SCHEMA)
+def snippet_checked_op(conv_id, batch, r, *, s_size: int = 16, w: int = 8):
     """find_snippet tied to SQL (SNIPPETS_CHECKED_SQL — round-3 verdict
     item 4), n_snippets=2: the oracle-order MPdist profile matrix
     ``M[s, i]`` is rebuilt from the exact z-distance matrix of the
     zero-padded series (mpdist_vect semantics,
     /root/reference/R/find-snippet.R:86-131 and mpdist.R:143-182: per-out-
     position k-th smallest of the candidate's sliding row minima plus its
-    column minima, k = ceil(thr·2·s_size)), ROUNDED to ``_DP`` before
+    column minima, k = ceil(0.05·2·s_size)), ROUNDED to ``_DP`` before
     the greedy area-minimizing selection (ties → smallest start, matching
     SQL ORDER BY area, s); fractions use the reference's total_min−1 tie
     rule. The production ``find_snippet`` (FFT mpdist_vect) is asserted
     in-op: identical snippet indices, fractions within ties/out_len (a
     position where both chosen rounded profiles tie exactly can flip sides
     under FFT last-ulp noise — the bound is the tie count)."""
-    if conv_id is None:
-        return _SNIPPET_CHECKED_SCHEMA.empty_table()
     x = _series(batch, r, _ORACLE_SIGNAL)
     if len(x) < 4 * s_size:
         return None
@@ -1280,7 +1076,7 @@ def snippet_checked_op(conv_id, batch, r, *, s_size: int = 16, w: int = 8,
     m_sub = s_size - w + 1
     starts = np.arange(0, len(padded) - s_size, s_size)
     out_len = len(padded) - s_size + 1
-    k = max(int(np.ceil(thr * 2 * s_size)), 1)
+    k = max(int(np.ceil(0.05 * 2 * s_size)), 1)
     M = np.empty((len(starts), out_len))
     swv = np.lib.stride_tricks.sliding_window_view
     for si, s in enumerate(starts):
@@ -1309,7 +1105,7 @@ def snippet_checked_op(conv_id, batch, r, *, s_size: int = 16, w: int = 8,
         fracs.append(float(a.sum() / out_len))
         total_min = np.where(a, total_min - 1, total_min)
 
-    prod = find_snippet(x, s_size=s_size, n_snippets=2, w=w, thr=thr)
+    prod = find_snippet(x, s_size=s_size, n_snippets=2, w=w)
     o_idx = [int(starts[i]) for i in order]
     if list(prod["snippet_idx"]) != o_idx:
         raise AssertionError(
@@ -1321,43 +1117,30 @@ def snippet_checked_op(conv_id, batch, r, *, s_size: int = 16, w: int = 8,
             raise AssertionError(
                 f"find_snippet fraction {pf} deviates from oracle-order "
                 f"{of} beyond tie tolerance {tol} on conv {conv_id}")
-    return pa.table({
-        "conv_id": _const_col(conv_id, 2),
-        "rank": pa.array(np.arange(2, dtype=np.int64)),
-        "snippet_idx": pa.array(np.asarray(o_idx, dtype=np.int64)),
-        "fraction": pa.array(np.asarray(fracs, dtype=np.float64)),
-    }, schema=_SNIPPET_CHECKED_SCHEMA)
+    return {"rank": np.arange(2, dtype=np.int64),
+            "snippet_idx": np.asarray(o_idx, dtype=np.int64),
+            "fraction": np.asarray(fracs, dtype=np.float64)}
 
 
-_MPDIST_CHECKED_SCHEMA = pa.schema([
-    ("conv_a", pa.string()), ("conv_b", pa.string()),
-    ("mpdist", pa.float64()),
-])
-
-
-def mpdist_checked_pair_op(id_a, xa, id_b, xb, *, w: int, thr: float = 0.05,
-                           atol: float = 2e-5):
+@emits(_MPDIST_SCHEMA)
+def mpdist_checked_pair_op(id_a, xa, id_b, xb, *, w: int, atol: float = 2e-5):
     """MPdist tied to SQL (MPDIST_CHECKED_SQL): oracle-order per-window
     cross-distance minima from BOTH directions, concatenated, k-th smallest
-    with k = ceil(thr·(na+nb)) (/root/reference/R/mpdist.R:125-131,194-212).
+    with k = ceil(0.05·(na+nb)) (/root/reference/R/mpdist.R:125-131,194-212).
     The production ``mpdist`` kernel is asserted against the oracle value.
     Pairs where fewer than k finite per-window minima exist emit nothing
     (the kernel returns Inf there)."""
-    if id_a is None:
-        return _MPDIST_CHECKED_SCHEMA.empty_table()
     if len(xa) < 2 * w or len(xb) < 2 * w:
         return None
     abba = np.concatenate([_cross_min(xa, xb, w), _cross_min(xb, xa, w)])
-    k = max(int(np.ceil(thr * (len(xa) + len(xb)))), 1)
+    k = max(int(np.ceil(0.05 * (len(xa) + len(xb)))), 1)
     fin = np.sort(abba[np.isfinite(abba)])
     if len(fin) < k:
         return None
     val = float(fin[k - 1])
-    prod = mpdist(xa, xb, w, thr=thr)
+    prod = mpdist(xa, xb, w)
     if abs(prod - val) > atol:
         raise AssertionError(
             f"mpdist kernel deviates from oracle-order value on pair "
             f"({id_a}, {id_b}): |{prod} - {val}| > {atol}")
-    return pa.Table.from_pylist([{
-        "conv_a": id_a, "conv_b": id_b, "mpdist": round(val, _DP),
-    }], schema=_MPDIST_CHECKED_SCHEMA)
+    return {"conv_a": [id_a], "conv_b": [id_b], "mpdist": [round(val, _DP)]}
