@@ -713,11 +713,13 @@ def test_tiers_from_packed_matches_duckdb(ray_session, duck):
                                       check_exact=True)
 
 
-def test_tiers_from_packed_sorts_disordered_ts(ray_session):
+def test_tiers_from_packed_sorts_disordered_ts(ray_session, caplog):
     """A conversation whose ts is not ascending in turn_idx (its ts values
     shuffled across its turns) is stably sorted per conversation: the 1m
     tier equals the DuckDB oracle exactly, where a bare run-boundary
-    bucketing would emit duplicate buckets."""
+    bucketing would emit duplicate buckets. The sort is loud: one
+    ``tsmp_ray`` warning counting the one disordered conversation, and
+    none for the same input in order."""
     import duckdb
     import ray
 
@@ -733,8 +735,16 @@ def test_tiers_from_packed_sorts_disordered_ts(ray_session):
     assert not df[df.conv_id == conv].sort_values("turn_idx")[
         "ts"].is_monotonic_increasing
 
-    packed = pack_series(ray.data.from_arrow(shuffled))
-    got = tiers_from_packed(packed, tiers=("1m",), gap_fill=False)["1m"]
+    warned = lambda: [r.getMessage() for r in caplog.records
+                      if r.name == "tsmp_ray"]
+    with caplog.at_level("WARNING", logger="tsmp_ray"):
+        tiers_from_packed(pack_series(ray.data.from_arrow(tbl)),
+                          tiers=("1m",), gap_fill=False)
+        assert warned() == []
+        packed = pack_series(ray.data.from_arrow(shuffled))
+        got = tiers_from_packed(packed, tiers=("1m",), gap_fill=False)["1m"]
+    assert len(warned()) == 1
+    assert warned()[0].startswith("rollup.tiers_from_packed: 1 conversation")
     con = duckdb.connect()
     con.register("transcripts", shuffled)
     keys = ["conv_id", "signal", "bucket_ts"]

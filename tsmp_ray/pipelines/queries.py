@@ -1144,7 +1144,8 @@ def q_retention_1m(sf_dir: str):
     """TTL filter relative to the dataset's own max bucket (deterministic):
     keep the trailing 7 days of 1m points."""
     # max() and apply_retention() both consume t1m: tiers_from_packed
-    # materializes the tier pass, so only its tier filter runs twice
+    # returns it materialized (one task per packed block), so the tier
+    # pass runs once
     t1m = tiers_from_packed(_packed(sf_dir), tiers=("1m",),
                             gap_fill=False)["1m"]
     hi = int(t1m.max("bucket_ts"))

@@ -32,6 +32,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .signals import as_table
+
 _H1 = np.uint64(0x9E3779B97F4A7C15)
 _H2 = np.uint64(0xC2B2AE3D27D4EB4F)
 
@@ -97,18 +99,6 @@ def ngram_jaccard(a: str, b: str, n: int = 3) -> float:
         return 1.0
     inter = len(sa & sb)
     return inter / (len(sa) + len(sb) - inter)
-
-
-def _as_table(t) -> pa.Table | None:
-    """Dataset blocks may be Arrow or pandas (pandas after a pandas-format
-    ``map_batches``), and Ray's sort can emit SCHEMA-LESS empty blocks for
-    empty range partitions; reduce tasks that read block refs normalize to
-    Arrow and must skip the ``None`` (empty/schema-less) case."""
-    if isinstance(t, pd.DataFrame):
-        if not len(t.columns):
-            return None
-        t = pa.Table.from_pandas(t, preserve_index=False)
-    return t if t.num_columns else None
 
 
 def _popcount64(x: np.ndarray) -> np.ndarray:
@@ -396,7 +386,7 @@ def _verify_jaccard(ds, cand, threshold: float, shingle_n: int,
     def _id_set(*tbls) -> pa.Array:
         s: set[int] = set()
         for t in tbls:
-            t = _as_table(t)
+            t = as_table(t)
             if t is None:
                 continue
             s.update(t["doc_id"].to_pylist())
@@ -422,7 +412,7 @@ def _verify_jaccard(ds, cand, threshold: float, shingle_n: int,
         def _text_lookup(*tbls) -> dict[int, str]:
             d: dict[int, str] = {}
             for t in tbls:
-                t = _as_table(t)
+                t = as_table(t)
                 if t is None:
                     continue
                 d.update(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
@@ -738,7 +728,7 @@ def embedding_dedup(ds_embeddings, *, threshold: float = 0.4,
 
     @ray.remote
     def _norm_block(tbl):
-        tbl = _as_table(tbl)
+        tbl = as_table(tbl)
         if tbl is None or tbl.num_rows == 0:
             return np.empty(0, dtype=np.int64), np.empty((0, 1))
         return (tbl["vec_id"].to_numpy().astype(np.int64),

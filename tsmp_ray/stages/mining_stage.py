@@ -99,7 +99,7 @@ def _assert_agrees(prod: np.ndarray, oracle: np.ndarray, what: str,
     an empty mask is True, so a kernel that wrongly emits Inf/NaN would
     otherwise pass vacuously. Production must be finite wherever the oracle
     is and, when ``symmetric`` (kernels whose skip rule is exactly the
-    oracle's sd==0 rule), non-finite wherever it is not. ``fin=None``
+    oracle's flat-window rule), non-finite wherever it is not. ``fin=None``
     compares every position, finite or not."""
     prod = prod[: len(oracle)]
     both = slice(None)
@@ -341,11 +341,15 @@ _MP_EXACT_SCHEMA = _keyed(("window_idx", pa.int64()), ("mp", pa.float64()))
 
 
 def _z_windows(x: np.ndarray, w: int):
-    """Oracle-order z-normalized window rows + validity mask (sd > 0)."""
+    """Oracle-order z-normalized window rows + validity mask. A window is
+    valid unless flat by the kernels' skip rule (``mass.clean_series``:
+    min == max or sd < EPS) — a constant window of a non-integer value can
+    have std ≈ 1e-16, not 0. On integral signals this is the SQL oracles'
+    ``sd > 0``."""
     win = np.lib.stride_tricks.sliding_window_view(x, w)
     mu = win.mean(axis=1)
     sd = win.std(axis=1)
-    ok = sd > 0
+    ok = (win.min(axis=1) != win.max(axis=1)) & (sd >= EPS)
     z = np.where(ok[:, None],
                  (win - mu[:, None]) / np.where(ok, sd, 1.0)[:, None], 0.0)
     return z, ok
@@ -354,7 +358,7 @@ def _z_windows(x: np.ndarray, w: int):
 def _blocked_d2(za: np.ndarray, zb: np.ndarray, okb: np.ndarray,
                 zone: int | None = None):
     """Yield (lo, hi, d2) ROW BLOCKS of pairwise squared distances between
-    oracle-order z-rows (``_z_windows``) of A (rows) and B (columns), sd==0
+    oracle-order z-rows (``_z_windows``) of A (rows) and B (columns), flat
     B columns masked to inf; for a self-join (B = A) ``zone`` also masks
     the |i-j| ≤ zone exclusion band. The one home for the oracle-order
     pairwise arithmetic of every ``*_checked`` op: one block up to 4M
@@ -375,7 +379,7 @@ def _blocked_d2(za: np.ndarray, zb: np.ndarray, okb: np.ndarray,
 
 def _row_min(ok: np.ndarray, blocks) -> np.ndarray:
     """sqrt of each row's minimum over ``_blocked_d2`` blocks; inf at the
-    rows that are not ``ok`` (sd==0 query windows)."""
+    rows that are not ``ok`` (flat query windows)."""
     d2min = np.full(len(ok), np.inf)
     for lo, hi, d2 in blocks:
         d2min[lo:hi] = d2.min(axis=1)
@@ -385,7 +389,7 @@ def _row_min(ok: np.ndarray, blocks) -> np.ndarray:
 
 def _oracle_order_mp(x: np.ndarray, w: int, zone: int):
     """Oracle-order matrix profile: per window, z-normalize with population
-    mean/sd (windows with sd == 0 dropped on BOTH sides), distance =
+    mean/sd (flat windows dropped on BOTH sides), distance =
     sqrt(min over |i-j|>zone of Σ_k (zi_k - zj_k)²) — the exact arithmetic a
     SQL self-join oracle performs. Returns (mp, ok-mask)."""
     z, ok = _z_windows(x, w)
@@ -393,8 +397,8 @@ def _oracle_order_mp(x: np.ndarray, w: int, zone: int):
 
 
 def _cross_min(xa: np.ndarray, xb: np.ndarray, w: int) -> np.ndarray:
-    """Oracle-order AB-join profile: per A-window, sqrt(min over sd>0
-    B-windows of the z-distance²); inf at sd==0 A-windows — the cross-join
+    """Oracle-order AB-join profile: per A-window, sqrt(min over non-flat
+    B-windows of the z-distance²); inf at flat A-windows — the cross-join
     minimum the AB-join and MPdist SQL oracles compute."""
     za, oka = _z_windows(xa, w)
     zb, okb = _z_windows(xb, w)
@@ -445,7 +449,7 @@ def _oracle_order_pi(x: np.ndarray, w: int, zone: int):
     j)`` reproduces (round BEFORE selection: integer signals make exact
     distance ties common). One pass selects over the left (j < i) and right
     (j > i) candidates; the two-sided index is the better side, the left
-    one on ties (its j is smaller). sd==0 windows are dropped on both sides.
+    one on ties (its j is smaller). Flat windows are dropped on both sides.
     Returns (pi, lpi, rpi, rmp_rounded, ok): -1 / inf where there is no
     valid candidate."""
     z, ok = _z_windows(x, w)

@@ -47,6 +47,19 @@ def repeat_labels(values: list[str], lens) -> pa.Array:
         pa.string())
 
 
+def as_table(block) -> pa.Table | None:
+    """A Dataset block read by ref, as Arrow; None when it is empty and
+    schema-less. Blocks may be pandas (after a pandas-format
+    ``map_batches``), and Ray's sort can emit SCHEMA-LESS empty blocks for
+    empty range partitions, so every task that reads block refs
+    normalizes through here."""
+    if not isinstance(block, pa.Table):
+        if not len(block.columns):
+            return None
+        block = pa.Table.from_pandas(block, preserve_index=False)
+    return block if block.num_columns else None
+
+
 def key_runs(batch: pa.Table, keys: list[str], order=()):
     """One block stably sorted by ``keys`` then ``order``, and the bounds of
     its key runs (run ``i`` is rows ``bounds[i]:bounds[i+1]``) — THE run
