@@ -371,8 +371,8 @@ def test_salted_path_equals_inline(ray_session):
 def test_salted_path_equals_inline_large_window_mpx_branch(ray_session):
     """Same salted-vs-inline parity but with w=40 (> 32), which routes the
     shard path through the mpx DIAGONAL branch instead of the blocked
-    strips — both kernel branches of _sharded_profiles_ds stay covered at
-    stage level."""
+    strips — both kernel branches of profile_stage._profile_shards stay
+    covered at stage level."""
     import ray
 
     tbl = synthetic_transcripts(n_convs=2, seed=11, mean_turns=60,
@@ -483,33 +483,45 @@ def _required_kwargs(fn) -> dict:
             if p.kind is p.KEYWORD_ONLY and p.default is p.empty}
 
 
-@pytest.mark.parametrize("rows", ["all_short", "filtered_out", "limit_0"])
+@pytest.mark.parametrize("rows", ["all_short", "filtered_out", "limit_0",
+                                  "from_arrow_0_rows"])
 def test_mining_stages_emit_declared_schema_when_nothing_comes_back(
         ray_session, schema_divergences, rows):
     """Every op through its stage (per-conv ops through per_conv_stage,
-    pair ops through conv_pair_stage) gives 0 rows with exactly the op's
-    declared schema, and Ray logs no schema divergence, when every
-    conversation is shorter than 2w (every op call returns nothing) and
-    when the input has no rows at all."""
+    pair ops through conv_pair_stage), compute_profiles and compute_mstomp
+    give 0 rows with exactly the declared schema, and Ray logs no schema
+    divergence, when every conversation is shorter than 2w (every op call
+    returns nothing), when the input has no rows at all, and when it is
+    one present-but-empty packed block."""
     import ray
 
     from tsmp_ray.stages import mining_stage as ms
+    from tsmp_ray.stages.profile_stage import PROFILE_SCHEMA
 
     tbl = synthetic_transcripts(n_convs=6, seed=5, mean_turns=8, max_turns=15)
     packed = pack_series(ray.data.from_arrow(tbl)).materialize()
     assert packed.to_pandas()["n_turns"].max() < 16  # < 2w at w = 8
+    zero_rows = ray.get(packed.to_arrow_refs())[0].slice(0, 0)
     packed = {"all_short": packed,
               "filtered_out": packed.filter(expr="n_turns > 1000"),
-              "limit_0": packed.limit(0)}[rows]
+              "limit_0": packed.limit(0),
+              "from_arrow_0_rows": ray.data.from_arrow(zero_rows)}[rows]
     ops = [f for f in vars(ms).values()
            if isinstance(getattr(f, "schema", None), pa.Schema)]
     assert len(ops) == 27
-    for fn in ops:
-        stage = (ms.conv_pair_stage if "conv_a" in fn.schema.names
-                 else ms.per_conv_stage)
-        out = stage(packed, fn, _required_kwargs(fn)).materialize()
-        assert out.count() == 0, fn.__name__
-        assert out.schema().base_schema == fn.schema, fn.__name__
+    cfg = EngineConfig(window_size=8)
+    runs = [(fn.__name__, fn.schema,
+             (ms.conv_pair_stage if "conv_a" in fn.schema.names
+              else ms.per_conv_stage)(packed, fn, _required_kwargs(fn)))
+            for fn in ops]
+    runs += [("compute_profiles", PROFILE_SCHEMA,
+              compute_profiles(packed, cfg)),
+             ("compute_mstomp", ms.mstomp_op.schema,
+              ms.compute_mstomp(packed, cfg))]
+    for name, schema, out in runs:
+        out = out.materialize()
+        assert out.count() == 0, name
+        assert out.schema().base_schema == schema, name
     assert schema_divergences.n == 0
 
 def test_checked_ops_gate_production_kernels(ray_session):
@@ -545,34 +557,37 @@ def test_checked_ops_gate_production_kernels(ray_session):
 
 
 def test_profile_kernel_batched_emit_equals_per_conv():
-    """ProfileKernel.__call__'s one-table-per-batch accumulation must equal
-    the per-conv profile_to_rows concat exactly — including a too-short
-    conv skipped mid-batch — and an all-short batch must come out empty
-    with the stable schema. Pure local (no Ray)."""
-    from tsmp_ray.stages.profile_stage import (PROFILE_SCHEMA, ProfileKernel,
+    """The profile block function's one-table-per-block accumulation must
+    equal the per-conv profile_to_rows concat exactly — including a
+    too-short conv skipped mid-block — and an all-short block must come out
+    empty with the stable schema. Pure local (no Ray)."""
+    from tsmp_ray.config import DEFAULT_EZ, SIGNALS
+    from tsmp_ray.kernels.block_join import auto_profile
+    from tsmp_ray.stages.profile_stage import (PROFILE_SCHEMA, _profile_block,
                                                profile_to_rows)
 
     rng = np.random.default_rng(3)
     w = 8
-    kern = ProfileKernel(window_size=w)
     lengths = [40, 9, 55]  # middle conv < 2w -> skipped
     series = {cid: {sig: rng.integers(0, 50, n).astype(float)
-                    for sig in kern.signals}
+                    for sig in SIGNALS}
               for cid, n in zip(["c0", "c1", "c2"], lengths)}
     batch = pa.table({
         "conv_id": pa.array(list(series)),
         **{sig: pa.array([series[c][sig] for c in series],
                          type=pa.list_(pa.float64()))
-           for sig in kern.signals},
+           for sig in SIGNALS},
     })
-    got = kern(batch)
+    got = _profile_block(batch, w, DEFAULT_EZ)
     want = pa.concat_tables(
-        [profile_to_rows(cid, sig, kern._one_profile(series[cid][sig]))
-         for cid in ("c0", "c2") for sig in kern.signals])
+        [profile_to_rows(cid, sig, auto_profile(series[cid][sig], w,
+                                                ez=DEFAULT_EZ))
+         for cid in ("c0", "c2") for sig in SIGNALS])
     assert got.schema.equals(PROFILE_SCHEMA)
     assert got.equals(want)
 
-    empty = kern(batch.filter(pa.array([False, True, False])))
+    empty = _profile_block(batch.filter(pa.array([False, True, False])), w,
+                           DEFAULT_EZ)
     assert empty.num_rows == 0 and empty.schema.equals(PROFILE_SCHEMA)
 
 
@@ -657,16 +672,55 @@ def test_profile_plan_emits_each_row_once(ray_session):
 
 
 def test_no_heavy_conv_starts_no_shard_task(ray_session):
-    """The shard planner returns None (no shard task, no union) when no conv
-    is over the cut, and plans the heavy conv when one is."""
-    from tsmp_ray.stages.profile_stage import _sharded_profiles_ds
+    """``per_block`` calls the shard planner for no conv (no shard task)
+    when no conv is over the cut, and plans exactly the heavy conv when one
+    is; the planned shards give every row of that conv."""
+    from tsmp_ray.stages.profile_stage import (PROFILE_SCHEMA,
+                                               _profile_shards, per_block)
 
     packed = _mixed_length_packed()
     cfg = EngineConfig(window_size=8)
-    assert _sharded_profiles_ds(packed, cfg, 2, heavy_cut=10_000) is None
-    heavy = _sharded_profiles_ds(packed, cfg, 2, heavy_cut=300).to_pandas()
+    strips, planned = _profile_shards(cfg), []
+    empty = PROFILE_SCHEMA.empty_table()
+
+    def no_profiles(tbl):
+        return empty
+
+    def spy(block, row, conv_id, n):
+        planned.append((conv_id, n))
+        return strips(block, row, conv_id, n)
+
+    none = per_block(packed, PROFILE_SCHEMA, no_profiles,
+                     shards=(10_000, spy))
+    assert planned == [] and none.count() == 0
+    heavy = per_block(packed, PROFILE_SCHEMA, no_profiles,
+                      shards=(300, spy)).to_pandas()
+    assert planned == [("hconv000000", 700)]
     assert set(heavy["conv_id"]) == {"hconv000000"}
     assert len(heavy) == 3 * (700 - 7)
+
+
+def test_per_conv_stages_share_one_block_plan():
+    """One plan for the per-conversation stages: the profile and mining
+    stage modules union nothing and type no empty block on the side
+    (``per_block`` gives every output its schema), and only the profile
+    stage reads the heavy-conversation metadata wave."""
+    import pathlib
+    import re
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "tsmp_ray"
+    stages = pkg / "stages"
+    hits = [f"{path.name}:{i}: {line.strip()}"
+            for path in (stages / "profile_stage.py",
+                         stages / "mining_stage.py")
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"\.union\(|_typed", line)]
+    hits += [f"{path.relative_to(pkg)}:{i}: {line.strip()}"
+             for path in sorted(pkg.rglob("*.py"))
+             if path != stages / "profile_stage.py"
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if "_parallel_block_meta" in line]
+    assert not hits, "\n".join(hits)
 
 
 def test_compute_mstomp_mixed_lengths_each_row_once(ray_session):

@@ -50,14 +50,14 @@ def kernel_stage(ds_packed, name: str, signal: str = "text_len", **params):
     Emits ONE Arrow table per batch (numpy chunks per output key +
     dictionary-encoded conv_id labels) rather than a pandas frame per
     conversation — the same batched-emit shape as tiers_from_packed /
-    ProfileKernel, which measured ~6× cheaper on many-conv inputs
-    (BASELINE.md round 5, many-conv subsection). Kernels must return the
+    profile_stage._profile_block, which measured ~6× cheaper on many-conv
+    inputs (BASELINE.md round 5, many-conv subsection). Kernels must return the
     same key set for every series and equal-length arrays per series; a
     mismatch raises (within a batch; a cross-batch key drift surfaces as
     a block-schema mismatch downstream) instead of silently NaN-filling
     or misaligning rows like a concat of ragged arrays would.
     """
-    from ..stages.signals import repeat_labels
+    from ..stages.signals import list_cell, repeat_labels
 
     fn = get_kernel(name)
 
@@ -67,9 +67,7 @@ def kernel_stage(ds_packed, name: str, signal: str = "text_len", **params):
         idx_chunks: list[np.ndarray] = []
         out_chunks: dict[str, list[np.ndarray]] = {}
         for r in range(batch.num_rows):
-            series = batch[signal][r].values.to_numpy(zero_copy_only=False) \
-                .astype(np.float64, copy=False)
-            out = fn(series, **params)
+            out = fn(list_cell(batch, r, signal), **params)
             if out_chunks and set(out) != set(out_chunks):
                 raise ValueError(
                     f"kernel {name!r} returned keys {sorted(out)} for one "

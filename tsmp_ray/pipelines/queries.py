@@ -1337,9 +1337,10 @@ def q_chains(sf_dir: str):
 
 
 def q_mpdist(sf_dir: str):
-    """Pairwise MPdist between consecutive conversations — one task per pair
-    via ``conv_pair_stage`` (no driver pull; pairing key derived from the
-    numeric conv-id suffix inside each batch)."""
+    """Pairwise MPdist between consecutive conversations via
+    ``conv_pair_stage``: one task per sorted block, one op call per pair (no
+    driver pull; pairing key derived from the numeric conv-id suffix inside
+    each batch)."""
     from ..stages.mining_stage import conv_pair_stage, mpdist_pair_op
 
     packed = pack_series(transcripts_from_events(sf_dir))
@@ -1367,8 +1368,9 @@ def q_valmod(sf_dir: str):
 
 def q_mstomp(sf_dir: str):
     """Multidimensional profile over the 3 signals of each conversation:
-    one task per conv, with convs above the salting threshold fanned out as
-    index-range shards (the reference's mstomp_par plan)."""
+    one task per packed block, one op call per conv, with convs above the
+    salting threshold fanned out as index-range shards (the reference's
+    mstomp_par plan)."""
     from ..stages.mining_stage import compute_mstomp
 
     packed = pack_series(transcripts_from_events(sf_dir))
@@ -1579,8 +1581,8 @@ def q_floss_streaming(sf_dir: str):
 
 def q_ab_join(sf_dir: str):
     """AB similarity join between consecutive conversation pairs, BOTH
-    orientations, one task per pair via ``conv_pair_stage`` (no driver
-    pull)."""
+    orientations, via ``conv_pair_stage``: one task per sorted block, one
+    op call per pair (no driver pull)."""
     from ..stages.mining_stage import abjoin_pair_op, conv_pair_stage
 
     packed = pack_series(transcripts_from_events(sf_dir))

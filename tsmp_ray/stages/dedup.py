@@ -707,7 +707,7 @@ def embedding_dedup(ds_embeddings, *, threshold: float = 0.4,
     the Dataset's own blocks are normalized once each (tasks keyed by block
     ref, results staying in the object store), then every block PAIR (i ≤ j)
     becomes one matmul task reading both sides zero-copy from plasma — the
-    same block-ref plan as ``profile_stage._sharded_profiles_ds``. Nothing
+    same block-ref plan as ``profile_stage.per_block``. Nothing
     ever materializes on the driver and no task holds more than two blocks,
     so memory is O(block_rows²) per task at any corpus size. Compute is
     O(n²) by design (the exact baseline); ``embedding_dedup_lsh`` below is

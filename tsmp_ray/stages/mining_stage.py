@@ -1,8 +1,8 @@
 """Distributed per-conversation mining — the downstream query catalog
-(motifs/discords/segments/chains/mstomp/stompi/annotation) fanned out as
-``map_batches`` tasks over packed-series rows, the same physical plan as the
-profile stage (one conversation per task for Zipf load balancing); no driver
-loops, no full-dataset ``to_pandas``.
+(motifs/discords/segments/chains/mstomp/stompi/annotation) run over
+packed-series rows in the profile stage's plan (``profile_stage.per_block``):
+one task per packed block, one op call per conversation (or per pair, after
+the pair stage's sort); no driver loops, no full-dataset ``to_pandas``.
 
 Each op recomputes the needed matrix profile inline from the packed series
 (one pass per conv: the profile is O(n²), the mining step O(n) — fusing them
@@ -43,7 +43,8 @@ from ..kernels.mstomp import mstomp
 from ..kernels.profile_types import empty_profile
 from ..kernels.salient import salient_subsequences
 from ..kernels.stompi import StreamingProfile
-from .signals import key_runs, repeat_labels
+from .profile_stage import per_block
+from .signals import key_runs, list_cell, remote, repeat_labels
 
 
 #: the signal every single-signal op (but ``fluss_op``: ``tool_call``) and
@@ -76,15 +77,6 @@ def _emit(schema: pa.Schema, parts) -> pa.Table:
     tables = [pa.table(p, schema=schema) for p in parts if p is not None]
     tables = [t for t in tables if t.num_rows]
     return pa.concat_tables(tables) if tables else schema.empty_table()
-
-
-def _typed(ds, schema: pa.Schema):
-    """``ds`` plus one empty block of ``schema``: Ray Data passes an empty
-    input block around a batch UDF without calling it, so a stage over a
-    zero-row input would otherwise come back with no schema at all."""
-    import ray
-
-    return ds.union(ray.data.from_arrow(schema.empty_table()))
 
 
 def _assert_agrees(prod: np.ndarray, oracle: np.ndarray, what: str,
@@ -122,12 +114,6 @@ def _assert_agrees(prod: np.ndarray, oracle: np.ndarray, what: str,
             f"max|Δ|={worst:.2e} > atol={atol}")
 
 
-def _series(batch: pa.Table, row: int, sig: str) -> np.ndarray:
-    return (batch[sig][row].values
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64, copy=False))
-
-
 def _with_key(conv_id: str, cols: dict) -> dict:
     """A per-conv op's columns with the ``conv_id`` key column prepended."""
     n = len(next(iter(cols.values())))
@@ -145,12 +131,11 @@ def _run_convs(batch: pa.Table, fn, kw: dict) -> pa.Table:
 
 def per_conv_stage(ds_packed, fn, fn_kwargs: dict | None = None):
     """Generic fan-out of an ``@emits(_keyed(...))`` op over packed
-    conversation rows, one conv per task: ``fn(conv_id, batch, row, **kw)``
-    returns its non-key columns (name → 1-D values) or None; the stage
-    owns the ``conv_id`` column and the block's schema."""
-    return _typed(ds_packed.map_batches(
-        _run_convs, fn_kwargs={"fn": fn, "kw": fn_kwargs or {}},
-        batch_format="pyarrow", batch_size=1, num_cpus=1), fn.schema)
+    conversation rows, one task per packed block and one op call per
+    conversation: ``fn(conv_id, batch, row, **kw)`` returns its non-key
+    columns (name → 1-D values) or None; the stage owns the ``conv_id``
+    column and the block's schema."""
+    return per_block(ds_packed, fn.schema, _run_convs, fn, fn_kwargs or {})
 
 
 # ------------------------------------------------------------------- ops
@@ -170,7 +155,7 @@ def mining_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ):
     (the reference's ``analyze()`` mining tail, /root/reference/R/analyze.R:69-72)."""
     rows = []
     for sig in SIGNALS:
-        x = _series(batch, r, sig)
+        x = list_cell(batch, r, sig)
         if len(x) < 2 * w:
             continue
         prof = auto_profile(x, w, ez)
@@ -191,7 +176,7 @@ def mining_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ):
 
 @emits(_keyed(("segment", pa.int64())))
 def fluss_op(conv_id, batch, r, *, w: int):
-    x = _series(batch, r, "tool_call")
+    x = list_cell(batch, r, "tool_call")
     if len(x) < 4 * w:
         return None
     res = fluss(x, w, num_segments=1)
@@ -208,7 +193,7 @@ _CHAINS_SCHEMA = _keyed(
 def chains_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ):
     rows = []
     for sig in SIGNALS:
-        x = _series(batch, r, sig)
+        x = list_cell(batch, r, sig)
         if len(x) < 2 * w:
             continue
         res = find_chains(auto_profile(x, w, ez))
@@ -241,68 +226,55 @@ def _mstomp_cols(res, offset: int = 0) -> dict:
 
 
 @emits(_MSTOMP_SCHEMA)
-def mstomp_op(conv_id, batch, r, *, w: int, max_turns: int | None = None):
-    """One conv's multivariate profile; None for convs shorter than 2w or
-    longer than ``max_turns`` (the sharded path owns those)."""
-    mats = [_series(batch, r, s) for s in SIGNALS]
-    n = len(mats[0])
-    if n < 2 * w or (max_turns is not None and n > max_turns):
+def mstomp_op(conv_id, batch, r, *, w: int):
+    """One conv's multivariate profile; None for convs shorter than 2w."""
+    mats = [list_cell(batch, r, s) for s in SIGNALS]
+    if len(mats[0]) < 2 * w:
         return None
     return _mstomp_cols(mstomp(np.stack(mats, axis=1), w))
 
 
+def _mstomp_shard(tbl: pa.Table, row: int, conv_id: str, w: int, lo: int,
+                  hi: int) -> pa.Table:
+    """Query rows [lo, hi) of one conv's multivariate profile, re-seeded by
+    one FFT per dim; window_idx stays global."""
+    mats = [list_cell(tbl, row, s) for s in SIGNALS]
+    res = mstomp(np.stack(mats, axis=1), w, index_range=(lo, hi))
+    return pa.table(_with_key(conv_id, _mstomp_cols(res, offset=lo)),
+                    schema=_MSTOMP_SCHEMA)
+
+
+def _mstomp_shards(w: int):
+    """``compute_mstomp``'s shard planner: equal-width INDEX RANGES, one per
+    session CPU — every query row costs O(p) (a full distance row), so the
+    index axis IS the cost axis."""
+    pool = session_cpus(2)
+    shard = remote(_mstomp_shard)
+
+    def plan(block, row: int, conv_id: str, n: int) -> list:
+        if n < 2 * w:
+            return []
+        p = n - w + 1
+        edges = np.linspace(0, p, min(pool, p) + 1).astype(np.int64)
+        return [shard.remote(block, row, conv_id, w, int(lo), int(hi))
+                for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+
+    return plan
+
+
 def compute_mstomp(ds_packed, cfg: EngineConfig):
     """Multivariate profiles for EVERY conversation, salting the long tail,
-    in one plan over the materialized packed rows: ``mstomp_op`` runs one
-    task per conv and skips convs over ``cfg.salt_turn_threshold``; those
-    fan out as INDEX-RANGE shard tasks over the mstomp QT recurrence — the
-    reference's own mstomp_par partitioning
-    (/root/reference/R/mstomp-par.R:110-127) — each shard re-seeded by one
-    FFT per dim and emitting its final rows directly (no merge: every query
-    index is computed exactly once). Same physical plan as
-    ``profile_stage.compute_profiles``: one metadata wave plans the shards,
-    block refs go to tasks, results stay in the object store,
-    ``from_arrow_refs`` at the end; no long conv → no ``union``."""
-    thr = cfg.salt_turn_threshold
-    ds_packed = ds_packed.materialize()
-    out = per_conv_stage(ds_packed, mstomp_op,
-                         {"w": cfg.window_size, "max_turns": thr})
-    out_big = _sharded_mstomp_ds(ds_packed, cfg, session_cpus(2))
-    if out_big is None:
-        return out
-    return out.union(out_big)
-
-
-def _sharded_mstomp_ds(ds_packed, cfg: EngineConfig, pool: int):
-    import ray
-
-    from .profile_stage import _parallel_block_meta
-
-    w, thr = cfg.window_size, cfg.salt_turn_threshold
-
-    @ray.remote
-    def _shard(tbl: pa.Table, row: int, lo: int, hi: int, conv_id: str):
-        mats = [_series(tbl, row, s) for s in SIGNALS]
-        res = mstomp(np.stack(mats, axis=1), w, index_range=(lo, hi))
-        return pa.table(_with_key(conv_id, _mstomp_cols(res, offset=lo)),
-                        schema=_MSTOMP_SCHEMA)
-
-    table_refs = []
-    for block_ref, conv_ids, n_turns in _parallel_block_meta(ds_packed):
-        for row, (cid, n) in enumerate(zip(conv_ids, n_turns)):
-            if n <= thr or n < 2 * w:
-                continue
-            p = int(n) - w + 1
-            # equal-width index ranges: every query row costs O(p)
-            # (full distance row), so the index axis IS the cost axis
-            n_shards = min(max(2, pool), p)
-            edges = np.linspace(0, p, n_shards + 1).astype(np.int64)
-            table_refs.extend(
-                _shard.remote(block_ref, row, int(lo), int(hi), cid)
-                for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo)
-    if not table_refs:
-        return None
-    return ray.data.from_arrow_refs(table_refs)
+    in the profile stage's one plan (``profile_stage.per_block``):
+    ``mstomp_op`` per conv in one task per packed block, and every conv
+    over ``cfg.salt_turn_threshold`` fanned out as INDEX-RANGE shard tasks
+    over the mstomp QT recurrence — the reference's own mstomp_par
+    partitioning (its R/mstomp-par.R:110-127) — each shard
+    emitting its final rows directly (no merge: every query index is
+    computed exactly once)."""
+    return per_block(ds_packed, _MSTOMP_SCHEMA, _run_convs, mstomp_op,
+                     {"w": cfg.window_size},
+                     shards=(cfg.salt_turn_threshold,
+                             _mstomp_shards(cfg.window_size)))
 
 
 @emits(_keyed(("window_idx", pa.int64()), ("mp", pa.float64()),
@@ -310,7 +282,7 @@ def _sharded_mstomp_ds(ds_packed, cfg: EngineConfig, pool: int):
 def stompi_op(conv_id, batch, r, *, w: int):
     """2/3 batch seed + 1/3 incremental append (equals the batch profile —
     asserted in tests; /root/reference/R/stompi.R:52-96 semantics)."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 4 * w:
         return None
     cut = 2 * len(x) // 3
@@ -327,7 +299,7 @@ def distprofile_op(conv_id, batch, r, *, w: int):
     plus the weighted variant with a center-emphasis weight vector
     (dist_profile dispatcher parity — /root/reference/R/dist_profile.R:69-180,
     mass-pre-w.R:35-91). Skip locations stay +Inf (valid float64 parquet)."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
     d3, _ = dist_profile(x, x[:w], method="v3")
@@ -416,7 +388,7 @@ def mp_exact_op(conv_id, batch, r, *, w: int):
     """Oracle-order matrix profile (see ``_oracle_order_mp``) — the
     oracle-friendly flagship-correctness query; rounded values hash-match a
     SQL self-join computing the identical znorm-ED arithmetic."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
     return _mp_exact_cols(*_oracle_order_mp(x, w, exclusion_zone(w)))
@@ -433,7 +405,7 @@ def profile_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
     hash compare is immune to FFT last-ulp noise. This closes the gap where
     only the oracle-order arithmetic (not the hot kernel) had a green SQL
     row (round-2 verdict item 5)."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
     mp, ok = _oracle_order_mp(x, w, exclusion_zone(w, ez))
@@ -486,7 +458,7 @@ def chains_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ):
     production walker returns exactly those chains, and emits the
     integer-only member rows (chains longer than 2) that a recursive-CTE
     SQL oracle reproduces."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
     _, lpi, rpi, rmp, _ = _oracle_order_pi(x, w, exclusion_zone(w, ez))
@@ -581,7 +553,7 @@ def fluss_cac_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
     at distance level by ``profiles_checked`` (index ties under unrounded
     production kernels are legitimately arbitrary, so the production mpx
     pi cannot be hash-compared directly)."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
     cac = _gated_cac(conv_id, x, w, exclusion_zone(w, ez), ez * 10, atol)
@@ -611,7 +583,7 @@ def fluss_segments_checked_op(conv_id, batch, r, *, w: int,
     The edge-forcing AND suppression zone is round(w·1.0) (``ez_factor`` =
     1.0) — the reference default 10·ez = 5 forces the whole CAC to 1 on
     sf0.01-sized convs (p ≈ 60 < 2·zone = 80), which would gate nothing."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
     cac = _gated_cac(conv_id, x, w, exclusion_zone(w), 1.0, atol)
@@ -631,7 +603,7 @@ def annotation_op(conv_id, batch, r, *, w: int):
     """av_complexity per window, rounded to ``_DP`` so the result
     hash-matches the SQL oracle (numpy pairwise summation vs SQL sequential
     sums differ in the last ulp; the value is O(1) so 6 dp absorbs it)."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
     av = np.round(av_complexity(x, w), _DP)
@@ -649,7 +621,7 @@ def annotation_op(conv_id, batch, r, *, w: int):
 def pmp_op(conv_id, batch, r, *, windows):
     """Pan-matrix-profile sweep per conversation
     (/root/reference/R/pmp.R:166-211)."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * max(windows):
         return None
     res = pmp(x, windows=windows)
@@ -671,7 +643,7 @@ def valmod_op(conv_id, batch, r, *, wmin: int, wmax: int):
     (the reference's R/valmod.R:52-470) with the exact per-window sweep;
     ``valmod_checked_op`` gates the same ``valmod`` call against the SQL
     oracle."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * wmax:
         return None
     res = valmod(x, wmin, wmax)
@@ -686,7 +658,7 @@ def salient_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ):
     """MDL salient subsequences per conversation
     (/root/reference/R/salient.R), 6-bit discretization over 8 candidates
     per round."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
     sal = salient_subsequences(x, auto_profile(x, w, ez), n_bits=6, n_cand=8)
@@ -706,7 +678,7 @@ _SNIPPET_SCHEMA = _keyed(("rank", pa.int64()), ("snippet_idx", pa.int64()),
 def snippet_op(conv_id, batch, r, *, s_size: int, w: int = 8):
     """The 2 representative snippets per conversation
     (/root/reference/R/find-snippet.R:47-142)."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 4 * s_size:
         return None
     res = find_snippet(x, s_size=s_size, n_snippets=2, w=w)
@@ -733,46 +705,46 @@ def _conv_num(s: str) -> int:
     return int(m.group(1))
 
 
+def _run_pairs(batch: pa.Table, fn, kw: dict) -> pa.Table:
+    """One ``conv_pair_stage`` block: ``fn``'s columns for each pair (run of
+    ``pair_id``), as one block of ``fn.schema``."""
+    outs = []
+    batch, bounds = key_runs(batch, ["pair_id"])
+    ids = batch["conv_id"].to_pylist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo > 2:
+            # duplicate numeric suffixes across prefixes ('a4' and 'b4')
+            # would silently pair two arbitrary members and drop the rest
+            raise ValueError(
+                f"conv_pair_stage: pair group holds {hi - lo} convs "
+                f"{ids[lo:hi]!r}; numeric conv-id suffixes must be "
+                f"unique")
+        if hi - lo == 2:
+            a, b = sorted((lo, lo + 1), key=lambda r: _conv_num(ids[r]))
+            outs.append(fn(ids[a], list_cell(batch, a, _ORACLE_SIGNAL),
+                           ids[b], list_cell(batch, b, _ORACLE_SIGNAL),
+                           **kw))
+    return _emit(fn.schema, outs)
+
+
 def conv_pair_stage(ds_packed, fn, fn_kwargs: dict | None = None):
     """Fan out an ``@emits`` pair op ``fn(id_a, xa, id_b, xb, **kw)`` (every
     column of ``fn.schema``, ``conv_a``/``conv_b`` included, or None) over
     CONSECUTIVE conversation pairs: numeric-id 2k pairs with 2k+1. The
     pairing key is derived from the numeric conv-id suffix INSIDE each batch
     (no global rank), then ``sort(pair_id)`` co-locates each pair and one
-    call per block loops over its pairs (runs of ``signals.key_runs``),
-    passing each conv's ``text_len`` series. Odd leftover ids (no partner)
-    are dropped."""
-    kw = fn_kwargs or {}
+    task per sorted block (``profile_stage.per_block``) loops over its
+    pairs (runs of ``signals.key_runs``), passing each conv's ``text_len``
+    series. Odd leftover ids (no partner) are dropped."""
 
     def add_pair(batch: pa.Table) -> pa.Table:
         num = np.array([_conv_num(s) for s in batch["conv_id"].to_pylist()],
                        dtype=np.int64)
         return batch.append_column("pair_id", pa.array(num // 2))
 
-    def run_pairs(batch: pa.Table) -> pa.Table:
-        outs = []
-        batch, bounds = key_runs(batch, ["pair_id"])
-        ids = batch["conv_id"].to_pylist()
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi - lo > 2:
-                # duplicate numeric suffixes across prefixes ('a4' and 'b4')
-                # would silently pair two arbitrary members and drop the rest
-                raise ValueError(
-                    f"conv_pair_stage: pair group holds {hi - lo} convs "
-                    f"{ids[lo:hi]!r}; numeric conv-id suffixes must be "
-                    f"unique")
-            if hi - lo == 2:
-                a, b = sorted((lo, lo + 1), key=lambda r: _conv_num(ids[r]))
-                outs.append(fn(ids[a], _series(batch, a, _ORACLE_SIGNAL),
-                               ids[b], _series(batch, b, _ORACLE_SIGNAL),
-                               **kw))
-        return _emit(fn.schema, outs)
-
-    return _typed(
+    return per_block(
         ds_packed.map_batches(add_pair, batch_format="pyarrow")
-        .sort("pair_id")
-        .map_batches(run_pairs, batch_format="pyarrow", batch_size=None),
-        fn.schema)
+        .sort("pair_id"), fn.schema, _run_pairs, fn, fn_kwargs or {})
 
 
 _MPDIST_SCHEMA = pa.schema([
@@ -831,7 +803,7 @@ def abjoin_pair_op(id_a, xa, id_b, xb, *, w: int):
 def distprof_checked_op(conv_id, batch, r, *, w: int, atol: float = 2e-5):
     """MASS v3 distance profile of each conv's window 0, gated by the
     oracle-order exact z-distance (SQL: DIST_PROFILE_CHECKED_SQL)."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
     z, ok = _z_windows(x, w)
@@ -853,7 +825,7 @@ def stompi_checked_op(conv_id, batch, r, *, w: int, atol: float = 2e-5):
     (/root/reference/R/stompi.R:52-96) converges to the batch answer, checked
     all the way to SQL (reuses the mp_exact oracle with a 4w min-length
     bound)."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 4 * w:
         return None
     cut = 2 * len(x) // 3
@@ -906,7 +878,7 @@ def motifs_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
     blocks yields both the profile (for the discord) and the top pair. The
     production ``find_motifs`` / ``find_discords`` top distances are
     asserted against the oracle's."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
     z, ok = _z_windows(x, w)
@@ -955,7 +927,7 @@ def mstomp_checked_op(conv_id, batch, r, *, w: int, atol: float = 2e-5):
     dropped (mstomp.R:204-206); a candidate degenerate in one dim still
     competes through its other dims. The production ``mstomp`` kernel rows
     are asserted against the oracle per k."""
-    mats = [_series(batch, r, s) for s in SIGNALS]
+    mats = [list_cell(batch, r, s) for s in SIGNALS]
     n = len(mats[0])
     if n < 2 * w:
         return None
@@ -1004,7 +976,7 @@ def valmod_checked_op(conv_id, batch, r, *, wmin: int, wmax: int,
     numpy and SQL's ORDER BY scaled, w). The production ``valmod`` sweep
     is asserted against the oracle per index, within ``atol`` plus the
     rounding step."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * wmax:
         return None
     p_out = len(x) - wmin + 1
@@ -1035,7 +1007,7 @@ def pmp_checked_op(conv_id, batch, r, *, windows, ez: float = DEFAULT_EZ,
     /root/reference/R/pmp.R:166-211) asserted in-op per w — values within
     ``atol`` AND finiteness masks equal — then the oracle-order values are
     emitted so the DuckDB hash compare is ulp-immune."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * max(windows):
         return None
     res = pmp(x, windows=windows, ez=ez)
@@ -1068,7 +1040,7 @@ def snippet_checked_op(conv_id, batch, r, *, s_size: int = 16, w: int = 8):
     in-op: identical snippet indices, fractions within ties/out_len (a
     position where both chosen rounded profiles tie exactly can flip sides
     under FFT last-ulp noise — the bound is the tie count)."""
-    x = _series(batch, r, _ORACLE_SIGNAL)
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 4 * s_size:
         return None
     pad = int(np.ceil(len(x) / s_size)) * s_size - len(x)

@@ -41,7 +41,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import SIGNALS, TIERS
-from .signals import as_table, repeat_labels
+from .signals import as_table, remote, repeat_labels
 
 log = logging.getLogger("tsmp_ray")
 
@@ -189,20 +189,6 @@ def _tier_block(block, widths: tuple[int, ...], gap_fill: bool,
     return (*out, n_disordered)
 
 
-_TIER_BLOCK_REMOTE = None
-
-
-def _tier_block_task():
-    """Cached remote wrapper of :func:`_tier_block` (one function export per
-    session, not one per call)."""
-    global _TIER_BLOCK_REMOTE
-    if _TIER_BLOCK_REMOTE is None:
-        import ray
-
-        _TIER_BLOCK_REMOTE = ray.remote(_tier_block)
-    return _TIER_BLOCK_REMOTE
-
-
 def tiers_from_packed(ds_packed, tiers: tuple[str, ...] = ("1m", "1h", "1d"),
                       gap_fill: bool = True, max_gap: int | None = None):
     """ALL tiers of every conversation from PACKED rows, with ZERO
@@ -243,7 +229,7 @@ def tiers_from_packed(ds_packed, tiers: tuple[str, ...] = ("1m", "1h", "1d"),
     blocks = [br for bundle in ds_packed.materialize()
               .iter_internal_ref_bundles() for br in bundle.block_refs
               ] or [ray.put(pa.table({}))]
-    task = _tier_block_task().options(num_returns=len(widths) + 1)
+    task = remote(_tier_block).options(num_returns=len(widths) + 1)
     outs = [task.remote(b, tuple(w for _, w in widths), gap_fill, max_gap)
             for b in blocks]
     n_disordered = sum(ray.get([o[-1] for o in outs]))

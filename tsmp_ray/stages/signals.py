@@ -27,6 +27,7 @@ reference — indices are the join keys; here (conv_id, turn_idx) is).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -58,6 +59,24 @@ def as_table(block) -> pa.Table | None:
             return None
         block = pa.Table.from_pandas(block, preserve_index=False)
     return block if block.num_columns else None
+
+
+def list_cell(tbl: pa.Table, row: int, col: str) -> np.ndarray:
+    """One list cell of a packed table as float64 numpy: the cell's values
+    buffer, not a Python list (``.as_py()``). THE series reader of every
+    per-conversation kernel call."""
+    return (tbl[col][row].values.to_numpy(zero_copy_only=False)
+            .astype(np.float64, copy=False))
+
+
+@functools.cache
+def remote(fn, **options):
+    """``fn`` as a Ray remote function (with ``options``), made once per
+    process: a block task's function is exported once per session, not
+    once per stage call."""
+    import ray
+
+    return ray.remote(**options)(fn) if options else ray.remote(fn)
 
 
 def key_runs(batch: pa.Table, keys: list[str], order=()):
