@@ -249,11 +249,9 @@ def headline_pipelines(sf_dir: str):
 
     def rollup_tiers():
         # zero-shuffle path: all tiers per conv straight from packed rows
-        from tsmp_ray.stages.rollup import tiers_from_packed
+        from tsmp_ray.stages.rollup import compute_tiers
 
-        tiers = tiers_from_packed(state["packed"],
-                                  gap_fill=CFG.gap_fill,
-                                  max_gap=CFG.gap_fill_max_buckets)
+        tiers = compute_tiers(state["packed"], CFG)
         state["t1m"] = tiers["1m"]
         return sum(t.count() for t in tiers.values())
 

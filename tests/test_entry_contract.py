@@ -104,6 +104,84 @@ def test_engine_makes_no_map_groups_call():
 
 
 
+#: modules no entry point reaches, each kept for the tests that check it
+TEST_ONLY_MODULES = {
+    "tsmp_ray.pipelines.compute_api":
+        "the reference's tsmp()/compute()/analyze() API, checked by the "
+        "known-answer tests",
+    "tsmp_ray.kernels.subset":
+        "the reference's subset-window API, checked by its known answers",
+    "tsmp_ray.state.serialize":
+        "the reference's profile (de)serialization, round-trip tested",
+    "tsmp_ray.kernels.floss_ref":
+        "the reference-parity FLOSS loop the streaming FlossState is "
+        "checked against",
+    "tsmp_ray.sources.rdata":
+        "the .rda reader that loads the reference's own datasets for the "
+        "known-answer tests",
+    "tsmp_ray.functions.registry":
+        "the user extension surface; its built-ins are tested through "
+        "kernel_stage",
+    "tsmp_ray.functions": "the package holding only the registry",
+}
+
+
+def _imported_modules(path, module: str, modules: set[str]) -> set[str]:
+    """The ``tsmp_ray`` modules (package ``__init__``s included) that the
+    file ``path`` of ``module`` imports anywhere in its body."""
+    import ast
+
+    def with_parents(name: str) -> set[str]:
+        parts = name.split(".")
+        return {".".join(parts[:k]) for k in range(1, len(parts) + 1)} & modules
+
+    is_pkg = path.name == "__init__.py"
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                found |= with_parents(alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                # relative: drop ``level`` names; a package ``__init__`` is
+                # its own first level
+                parts = module.split(".")
+                parts = parts[:len(parts) - node.level + is_pkg]
+                base = ".".join(parts + ([base] if base else []))
+            found |= with_parents(base)
+            for alias in node.names:
+                found |= with_parents(f"{base}.{alias.name}")
+    return found
+
+
+def test_every_engine_module_is_reached_from_an_entry_point():
+    """No dead modules: every ``tsmp_ray`` module is imported, transitively
+    and with package ``__init__``s counted, from ``__ray_entry__.py``,
+    ``bench.py`` or ``perfbench/*.py`` — but for the named test-only
+    modules, which must stay unreached (a reached one leaves the list)."""
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    files = {}
+    for path in sorted((root / "tsmp_ray").rglob("*.py")):
+        parts = path.relative_to(root).with_suffix("").parts
+        files[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    modules = set(files)
+    todo = set()
+    for path in [root / "__ray_entry__.py", root / "bench.py",
+                 *sorted((root / "perfbench").glob("*.py"))]:
+        todo |= _imported_modules(path, "", modules)
+    reached: set[str] = set()
+    while todo:
+        mod = todo.pop()
+        reached.add(mod)
+        todo |= _imported_modules(files[mod], mod, modules) - reached
+    assert set(TEST_ONLY_MODULES) <= modules
+    assert sorted(modules - reached - set(TEST_ONLY_MODULES)) == []
+    assert sorted(set(TEST_ONLY_MODULES) & reached) == []
+
+
 def test_mining_ops_have_no_empty_schema_sentinel():
     """One op contract: every op declares its output schema once
     (``@emits``) and the stages type an empty block from it, so no op

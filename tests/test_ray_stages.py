@@ -16,7 +16,7 @@ from tsmp_ray.sources.transcripts import (
     TRANSCRIPTS_FROM_EVENTS_SQL, synthetic_transcripts, transcripts_from_events,
 )
 from tsmp_ray.stages.profile_stage import compute_profiles
-from tsmp_ray.stages.rollup import tiers_from_packed
+from tsmp_ray.stages.rollup import compute_tiers, tiers_from_packed
 from tsmp_ray.stages.signals import (
     add_turn_features, conversation_fingerprints, pack_series, unpack_signals,
 )
@@ -483,8 +483,25 @@ def _required_kwargs(fn) -> dict:
             if p.kind is p.KEYWORD_ONLY and p.default is p.empty}
 
 
-@pytest.mark.parametrize("rows", ["all_short", "filtered_out", "limit_0",
-                                  "from_arrow_0_rows"])
+_NOTHING_BACK = ["all_short", "filtered_out", "limit_0", "from_arrow_0_rows"]
+
+
+def _nothing_back_input(rows: str):
+    """Six packed conversations all shorter than 2w at w = 8, or no rows at
+    all: filtered out, limited to 0, or one present-but-empty block."""
+    import ray
+
+    tbl = synthetic_transcripts(n_convs=6, seed=5, mean_turns=8, max_turns=15)
+    packed = pack_series(ray.data.from_arrow(tbl)).materialize()
+    assert packed.to_pandas()["n_turns"].max() < 16  # < 2w at w = 8
+    zero_rows = ray.get(packed.to_arrow_refs())[0].slice(0, 0)
+    return {"all_short": packed,
+            "filtered_out": packed.filter(expr="n_turns > 1000"),
+            "limit_0": packed.limit(0),
+            "from_arrow_0_rows": ray.data.from_arrow(zero_rows)}[rows]
+
+
+@pytest.mark.parametrize("rows", _NOTHING_BACK)
 def test_mining_stages_emit_declared_schema_when_nothing_comes_back(
         ray_session, schema_divergences, rows):
     """Every op through its stage (per-conv ops through per_conv_stage,
@@ -493,19 +510,10 @@ def test_mining_stages_emit_declared_schema_when_nothing_comes_back(
     divergence, when every conversation is shorter than 2w (every op call
     returns nothing), when the input has no rows at all, and when it is
     one present-but-empty packed block."""
-    import ray
-
     from tsmp_ray.stages import mining_stage as ms
     from tsmp_ray.stages.profile_stage import PROFILE_SCHEMA
 
-    tbl = synthetic_transcripts(n_convs=6, seed=5, mean_turns=8, max_turns=15)
-    packed = pack_series(ray.data.from_arrow(tbl)).materialize()
-    assert packed.to_pandas()["n_turns"].max() < 16  # < 2w at w = 8
-    zero_rows = ray.get(packed.to_arrow_refs())[0].slice(0, 0)
-    packed = {"all_short": packed,
-              "filtered_out": packed.filter(expr="n_turns > 1000"),
-              "limit_0": packed.limit(0),
-              "from_arrow_0_rows": ray.data.from_arrow(zero_rows)}[rows]
+    packed = _nothing_back_input(rows)
     ops = [f for f in vars(ms).values()
            if isinstance(getattr(f, "schema", None), pa.Schema)]
     assert len(ops) == 27
@@ -522,6 +530,34 @@ def test_mining_stages_emit_declared_schema_when_nothing_comes_back(
         out = out.materialize()
         assert out.count() == 0, name
         assert out.schema().base_schema == schema, name
+    assert schema_divergences.n == 0
+
+
+@pytest.mark.parametrize("rows", _NOTHING_BACK)
+def test_floss_and_registered_kernel_emit_declared_schema(
+        ray_session, schema_divergences, rows):
+    """``floss_op`` and a registered kernel, both through per_conv_stage,
+    carry exactly their declared schema with no schema divergence on the
+    same inputs. With no input rows both give 0 rows; on short
+    conversations the kernel (cac: n < 2w) gives 0 rows and FLOSS keeps
+    one row per conversation with no segment."""
+    from tsmp_ray.functions.registry import kernel_stage
+    from tsmp_ray.stages.floss_stage import floss_op
+    from tsmp_ray.stages.mining_stage import per_conv_stage
+
+    packed = _nothing_back_input(rows)
+    n_convs = packed.count()
+    floss = per_conv_stage(packed, floss_op, {"w": 8, "data_window": 60,
+                                              "threshold": 0.6}).materialize()
+    cac = kernel_stage(packed, "cac", w=8).materialize()
+    assert cac.count() == 0
+    assert cac.schema().base_schema == pa.schema([
+        ("conv_id", pa.string()), ("idx", pa.int64()), ("cac", pa.float64())])
+    assert floss.schema().base_schema == floss_op.schema
+    assert floss.count() == n_convs
+    assert (rows == "all_short") == (n_convs > 0)
+    if n_convs:
+        assert set(floss.to_pandas()["n_segments"]) == {0}
     assert schema_divergences.n == 0
 
 def test_checked_ops_gate_production_kernels(ray_session):
@@ -703,8 +739,9 @@ def test_no_heavy_conv_starts_no_shard_task(ray_session):
 def test_per_conv_stages_share_one_block_plan():
     """One plan for the per-conversation stages: the profile and mining
     stage modules union nothing and type no empty block on the side
-    (``per_block`` gives every output its schema), and only the profile
-    stage reads the heavy-conversation metadata wave."""
+    (``per_block`` gives every output its schema), FLOSS and the kernel
+    registry start no batch map or actor pool, and only the profile stage
+    reads the heavy-conversation metadata wave."""
     import pathlib
     import re
 
@@ -715,6 +752,13 @@ def test_per_conv_stages_share_one_block_plan():
                          stages / "mining_stage.py")
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if re.search(r"\.union\(|_typed", line)]
+    # FLOSS and the kernel registry are ops on per_conv_stage: no batch
+    # plan or actor pool of their own
+    hits += [f"{path.name}:{i}: {line.strip()}"
+             for path in (stages / "floss_stage.py",
+                          pkg / "functions" / "registry.py")
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"map_batches\(|concurrency=", line)]
     hits += [f"{path.relative_to(pkg)}:{i}: {line.strip()}"
              for path in sorted(pkg.rglob("*.py"))
              if path != stages / "profile_stage.py"
@@ -749,8 +793,7 @@ def test_tiers_from_packed_matches_duckdb(ray_session, duck):
     packed = pack_series(transcripts_from_events(SF)).materialize()
     cfg = EngineConfig(window_size=8)
     keys = ["conv_id", "signal", "bucket_ts"]
-    shipped = tiers_from_packed(packed, tiers=cfg.tiers, gap_fill=cfg.gap_fill,
-                                max_gap=cfg.gap_fill_max_buckets)
+    shipped = compute_tiers(packed, cfg)
     for tier in ("1m", "1h", "1d"):
         got = shipped[tier].to_pandas()
         got = sorted_df(got[~got.gap_filled][ROLLUP_COLUMNS], keys)

@@ -1,6 +1,7 @@
 """Kernel-registry extension surface."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 
@@ -15,7 +16,7 @@ def test_register_and_run(ray_session):
 
     assert {"matrix_profile", "cac", "zscore"} <= set(list_kernels())
 
-    @register_kernel("range_ratio")
+    @register_kernel("range_ratio", {"rr": pa.float64()})
     def _rr(series, w: int = 4):
         from tsmp_ray.kernels.movstats import movmax, movmin
 
@@ -59,7 +60,7 @@ def test_kernel_stage_rejects_inconsistent_keys(ray_session):
 
     flip = {"n": 0}
 
-    @register_kernel("_alternating_keys")
+    @register_kernel("_alternating_keys", {"a": pa.float64()})
     def _alt(series):
         flip["n"] += 1
         key = "a" if flip["n"] % 2 else "b"
@@ -69,6 +70,29 @@ def test_kernel_stage_rejects_inconsistent_keys(ray_session):
     packed = pack_series(ray.data.from_arrow(tbl)).repartition(1)
     with pytest.raises(Exception, match="returned keys"):
         kernel_stage(packed, "_alternating_keys").to_pandas()
+
+
+def test_kernel_stage_rejects_key_drift_across_blocks(ray_session):
+    """A kernel whose key set changes between blocks raises: each
+    conversation is checked against the declared columns, so 8 single-conv
+    blocks returning {a} and 8 returning {b} cannot come back as one
+    Dataset null-filled in both columns."""
+    import ray
+
+    from tsmp_ray.functions.registry import kernel_stage, register_kernel
+
+    @register_kernel("_drifting_keys", {"a": pa.float64()})
+    def _drift(series):
+        return {"a" if series[0] == 0 else "b": np.zeros(3)}
+
+    blocks = [pa.table({"conv_id": [f"c{i:02d}"],
+                        "text_len": pa.array([[float(i >= 8)] * 3],
+                                             pa.list_(pa.float64()))})
+              for i in range(16)]
+    packed = ray.data.from_arrow(blocks)
+    assert packed.num_blocks() == 16
+    with pytest.raises(Exception, match="returned keys"):
+        kernel_stage(packed, "_drifting_keys").to_pandas()
 
 
 def test_kernel_stage_rejects_unequal_lengths(ray_session):
@@ -81,7 +105,7 @@ def test_kernel_stage_rejects_unequal_lengths(ray_session):
     from tsmp_ray.sources.transcripts import synthetic_transcripts
     from tsmp_ray.stages.signals import pack_series
 
-    @register_kernel("_ragged_keys")
+    @register_kernel("_ragged_keys", {"a": pa.float64(), "b": pa.float64()})
     def _ragged(series):
         return {"a": np.zeros(5), "b": np.zeros(4)}
 
@@ -92,10 +116,8 @@ def test_kernel_stage_rejects_unequal_lengths(ray_session):
 
 
 def test_kernel_stage_empty_input(ray_session):
-    """Zero-conversation input returns zero rows without erroring (Ray
-    short-circuits a fully-empty dataset to a schema-less empty frame
-    before the batch fn runs — the early return inside `run` covers the
-    mixed empty-block case, which Ray does not surface deterministically)."""
+    """Zero-conversation input returns zero rows typed by the kernel's
+    declared columns."""
     import ray
 
     from tsmp_ray.functions.registry import kernel_stage
@@ -105,8 +127,9 @@ def test_kernel_stage_empty_input(ray_session):
     tbl = synthetic_transcripts(n_convs=2, seed=3, mean_turns=30)
     packed = pack_series(ray.data.from_arrow(tbl)) \
         .filter(expr="n_turns > 1000000")
-    out = kernel_stage(packed, "zscore").to_pandas()
-    assert len(out) == 0
+    out = kernel_stage(packed, "zscore")
+    assert out.schema().names == ["conv_id", "idx", "z"]
+    assert len(out.to_pandas()) == 0
 
 
 def test_materialize_shared_ctes_rules():

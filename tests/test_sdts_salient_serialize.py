@@ -126,19 +126,18 @@ def test_floss_stage_over_dataset(ray_session):
     import ray
 
     from tsmp_ray.sources.transcripts import synthetic_transcripts
-    from tsmp_ray.stages.floss_stage import floss_over_dataset
+    from tsmp_ray.stages.floss_stage import FlossState, floss_op
+    from tsmp_ray.stages.mining_stage import per_conv_stage
     from tsmp_ray.stages.signals import pack_series
-
-    from tsmp_ray.stages.floss_stage import FlossState
 
     tbl = synthetic_transcripts(n_convs=4, seed=13, mean_turns=150)
     packed = pack_series(ray.data.from_arrow(tbl))
-    out = floss_over_dataset(packed, window_size=8, data_window=120,
-                             threshold=0.6).to_pandas()
+    out = per_conv_stage(packed, floss_op, {"w": 8, "data_window": 120,
+                                            "threshold": 0.6}).to_pandas()
     assert len(out) == packed.count()
-    # the actor path must equal a local FlossState replay per conv (same
-    # params incl. the actor's chunk=50 default) — `n_segments >= 0` alone
-    # could never fail for a count column
+    # the stage must equal a local FlossState replay per conv (same params
+    # incl. the op's chunk=50) — `n_segments >= 0` alone could never fail
+    # for a count column
     want = {}
     for row in packed.to_pandas().itertuples():
         st = FlossState(8, 120, threshold=0.6)

@@ -1,6 +1,7 @@
 """Pure-numpy matrix-profile kernels (single-series; no Ray).
 
-These run inside Ray Data actor-pool stages per conversation; they are
+These run inside the per-conversation Ray Data stages (one task per packed
+block, ``stages.profile_stage.per_block``); they are
 exhaustively tested against the brute-force oracle before distribution
 (SURVEY.md §7.1 M2).
 """

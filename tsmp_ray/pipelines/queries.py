@@ -1569,13 +1569,15 @@ def q_multimodal(sf_dir: str):
 
 
 def q_floss_streaming(sf_dir: str):
-    """Streaming FLOSS segmentation per conversation: each packed conv is
-    replayed chunkwise through one ``FlossState`` inside an actor pool."""
-    from ..stages.floss_stage import floss_over_dataset
+    """Streaming FLOSS segmentation per conversation: ``floss_op`` replays
+    each packed conv chunkwise through one ``FlossState``."""
+    from ..stages.floss_stage import floss_op
+    from ..stages.mining_stage import per_conv_stage
 
     packed = pack_series(transcripts_from_events(sf_dir))
-    out = floss_over_dataset(packed, window_size=CFG.window_size,
-                             data_window=60, threshold=0.6)
+    out = per_conv_stage(packed, floss_op, {"w": CFG.window_size,
+                                            "data_window": 60,
+                                            "threshold": 0.6})
     return out.select_columns(["conv_id", "n_segments"])
 
 

@@ -7,13 +7,12 @@ Engine analog of the reference's online loop (``floss()``
 (SURVEY.md §3.3): {tail buffer, profile arrays, cac_final, offset}; feed it
 chunks with ``append`` for true streaming.
 
-``floss_over_dataset`` runs it distributed over a packed Dataset:
-``FlossActor.__call__`` builds a FRESH ``FlossState`` per packed row and
-replays that conversation's whole series through it in ``chunk``-point
-appends, so nothing is kept across rows or batches — the actor holds only
-its constructor settings, and there is no keyed cross-batch state to lose
-or resume. Keyed state that survives across micro-batches (and a
-checkpoint for it) does not exist yet (ROADMAP item 7).
+``floss_op`` is the per-conversation op that ``mining_stage.per_conv_stage``
+runs over packed rows (one task per packed block): it replays a
+conversation's whole ``tool_call`` series through a fresh ``FlossState`` in
+the reference's 50-point chunks, so nothing is kept across conversations or
+blocks. Keyed state that survives across micro-batches (and a checkpoint for
+it) does not exist yet (ROADMAP item 7).
 
 Ordering contract: a stream's chunks must arrive in turn order (the
 engine's stable (conv_id, turn_idx) invariant). No watermark/late data —
@@ -25,13 +24,15 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..config import DEFAULT_EZ, EPS, session_cpus
+from ..config import DEFAULT_EZ, EPS
 from ..kernels.mining import floss_cac_online
 from ..kernels.stompi import StreamingProfile
+from .mining_stage import _keyed, emits
+from .signals import list_cell
 
 
 class FlossState:
-    """One stream's FLOSS state; ``FlossActor`` builds one per packed row."""
+    """One stream's FLOSS state; ``floss_op`` builds one per conversation."""
 
     def __init__(self, w: int, data_window: int, ez: float = DEFAULT_EZ,
                  threshold: float = 0.35):
@@ -107,46 +108,10 @@ class FlossState:
         self.seg_vals.append(val)
 
 
-class FlossActor:
-    """map_batches actor: each packed-conv row is replayed chunkwise through
-    a FlossState; emits (conv_id, n_segments, segments list, last_cac)."""
-
-    def __init__(self, window_size: int = 8, data_window: int = 200,
-                 threshold: float = 0.35, signal: str = "tool_call",
-                 chunk: int = 50):
-        self.w = window_size
-        self.data_window = data_window
-        self.threshold = threshold
-        self.signal = signal
-        self.chunk = chunk
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        conv_ids, segs, nseg = [], [], []
-        sig = batch[self.signal].combine_chunks()
-        for r in range(batch.num_rows):
-            # zero-copy slice of the Arrow list values, no Python-list
-            # round-trip (round-4 verdict item 3)
-            x = sig.slice(r, 1).flatten().to_numpy(
-                zero_copy_only=False).astype(np.float64, copy=False)
-            st = FlossState(self.w, self.data_window, threshold=self.threshold)
-            st.append(x, chunk=self.chunk)
-            conv_ids.append(batch["conv_id"][r].as_py())
-            segs.append(np.array(st.segments, dtype=np.int64))
-            nseg.append(len(st.segments))
-        return pa.table(
-            {
-                "conv_id": pa.array(conv_ids, pa.string()),
-                "n_segments": pa.array(nseg, pa.int64()),
-                "segments": pa.array(segs, pa.list_(pa.int64())),
-            }
-        )
-
-
-def floss_over_dataset(ds_packed, **kwargs):
-    # autoscaling ceiling tracks the session (floor 1: a fixed pool equal to
-    # session CPUs deadlocks small sessions — CLAUDE.md invariant)
-    cpus = session_cpus(4)
-    return ds_packed.map_batches(
-        FlossActor, fn_constructor_kwargs=kwargs,
-        batch_format="pyarrow", batch_size=16, concurrency=(1, cpus),
-    )
+@emits(_keyed(("n_segments", pa.int64()), ("segments", pa.list_(pa.int64()))))
+def floss_op(conv_id, batch, r, *, w: int, data_window: int, threshold: float):
+    """One conversation's ``tool_call`` series replayed through a fresh
+    ``FlossState`` in 50-point chunks: its segment count and positions."""
+    st = FlossState(w, data_window, threshold=threshold)
+    st.append(list_cell(batch, r, "tool_call"))
+    return {"n_segments": [len(st.segments)], "segments": [st.segments]}

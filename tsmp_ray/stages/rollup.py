@@ -12,8 +12,7 @@ The rollup kernel is the engine generalization of the reference's
   ``reduceat`` over (group, bucket) runs and every coarser tier folds the
   finer tier's partial arrays the same way — so 1h-from-1m == 1h-from-raw
   (tested point-for-point), the "continuous aggregate" property. It is the
-  one rollup path: ``analyze()``, the query catalog and the benchmarks run
-  it.
+  one rollup path: the query catalog and the benchmarks run it.
 
 Gap-fill: per (conv_id, signal), emit missing buckets between a
 conversation's first and last bucket with ``n = 0``, ``gap_filled = true``
@@ -40,7 +39,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..config import SIGNALS, TIERS
+from ..config import SIGNALS, TIERS, EngineConfig
 from .signals import as_table, remote, repeat_labels
 
 log = logging.getLogger("tsmp_ray")
@@ -239,3 +238,10 @@ def tiers_from_packed(ds_packed, tiers: tuple[str, ...] = ("1m", "1h", "1d"),
                     n_disordered)
     return {t: ray.data.from_arrow_refs([o[i] for o in outs])
             for i, (t, _) in enumerate(widths)}
+
+
+def compute_tiers(ds_packed, cfg: EngineConfig) -> dict:
+    """``cfg``'s rollup of packed rows (its tiers, gap fill and fill bound),
+    as ``profile_stage.compute_profiles`` is ``cfg``'s profiles."""
+    return tiers_from_packed(ds_packed, tiers=cfg.tiers, gap_fill=cfg.gap_fill,
+                             max_gap=cfg.gap_fill_max_buckets)
