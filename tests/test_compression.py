@@ -94,7 +94,7 @@ def test_ray_pack_unpack_stage(ray_session):
 
     tbl = synthetic_transcripts(n_convs=3, seed=11, mean_turns=80)
     t1m = tiers_from_packed(pack_series(ray.data.from_arrow(tbl)),
-                            tiers=("1m",), gap_fill=False)["1m"]
+                            tiers=("1m",), gap_fill=False, max_gap=None)["1m"]
     want = t1m.to_pandas()[["conv_id", "signal", "bucket_ts", "mean_v"]]
     packed = pack_rollup_series(t1m)
     got = packed.map_batches(unpack_series, batch_format="pyarrow").to_pandas()
@@ -259,7 +259,7 @@ def test_packed_blob_bytes_pinned(ray_session):
 
     tbl = synthetic_transcripts(n_convs=20, seed=13, mean_turns=60)
     t1m = tiers_from_packed(pack_series(ray.data.from_arrow(tbl)),
-                            tiers=("1m",))["1m"]
+                            tiers=("1m",), gap_fill=True, max_gap=None)["1m"]
     got = pack_rollup_series(t1m).to_pandas().sort_values(["conv_id", "signal"])
     h = hashlib.sha256()
     for row in got.itertuples():

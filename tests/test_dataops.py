@@ -118,7 +118,8 @@ def test_bucket_pairs_sort_plan(ray_session):
         ds = ray.data.from_arrow(t)
         if blocks:
             ds = ds.repartition(blocks)
-        return _bucket_pairs(ds, ["band", "bhash"], carry=["sig"]).to_pandas()
+        return _bucket_pairs(ds, ["band", "bhash"],
+                             carry={"sig": pa.int64()}).to_pandas()
 
     want = list(itertools.combinations(range(40), 2))
     got = pairs(tbl, 16)
@@ -134,6 +135,105 @@ def test_bucket_pairs_sort_plan(ray_session):
         == set(want)
 
     assert len(pairs(tbl.slice(0, 0), 0)) == 0
+
+
+def test_sort_map_never_calls_fn_on_an_empty_partition(ray_session):
+    """``signals.sort_map`` never calls ``fn`` (which raises on 0 rows) on a
+    0-row sort partition, neither for an all-one-key input over 16 blocks
+    (every range partition but one empty) nor for a 0-row input; every
+    block with columns carries the declared schema, and the operator keeps
+    ``fn``'s name."""
+    import ray
+    from tsmp_ray.stages.signals import key_runs, sort_map
+
+    schema = pa.schema([("k", pa.int64()), ("n", pa.int64())])
+
+    def count_per_key(batch: pa.Table) -> pa.Table:
+        assert batch.num_rows, "fn called on a 0-row partition"
+        batch, bounds = key_runs(batch, ["k"])
+        return pa.table({"k": batch["k"].take(pa.array(bounds[:-1])),
+                         "n": pa.array(np.diff(bounds))}, schema=schema)
+
+    one_key = pa.table({"k": pa.array(np.full(64, 7), pa.int64()),
+                        "v": pa.array(np.arange(64))})
+    got = sort_map(ray.data.from_arrow(one_key).repartition(16), "k",
+                   schema, count_per_key).materialize()
+    assert got.to_pandas().to_dict("list") == {"k": [7], "n": [64]}
+    assert "MapBatches(count_per_key)" in got.stats()
+    assert all(t.schema.equals(schema) for t in ray.get(got.to_arrow_refs())
+               if t.num_columns)
+
+    empty = sort_map(ray.data.from_arrow(one_key.slice(0, 0)), "k", schema,
+                     count_per_key)
+    assert empty.count() == 0
+
+
+def _one_key_inputs():
+    """Each dedup op's input where every row shares one key, spread over 16
+    row-shuffled blocks, with the op's declared schema and its expected
+    rows: one text (the min-id row has a null ``lang``), one embedding, one
+    pair hub."""
+    from tsmp_ray.stages import dedup as dd
+
+    n = 40
+    ids = np.arange(5, 5 + n, dtype=np.int64)
+    text = "one text shared by every document of this corpus"
+    docs = pa.table({"doc_id": pa.array(ids), "text": pa.array([text] * n),
+                     "lang": pa.array([None] + ["en"] * (n - 1),
+                                      pa.string())})
+    pairs = [tuple(p) for p in zip(*np.triu_indices(n, k=1))]
+    all_pairs = {"doc_id": [int(ids[a]) for a, _ in pairs],
+                 "dup_id": [int(ids[b]) for _, b in pairs]}
+    emb = pa.table({"vec_id": pa.array(ids), "embedding": pa.array(
+        [np.linspace(1.0, 2.0, 16)] * n)})
+    hub = pa.table({"doc_id": pa.array(np.full(n - 1, ids[0])),
+                    "dup_id": pa.array(ids[1:])})
+    return {
+        "exact_dedup": (dd.exact_dedup, docs, docs.schema, {
+            "doc_id": [5], "text": [text], "lang": [None]}),
+        "minhash_lsh_dedup": (dd.minhash_lsh_dedup,
+                              docs.select(["doc_id", "text"]),
+                              dd._PAIR_JACCARD_SCHEMA,
+                              {**all_pairs, "jaccard": [1.0] * len(pairs)}),
+        "simhash_dedup": (dd.simhash_dedup, docs.select(["doc_id", "text"]),
+                          dd._HAMMING_SCHEMA,
+                          {**all_pairs, "hamming": [0] * len(pairs)}),
+        "embedding_dedup_lsh": (dd.embedding_dedup_lsh, emb,
+                                dd._EMB_PAIR_SCHEMA, {
+                                    "vec_id": all_pairs["doc_id"],
+                                    "dup_id": all_pairs["dup_id"]}),
+        "dup_components": (dd.dup_components, hub, dd._COMP_SCHEMA, {
+            "doc_id": ids.tolist(), "component": [5] * n}),
+    }
+
+
+@pytest.mark.parametrize("op", ["exact_dedup", "minhash_lsh_dedup",
+                                "simhash_dedup", "embedding_dedup_lsh",
+                                "dup_components"])
+def test_dedup_ops_emit_declared_schema(ray_session, op):
+    """Every dedup op returns exactly its declared Arrow schema and 0 rows
+    on a 0-row input, and the right rows on an all-one-key input over 16
+    blocks (``exact_dedup`` keeps the min-id row whole, null ``lang``
+    included)."""
+    import ray
+
+    fn, tbl, schema, want = _one_key_inputs()[op]
+    perm = np.random.default_rng(11).permutation(tbl.num_rows)
+
+    empty = fn(ray.data.from_arrow(tbl.slice(0, 0))).materialize()
+    assert empty.count() == 0
+    assert empty.schema().base_schema.equals(schema)
+
+    got = fn(ray.data.from_arrow(tbl.take(pa.array(perm)))
+             .repartition(16)).materialize()
+    assert got.schema().base_schema.equals(schema)
+    assert all(t.schema.equals(schema) for t in ray.get(got.to_arrow_refs())
+               if t.num_columns)
+    got = got.to_pandas().sort_values(list(want)[:2], ignore_index=True)
+    if op == "embedding_dedup_lsh":
+        assert (got["cosine"] >= 0.95).all()
+    for col, values in want.items():
+        assert got[col].tolist() == values, col
 
 
 def test_simhash_dedup(ray_session):

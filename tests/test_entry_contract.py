@@ -103,6 +103,50 @@ def test_engine_makes_no_map_groups_call():
     assert not hits, "\n".join(hits)
 
 
+def test_every_keyed_shuffle_is_sort_map():
+    """One keyed-shuffle function: no Dataset ``.sort(`` under ``tsmp_ray/``
+    outside ``signals.sort_map``, except ``conv_pair_stage``'s sort into
+    ``profile_stage.per_block`` and the ``.sort(...).limit(...)`` top-n
+    selections of ``queries.py`` (numpy and list sorts are not shuffles);
+    and no pandas block format or pandas import under ``stages/``."""
+    import ast
+    import pathlib
+    import re
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "tsmp_ray"
+    allowed = {("stages/signals.py", "sort_map"),
+               ("stages/mining_stage.py", "conv_pair_stage")}
+    hits = []
+    for path in sorted(pkg.rglob("*.py")):
+        rel = path.relative_to(pkg).as_posix()
+        text = path.read_text()
+        tree = ast.parse(text)
+        top_n = {id(n.func.value) for n in ast.walk(tree)
+                 if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Attribute)
+                 and n.func.attr == "limit"}
+        for top in tree.body:
+            for n in ast.walk(top):
+                if not (isinstance(n, ast.Call)
+                        and isinstance(n.func, ast.Attribute)
+                        and n.func.attr == "sort"):
+                    continue
+                if (isinstance(n.func.value, ast.Name)
+                        and n.func.value.id == "np") \
+                        or any(k.arg == "key" for k in n.keywords):
+                    continue
+                if (rel, getattr(top, "name", None)) in allowed or (
+                        rel == "pipelines/queries.py" and id(n) in top_n):
+                    continue
+                hits.append(f"{rel}:{n.lineno}: .sort( outside sort_map")
+        if rel.startswith("stages/"):
+            hits += [f"{rel}:{i}: {line.strip()}"
+                     for i, line in enumerate(text.splitlines(), 1)
+                     if re.search(r"batch_format=[\"']pandas[\"']"
+                                  r"|^\s*(import|from) pandas\b", line)]
+    assert not hits, "\n".join(hits)
+
+
 
 #: modules no entry point reaches, each kept for the tests that check it
 TEST_ONLY_MODULES = {

@@ -21,7 +21,8 @@ def tier_ds(ray_session):
 
     tbl = synthetic_transcripts(n_convs=4, seed=20, mean_turns=80)
     return tiers_from_packed(pack_series(ray.data.from_arrow(tbl)),
-                             tiers=("1m",), gap_fill=False)["1m"].materialize()
+                             tiers=("1m",), gap_fill=False,
+                             max_gap=None)["1m"].materialize()
 
 
 def tree_bytes(d):
@@ -89,7 +90,8 @@ def test_partition_bytes_pinned(ray_session, tmp_path):
 
     tbl = synthetic_transcripts(n_convs=12, seed=7, mean_turns=300)
     ds = tiers_from_packed(
-        pack_series(ray.data.from_arrow(tbl)))["1m"].repartition(7)
+        pack_series(ray.data.from_arrow(tbl)), tiers=("1m", "1h", "1d"),
+        gap_fill=True, max_gap=None)["1m"].repartition(7)
     for col in ("conv_id", "signal"):
         os.makedirs(tmp_path / col)
         resumable_write(ds, str(tmp_path / col), col)
@@ -163,7 +165,8 @@ from tsmp_ray.state.lineage import resumable_write
 out_dir, slow = sys.argv[1], sys.argv[2] == "slow"
 tbl = synthetic_transcripts(n_convs=4, seed=33, mean_turns=80)
 tier = tiers_from_packed(pack_series(ray.data.from_arrow(tbl)),
-                         tiers=("1m",), gap_fill=False)["1m"].materialize()
+                         tiers=("1m",), gap_fill=False,
+                         max_gap=None)["1m"].materialize()
 for sig in ("text_len", "tool_call", "ts_delta"):
     resumable_write(tier, out_dir, "signal", partition_values=[sig])
     print("DONE", sig, flush=True)

@@ -280,7 +280,8 @@ GROUP BY 1, 2, 3
 
 def test_rollup_1m_matches_duckdb(ray_session, duck):
     packed = pack_series(transcripts_from_events(SF))
-    got = tiers_from_packed(packed, tiers=("1m",), gap_fill=False)["1m"]
+    got = tiers_from_packed(packed, tiers=("1m",), gap_fill=False,
+                            max_gap=None)["1m"]
     got = got.to_pandas()
     want = duck.sql(ROLLUP_SQL_1M).df()
     keys = ["conv_id", "signal", "bucket_ts"]
@@ -295,10 +296,10 @@ def test_tier_fold_identity(ray_session):
 
     tbl = synthetic_transcripts(n_convs=5, seed=3, mean_turns=120)
     packed = pack_series(ray.data.from_arrow(tbl)).materialize()
-    via_1m = tiers_from_packed(packed, tiers=("1m", "1h"),
-                               gap_fill=False)["1h"].to_pandas()
-    direct = tiers_from_packed(packed, tiers=("1h",),
-                               gap_fill=False)["1h"].to_pandas()
+    via_1m = tiers_from_packed(packed, tiers=("1m", "1h"), gap_fill=False,
+                               max_gap=None)["1h"].to_pandas()
+    direct = tiers_from_packed(packed, tiers=("1h",), gap_fill=False,
+                               max_gap=None)["1h"].to_pandas()
     assert len(direct) > 0
     keys = ["conv_id", "signal", "bucket_ts"]
     pd.testing.assert_frame_equal(sorted_df(via_1m, keys), sorted_df(direct, keys))
@@ -310,7 +311,7 @@ def test_gap_fill(ray_session):
     # synthetic generator injects a 2h gap mid-conv -> 1m tier must fill
     tbl = synthetic_transcripts(n_convs=2, seed=4, mean_turns=100)
     packed = pack_series(ray.data.from_arrow(tbl))
-    filled = tiers_from_packed(packed, tiers=("1m",),
+    filled = tiers_from_packed(packed, tiers=("1m",), gap_fill=True,
                                max_gap=None)["1m"].to_pandas()
     g = filled[(filled.conv_id == filled.conv_id.iloc[0]) &
                (filled.signal == "text_len")].sort_values("bucket_ts")
@@ -801,7 +802,8 @@ def test_tiers_from_packed_matches_duckdb(ray_session, duck):
         assert len(got) > 0
         pd.testing.assert_frame_equal(got, want, check_dtype=False,
                                       check_exact=True)
-    filled = tiers_from_packed(packed, tiers=("1h", "1d"), max_gap=None)
+    filled = tiers_from_packed(packed, tiers=("1h", "1d"), gap_fill=True,
+                               max_gap=None)
     for tier in ("1h", "1d"):
         want = sorted_df(duck.sql(gap_fill_sql(tier)).df(), keys)
         got = sorted_df(filled[tier].to_pandas()[want.columns.tolist()], keys)
@@ -836,10 +838,11 @@ def test_tiers_from_packed_sorts_disordered_ts(ray_session, caplog):
                       if r.name == "tsmp_ray"]
     with caplog.at_level("WARNING", logger="tsmp_ray"):
         tiers_from_packed(pack_series(ray.data.from_arrow(tbl)),
-                          tiers=("1m",), gap_fill=False)
+                          tiers=("1m",), gap_fill=False, max_gap=None)
         assert warned() == []
         packed = pack_series(ray.data.from_arrow(shuffled))
-        got = tiers_from_packed(packed, tiers=("1m",), gap_fill=False)["1m"]
+        got = tiers_from_packed(packed, tiers=("1m",), gap_fill=False,
+                                max_gap=None)["1m"]
     assert len(warned()) == 1
     assert warned()[0].startswith("rollup.tiers_from_packed: 1 conversation")
     con = duckdb.connect()
@@ -893,7 +896,8 @@ def test_review_guards():
 
     # tiers must widen and nest — validated before any Dataset work
     with pytest.raises(ValueError, match="ascending"):
-        tiers_from_packed(None, tiers=("1h", "1m"))
+        tiers_from_packed(None, tiers=("1h", "1m"), gap_fill=True,
+                          max_gap=None)
 
     assert _conv_num("conv000042") == 42
     with pytest.raises(ValueError, match="numeric suffix"):

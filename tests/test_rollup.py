@@ -233,7 +233,9 @@ def test_tiers_equal_per_series_reference(ray_session, schema_divergences,
     packed = pa.concat_tables(rows) if rows else pa.table({"conv_id": []})
     want = reference_tiers(packed, ALL_TIERS, kw.get("gap_fill", True),
                            kw.get("max_gap"))
-    got = tiers_from_packed(ds, tiers=ALL_TIERS, **kw)
+    got = tiers_from_packed(ds, tiers=ALL_TIERS,
+                            gap_fill=kw.get("gap_fill", True),
+                            max_gap=kw.get("max_gap"))
     for t in ALL_TIERS:
         tables = ray.get(got[t].to_arrow_refs())
         assert all(tb.schema.equals(_TIER_SCHEMA) for tb in tables), t
@@ -256,7 +258,8 @@ def test_tiers_are_materialized_and_rollup_filters_nothing(ray_session):
     runs nothing; and the rollup plan has no per-tier ``filter`` pass."""
     from ray.data.dataset import MaterializedDataset
 
-    got = tiers_from_packed(_single_turns())
+    got = tiers_from_packed(_single_turns(), tiers=ALL_TIERS, gap_fill=True,
+                            max_gap=None)
     assert set(got) == set(ALL_TIERS)
     assert all(isinstance(ds, MaterializedDataset) for ds in got.values())
     path = (pathlib.Path(__file__).resolve().parent.parent / "tsmp_ray"

@@ -1106,7 +1106,8 @@ def q_signals(sf_dir: str):
 
 
 def _rollup(sf_dir: str, tier: str):
-    out = tiers_from_packed(_packed(sf_dir), gap_fill=False)[tier]
+    out = tiers_from_packed(_packed(sf_dir), tiers=("1m", "1h", "1d"),
+                            gap_fill=False, max_gap=None)[tier]
     return out.select_columns(ROLLUP_COLUMNS)
 
 
@@ -1125,8 +1126,8 @@ def q_rollup_1d(sf_dir: str):
 def q_rollup_packed_roundtrip(sf_dir: str):
     """1m tier → Gorilla/DoD pack → unpack: must equal the SQL rollup means
     exactly (bit-exact codec on the wire)."""
-    t1m = tiers_from_packed(_packed(sf_dir), tiers=("1m",),
-                            gap_fill=False)["1m"]
+    t1m = tiers_from_packed(_packed(sf_dir), tiers=("1m",), gap_fill=False,
+                            max_gap=None)["1m"]
     packed = pack_rollup_series(t1m)
     return packed.map_batches(unpack_series, batch_format="pyarrow")
 
@@ -1146,8 +1147,8 @@ def q_retention_1m(sf_dir: str):
     # max() and apply_retention() both consume t1m: tiers_from_packed
     # returns it materialized (one task per packed block), so the tier
     # pass runs once
-    t1m = tiers_from_packed(_packed(sf_dir), tiers=("1m",),
-                            gap_fill=False)["1m"]
+    t1m = tiers_from_packed(_packed(sf_dir), tiers=("1m",), gap_fill=False,
+                            max_gap=None)["1m"]
     hi = int(t1m.max("bucket_ts"))
     return apply_retention(t1m, now_us=hi, ttl_us=7 * 86_400_000_000) \
         .select_columns(ROLLUP_COLUMNS)

@@ -33,7 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
-from ..stages.signals import key_runs
+from ..stages.signals import key_runs, sort_map
 
 TRANSCRIPT_SCHEMA = pa.schema(
     [
@@ -82,8 +82,6 @@ def _transcript_block(batch: pa.Table) -> pa.Table:
     """Every user of one ``user_id``-sorted block -> its transcript rows:
     one stable (user_id, ts, event_id) sort, ``turn_idx`` as the row's
     offset from its run start, and every column one vectorized op."""
-    if batch.num_rows == 0:  # Ray maps an all-empty input as one empty block
-        return TRANSCRIPT_SCHEMA.empty_table()
     batch, bounds = key_runs(batch, ["user_id"], ["ts", "event_id"])
     turn = (np.arange(batch.num_rows)
             - np.repeat(bounds[:-1], np.diff(bounds))).astype(np.int32)
@@ -106,16 +104,15 @@ def _transcript_block(batch: pa.Table) -> pa.Table:
 def transcripts_from_events(sf_dir: str):
     """Ray Dataset of transcripts derived from ``events.parquet``.
 
-    The plan is ``sort("user_id")`` then one ``_transcript_block`` per block,
-    as in ``signals.pack_series``; the window-function ranking is the run
-    offset after a stable (ts, event_id) sort — the ordering the SQL view
-    uses. Column pruning at the read, which also drops the file's schema
+    The plan is ``signals.sort_map`` on ``user_id`` with
+    ``_transcript_block``, as in ``signals.pack_series``; the
+    window-function ranking is the run offset after a stable
+    (ts, event_id) sort — the ordering the SQL view uses. Column pruning at the read, which also drops the file's schema
     metadata before the shuffle.
     """
     ds = read_parquet_plain(f"{sf_dir}/events.parquet",
                             ["event_id", "ts", "user_id", "event_type", "props"])
-    return ds.sort("user_id").map_batches(
-        _transcript_block, batch_format="pyarrow", batch_size=None)
+    return sort_map(ds, "user_id", TRANSCRIPT_SCHEMA, _transcript_block)
 
 
 _WORDS = np.array(

@@ -51,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .signals import key_runs
+from .signals import key_runs, sort_map
 
 
 class _BitWriter:
@@ -341,8 +341,6 @@ def _pack_block(batch: pa.Table) -> pa.Table:
     zero per-run Python calls: a stable (conv_id, signal, bucket_ts) sort,
     run starts from one vectorized compare, then one encoder call per
     codec over the whole block, its runs byte-aligned in one buffer."""
-    if batch.num_rows == 0:  # Ray maps an all-empty input as one empty block
-        return _PACKED_SCHEMA.empty_table()
     batch, bounds = key_runs(batch, ["conv_id", "signal"], ["bucket_ts"])
     starts, lens = bounds[:-1], np.diff(bounds)
     ts_buf, ts_off = encode_timestamp_runs(batch["bucket_ts"].to_numpy(), lens)
@@ -362,13 +360,12 @@ def pack_rollup_series(ds_tier):
     (conv_id, signal, n:int32, ts_dod:binary, val_gorilla:binary).
     Values packed are the per-bucket means in bucket_ts order.
 
-    The plan is ``sort("conv_id")`` then one ``_pack_block`` per block
-    (``batch_size=None``: a batch is exactly one block), as in
-    ``signals.pack_series``. The single-key sort range-partitions by
-    conv_id, so every run of a (conv_id, signal) lands in one block, and no
-    Python call is made per run: the two encoders see the whole block."""
-    return ds_tier.sort("conv_id").map_batches(
-        _pack_block, batch_format="pyarrow", batch_size=None)
+    The plan is :func:`signals.sort_map` on ``conv_id`` with
+    ``_pack_block``, as in ``signals.pack_series``: the single-key sort
+    range-partitions by conv_id, so every run of a (conv_id, signal) lands
+    in one block, and no Python call is made per run: the two encoders see
+    the whole block."""
+    return sort_map(ds_tier, "conv_id", _PACKED_SCHEMA, _pack_block)
 
 
 def _blobs(col) -> list[memoryview]:

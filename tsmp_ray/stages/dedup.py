@@ -6,11 +6,13 @@ All follow the scale pattern from the Ray guide: vectorized per-batch
 signatures → explode to (bucket, doc) rows → co-locate each bucket → verify
 candidates exactly → connected components by min-label propagation.
 
-Every keyed shuffle here is one plan (:func:`_sort_map`): ``sort(<key>)``,
+Every keyed shuffle here is :func:`signals.sort_map`: ``sort(<key>)``,
 which range-partitions on the key so all rows sharing it land in one block,
-then ONE block-wide pandas call per block that groups inside itself. No hash
-salt and no partition count: the sort makes as many partitions as it has
-input blocks, so the memory of one call is bounded by Ray's block size.
+then ONE block-wide Arrow call per block over the key's runs
+(:func:`signals.key_runs`) — run-firsts for distinct and keep-first,
+``np.minimum.reduceat`` for the min folds. No hash salt and no partition
+count: the sort makes as many partitions as it has input blocks, so the
+memory of one call is bounded by Ray's block size.
 
 - ``exact_dedup``: content-hash sort + per-text min-id winner (texts compared
   for true equality, so hash collisions can't merge docs).
@@ -29,10 +31,10 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from .signals import as_table
+from .signals import as_table, key_runs, remote, sort_map
 
 _H1 = np.uint64(0x9E3779B97F4A7C15)
 _H2 = np.uint64(0xC2B2AE3D27D4EB4F)
@@ -106,102 +108,92 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
     return np.unpackbits(x.astype(np.uint64).view(np.uint8)).reshape(len(x), 8 * 8).sum(axis=1)
 
 
-def _plain(batch: pa.Table) -> pa.Table:
-    # pandas-format blocks carry pandas schema metadata (a dict), which a
-    # shuffle cannot hash ("Failed to hash the schemas")
-    return batch.replace_schema_metadata(None)
+def _declared(ds, schema: pa.Schema):
+    """``ds`` materialized, or a 0-row Dataset of ``schema`` when it holds
+    no rows: Ray passes a 0-row block around a batch UDF, schema-less, so a
+    map over an all-empty input would come back with no schema."""
+    import ray
+
+    ds = ds.materialize()
+    return ds if ds.count() else ray.data.from_arrow(schema.empty_table())
 
 
-def _sort_map(ds, keys, fn):
-    """Co-locate every row sharing ``keys`` in one block, then make ONE
-    pandas call ``fn`` per block. The sort range-partitions on ``keys``, so
-    no key straddles blocks (the contract Ray's own grouped map rests on —
-    it IS this sort followed by a ``batch_size=None`` map); ``fn`` groups
-    inside the block, never one call per key. ``fn`` must map a 0-row block,
-    columns or not, to its typed empty output."""
-    return (ds.map_batches(_plain, batch_format="pyarrow")
-            .sort(keys)
-            .map_batches(fn, batch_format="pandas", batch_size=None))
+def _firsts(batch: pa.Table, keys: list[str], order=()) -> pa.Table:
+    """The first row of each ``keys`` run once the block is sorted by
+    ``keys`` then ``order`` — distinct on ``keys``, whole rows kept."""
+    batch, bounds = key_runs(batch, keys, order)
+    return batch.take(pa.array(bounds[:-1]))
 
 
 # ------------------------------------------------------------------ exact
 
 
+def _keep_first(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
+    # the min-id ROW of each distinct text, whole: a per-column first
+    # non-null would give a null field on the min-id doc a loser row's value
+    return _firsts(batch, ["_h", text_col], [id_col]).drop_columns(["_h"])
+
+
 def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
     """Keep the min-id document per distinct text. Sorted on the content
     hash ``_h`` so equal texts share a block; the block step compares true
-    texts, so hash collisions are safe.
+    texts, so hash collisions are safe. Rows are kept whole, so the output
+    schema is the input's.
     Oracle SQL: SELECT min(doc_id) AS doc_id, text GROUP BY text."""
 
     def add_hash(batch: pa.Table) -> pa.Table:
         h = _text_hashes(batch[text_col].to_pylist())
         return batch.append_column("_h", pa.array(h.astype(np.int64)))
 
-    def keep_first(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:  # may be a column-less empty range partition
-            return g.drop(columns="_h", errors="ignore")
-        # drop_duplicates keeps whole ROWS: groupby().first() would take the
-        # first NON-NULL value per column, so a null field on the min-id doc
-        # would silently inherit a loser row's value (a chimera row)
-        return (g.sort_values(id_col).drop_duplicates(subset=text_col,
-                                                      keep="first")
-                .drop(columns="_h"))
-
-    return _sort_map(ds.map_batches(add_hash, batch_format="pyarrow"),
-                     "_h", keep_first)
+    schema = ds.schema().base_schema
+    return _declared(sort_map(ds.map_batches(add_hash, batch_format="pyarrow"),
+                              "_h", schema, _keep_first, id_col, text_col),
+                     schema)
 
 
-def _bucket_pairs(bucket_ds, keys: list[str], carry: list[str] | None = None):
+_PAIR_SCHEMA = pa.schema([("doc_id", pa.int64()), ("dup_id", pa.int64())])
+
+
+def _pair_block(batch: pa.Table, keys: list[str], carry: dict) -> pa.Table:
+    """Every pair of distinct docs sharing a bucket of one sorted block, as
+    (doc_id, dup_id[, <col>_a, <col>_b]) rows with doc_id < dup_id. Almost
+    every bucket is a singleton: only multi-doc buckets reach the loop."""
+    batch, bounds = key_runs(batch, [*keys, "doc_id"])
+    batch, bounds = key_runs(batch.take(pa.array(bounds[:-1])), keys)
+    multi = np.flatnonzero(np.diff(bounds) > 1)
+    ia, ib = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for lo, hi in zip(bounds[multi], bounds[multi + 1]):
+        a, b = np.triu_indices(hi - lo, k=1)
+        ia.append(a + lo)
+        ib.append(b + lo)
+    ia, ib = pa.array(np.concatenate(ia)), pa.array(np.concatenate(ib))
+    doc = batch["doc_id"].cast(pa.int64())
+    cols = {"doc_id": doc.take(ia), "dup_id": doc.take(ib)}
+    for c, t in carry.items():
+        cols[f"{c}_a"] = batch[c].take(ia).cast(t)
+        cols[f"{c}_b"] = batch[c].take(ib).cast(t)
+    return pa.table(cols)
+
+
+def _bucket_pairs(bucket_ds, keys: list[str], carry: dict | None = None):
     """Distributed candidate pairs from bucket membership, in two sort
     steps (no driver materialization):
-    1. ``sort(keys)`` puts every bucket in one block, and one vectorized
-       pandas call pairs ALL buckets of its block (bucket groups are tiny;
-       only the hot ones reach a per-bucket loop);
-    2. pairs found in several buckets collapse to one row after a
-       ``sort(doc_id, dup_id)``.
+    1. ``sort_map`` on ``keys`` puts every bucket in one block, and one
+       call pairs ALL buckets of its block (``_pair_block``);
+    2. pairs found in several buckets collapse to one row (run-firsts)
+       after a ``sort_map`` on (doc_id, dup_id).
 
-    ``carry`` columns (e.g. each side's signature) are carried onto the pair
-    rows as ``<col>_a`` / ``<col>_b`` so verification needs no further join.
+    ``carry`` maps columns (e.g. each side's signature) to their Arrow type;
+    they ride onto the pair rows as ``<col>_a`` / ``<col>_b`` so
+    verification needs no further join.
     Returns a Dataset (doc_id, dup_id[, carries]), doc_id < dup_id, distinct.
     """
-    carry = carry or []
-
-    def pair_block(g: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        if not g.empty:
-            # vectorized prefilter: almost every bucket is a singleton — only
-            # the hot buckets reach the per-bucket pairing loop
-            g = g[g.groupby(keys, sort=False)["doc_id"].transform("size") > 1]
-            for _, grp in g.groupby(keys, sort=False):
-                grp = grp.sort_values("doc_id").drop_duplicates("doc_id")
-                if len(grp) < 2:
-                    continue
-                a, b = np.triu_indices(len(grp), k=1)
-                row = {"doc_id": grp["doc_id"].to_numpy()[a],
-                       "dup_id": grp["doc_id"].to_numpy()[b]}
-                for c in carry:
-                    row[f"{c}_a"] = grp[c].to_numpy()[a]
-                    row[f"{c}_b"] = grp[c].to_numpy()[b]
-                outs.append(pd.DataFrame(row))
-        if not outs:
-            cols = {"doc_id": pd.Series([], dtype=np.int64),
-                    "dup_id": pd.Series([], dtype=np.int64)}
-            for c in carry:
-                # carry dtype must match the source column's (int for hashes,
-                # object for embedding lists) or empty blocks break the union
-                dt = g[c].dtype if c in g else np.int64
-                cols[f"{c}_a"] = pd.Series([], dtype=dt)
-                cols[f"{c}_b"] = pd.Series([], dtype=dt)
-            return pd.DataFrame(cols)
-        return pd.concat(outs, ignore_index=True)
-
-    def distinct_block(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pair_block(g)
-        return g.drop_duplicates(["doc_id", "dup_id"], ignore_index=True)
-
-    return _sort_map(_sort_map(bucket_ds, keys, pair_block),
-                     ["doc_id", "dup_id"], distinct_block)
+    carry = carry or {}
+    schema = pa.schema([*_PAIR_SCHEMA, *[
+        (f"{c}_{side}", t) for c, t in carry.items() for side in "ab"]])
+    pairs = sort_map(bucket_ds, keys, schema, _pair_block, keys, carry)
+    return sort_map(pairs, ["doc_id", "dup_id"], schema, _firsts,
+                    ["doc_id", "dup_id"])
 
 
 # ------------------------------------------------------------------ minhash
@@ -297,9 +289,10 @@ def _attach_texts(pairs_ds, texts_ds, key_col: str, out_col: str,
     ``pairs_ds[key_col]`` as string column ``out_col``.
 
     Both sides are tagged with the join key ``_k``, unioned and sorted on
-    it; each block builds a lookup over only ITS OWN text rows, so a call's
-    memory is bounded by the block size however dup-heavy the corpus is —
-    nothing global ever materializes in one object. ``carry_text`` names
+    it; each block gives every pair row the text of its ``_k`` run
+    (``_join_block``), so a call's memory is bounded by the block size
+    however dup-heavy the corpus is — nothing global ever materializes in
+    one object. ``carry_text`` names
     string columns already attached to the pair rows (previous join
     passes)."""
 
@@ -324,26 +317,22 @@ def _attach_texts(pairs_ds, texts_ds, key_col: str, out_col: str,
             "_is_txt": pa.array(np.ones(batch.num_rows, dtype=bool)),
         })
 
-    out_cols = ["doc_id", "dup_id", *carry_text, out_col]
-
-    def join_block(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame({c: pd.Series([], dtype=np.int64 if c in (
-                "doc_id", "dup_id") else object) for c in out_cols})
-        txt = g[g["_is_txt"]]
-        prs = g[~g["_is_txt"]]
-        lookup = dict(zip(txt["_k"], txt["_t"]))
-        out = {
-            "doc_id": prs["doc_id"].to_numpy().astype(np.int64),
-            "dup_id": prs["dup_id"].to_numpy().astype(np.int64),
-            **{c: prs[c].astype(object) for c in carry_text},
-            out_col: prs["_k"].map(lookup).astype(object),
-        }
-        return pd.DataFrame(out, columns=out_cols)
-
+    schema = pa.schema([*_PAIR_SCHEMA, *[(c, pa.string()) for c in
+                                         [*carry_text, out_col]]])
     both = (pairs_ds.map_batches(tag_pairs, batch_format="pyarrow")
             .union(texts_ds.map_batches(tag_texts, batch_format="pyarrow")))
-    return _sort_map(both, "_k", join_block)
+    return sort_map(both, "_k", schema, _join_block, out_col)
+
+
+def _join_block(batch: pa.Table, out_col: str) -> pa.Table:
+    """The pair rows of one ``_k``-sorted block, each given the text of its
+    run. A run sorts its text row first, so a pair row's text is its run
+    start's ``_t`` (null when the run holds no text row)."""
+    batch, bounds = key_runs(batch, ["_k"], [("_is_txt", "descending")])
+    text = batch["_t"].take(pa.array(np.repeat(bounds[:-1], np.diff(bounds))))
+    is_pair = pc.invert(batch["_is_txt"])
+    return (batch.append_column(out_col, text).filter(is_pair)
+            .drop_columns(["_k", "_t", "_is_txt"]))
 
 
 #: candidate-text bytes below which verification broadcasts one id→text
@@ -352,6 +341,23 @@ def _attach_texts(pairs_ds, texts_ds, key_col: str, out_col: str,
 #: reads, no all-to-all); the sort-join is only needed when a dup-heavy
 #: corpus makes the candidate texts too big for one object.
 _BROADCAST_TEXT_BYTES = 256 * 1024 * 1024
+
+
+def _id_set(*blocks) -> pa.Array:
+    """Every doc id of the candidate pair blocks, sorted and distinct."""
+    s: set[int] = set()
+    for t in filter(None, map(as_table, blocks)):
+        s.update(t["doc_id"].to_pylist())
+        s.update(t["dup_id"].to_pylist())
+    return pa.array(sorted(s), pa.int64())
+
+
+def _text_lookup(*blocks) -> dict[int, str]:
+    """doc id -> text over the pruned corpus blocks (the broadcast side)."""
+    d: dict[int, str] = {}
+    for t in filter(None, map(as_table, blocks)):
+        d.update(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
+    return d
 
 
 def _verify_jaccard(ds, cand, threshold: float, shingle_n: int,
@@ -373,7 +379,6 @@ def _verify_jaccard(ds, cand, threshold: float, shingle_n: int,
     :func:`minhash_lsh_dedup` — an argument, not process-global state, so
     concurrent callers can't observe a test's plan override).
     """
-    import pyarrow.compute as pc
     import ray
 
     cand = cand.materialize()
@@ -381,19 +386,7 @@ def _verify_jaccard(ds, cand, threshold: float, shingle_n: int,
         return ray.data.from_arrow(_PAIR_JACCARD_SCHEMA.empty_table())
     cand_blocks = [br for bu in cand.iter_internal_ref_bundles()
                    for br in bu.block_refs]
-
-    @ray.remote
-    def _id_set(*tbls) -> pa.Array:
-        s: set[int] = set()
-        for t in tbls:
-            t = as_table(t)
-            if t is None:
-                continue
-            s.update(t["doc_id"].to_pylist())
-            s.update(t["dup_id"].to_pylist())
-        return pa.array(sorted(s), pa.int64())
-
-    ids_ref = _id_set.remote(*cand_blocks)
+    ids_ref = remote(_id_set).remote(*cand_blocks)
 
     def filt(batch: pa.Table) -> pa.Table:
         id_arr = ray.get(ids_ref)
@@ -408,17 +401,7 @@ def _verify_jaccard(ds, cand, threshold: float, shingle_n: int,
             and not force_join:
         # small side → broadcast join: one reduce builds the lookup IN THE
         # OBJECT STORE (never on the driver), every verify task reads it
-        @ray.remote
-        def _text_lookup(*tbls) -> dict[int, str]:
-            d: dict[int, str] = {}
-            for t in tbls:
-                t = as_table(t)
-                if t is None:
-                    continue
-                d.update(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
-            return d
-
-        tref = _text_lookup.remote(
+        tref = remote(_text_lookup).remote(
             *[br for bu in filtered.iter_internal_ref_bundles()
               for br in bu.block_refs])
 
@@ -481,6 +464,11 @@ def simhash_signatures(batch: pa.Table) -> pa.Table:
     )
 
 
+_HAMMING_SCHEMA = pa.schema([
+    ("doc_id", pa.int64()), ("dup_id", pa.int64()), ("hamming", pa.int64()),
+])
+
+
 def simhash_dedup(ds, max_hamming: int = 3):
     """SimHash near-dup, fully distributed with ZERO joins: 64-bit signature,
     4×16-bit chunk banding (pigeonhole: a pair within Hamming distance 3 must
@@ -505,13 +493,12 @@ def simhash_dedup(ds, max_hamming: int = 3):
                          "simhash": pa.array(np.concatenate(outs))})
 
     chunk_ds = sig.map_batches(to_chunks, batch_format="pyarrow")
-    cand = _bucket_pairs(chunk_ds, ["chunk", "chash"], carry=["simhash"])
+    cand = _bucket_pairs(chunk_ds, ["chunk", "chash"],
+                         carry={"simhash": pa.int64()})
 
     def verify(batch: pa.Table) -> pa.Table:
-        schema = pa.schema([("doc_id", pa.int64()), ("dup_id", pa.int64()),
-                            ("hamming", pa.int64())])
         if batch.num_rows == 0:
-            return schema.empty_table()
+            return _HAMMING_SCHEMA.empty_table()
         x = (batch["simhash_a"].to_numpy().astype(np.uint64)
              ^ batch["simhash_b"].to_numpy().astype(np.uint64))
         ham = _popcount64(x)
@@ -520,31 +507,54 @@ def simhash_dedup(ds, max_hamming: int = 3):
             "doc_id": pa.array(batch["doc_id"].to_numpy()[keep].astype(np.int64)),
             "dup_id": pa.array(batch["dup_id"].to_numpy()[keep].astype(np.int64)),
             "hamming": pa.array(ham[keep].astype(np.int64)),
-        }, schema=schema)
+        }, schema=_HAMMING_SCHEMA)
 
-    return cand.map_batches(verify, batch_format="pyarrow")
+    return _declared(cand.map_batches(verify, batch_format="pyarrow"),
+                     _HAMMING_SCHEMA)
 
 
 # ------------------------------------------------------------- components
 
 
 _COMP_SCHEMA = pa.schema([("doc_id", pa.int64()), ("component", pa.int64())])
-_EMPTY_EDGES = pd.DataFrame({"a": pd.Series([], dtype=np.int64),
-                             "b": pd.Series([], dtype=np.int64)})
+_EDGE_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+
+
+def _star_block(batch: pa.Table, large: bool) -> pa.Table:
+    """One star step over every center of one ``center``-sorted block; a
+    center's neighbour minimum is one ``np.minimum.reduceat`` over its run.
+
+    - large-star(u): m = min(Γ(u) ∪ {u}); emit (m, v) for v ∈ Γ(u), v > u
+    - small-star(u): over N≤ = {v ∈ Γ(u): v ≤ u}: m = min(N≤ ∪ {u});
+      emit (m, v) for v ∈ N≤ ∪ {u}, v ≠ m
+    """
+    if not large:
+        batch = batch.filter(pc.less_equal(batch["nbr"], batch["center"]))
+    batch, bounds = key_runs(batch, ["center"])
+    center = batch["center"].to_numpy()
+    nbr = batch["nbr"].to_numpy()
+    starts = bounds[:-1]
+    m = (np.minimum(np.minimum.reduceat(nbr, starts), center[starts])
+         if len(starts) else np.empty(0, dtype=np.int64))
+    row_m = np.repeat(m, np.diff(bounds))
+    if large:
+        keep = nbr > center
+        a, b = row_m[keep], nbr[keep]
+    else:
+        a = np.concatenate([row_m, m])               # (m, v) for v ∈ N≤ …
+        b = np.concatenate([nbr, center[starts]])    # … ∪ {center}
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keep = lo != hi
+    return _firsts(pa.table({"a": lo[keep], "b": hi[keep]}), ["a", "b"])
 
 
 def _star_round(edges_ds, large: bool):
     """One large-star / small-star step over an undirected edge Dataset
     ``(a, b)`` with ``a < b`` (Kiveris et al., "Connected Components in
     MapReduce and Beyond", PODS'14). Fan both directions out as
-    ``(center, nbr)`` rows, sort on ``center`` so every center's
-    neighborhood lands in one block, then ONE vectorized pandas call per
-    block (groupby-transform min — never a per-node Python call):
-
-    - large-star(u): m = min(Γ(u) ∪ {u}); emit (m, v) for v ∈ Γ(u), v > u
-    - small-star(u): over N≤ = {v ∈ Γ(u): v ≤ u}: m = min(N≤ ∪ {u});
-      emit (m, v) for v ∈ N≤ ∪ {u}, v ≠ m
-    """
+    ``(center, nbr)`` rows, then ``sort_map`` on ``center`` so every
+    center's neighborhood lands in one block, and ONE vectorized call per
+    block (``_star_block`` — never a per-node Python call)."""
 
     def expand(batch: pa.Table) -> pa.Table:
         a = batch["a"].to_numpy().astype(np.int64)
@@ -552,45 +562,13 @@ def _star_round(edges_ds, large: bool):
         return pa.table({"center": pa.array(np.concatenate([a, b])),
                          "nbr": pa.array(np.concatenate([b, a]))})
 
-    def star(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return _EMPTY_EDGES
-        center = g["center"].to_numpy()
-        nbr = g["nbr"].to_numpy()
-        if large:
-            m = np.minimum(
-                g.groupby("center")["nbr"].transform("min").to_numpy(), center)
-            keep = nbr > center
-            a, b = m[keep], nbr[keep]
-        else:
-            le = g[g["nbr"] <= g["center"]]
-            gm = le.groupby("center")["nbr"].min()
-            centers = gm.index.to_numpy()
-            mins = np.minimum(gm.to_numpy(), centers)
-            row_m = le["center"].map(pd.Series(mins, index=centers)).to_numpy()
-            a = np.concatenate([row_m, mins])          # (m, v) for v ∈ N≤ …
-            b = np.concatenate([le["nbr"].to_numpy(), centers])  # … ∪ {center}
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        keep = lo != hi
-        return (pd.DataFrame({"a": lo[keep], "b": hi[keep]})
-                .drop_duplicates(ignore_index=True))
-
-    return _sort_map(edges_ds.map_batches(expand, batch_format="pyarrow"),
-                     "center", star)
+    return sort_map(edges_ds.map_batches(expand, batch_format="pyarrow"),
+                    "center", _EDGE_SCHEMA, _star_block, large)
 
 
 def _distinct_edges(edges_ds):
-    """Distinct on (a, b): sorted on both, one vectorized drop_duplicates
-    per block."""
-
-    def uniq(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return _EMPTY_EDGES
-        return g.drop_duplicates(["a", "b"], ignore_index=True)
-
-    return _sort_map(edges_ds, ["a", "b"], uniq)
+    """Distinct on (a, b): ``sort_map`` on both, run-firsts per block."""
+    return sort_map(edges_ds, ["a", "b"], _EDGE_SCHEMA, _firsts, ["a", "b"])
 
 
 def _edge_checksum(edges_ds) -> tuple[int, int, int]:
@@ -620,10 +598,9 @@ def dup_components(pairs_ds, max_rounds: int = 16):
     """Connected components over duplicate PAIRS: alternating large-star /
     small-star contraction (Kiveris et al., PODS'14) until the edge set is a
     star forest rooted at each component's min doc_id. Fully distributed:
-    labels never materialize on the driver, every step is a sort with one
-    VECTORIZED pandas call per block (no per-node Python call and no driver
-    label dict), and
-    convergence is O(log² n) rounds — no small-diameter assumption. Returns
+    labels never materialize on the driver, every step is a ``sort_map``
+    with one VECTORIZED Arrow call per block (no per-node Python call and no
+    driver label dict), and convergence is O(log² n) rounds — no small-diameter assumption. Returns
     (doc_id, component) where component = min doc_id reachable; SQL oracle =
     recursive transitive closure (queries.DEDUP_COMPONENTS_SQL)."""
     import ray
@@ -674,14 +651,19 @@ def dup_components(pairs_ds, max_rounds: int = 16):
             "component": pa.array(np.concatenate([a, a])),
         }, schema=_COMP_SCHEMA)
 
-    def fold_min(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return _COMP_SCHEMA.empty_table().to_pandas()
-        return (g.groupby("doc_id", as_index=False)["component"].min()
-                .astype(np.int64))
+    return sort_map(edges.map_batches(labels, batch_format="pyarrow"),
+                    "doc_id", _COMP_SCHEMA, _fold_min)
 
-    return _sort_map(edges.map_batches(labels, batch_format="pyarrow"),
-                     "doc_id", fold_min)
+
+def _fold_min(batch: pa.Table) -> pa.Table:
+    """Each doc's minimum ``component`` over its run of one sorted block."""
+    batch, bounds = key_runs(batch, ["doc_id"])
+    starts = bounds[:-1]
+    return pa.table({
+        "doc_id": batch["doc_id"].take(pa.array(starts)),
+        "component": np.minimum.reduceat(batch["component"].to_numpy(),
+                                         starts),
+    }, schema=_COMP_SCHEMA)
 
 
 # ------------------------------------------------------------------ embeddings
@@ -699,6 +681,41 @@ def _stack_norm(col) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return m / norms
+
+
+def _norm_block(block):
+    """One embedding block -> (vec ids, row-normalized float64 matrix)."""
+    tbl = as_table(block)
+    if tbl is None or tbl.num_rows == 0:
+        return np.empty(0, dtype=np.int64), np.empty((0, 1))
+    return (tbl["vec_id"].to_numpy().astype(np.int64),
+            _stack_norm(tbl["embedding"]))
+
+
+def _cosine_pairs(na, nb, same: bool, threshold: float,
+                  round_dp: int) -> pa.Table:
+    """The (lo, hi, cosine) pairs of two normalized blocks whose cosine,
+    rounded to ``round_dp``, is at least ``threshold``."""
+    ia, ma = na
+    ib, mb = nb
+    if not len(ia) or not len(ib):
+        return _EMB_PAIR_SCHEMA.empty_table()
+    cos = np.round(ma @ mb.T, round_dp)
+    mask = cos >= threshold
+    # each unordered id pair must come out exactly once as (lo, hi):
+    # within one block both orientations are in the matrix (keep lo<hi);
+    # across two distinct blocks each pair appears once (order by id)
+    mask &= (ia[:, None] < ib[None, :]) if same \
+        else (ia[:, None] != ib[None, :])
+    r, c = np.nonzero(mask)
+    lo = np.minimum(ia[r], ib[c])
+    hi = np.maximum(ia[r], ib[c])
+    order = np.lexsort((hi, lo))
+    return pa.table({
+        "vec_id": pa.array(lo[order]),
+        "dup_id": pa.array(hi[order]),
+        "cosine": pa.array(cos[r, c][order]),
+    }, schema=_EMB_PAIR_SCHEMA)
 
 
 def embedding_dedup(ds_embeddings, *, threshold: float = 0.4,
@@ -726,41 +743,11 @@ def embedding_dedup(ds_embeddings, *, threshold: float = 0.4,
     if mat.num_blocks() > 4 * want_blocks or mat.num_blocks() < want_blocks:
         mat = mat.repartition(want_blocks).materialize()
 
-    @ray.remote
-    def _norm_block(tbl):
-        tbl = as_table(tbl)
-        if tbl is None or tbl.num_rows == 0:
-            return np.empty(0, dtype=np.int64), np.empty((0, 1))
-        return (tbl["vec_id"].to_numpy().astype(np.int64),
-                _stack_norm(tbl["embedding"]))
-
-    @ray.remote
-    def _pair_block(na, nb, same: bool) -> pa.Table:
-        ia, ma = na
-        ib, mb = nb
-        if not len(ia) or not len(ib):
-            return _EMB_PAIR_SCHEMA.empty_table()
-        cos = np.round(ma @ mb.T, round_dp)
-        mask = cos >= threshold
-        # each unordered id pair must come out exactly once as (lo, hi):
-        # within one block both orientations are in the matrix (keep lo<hi);
-        # across two distinct blocks each pair appears once (order by id)
-        mask &= (ia[:, None] < ib[None, :]) if same \
-            else (ia[:, None] != ib[None, :])
-        r, c = np.nonzero(mask)
-        lo = np.minimum(ia[r], ib[c])
-        hi = np.maximum(ia[r], ib[c])
-        order = np.lexsort((hi, lo))
-        return pa.table({
-            "vec_id": pa.array(lo[order]),
-            "dup_id": pa.array(hi[order]),
-            "cosine": pa.array(cos[r, c][order]),
-        }, schema=_EMB_PAIR_SCHEMA)
-
     blocks = [br for bundle in mat.iter_internal_ref_bundles()
               for br in bundle.block_refs]
-    normed = [_norm_block.remote(b) for b in blocks]
-    pair_refs = [_pair_block.remote(normed[i], normed[j], i == j)
+    norm, pair = remote(_norm_block), remote(_cosine_pairs)
+    normed = [norm.remote(b) for b in blocks]
+    pair_refs = [pair.remote(normed[i], normed[j], i == j, threshold, round_dp)
                  for i in range(len(normed)) for j in range(i, len(normed))]
     return ray.data.from_arrow_refs(pair_refs)
 
@@ -776,7 +763,12 @@ def embedding_dedup_lsh(ds_embeddings, *, threshold: float = 0.95,
     per table; candidate pairs from the ``_bucket_pairs`` bucket sort
     carry both embeddings, verified by exact cosine in the same stage."""
 
-    dim = len(ds_embeddings.take(1)[0]["embedding"])
+    import ray
+
+    first = ds_embeddings.take(1)
+    if not first:
+        return ray.data.from_arrow(_EMB_PAIR_SCHEMA.empty_table())
+    dim = len(first[0]["embedding"])
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((n_tables, dim, n_planes))
 
@@ -811,21 +803,20 @@ def embedding_dedup_lsh(ds_embeddings, *, threshold: float = 0.95,
         })
 
     bucket_ds = ds_embeddings.map_batches(bucketize, batch_format="pyarrow")
-    cand = _bucket_pairs(bucket_ds, ["table", "bucket"], carry=["embedding"])
+    cand = _bucket_pairs(bucket_ds, ["table", "bucket"],
+                         carry={"embedding": pa.list_(pa.float64())})
 
-    def verify(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({"vec_id": pd.Series([], dtype=np.int64),
-                                 "dup_id": pd.Series([], dtype=np.int64),
-                                 "cosine": pd.Series([], dtype=np.float64)})
-        a = _stack_norm(pa.array(list(g["embedding_a"])))
-        b = _stack_norm(pa.array(list(g["embedding_b"])))
-        cos = (a * b).sum(axis=1)
-        keep = cos >= threshold
-        return pd.DataFrame({
-            "vec_id": g["doc_id"].to_numpy()[keep].astype(np.int64),
-            "dup_id": g["dup_id"].to_numpy()[keep].astype(np.int64),
-            "cosine": cos[keep],
-        })
+    def verify(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return _EMB_PAIR_SCHEMA.empty_table()
+        cos = (_stack_norm(batch["embedding_a"])
+               * _stack_norm(batch["embedding_b"])).sum(axis=1)
+        keep = pa.array(cos >= threshold)
+        return pa.table({
+            "vec_id": batch["doc_id"].filter(keep),
+            "dup_id": batch["dup_id"].filter(keep),
+            "cosine": pa.array(cos).filter(keep),
+        }, schema=_EMB_PAIR_SCHEMA)
 
-    return cand.map_batches(verify, batch_format="pandas")
+    return _declared(cand.map_batches(verify, batch_format="pyarrow"),
+                     _EMB_PAIR_SCHEMA)

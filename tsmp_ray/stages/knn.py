@@ -19,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .signals import key_runs
+from .signals import key_runs, sort_map
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -57,10 +57,10 @@ def _stack(col) -> np.ndarray:
     return arr.astype(np.float64, copy=False).reshape(n, -1)
 
 
-def _empty_partials() -> pa.Table:
-    return pa.table({"query_id": pa.array([], pa.int64()),
-                     "vec_id": pa.array([], pa.int64()),
-                     "cosine": pa.array([], pa.float64())})
+_PARTIALS_SCHEMA = pa.schema([
+    ("query_id", pa.int64()), ("vec_id", pa.int64()), ("cosine", pa.float64()),
+])
+_RANKED_SCHEMA = _PARTIALS_SCHEMA.append(pa.field("rank", pa.int64()))
 
 
 def _topk_partials(qids: np.ndarray, cos: np.ndarray, vec_ids: np.ndarray,
@@ -82,25 +82,23 @@ def _topk_partials(qids: np.ndarray, cos: np.ndarray, vec_ids: np.ndarray,
     )
 
 
+def _merge_block(batch: pa.Table, k: int) -> pa.Table:
+    """Every query of one ``query_id``-sorted block: its run ranked by
+    (-cosine, vec_id), ranks ``<= k`` kept."""
+    batch, bounds = key_runs(batch, ["query_id"], [
+        ("cosine", "descending"), ("vec_id", "ascending")])
+    rank = (np.arange(1, batch.num_rows + 1)
+            - np.repeat(bounds[:-1], np.diff(bounds)))
+    return batch.append_column("rank", pa.array(rank)).filter(
+        pa.array(rank <= k))
+
+
 def _merge(partials, k: int):
-    """Per-query rank merge of k-sized partials: ``sort("query_id")`` then
-    one call per block ranking each query's run by (-cosine, vec_id).
-    Shared by the brute and IVF paths — the brute path is the IVF gate's
-    oracle, so ONE implementation keeps their tie-break and ranking in
-    lockstep."""
-
-    def merge(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:  # may be a schema-less empty sort partition
-            batch = _empty_partials()
-        batch, bounds = key_runs(batch, ["query_id"], [
-            ("cosine", "descending"), ("vec_id", "ascending")])
-        rank = (np.arange(1, batch.num_rows + 1)
-                - np.repeat(bounds[:-1], np.diff(bounds)))
-        return batch.append_column("rank", pa.array(rank)).filter(
-            pa.array(rank <= k))
-
-    return partials.sort("query_id").map_batches(
-        merge, batch_format="pyarrow", batch_size=None)
+    """Per-query rank merge of k-sized partials: ``signals.sort_map`` on
+    ``query_id`` with ``_merge_block``. Shared by the brute and IVF paths —
+    the brute path is the IVF gate's oracle, so ONE implementation keeps
+    their tie-break and ranking in lockstep."""
+    return sort_map(partials, "query_id", _RANKED_SCHEMA, _merge_block, k)
 
 
 def brute_force_topk(ds_embeddings, query_matrix: np.ndarray,
@@ -120,7 +118,7 @@ def brute_force_topk(ds_embeddings, query_matrix: np.ndarray,
 
     def partial_topk(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return _empty_partials()
+            return _PARTIALS_SCHEMA.empty_table()
         q, qids = ray.get(qref)  # broadcast read (plasma, zero-copy numpy)
         m = _normalize(_stack(batch["embedding"]))
         vec_ids = batch["vec_id"].to_numpy()
@@ -206,7 +204,7 @@ def ivf_topk(ds_embeddings, query_matrix: np.ndarray, query_ids: np.ndarray,
 
     def probe_batch(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return _empty_partials()
+            return _PARTIALS_SCHEMA.empty_table()
         cent_m, qm, qi_all, pmask = ray.get(bqref)  # plasma broadcast read
         m = _normalize(_stack(batch["embedding"]))
         vec_ids = batch["vec_id"].to_numpy()
@@ -219,7 +217,8 @@ def ivf_topk(ds_embeddings, query_matrix: np.ndarray, query_ids: np.ndarray,
             sel = assign == b
             parts.append(_topk_partials(qi_all[q_here], qm[q_here] @ m[sel].T,
                                         vec_ids[sel], k, round_dp))
-        return pa.concat_tables(parts) if parts else _empty_partials()
+        return (pa.concat_tables(parts) if parts
+                else _PARTIALS_SCHEMA.empty_table())
 
     return _merge(ds_embeddings.map_batches(
         probe_batch, batch_format="pyarrow", batch_size=4096), k)

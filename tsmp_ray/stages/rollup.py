@@ -188,8 +188,8 @@ def _tier_block(block, widths: tuple[int, ...], gap_fill: bool,
     return (*out, n_disordered)
 
 
-def tiers_from_packed(ds_packed, tiers: tuple[str, ...] = ("1m", "1h", "1d"),
-                      gap_fill: bool = True, max_gap: int | None = None):
+def tiers_from_packed(ds_packed, *, tiers: tuple[str, ...], gap_fill: bool,
+                      max_gap: int | None):
     """ALL tiers of every conversation from PACKED rows, with ZERO
     additional shuffles (the conv_id sort that built the packed rows was
     the only one) and one task per packed block: the packed Dataset is

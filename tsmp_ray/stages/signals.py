@@ -50,14 +50,9 @@ def repeat_labels(values: list[str], lens) -> pa.Array:
 
 def as_table(block) -> pa.Table | None:
     """A Dataset block read by ref, as Arrow; None when it is empty and
-    schema-less. Blocks may be pandas (after a pandas-format
-    ``map_batches``), and Ray's sort can emit SCHEMA-LESS empty blocks for
-    empty range partitions, so every task that reads block refs
-    normalizes through here."""
-    if not isinstance(block, pa.Table):
-        if not len(block.columns):
-            return None
-        block = pa.Table.from_pandas(block, preserve_index=False)
+    schema-less. Ray's sort can emit SCHEMA-LESS empty blocks for empty
+    range partitions, so every task that reads block refs normalizes
+    through here."""
     return block if block.num_columns else None
 
 
@@ -99,6 +94,30 @@ def key_runs(batch: pa.Table, keys: list[str], order=()):
     return batch, np.append(starts, n)
 
 
+def sort_map(ds, keys, schema: pa.Schema, fn, *args):
+    """THE keyed shuffle: ``ds.sort(keys)`` then ONE block-wide pyarrow call
+    ``fn(batch, *args)`` per sorted block (``batch_size=None``: a batch is
+    exactly one block). The sort range-partitions on ``keys``, so no key
+    straddles blocks — the contract Ray's own grouped map rests on (it IS
+    this sort followed by a ``batch_size=None`` map) — and ``fn`` finds its
+    keys' runs with :func:`key_runs`, never one Python call per key.
+
+    ``fn`` is never called on a 0-row partition (Ray's sort emits them,
+    often schema-less): Ray passes a 0-row block around a batch UDF, and
+    one that reaches ``block`` maps to ``schema.empty_table()``, so no
+    ``fn`` types its own empty case. An all-empty result thus comes back
+    schema-less; a caller that must type it does so after the map
+    (``dedup._declared``). ``block`` takes ``fn``'s name, so plans and
+    ``ds.stats()`` name the operator ``MapBatches(<fn>)``."""
+
+    @functools.wraps(fn)
+    def block(batch: pa.Table) -> pa.Table:
+        return fn(batch, *args) if batch.num_rows else schema.empty_table()
+
+    return ds.sort(keys).map_batches(block, batch_format="pyarrow",
+                                     batch_size=None)
+
+
 def add_turn_features(batch: pa.Table) -> pa.Table:
     """Vectorized per-batch features; keeps (conv_id, turn_idx, ts) keys."""
     text_len = pc.cast(pc.utf8_length(batch["text"]), pa.float64())
@@ -121,16 +140,14 @@ def _needs_features(ds) -> bool:
     return sch is None or "text_len" not in sch.names
 
 
-_EMPTY_DIGESTS = pa.schema([
+_DIGEST_SCHEMA = pa.schema([
     ("conv_id", pa.string()), ("digest", pa.string()), ("n_turns", pa.int64()),
-]).empty_table()
+])
 
 
 def _digest_block(batch: pa.Table) -> pa.Table:
     """Every conversation of one sorted block -> one (conv_id, digest,
     n_turns) row; one md5 call per conversation, no per-group table."""
-    if batch.num_rows == 0:
-        return _EMPTY_DIGESTS
     batch, bounds = key_runs(batch, ["conv_id"], ["turn_idx"])
     texts = batch["text"].to_pylist()
     return pa.table({
@@ -148,19 +165,18 @@ def conversation_fingerprints(ds):
     by U+001F in stable ``turn_idx`` order — the per-turn text-equality
     invariant (north_rule): identical between any two orderings of the same
     logical table iff per-turn texts match under stable order. Same plan as
-    ``pack_series``: ``sort("conv_id")`` then one call per block."""
-    return ds.select_columns(["conv_id", "turn_idx", "text"]).sort(
-        "conv_id").map_batches(_digest_block, batch_format="pyarrow",
-                               batch_size=None)
+    ``pack_series``: ``sort_map`` on ``conv_id``."""
+    return sort_map(ds.select_columns(["conv_id", "turn_idx", "text"]),
+                    "conv_id", _DIGEST_SCHEMA, _digest_block)
 
 
-_EMPTY_PACKED = pa.schema([
+_PACKED_SCHEMA = pa.schema([
     ("conv_id", pa.string()), ("n_turns", pa.int64()),
     ("turn_idx", pa.list_(pa.int64())), ("ts", pa.list_(pa.int64())),
     ("ts_delta", pa.list_(pa.float64())),
     ("text_len", pa.list_(pa.float64())),
     ("tool_call", pa.list_(pa.float64())),
-]).empty_table()
+])
 
 
 def _pack_block(batch: pa.Table) -> pa.Table:
@@ -169,8 +185,6 @@ def _pack_block(batch: pa.Table) -> pa.Table:
     run starts from one vectorized compare, ``ts_delta`` as one diff zeroed
     at run starts, and each list column as one ``ListArray`` over the run
     offsets."""
-    if batch.num_rows == 0:  # Ray maps an all-empty input as one empty block
-        return _EMPTY_PACKED
     batch, bounds = key_runs(batch, ["conv_id"], ["turn_idx"])
     starts = bounds[:-1]
     offsets = pa.array(bounds.astype(np.int32))
@@ -199,18 +213,15 @@ def pack_series(ds):
     (conv_id, n_turns, turn_idx/ts:list<int64>,
     ts_delta/text_len/tool_call:list<double>), in ONE conv_id shuffle.
 
-    The plan is ``sort("conv_id")`` then one ``_pack_block`` per block
-    (``batch_size=None``: a batch is exactly one block). A single-key sort
-    range-partitions by conv_id, so every row of a conversation lands in
-    the same output block — the contract ``groupby().map_groups`` itself
-    rests on (in Ray it IS this sort followed by a ``batch_size=None``
-    map). No conversation straddles blocks, so no fragment is merged
-    afterwards, and no Python call is made per conversation. This is the
-    unit of work for the rollup and matrix-profile stages."""
+    The plan is :func:`sort_map` on ``conv_id`` with ``_pack_block``: a
+    single-key sort range-partitions by conv_id, so every row of a
+    conversation lands in the same output block. No conversation straddles
+    blocks, so no fragment is merged afterwards, and no Python call is made
+    per conversation. This is the unit of work for the rollup and
+    matrix-profile stages."""
     if _needs_features(ds):
         ds = ds.map_batches(add_turn_features, batch_format="pyarrow")
-    return ds.sort("conv_id").map_batches(
-        _pack_block, batch_format="pyarrow", batch_size=None)
+    return sort_map(ds, "conv_id", _PACKED_SCHEMA, _pack_block)
 
 
 def unpack_signals(ds_packed):

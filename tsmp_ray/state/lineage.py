@@ -75,9 +75,10 @@ def resumable_write(ds, out_dir: str, partition_col: str,
     """Write ``ds`` partitioned by ``partition_col``; skip partitions already
     in the manifest. Returns {partition: 'written'|'skipped'}.
 
-    ONE scan + one ``sort(partition_col)`` shuffle writes every pending
-    partition in parallel (round-1 shape filtered the full dataset once per
-    value — O(partitions × scan), wrong for high-cardinality keys): the
+    ONE scan + one keyed shuffle (``signals.sort_map`` on ``partition_col``)
+    writes every pending partition in parallel (round-1 shape filtered the
+    full dataset once per value — O(partitions × scan), wrong for
+    high-cardinality keys): the
     sort keeps each partition in one block, and one call per block writes
     each of its key runs (``signals.key_runs``). Each partition's directory
     is written atomically (tmp + rename) with a ``_SUCCESS`` marker;
@@ -94,7 +95,7 @@ def resumable_write(ds, out_dir: str, partition_col: str,
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from ..stages.signals import key_runs
+    from ..stages.signals import key_runs, sort_map
 
     man = Manifest(out_dir)
 
@@ -156,22 +157,18 @@ def resumable_write(ds, out_dir: str, partition_col: str,
         os.replace(tmp, final)
         return {"partition": key, "entry": json.dumps(entry)}
 
-    def write_block(batch: pa.Table) -> pa.Table:
-        written = []
-        if batch.num_rows:
-            batch, bounds = key_runs(batch, [partition_col], [
-                c for c in batch.column_names if c != partition_col])
-            written = [write_partition(batch.slice(lo, hi - lo))
-                       for lo, hi in zip(bounds[:-1], bounds[1:])]
-        return pa.Table.from_pylist(written, schema=pa.schema(
-            [("partition", pa.string()), ("entry", pa.string())]))
+    markers_schema = pa.schema([("partition", pa.string()),
+                                ("entry", pa.string())])
 
-    markers = (
-        ds.map_batches(only_pending, batch_format="pyarrow")
-        .sort(partition_col)
-        .map_batches(write_block, batch_format="pyarrow", batch_size=None)
-        .take_all()
-    )
+    def write_block(batch: pa.Table) -> pa.Table:
+        batch, bounds = key_runs(batch, [partition_col], [
+            c for c in batch.column_names if c != partition_col])
+        return pa.Table.from_pylist(
+            [write_partition(batch.slice(lo, hi - lo))
+             for lo, hi in zip(bounds[:-1], bounds[1:])], schema=markers_schema)
+
+    markers = sort_map(ds.map_batches(only_pending, batch_format="pyarrow"),
+                       partition_col, markers_schema, write_block).take_all()
     for m in markers:
         man.record(m["partition"], json.loads(m["entry"]))
         status[m["partition"]] = "written"
