@@ -141,8 +141,11 @@ def test_sort_map_never_calls_fn_on_an_empty_partition(ray_session):
     """``signals.sort_map`` never calls ``fn`` (which raises on 0 rows) on a
     0-row sort partition, neither for an all-one-key input over 16 blocks
     (every range partition but one empty) nor for a 0-row input; every
-    block with columns carries the declared schema, and the operator keeps
-    ``fn``'s name."""
+    block with columns carries ``fn``'s schema, and the operator keeps
+    ``fn``'s name. The Ray contract this rests on, which no engine batch
+    UDF re-checks: neither ``sort_map`` nor a plain pyarrow
+    ``map_batches`` calls its UDF on a 0-row block, for a 0-row typed
+    input and for one row over 16 blocks alike."""
     import ray
     from tsmp_ray.stages.signals import key_runs, sort_map
 
@@ -157,15 +160,26 @@ def test_sort_map_never_calls_fn_on_an_empty_partition(ray_session):
     one_key = pa.table({"k": pa.array(np.full(64, 7), pa.int64()),
                         "v": pa.array(np.arange(64))})
     got = sort_map(ray.data.from_arrow(one_key).repartition(16), "k",
-                   schema, count_per_key).materialize()
+                   count_per_key).materialize()
     assert got.to_pandas().to_dict("list") == {"k": [7], "n": [64]}
     assert "MapBatches(count_per_key)" in got.stats()
     assert all(t.schema.equals(schema) for t in ray.get(got.to_arrow_refs())
                if t.num_columns)
 
-    empty = sort_map(ray.data.from_arrow(one_key.slice(0, 0)), "k", schema,
+    empty = sort_map(ray.data.from_arrow(one_key.slice(0, 0)), "k",
                      count_per_key)
     assert empty.count() == 0
+
+    one_row = ray.data.from_arrow(one_key.slice(0, 1)).repartition(16)
+    assert one_row.materialize().num_blocks() == 16
+    for ds, want in ((ray.data.from_arrow(one_key.slice(0, 0)), []),
+                     (one_row, [{"k": 7, "n": 1}])):
+        for out in (sort_map(ds, "k", count_per_key),
+                    ds.map_batches(count_per_key, batch_format="pyarrow")):
+            out = out.materialize()
+            assert out.take_all() == want
+            assert all(t.schema.equals(schema) for t in
+                       ray.get(out.to_arrow_refs()) if t.num_columns)
 
 
 def _one_key_inputs():

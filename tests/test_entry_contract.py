@@ -103,6 +103,22 @@ def test_engine_makes_no_map_groups_call():
     assert not hits, "\n".join(hits)
 
 
+def test_no_batch_udf_checks_for_an_empty_batch():
+    """Ray passes every 0-row block around a pyarrow batch UDF (pinned by
+    ``test_sort_map_never_calls_fn_on_an_empty_partition``), so no batch
+    UDF under ``tsmp_ray/`` branches on an empty batch."""
+    import pathlib
+    import re
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "tsmp_ray"
+    hits = [f"{path.relative_to(pkg.parent)}:{i}: {line.strip()}"
+            for path in sorted(pkg.rglob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"batch\.num_rows\s*==\s*0|not batch\.num_rows\b"
+                         r"|batch\.num_rows else\b", line)]
+    assert not hits, "\n".join(hits)
+
+
 def test_every_keyed_shuffle_is_sort_map():
     """One keyed-shuffle function: no Dataset ``.sort(`` under ``tsmp_ray/``
     outside ``signals.sort_map``, except ``conv_pair_stage``'s sort into

@@ -1243,8 +1243,6 @@ def q_embedding_dedup_lsh(sf_dir: str):
     output (recall asserted in pytest)."""
 
     def plant(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
         ids = batch["vec_id"].to_numpy().astype(np.int64)
         emb = np.stack([np.asarray(e, dtype=np.float64)
                         for e in batch["embedding"].to_pylist()])

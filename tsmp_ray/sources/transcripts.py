@@ -112,7 +112,7 @@ def transcripts_from_events(sf_dir: str):
     """
     ds = read_parquet_plain(f"{sf_dir}/events.parquet",
                             ["event_id", "ts", "user_id", "event_type", "props"])
-    return sort_map(ds, "user_id", TRANSCRIPT_SCHEMA, _transcript_block)
+    return sort_map(ds, "user_id", _transcript_block)
 
 
 _WORDS = np.array(

@@ -324,11 +324,6 @@ def decode_gorilla(data: bytes) -> np.ndarray:
 # ------------------------------------------------------------- Ray stage
 
 
-_PACKED_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("signal", pa.string()), ("n", pa.int32()),
-    ("ts_dod", pa.binary()), ("val_gorilla", pa.binary())])
-
-
 def _binary(buf: bytes, offsets: np.ndarray) -> pa.Array:
     """Consecutive blobs in one buffer -> a ``binary`` column, zero-copy."""
     return pa.Array.from_buffers(
@@ -365,7 +360,7 @@ def pack_rollup_series(ds_tier):
     range-partitions by conv_id, so every run of a (conv_id, signal) lands
     in one block, and no Python call is made per run: the two encoders see
     the whole block."""
-    return sort_map(ds_tier, "conv_id", _PACKED_SCHEMA, _pack_block)
+    return sort_map(ds_tier, "conv_id", _pack_block)
 
 
 def _blobs(col) -> list[memoryview]:

@@ -12,7 +12,10 @@ then ONE block-wide Arrow call per block over the key's runs
 (:func:`signals.key_runs`) — run-firsts for distinct and keep-first,
 ``np.minimum.reduceat`` for the min folds. No hash salt and no partition
 count: the sort makes as many partitions as it has input blocks, so the
-memory of one call is bounded by Ray's block size.
+memory of one call is bounded by Ray's block size. No block function checks
+for an empty batch: Ray passes every 0-row block around a pyarrow batch
+UDF, so an op whose empty result must keep its schema types it after the
+map (``_declared``).
 
 - ``exact_dedup``: content-hash sort + per-text min-id winner (texts compared
   for true equality, so hash collisions can't merge docs).
@@ -34,7 +37,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .signals import as_table, key_runs, remote, sort_map
+from .knn import _normalize, _stack
+from .signals import as_table, block_refs, key_runs, remote, sort_map
 
 _H1 = np.uint64(0x9E3779B97F4A7C15)
 _H2 = np.uint64(0xC2B2AE3D27D4EB4F)
@@ -147,11 +151,8 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
 
     schema = ds.schema().base_schema
     return _declared(sort_map(ds.map_batches(add_hash, batch_format="pyarrow"),
-                              "_h", schema, _keep_first, id_col, text_col),
+                              "_h", _keep_first, id_col, text_col),
                      schema)
-
-
-_PAIR_SCHEMA = pa.schema([("doc_id", pa.int64()), ("dup_id", pa.int64())])
 
 
 def _pair_block(batch: pa.Table, keys: list[str], carry: dict) -> pa.Table:
@@ -188,12 +189,8 @@ def _bucket_pairs(bucket_ds, keys: list[str], carry: dict | None = None):
     verification needs no further join.
     Returns a Dataset (doc_id, dup_id[, carries]), doc_id < dup_id, distinct.
     """
-    carry = carry or {}
-    schema = pa.schema([*_PAIR_SCHEMA, *[
-        (f"{c}_{side}", t) for c, t in carry.items() for side in "ab"]])
-    pairs = sort_map(bucket_ds, keys, schema, _pair_block, keys, carry)
-    return sort_map(pairs, ["doc_id", "dup_id"], schema, _firsts,
-                    ["doc_id", "dup_id"])
+    pairs = sort_map(bucket_ds, keys, _pair_block, keys, carry or {})
+    return sort_map(pairs, ["doc_id", "dup_id"], _firsts, ["doc_id", "dup_id"])
 
 
 # ------------------------------------------------------------------ minhash
@@ -317,11 +314,9 @@ def _attach_texts(pairs_ds, texts_ds, key_col: str, out_col: str,
             "_is_txt": pa.array(np.ones(batch.num_rows, dtype=bool)),
         })
 
-    schema = pa.schema([*_PAIR_SCHEMA, *[(c, pa.string()) for c in
-                                         [*carry_text, out_col]]])
     both = (pairs_ds.map_batches(tag_pairs, batch_format="pyarrow")
             .union(texts_ds.map_batches(tag_texts, batch_format="pyarrow")))
-    return sort_map(both, "_k", schema, _join_block, out_col)
+    return sort_map(both, "_k", _join_block, out_col)
 
 
 def _join_block(batch: pa.Table, out_col: str) -> pa.Table:
@@ -360,6 +355,20 @@ def _text_lookup(*blocks) -> dict[int, str]:
     return d
 
 
+def _jaccard_pairs(a: np.ndarray, b: np.ndarray, ta: list[str],
+                   tb: list[str], threshold: float,
+                   shingle_n: int) -> pa.Table:
+    """The candidate pairs ``(a[i], b[i])``, with texts ``ta[i]`` and
+    ``tb[i]``, whose exact n-gram Jaccard is at least ``threshold``, as
+    (doc_id, dup_id, jaccard) rows."""
+    j = np.array([ngram_jaccard(x, y, shingle_n) for x, y in zip(ta, tb)])
+    keep = j >= threshold
+    return pa.table({"doc_id": pa.array(a[keep].astype(np.int64)),
+                     "dup_id": pa.array(b[keep].astype(np.int64)),
+                     "jaccard": pa.array(j[keep])},
+                    schema=_PAIR_JACCARD_SCHEMA)
+
+
 def _verify_jaccard(ds, cand, threshold: float, shingle_n: int,
                     force_join: bool = False):
     """Distributed exact verification of candidate pairs.
@@ -384,9 +393,7 @@ def _verify_jaccard(ds, cand, threshold: float, shingle_n: int,
     cand = cand.materialize()
     if cand.count() == 0:
         return ray.data.from_arrow(_PAIR_JACCARD_SCHEMA.empty_table())
-    cand_blocks = [br for bu in cand.iter_internal_ref_bundles()
-                   for br in bu.block_refs]
-    ids_ref = remote(_id_set).remote(*cand_blocks)
+    ids_ref = remote(_id_set).remote(*block_refs(cand))
 
     def filt(batch: pa.Table) -> pa.Table:
         id_arr = ray.get(ids_ref)
@@ -401,24 +408,15 @@ def _verify_jaccard(ds, cand, threshold: float, shingle_n: int,
             and not force_join:
         # small side → broadcast join: one reduce builds the lookup IN THE
         # OBJECT STORE (never on the driver), every verify task reads it
-        tref = remote(_text_lookup).remote(
-            *[br for bu in filtered.iter_internal_ref_bundles()
-              for br in bu.block_refs])
+        tref = remote(_text_lookup).remote(*block_refs(filtered))
 
         def verify_bc(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return _PAIR_JACCARD_SCHEMA.empty_table()
             lookup = ray.get(tref)  # zero-copy-ish plasma read per task
             a = batch["doc_id"].to_numpy()
             b = batch["dup_id"].to_numpy()
-            j = np.array([ngram_jaccard(lookup[int(x)], lookup[int(y)],
-                                        shingle_n)
-                          for x, y in zip(a, b)])
-            keep = j >= threshold
-            return pa.table({"doc_id": pa.array(a[keep].astype(np.int64)),
-                             "dup_id": pa.array(b[keep].astype(np.int64)),
-                             "jaccard": pa.array(j[keep])},
-                            schema=_PAIR_JACCARD_SCHEMA)
+            return _jaccard_pairs(a, b, [lookup[int(x)] for x in a],
+                                  [lookup[int(y)] for y in b],
+                                  threshold, shingle_n)
 
         return cand.map_batches(verify_bc, batch_format="pyarrow")
 
@@ -427,19 +425,10 @@ def _verify_jaccard(ds, cand, threshold: float, shingle_n: int,
     with_b = _attach_texts(with_a, filtered, "dup_id", "_tb", ["_ta"])
 
     def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _PAIR_JACCARD_SCHEMA.empty_table()
-        a = batch["doc_id"].to_numpy()
-        b = batch["dup_id"].to_numpy()
-        ta = batch["_ta"].to_pylist()
-        tb = batch["_tb"].to_pylist()
-        j = np.array([ngram_jaccard(x, y, shingle_n)
-                      for x, y in zip(ta, tb)])
-        keep = j >= threshold
-        return pa.table({"doc_id": pa.array(a[keep].astype(np.int64)),
-                         "dup_id": pa.array(b[keep].astype(np.int64)),
-                         "jaccard": pa.array(j[keep])},
-                        schema=_PAIR_JACCARD_SCHEMA)
+        return _jaccard_pairs(batch["doc_id"].to_numpy(),
+                              batch["dup_id"].to_numpy(),
+                              batch["_ta"].to_pylist(),
+                              batch["_tb"].to_pylist(), threshold, shingle_n)
 
     return with_b.map_batches(verify, batch_format="pyarrow")
 
@@ -497,8 +486,6 @@ def simhash_dedup(ds, max_hamming: int = 3):
                          carry={"simhash": pa.int64()})
 
     def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _HAMMING_SCHEMA.empty_table()
         x = (batch["simhash_a"].to_numpy().astype(np.uint64)
              ^ batch["simhash_b"].to_numpy().astype(np.uint64))
         ham = _popcount64(x)
@@ -517,7 +504,6 @@ def simhash_dedup(ds, max_hamming: int = 3):
 
 
 _COMP_SCHEMA = pa.schema([("doc_id", pa.int64()), ("component", pa.int64())])
-_EDGE_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 
 
 def _star_block(batch: pa.Table, large: bool) -> pa.Table:
@@ -563,12 +549,12 @@ def _star_round(edges_ds, large: bool):
                          "nbr": pa.array(np.concatenate([b, a]))})
 
     return sort_map(edges_ds.map_batches(expand, batch_format="pyarrow"),
-                    "center", _EDGE_SCHEMA, _star_block, large)
+                    "center", _star_block, large)
 
 
 def _distinct_edges(edges_ds):
     """Distinct on (a, b): ``sort_map`` on both, run-firsts per block."""
-    return sort_map(edges_ds, ["a", "b"], _EDGE_SCHEMA, _firsts, ["a", "b"])
+    return sort_map(edges_ds, ["a", "b"], _firsts, ["a", "b"])
 
 
 def _edge_checksum(edges_ds) -> tuple[int, int, int]:
@@ -652,7 +638,7 @@ def dup_components(pairs_ds, max_rounds: int = 16):
         }, schema=_COMP_SCHEMA)
 
     return sort_map(edges.map_batches(labels, batch_format="pyarrow"),
-                    "doc_id", _COMP_SCHEMA, _fold_min)
+                    "doc_id", _fold_min)
 
 
 def _fold_min(batch: pa.Table) -> pa.Table:
@@ -674,22 +660,13 @@ _EMB_PAIR_SCHEMA = pa.schema([
 ])
 
 
-def _stack_norm(col) -> np.ndarray:
-    from .knn import _stack  # vectorized list_flatten + reshape densify
-
-    m = _stack(col)
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return m / norms
-
-
 def _norm_block(block):
     """One embedding block -> (vec ids, row-normalized float64 matrix)."""
     tbl = as_table(block)
     if tbl is None or tbl.num_rows == 0:
         return np.empty(0, dtype=np.int64), np.empty((0, 1))
     return (tbl["vec_id"].to_numpy().astype(np.int64),
-            _stack_norm(tbl["embedding"]))
+            _normalize(_stack(tbl["embedding"])))
 
 
 def _cosine_pairs(na, nb, same: bool, threshold: float,
@@ -743,8 +720,7 @@ def embedding_dedup(ds_embeddings, *, threshold: float = 0.4,
     if mat.num_blocks() > 4 * want_blocks or mat.num_blocks() < want_blocks:
         mat = mat.repartition(want_blocks).materialize()
 
-    blocks = [br for bundle in mat.iter_internal_ref_bundles()
-              for br in bundle.block_refs]
+    blocks = block_refs(mat)
     norm, pair = remote(_norm_block), remote(_cosine_pairs)
     normed = [norm.remote(b) for b in blocks]
     pair_refs = [pair.remote(normed[i], normed[j], i == j, threshold, round_dp)
@@ -773,16 +749,7 @@ def embedding_dedup_lsh(ds_embeddings, *, threshold: float = 0.95,
     planes = rng.standard_normal((n_tables, dim, n_planes))
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            emb = batch["embedding"]
-            return pa.table({
-                "table": pa.array([], pa.int64()),
-                "bucket": pa.array([], pa.int64()),
-                "doc_id": pa.array([], pa.int64()),
-                "embedding": (emb.combine_chunks()
-                              if isinstance(emb, pa.ChunkedArray) else emb),
-            })
-        m = _stack_norm(batch["embedding"])
+        m = _normalize(_stack(batch["embedding"]))
         ids = batch["vec_id"].to_numpy().astype(np.int64)
         tabs, bucks, docs, embs = [], [], [], []
         for t in range(n_tables):
@@ -807,10 +774,8 @@ def embedding_dedup_lsh(ds_embeddings, *, threshold: float = 0.95,
                          carry={"embedding": pa.list_(pa.float64())})
 
     def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _EMB_PAIR_SCHEMA.empty_table()
-        cos = (_stack_norm(batch["embedding_a"])
-               * _stack_norm(batch["embedding_b"])).sum(axis=1)
+        cos = (_normalize(_stack(batch["embedding_a"]))
+               * _normalize(_stack(batch["embedding_b"]))).sum(axis=1)
         keep = pa.array(cos >= threshold)
         return pa.table({
             "vec_id": batch["doc_id"].filter(keep),

@@ -49,7 +49,8 @@ def _stack(col) -> np.ndarray:
             f"embedding lists contain {flat.null_count} null element(s)")
     n = len(col)
     if n == 0:
-        # callers skip empty batches (can't infer d from an empty list column)
+        # Ray never hands a batch UDF a 0-row batch, and ``dedup._norm_block``
+        # skips empty blocks (d can't be inferred from an empty list column)
         raise ValueError("empty embedding batch")
     arr = flat.to_numpy(zero_copy_only=False)
     if arr.size % n:
@@ -60,7 +61,6 @@ def _stack(col) -> np.ndarray:
 _PARTIALS_SCHEMA = pa.schema([
     ("query_id", pa.int64()), ("vec_id", pa.int64()), ("cosine", pa.float64()),
 ])
-_RANKED_SCHEMA = _PARTIALS_SCHEMA.append(pa.field("rank", pa.int64()))
 
 
 def _topk_partials(qids: np.ndarray, cos: np.ndarray, vec_ids: np.ndarray,
@@ -98,7 +98,7 @@ def _merge(partials, k: int):
     ``query_id`` with ``_merge_block``. Shared by the brute and IVF paths —
     the brute path is the IVF gate's oracle, so ONE implementation keeps
     their tie-break and ranking in lockstep."""
-    return sort_map(partials, "query_id", _RANKED_SCHEMA, _merge_block, k)
+    return sort_map(partials, "query_id", _merge_block, k)
 
 
 def brute_force_topk(ds_embeddings, query_matrix: np.ndarray,
@@ -117,8 +117,6 @@ def brute_force_topk(ds_embeddings, query_matrix: np.ndarray,
                     np.asarray(query_ids)))
 
     def partial_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _PARTIALS_SCHEMA.empty_table()
         q, qids = ray.get(qref)  # broadcast read (plasma, zero-copy numpy)
         m = _normalize(_stack(batch["embedding"]))
         vec_ids = batch["vec_id"].to_numpy()
@@ -203,8 +201,6 @@ def ivf_topk(ds_embeddings, query_matrix: np.ndarray, query_ids: np.ndarray,
     bqref = ray.put((cent, q, qids, mask))
 
     def probe_batch(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _PARTIALS_SCHEMA.empty_table()
         cent_m, qm, qi_all, pmask = ray.get(bqref)  # plasma broadcast read
         m = _normalize(_stack(batch["embedding"]))
         vec_ids = batch["vec_id"].to_numpy()

@@ -35,7 +35,7 @@ from ..kernels.block_join import (auto_profile, blocked_mp, blocked_mp_many,
                                   use_blocked)
 from ..kernels.mpx import mpx_diagonals, prepare_series
 from ..kernels.profile_types import MatrixProfile, merge_min
-from .signals import as_table, list_cell, remote, repeat_labels
+from .signals import as_table, block_refs, list_cell, remote, repeat_labels
 
 _VALUE_COLS = ("mp", "pi", "lmp", "lpi", "rmp", "rpi")
 PROFILE_SCHEMA = pa.schema(
@@ -107,11 +107,6 @@ SHARD_UNITS_BLOCKED = 1.2e8
 SHARD_UNITS_MPX = 3.0e7
 
 
-def _block_refs(ds) -> list:
-    return [br for bundle in ds.iter_internal_ref_bundles()
-            for br in bundle.block_refs]
-
-
 def _block_meta(block):
     tbl = as_table(block)
     if tbl is None:
@@ -130,7 +125,7 @@ def _parallel_block_meta(ds):
     import ray
 
     task = remote(_block_meta, num_cpus=0)
-    refs = _block_refs(ds)
+    refs = block_refs(ds)
     metas = ray.get([task.remote(r) for r in refs])
     return [(r, cids, nts) for r, (cids, nts) in zip(refs, metas)]
 
@@ -176,7 +171,7 @@ def per_block(ds, schema: pa.Schema, fn, *args, shards=None):
     ds = ds.materialize()
     cut, plan = shards or (None, None)
     if plan is None:
-        blocks, shard_refs = _block_refs(ds), []
+        blocks, shard_refs = block_refs(ds), []
     else:
         metas = _parallel_block_meta(ds)
         blocks = [block for block, _, _ in metas]

@@ -40,7 +40,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import SIGNALS, TIERS, EngineConfig
-from .signals import as_table, remote, repeat_labels
+from .signals import as_table, block_refs, remote, repeat_labels
 
 log = logging.getLogger("tsmp_ray")
 
@@ -225,9 +225,7 @@ def tiers_from_packed(ds_packed, *, tiers: tuple[str, ...], gap_fill: bool,
 
     # no block at all (e.g. after ``limit(0)``): one schema-less block, so
     # every tier still carries its schema
-    blocks = [br for bundle in ds_packed.materialize()
-              .iter_internal_ref_bundles() for br in bundle.block_refs
-              ] or [ray.put(pa.table({}))]
+    blocks = block_refs(ds_packed.materialize()) or [ray.put(pa.table({}))]
     task = remote(_tier_block).options(num_returns=len(widths) + 1)
     outs = [task.remote(b, tuple(w for _, w in widths), gap_fill, max_gap)
             for b in blocks]

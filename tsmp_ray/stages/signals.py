@@ -56,6 +56,13 @@ def as_table(block) -> pa.Table | None:
     return block if block.num_columns else None
 
 
+def block_refs(ds) -> list:
+    """The object refs of every block of ``ds``, in order — the input of
+    every stage that runs one Ray task per block."""
+    return [br for bundle in ds.iter_internal_ref_bundles()
+            for br in bundle.block_refs]
+
+
 def list_cell(tbl: pa.Table, row: int, col: str) -> np.ndarray:
     """One list cell of a packed table as float64 numpy: the cell's values
     buffer, not a Python list (``.as_py()``). THE series reader of every
@@ -94,7 +101,7 @@ def key_runs(batch: pa.Table, keys: list[str], order=()):
     return batch, np.append(starts, n)
 
 
-def sort_map(ds, keys, schema: pa.Schema, fn, *args):
+def sort_map(ds, keys, fn, *args):
     """THE keyed shuffle: ``ds.sort(keys)`` then ONE block-wide pyarrow call
     ``fn(batch, *args)`` per sorted block (``batch_size=None``: a batch is
     exactly one block). The sort range-partitions on ``keys``, so no key
@@ -102,19 +109,12 @@ def sort_map(ds, keys, schema: pa.Schema, fn, *args):
     this sort followed by a ``batch_size=None`` map) — and ``fn`` finds its
     keys' runs with :func:`key_runs`, never one Python call per key.
 
-    ``fn`` is never called on a 0-row partition (Ray's sort emits them,
-    often schema-less): Ray passes a 0-row block around a batch UDF, and
-    one that reaches ``block`` maps to ``schema.empty_table()``, so no
-    ``fn`` types its own empty case. An all-empty result thus comes back
-    schema-less; a caller that must type it does so after the map
-    (``dedup._declared``). ``block`` takes ``fn``'s name, so plans and
-    ``ds.stats()`` name the operator ``MapBatches(<fn>)``."""
-
-    @functools.wraps(fn)
-    def block(batch: pa.Table) -> pa.Table:
-        return fn(batch, *args) if batch.num_rows else schema.empty_table()
-
-    return ds.sort(keys).map_batches(block, batch_format="pyarrow",
+    ``fn`` never sees a 0-row block: Ray passes every 0-row block (the
+    sort emits them, often schema-less) around a pyarrow batch UDF
+    unchanged. So an all-empty result comes back schema-less, and a caller
+    that must type it does so after the map (``dedup._declared``). Plans
+    and ``ds.stats()`` name the operator ``MapBatches(<fn>)``."""
+    return ds.sort(keys).map_batches(fn, fn_args=args, batch_format="pyarrow",
                                      batch_size=None)
 
 
@@ -140,11 +140,6 @@ def _needs_features(ds) -> bool:
     return sch is None or "text_len" not in sch.names
 
 
-_DIGEST_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("digest", pa.string()), ("n_turns", pa.int64()),
-])
-
-
 def _digest_block(batch: pa.Table) -> pa.Table:
     """Every conversation of one sorted block -> one (conv_id, digest,
     n_turns) row; one md5 call per conversation, no per-group table."""
@@ -167,16 +162,7 @@ def conversation_fingerprints(ds):
     logical table iff per-turn texts match under stable order. Same plan as
     ``pack_series``: ``sort_map`` on ``conv_id``."""
     return sort_map(ds.select_columns(["conv_id", "turn_idx", "text"]),
-                    "conv_id", _DIGEST_SCHEMA, _digest_block)
-
-
-_PACKED_SCHEMA = pa.schema([
-    ("conv_id", pa.string()), ("n_turns", pa.int64()),
-    ("turn_idx", pa.list_(pa.int64())), ("ts", pa.list_(pa.int64())),
-    ("ts_delta", pa.list_(pa.float64())),
-    ("text_len", pa.list_(pa.float64())),
-    ("tool_call", pa.list_(pa.float64())),
-])
+                    "conv_id", _digest_block)
 
 
 def _pack_block(batch: pa.Table) -> pa.Table:
@@ -221,7 +207,7 @@ def pack_series(ds):
     matrix-profile stages."""
     if _needs_features(ds):
         ds = ds.map_batches(add_turn_features, batch_format="pyarrow")
-    return sort_map(ds, "conv_id", _PACKED_SCHEMA, _pack_block)
+    return sort_map(ds, "conv_id", _pack_block)
 
 
 def unpack_signals(ds_packed):

@@ -168,7 +168,7 @@ def resumable_write(ds, out_dir: str, partition_col: str,
              for lo, hi in zip(bounds[:-1], bounds[1:])], schema=markers_schema)
 
     markers = sort_map(ds.map_batches(only_pending, batch_format="pyarrow"),
-                       partition_col, markers_schema, write_block).take_all()
+                       partition_col, write_block).take_all()
     for m in markers:
         man.record(m["partition"], json.loads(m["entry"]))
         status[m["partition"]] = "written"
