@@ -287,26 +287,24 @@ def test_embedding_dedup(ray_session):
 
 
 def test_lang_id():
-    from tsmp_ray.stages.text import LangId
+    from tsmp_ray.stages.text import classify_lang
 
-    li = LangId()
-    assert li.classify("the cat is on the mat and it is happy") == "en"
-    assert li.classify("der Hund ist nicht mit der Katze und das ist gut") == "de"
-    assert li.classify("le chat est dans la maison et il est pour dormir") == "fr"
-    assert li.classify("el perro es un animal y no es una planta") == "es"
-    assert li.classify("今天天气很好我们去公园") == "zh"
+    assert classify_lang("the cat is on the mat and it is happy") == "en"
+    assert classify_lang("der Hund ist nicht mit der Katze und das ist gut") == "de"
+    assert classify_lang("le chat est dans la maison et il est pour dormir") == "fr"
+    assert classify_lang("el perro es un animal y no es una planta") == "es"
+    assert classify_lang("今天天气很好我们去公园") == "zh"
 
 
 def test_token_counts_and_quality(ray_session):
     import ray
-    from tsmp_ray.stages.text import QualityScorer, token_counts
+    from tsmp_ray.stages.text import quality_batch, token_counts
 
     ds = ray.data.read_parquet(f"{SF}/documents.parquet")
     tc = ds.map_batches(token_counts, batch_format="pyarrow").to_pandas()
     assert (tc["n_tokens"] > 0).all()
     assert (tc["n_pieces"] >= tc["n_tokens"]).all()
-    q = ds.map_batches(QualityScorer, batch_format="pyarrow",
-                       concurrency=(1, 2)).to_pandas()
+    q = ds.map_batches(quality_batch, batch_format="pyarrow").to_pandas()
     assert q["quality"].between(0, 1).all()
     assert q["punct_ratio"].between(0, 1).all()
 
@@ -572,27 +570,28 @@ def test_bmpv_single_pass_multi_frame():
 
 
 def test_session_cpus_floor(ray_session):
-    """session_cpus: tracks the live session above the floor, floors below
-    it — the one home for every actor-pool ceiling / task fanout."""
+    """session_cpus: tracks the live session above 2, floors at 2 below
+    it — the one home for the shard planners' task fanout."""
     import ray
 
     from tsmp_ray.config import session_cpus
 
     live = int(ray.cluster_resources().get("CPU"))
-    assert session_cpus(2) == max(2, live)
-    assert session_cpus(live + 100) == live + 100
+    assert session_cpus() == max(2, live)
 
 
 def test_multimodal_plumbing(ray_session):
     import ray
+    from tsmp_ray.pipelines.queries import q_multimodal
     from tsmp_ray.stages.multimodal import (
-        DecodeImage, SampleFrames, decode_stage, synthetic_media,
+        _decode_image, _resize, decode_images, sample_frames, synthetic_media,
     )
 
     tbl = synthetic_media(24, seed=1)
     ds = ray.data.from_arrow(tbl)
-    # the actor pool decodes genuine BMP and PNG bytes
-    feats = decode_stage(ds).to_pandas()
+    # decode tasks decode genuine BMP and PNG bytes
+    feats = ds.map_batches(decode_images, batch_format="pyarrow",
+                           batch_size=8).to_pandas()
     n_images = sum(1 for k in tbl["kind"].to_pylist() if k == "image")
     assert len(feats) == n_images
     assert all(len(f) == 3 + 3 + 16 for f in feats["feature"])
@@ -603,20 +602,26 @@ def test_multimodal_plumbing(ray_session):
     assert any(p[:4] == b"\x89PNG" for p in img_payloads)
     # the distributed features equal a local decode of the same bytes
     # (whichever codec that row landed on)
-    dec = DecodeImage()
     row0 = feats.sort_values("media_id").iloc[0]
     idx0 = tbl["media_id"].to_pylist().index(row0["media_id"])
-    img0 = dec._decode(tbl["payload"][idx0].as_py(), 0, 0)
-    small = dec._resize(img0, 16, 16).astype(np.float64)
+    img0 = _decode_image(tbl["payload"][idx0].as_py())
+    small = _resize(img0, 16, 16).astype(np.float64)
     want = np.concatenate([small.mean(axis=(0, 1)), small.std(axis=(0, 1)),
                            small.reshape(-1, 3).mean(axis=1)[:16]])
     np.testing.assert_allclose(np.asarray(row0["feature"]), want)
     # codecs needing external libs (JPEG) stay a declared stub
     with pytest.raises(NotImplementedError):
-        DecodeImage()._decode(b"\xff\xd8\xff\xe0jpeg", 4, 4)
+        _decode_image(b"\xff\xd8\xff\xe0jpeg")
+    # q_multimodal's plan over its own table equals a local decode, every
+    # row exactly
+    media = synthetic_media(64, seed=9)
+    got = q_multimodal("").to_pandas().sort_values("media_id")
+    want = decode_images(media).to_pandas().sort_values("media_id")
+    assert got["media_id"].tolist() == want["media_id"].tolist()
+    for g, w in zip(got["feature"], want["feature"]):
+        np.testing.assert_array_equal(np.asarray(g), np.asarray(w))
     # REAL frame sampling: seeks into BMPV and decodes every 4th frame
-    frames = ds.map_batches(SampleFrames, batch_format="pyarrow",
-                            concurrency=(1, 2)).to_pandas()
+    frames = ds.map_batches(sample_frames, batch_format="pyarrow").to_pandas()
     vids = [i for i, k in enumerate(tbl["kind"].to_pylist()) if k == "video"]
     assert set(frames["media_id"]) == set(tbl["media_id"].to_pylist()[i] for i in vids)
     assert np.isfinite(frames["frame_mean"]).all()

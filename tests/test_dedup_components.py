@@ -50,13 +50,13 @@ def test_multimodal_audio_and_frames(ray_session):
     import ray
 
     from tsmp_ray.stages.multimodal import (
-        AudioFeatures, SampleFrames, decode_wav, synthetic_media,
+        audio_features, decode_wav, sample_frames, synthetic_media,
     )
 
     tbl = synthetic_media(48, seed=3)
     ds = ray.data.from_arrow(tbl)
-    audio = ds.map_batches(AudioFeatures, batch_format="pyarrow", batch_size=8,
-                           concurrency=(1, 2)).to_pandas()
+    audio = ds.map_batches(audio_features, batch_format="pyarrow",
+                           batch_size=8).to_pandas()
     assert len(audio) > 0
     assert (audio["n_frames"] > 0).all()
     assert all(len(r) == n for r, n in zip(audio["rms"], audio["n_frames"]))
@@ -68,8 +68,8 @@ def test_multimodal_audio_and_frames(ray_session):
     want = np.sqrt((x[: nf * 512].reshape(nf, 512) ** 2).mean(axis=1))
     np.testing.assert_allclose(np.asarray(row0["rms"]), want)
 
-    frames = ds.map_batches(SampleFrames, batch_format="pyarrow", batch_size=8,
-                            concurrency=(1, 2)).to_pandas()
+    frames = ds.map_batches(sample_frames, batch_format="pyarrow",
+                            batch_size=8).to_pandas()
     assert len(frames) > 0
     assert (frames["frame_idx"] % 4 == 0).all()
     assert np.isfinite(frames["frame_mean"]).all()
@@ -85,7 +85,7 @@ def test_multimodal_audio_and_frames(ray_session):
                                dtype=np.uint8).tobytes()
                   for _ in range(tbl.num_rows)], pa.binary())))
     with _pytest.raises(Exception):
-        raw.map_batches(AudioFeatures, batch_format="pyarrow").materialize()
+        raw.map_batches(audio_features, batch_format="pyarrow").materialize()
 
 
 def test_dup_components_long_path_graph(ray_session):

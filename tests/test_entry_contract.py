@@ -60,18 +60,30 @@ def test_entry_smoke(ray_session):
     assert "bucket_ts" in res.columns
 
 
-def test_trimmed_catalog_functions_still_run(ray_session):
-    """The 50-row catalog hardening removed four redundant rows (their plans
-    are fully gated by *_checked twins), but the functions stay public API —
-    keep them runnable so they can't silently rot."""
-    from tsmp_ray.pipelines.queries import (q_dist_profile, q_knn_ivf, q_pmp,
-                                            q_valmod)
+def test_engine_starts_no_actor_pool():
+    """Every stage is a stateless task: no call in the package passes a
+    ``concurrency`` keyword (Ray's actor-pool sizing) and no class under
+    ``stages/`` is callable (``map_batches`` runs a callable class as an
+    actor pool). An AST scan, so docstrings and comments do not count."""
+    import ast
+    import pathlib
 
-    for fn, col in ((q_knn_ivf, "query_id"), (q_pmp, "w"),
-                    (q_valmod, "best_w"), (q_dist_profile, "window_idx")):
-        got = to_pandas(fn(SF))
-        assert len(got) > 0, fn.__name__
-        assert col in got.columns, (fn.__name__, list(got.columns))
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "tsmp_ray"
+    hits = []
+    for path in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        where = path.relative_to(pkg.parent)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and any(
+                    kw.arg == "concurrency" for kw in node.keywords):
+                hits.append(f"{where}:{node.lineno}: concurrency=")
+            if (path.parent.name == "stages"
+                    and isinstance(node, ast.ClassDef)
+                    and any(isinstance(f, ast.FunctionDef)
+                            and f.name == "__call__" for f in node.body)):
+                hits.append(f"{where}:{node.lineno}: class {node.name} "
+                            "defines __call__")
+    assert not hits, "\n".join(hits)
 
 
 def test_engine_reads_no_environment_variables():

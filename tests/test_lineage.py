@@ -107,7 +107,7 @@ def test_partition_bytes_pinned(ray_session, tmp_path):
 
 
 def test_retention_compaction(tier_ds, tmp_path, ray_session):
-    from tsmp_ray.stages.retention import apply_retention, compact, mark_expired
+    from tsmp_ray.stages.retention import apply_retention, compact
 
     out = str(tmp_path / "tier1m")
     resumable_write(tier_ds, out, "signal")
@@ -115,8 +115,6 @@ def test_retention_compaction(tier_ds, tmp_path, ray_session):
     lo, hi = pdf["bucket_ts"].min(), pdf["bucket_ts"].max()
     ttl = int(hi - (lo + (hi - lo) * 0.4))  # expire oldest ~40%
 
-    marked = mark_expired(tier_ds, now_us=int(hi), ttl_us=ttl).to_pandas()
-    assert marked["ttl_expired"].any() and not marked["ttl_expired"].all()
     kept_stream = apply_retention(tier_ds, now_us=int(hi), ttl_us=ttl).count()
 
     status = compact(out, now_us=int(hi), ttl_us=ttl)

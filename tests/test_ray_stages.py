@@ -517,7 +517,7 @@ def test_mining_stages_emit_declared_schema_when_nothing_comes_back(
     packed = _nothing_back_input(rows)
     ops = [f for f in vars(ms).values()
            if isinstance(getattr(f, "schema", None), pa.Schema)]
-    assert len(ops) == 27
+    assert len(ops) == 24
     cfg = EngineConfig(window_size=8)
     runs = [(fn.__name__, fn.schema,
              (ms.conv_pair_stage if "conv_a" in fn.schema.names

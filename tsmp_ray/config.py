@@ -28,12 +28,10 @@ PI_SENTINEL: int = -1
 KMODE: float = 0.6311142
 
 
-def session_cpus(floor: int = 2) -> int:
-    """Session CPU count for actor-pool ceilings and task fanouts, with a
-    ``floor`` so tiny sessions still parallelize; falls back to 8 when Ray
-    isn't up (planning outside a session). Pools sized from this must keep
-    an autoscaling floor of 1 — a FIXED pool equal to session CPUs
-    deadlocks small sessions (CLAUDE.md invariant)."""
+def session_cpus() -> int:
+    """Session CPU count for shard-planner fanouts, at least 2 so tiny
+    sessions still split heavy conversations; falls back to 8 when Ray
+    isn't up (planning outside a session)."""
     try:
         import ray
 
@@ -41,7 +39,7 @@ def session_cpus(floor: int = 2) -> int:
                 if ray.is_initialized() else 8)
     except Exception:  # pragma: no cover — ray import/cluster race
         cpus = 8
-    return max(floor, cpus)
+    return max(2, cpus)
 
 
 def exclusion_zone(window_size: int, ez: float = DEFAULT_EZ) -> int:

@@ -4,7 +4,7 @@ For small windows (w ≲ 32, our per-turn signals), the O(n²·w) brute-force
 computation expressed as blocked BLAS matmuls of unit-normalized windows beats
 the O(n²) mpx recurrence: per block-pair one dgemm (compute-dense) plus
 argmax passes over a block that FITS IN L2 CACHE, so the kernel stops being
-DRAM-bandwidth-bound and scales across actor processes — the property the
+DRAM-bandwidth-bound and scales across worker processes — the property the
 N→4N efficiency target needs. For large w, mpx/stomp win (w multiplies the
 FLOPs here but not there); :func:`use_blocked` is the one rule every caller
 applies.

@@ -61,8 +61,8 @@ class MassPre:
 
     Matches the capability of ``mass_pre`` (/root/reference/R/mass-pre.R:70-75):
     padded FFT of the data + moving mean/sd, computed once per series and
-    reused for every query window — in the engine this lives in actor state
-    keyed by conv_id (SURVEY.md §2.7).
+    reused for every query window — in the engine it lives for one
+    conversation's call inside its task (SURVEY.md §2.7).
     """
 
     w: int

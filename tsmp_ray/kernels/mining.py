@@ -3,7 +3,7 @@ segmentation, MPdist, snippets, annotation vectors, pan-MP, valmod.
 
 Each function re-implements the *semantics* of the reference (file:line cited
 per function) on numpy arrays; inside the engine they run per conversation in
-``per_conv_stage`` / actor stages (SURVEY.md §2.6, §2.8).
+``per_conv_stage`` tasks (SURVEY.md §2.6, §2.8).
 Conventions: 0-based indices, ED (not squared) distances, pi sentinel -1.
 """
 

@@ -10,8 +10,8 @@ lose windows that fell off the left edge).
 Each new window contributes one MASS distance profile over the grown series;
 existing windows only ever improve through their *right* neighbors (appends
 are strictly in-order — the engine's streaming invariant, SURVEY.md §2.10).
-This object is the per-conv state held by the streaming actor stage and by
-FLOSS.
+This object is the per-conv state held by ``stompi_op`` and by FLOSS, each
+for one conversation's call.
 """
 
 from __future__ import annotations

@@ -900,7 +900,7 @@ FROM d GROUP BY 1, 2, 3
 """
 
 
-# lang_id: replicate LangId.classify exactly (stages/text.py) — CJK check,
+# lang_id: replicate classify_lang exactly (stages/text.py) — CJK check,
 # lowercased [\w'’]+ tokens, per-language stopword ratios, strict-greater
 # first-wins scan in en/de/fr/es order, 'und' for empty, latin default 'en'.
 # Ratios are int/int divisions → tie behavior matches Python bit-for-bit.
@@ -1280,11 +1280,6 @@ def q_knn_topk(sf_dir: str):
     return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
 
 
-def q_knn_ivf(sf_dir: str):
-    ds, qm, qids = _query_vectors(sf_dir)
-    return knn_mod.ivf_topk(ds, qm, qids, k=10)
-
-
 def q_knn_ivf_checked(sf_dir: str):
     """IVF with EXHAUSTIVE probing (nprobe = n_centroids) is exact — every
     (query, vector) pair scored once through the full IVF plan (centroid
@@ -1344,25 +1339,6 @@ def q_mpdist(sf_dir: str):
 
     packed = pack_series(transcripts_from_events(sf_dir))
     return conv_pair_stage(packed, mpdist_pair_op, {"w": CFG.window_size})
-
-
-def q_pmp(sf_dir: str):
-    """Pan-matrix-profile window sweep for EVERY conversation, distributed
-    per conv (was: longest conv only on the driver)."""
-    from ..stages.mining_stage import per_conv_stage, pmp_op
-
-    packed = pack_series(transcripts_from_events(sf_dir))
-    return per_conv_stage(packed, pmp_op, {"windows": [6, 8, 10, 12]})
-
-
-def q_valmod(sf_dir: str):
-    """Variable-length motif sweep (VALMOD semantics, exact per-window
-    sweep) for EVERY conversation, distributed per conv; ``valmod_checked``
-    gates the same sweep against SQL."""
-    from ..stages.mining_stage import per_conv_stage, valmod_op
-
-    packed = pack_series(transcripts_from_events(sf_dir))
-    return per_conv_stage(packed, valmod_op, {"wmin": 6, "wmax": 12})
 
 
 def q_mstomp(sf_dir: str):
@@ -1534,15 +1510,6 @@ def q_ab_join_checked(sf_dir: str):
     return _first_pairs(sf_dir, abjoin_checked_pair_op)
 
 
-def q_dist_profile(sf_dir: str):
-    """Per-conv MASS v3 + weighted distance profiles (dist_profile dispatcher
-    coverage incl. mass_pre_w/mass_weighted), distributed per conv."""
-    from ..stages.mining_stage import distprofile_op, per_conv_stage
-
-    packed = pack_series(transcripts_from_events(sf_dir))
-    return per_conv_stage(packed, distprofile_op, {"w": CFG.window_size})
-
-
 def q_snippets(sf_dir: str):
     """Representative snippets for EVERY conversation with ≥64 turns,
     distributed per conv (was: first 5 convs on the driver)."""
@@ -1557,14 +1524,15 @@ def q_snippets(sf_dir: str):
 def q_multimodal(sf_dir: str):
     """Image decode over REAL bytes (round-5): the synthetic table carries
     genuine image payloads alternating per image between 24-bit BMP and
-    zlib-compressed 8-bit PNG, and the actor pool decodes both with the
-    pure-stdlib parsers — no stub in the driver row."""
+    zlib-compressed 8-bit PNG, and ``decode_images`` tasks decode both with
+    the pure-stdlib parsers — no stub in the driver row."""
     import ray
 
-    from ..stages.multimodal import decode_stage, synthetic_media
+    from ..stages.multimodal import decode_images, synthetic_media
 
     ds = ray.data.from_arrow(synthetic_media(64, seed=9))
-    return decode_stage(ds)
+    # small batches: media rows are large binary payloads
+    return ds.map_batches(decode_images, batch_format="pyarrow", batch_size=8)
 
 
 def q_floss_streaming(sf_dir: str):
@@ -1628,9 +1596,9 @@ def q_salient(sf_dir: str):
 # Whatever clips the run (row cap or timeout), the ordering protects what
 # matters: every SQL-oracled row first, then the three pytest-covered rows
 # the round-4 run lost (ab_join, sdts, salient), then the no_oracle demos
-# cheap → heavy. The trimmed demos (knn_ivf, dist_profile, pmp, valmod) ran
-# plans fully gated by their *_checked twins — redundant rows, not lost
-# coverage.
+# cheap → heavy. The demos trimmed here (knn_ivf, dist_profile, pmp, valmod)
+# ran plans fully gated by their *_checked twins, so their functions were
+# deleted — redundant rows, not lost coverage.
 QUERIES = {
     # ---------- SQL-oracled rows (every key here has an ORACLES entry)
     "transcripts": q_transcripts,

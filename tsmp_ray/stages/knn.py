@@ -1,9 +1,9 @@
 """Similarity search over the ``embeddings`` table.
 
 - ``brute_force_topk``: exact cosine top-k. The query matrix is broadcast ONCE
-  via ``ray.put`` and read in actor ``__init__``; each batch does one numpy
-  matmul and emits only its per-batch top-k partials (the combiner), so the
-  final exact merge is over #batches × k rows, not the full table.
+  via ``ray.put`` and read by each task with ``ray.get``; each batch does one
+  numpy matmul and emits only its per-batch top-k partials (the combiner), so
+  the final exact merge is over #batches × k rows, not the full table.
 
 - ``ivf_topk``: the scale path — coarse quantizer (k-means-ish centroids
   trained on a sample), each batch assigns its vectors to their nearest

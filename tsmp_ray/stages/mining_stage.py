@@ -248,7 +248,7 @@ def _mstomp_shards(w: int):
     """``compute_mstomp``'s shard planner: equal-width INDEX RANGES, one per
     session CPU — every query row costs O(p) (a full distance row), so the
     index axis IS the cost axis."""
-    pool = session_cpus(2)
+    pool = session_cpus()
     shard = remote(_mstomp_shard)
 
     def plan(block, row: int, conv_id: str, n: int) -> list:
@@ -290,23 +290,6 @@ def stompi_op(conv_id, batch, r, *, w: int):
     sp.update(x[cut:])
     return {"window_idx": np.arange(len(sp.profile.mp), dtype=np.int64),
             "mp": sp.profile.mp, "pi": sp.profile.pi.astype(np.int64)}
-
-
-@emits(_keyed(("window_idx", pa.int64()), ("d_v3", pa.float64()),
-              ("d_weighted", pa.float64())))
-def distprofile_op(conv_id, batch, r, *, w: int):
-    """Per-conv distance profiles of the conv's own first window: MASS v3
-    plus the weighted variant with a center-emphasis weight vector
-    (dist_profile dispatcher parity — /root/reference/R/dist_profile.R:69-180,
-    mass-pre-w.R:35-91). Skip locations stay +Inf (valid float64 parquet)."""
-    x = list_cell(batch, r, _ORACLE_SIGNAL)
-    if len(x) < 2 * w:
-        return None
-    d3, _ = dist_profile(x, x[:w], method="v3")
-    wt = 1.0 - 0.5 * np.abs(np.linspace(-1.0, 1.0, w))  # center-weighted
-    dw, _ = dist_profile(x, x[:w], method="weighted", weight=wt)
-    return {"window_idx": np.arange(len(d3), dtype=np.int64),
-            "d_v3": d3, "d_weighted": dw}
 
 
 _MP_EXACT_SCHEMA = _keyed(("window_idx", pa.int64()), ("mp", pa.float64()))
@@ -612,44 +595,8 @@ def annotation_op(conv_id, batch, r, *, w: int):
 
 # --------------------------------------------- distributed demo-bounded ops
 # Round-2 verdict item 6: the queries that used to pull a handful of convs to
-# the driver (pmp/valmod/salient/snippets/mpdist/ab_join) now fan out over
+# the driver (salient/snippets/mpdist/ab_join) now fan out over
 # EVERY conversation via per_conv_stage / conv_pair_stage.
-
-
-@emits(_keyed(("w", pa.int64()), ("window_idx", pa.int64()),
-              ("mp", pa.float64()), ("pi", pa.int64())))
-def pmp_op(conv_id, batch, r, *, windows):
-    """Pan-matrix-profile sweep per conversation
-    (/root/reference/R/pmp.R:166-211)."""
-    x = list_cell(batch, r, _ORACLE_SIGNAL)
-    if len(x) < 2 * max(windows):
-        return None
-    res = pmp(x, windows=windows)
-    ws = sorted(res["pmp"])
-    return {
-        "w": np.concatenate([np.full(len(res["pmp"][w]), w, dtype=np.int64)
-                             for w in ws]),
-        "window_idx": np.concatenate([
-            np.arange(len(res["pmp"][w]), dtype=np.int64) for w in ws]),
-        "mp": np.concatenate([res["pmp"][w] for w in ws]),
-        "pi": np.concatenate([res["pmpi"][w].astype(np.int64) for w in ws]),
-    }
-
-
-@emits(_keyed(("window_idx", pa.int64()), ("mp_norm", pa.float64()),
-              ("best_w", pa.int64()), ("pi", pa.int64())))
-def valmod_op(conv_id, batch, r, *, wmin: int, wmax: int):
-    """Variable-length motif sweep per conversation
-    (the reference's R/valmod.R:52-470) with the exact per-window sweep;
-    ``valmod_checked_op`` gates the same ``valmod`` call against the SQL
-    oracle."""
-    x = list_cell(batch, r, _ORACLE_SIGNAL)
-    if len(x) < 2 * wmax:
-        return None
-    res = valmod(x, wmin, wmax)
-    return {"window_idx": np.arange(len(res["mp"]), dtype=np.int64),
-            "mp_norm": res["mp"], "best_w": res["w"].astype(np.int64),
-            "pi": res["pi"].astype(np.int64)}
 
 
 @emits(_keyed(("rank", pa.int64()), ("index", pa.int64()),

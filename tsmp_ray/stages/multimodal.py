@@ -1,5 +1,7 @@
 """Multimodal column plumbing: image/audio/video as opaque ``binary`` columns
-with typed metadata, processed by actor-pool ``map_batches`` stages.
+with typed metadata, processed by stateless block functions
+(``decode_images``, ``audio_features``, ``sample_frames``) that a caller
+maps as Ray tasks with ``map_batches``.
 
 Decode is REAL for the formats the standard library can parse — 24-bit
 uncompressed BMP (struct + numpy), 8-bit PNG (zlib inflate + all five row
@@ -318,152 +320,117 @@ def synthetic_media(n: int = 32, seed: int = 0) -> pa.Table:
     )
 
 
-class DecodeImage:
-    """Actor-pool stage: binary payload -> fixed-size feature vector.
-
-    Decodes 24-bit BMP and 8-bit PNG payloads with the pure-stdlib parsers
-    (gray/RGBA PNGs normalize to RGB); JPEG raises NotImplementedError — it
-    needs PIL/cv2, absent in this container.
-    Resize to (out_h, out_w) then emit per-channel mean/std features.
-    """
-
-    def __init__(self, out_h: int = 16, out_w: int = 16):
-        self.out_h, self.out_w = out_h, out_w
-
-    def _decode(self, payload: bytes, h: int, w: int) -> np.ndarray:
-        if payload[:2] == b"BM":
-            return decode_bmp(payload)
-        if payload[:8] == _PNG_SIG:
-            img = decode_png(payload)
-            if img.ndim == 2:                       # gray -> RGB
-                img = np.repeat(img[:, :, None], 3, axis=2)
-            return img[:, :, :3]                    # RGBA -> drop alpha
-        raise NotImplementedError(
-            "JPEG decode requires PIL/cv2, not present in this container; "
-            "BMP and PNG decode for real")
-
-    @staticmethod
-    def _resize(img: np.ndarray, oh: int, ow: int) -> np.ndarray:
-        # nearest-neighbor resize, pure numpy
-        h, w = img.shape[:2]
-        yi = (np.arange(oh) * h // oh).clip(0, h - 1)
-        xi = (np.arange(ow) * w // ow).clip(0, w - 1)
-        return img[yi][:, xi]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        feats = []
-        ids = []
-        for i in range(batch.num_rows):
-            if batch["kind"][i].as_py() != "image":
-                continue
-            img = self._decode(batch["payload"][i].as_py(),
-                               batch["height"][i].as_py(),
-                               batch["width"][i].as_py())
-            small = self._resize(img, self.out_h, self.out_w).astype(np.float64)
-            feat = np.concatenate([small.mean(axis=(0, 1)), small.std(axis=(0, 1)),
-                                   small.reshape(-1, 3).mean(axis=1)[: self.out_h]])
-            feats.append(feat)
-            ids.append(batch["media_id"][i].as_py())
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "feature": pa.array(feats if feats else [],
-                                    pa.list_(pa.float64())),
-            }
-        )
+#: feature-resize target, audio frame length and video sampling stride
+OUT_H = OUT_W = 16
+FRAME = 512
+STRIDE = 4
 
 
-class AudioFeatures:
+def _decode_image(payload: bytes) -> np.ndarray:
+    """24-bit BMP or 8-bit PNG payload -> (h, w, 3) uint8 RGB (gray/RGBA
+    PNGs normalize to RGB); JPEG raises NotImplementedError — it needs
+    PIL/cv2, absent in this container."""
+    if payload[:2] == b"BM":
+        return decode_bmp(payload)
+    if payload[:8] == _PNG_SIG:
+        img = decode_png(payload)
+        if img.ndim == 2:                       # gray -> RGB
+            img = np.repeat(img[:, :, None], 3, axis=2)
+        return img[:, :, :3]                    # RGBA -> drop alpha
+    raise NotImplementedError(
+        "JPEG decode requires PIL/cv2, not present in this container; "
+        "BMP and PNG decode for real")
+
+
+def _resize(img: np.ndarray, oh: int, ow: int) -> np.ndarray:
+    """Nearest-neighbor resize, pure numpy."""
+    h, w = img.shape[:2]
+    yi = (np.arange(oh) * h // oh).clip(0, h - 1)
+    xi = (np.arange(ow) * w // ow).clip(0, w - 1)
+    return img[yi][:, xi]
+
+
+def decode_images(batch: pa.Table) -> pa.Table:
+    """Image stage: binary payload -> fixed-size feature vector. Each image
+    row is decoded (``_decode_image``), resized to (OUT_H, OUT_W) and
+    summarized as per-channel mean/std plus OUT_H pixel means."""
+    feats = []
+    ids = []
+    for i in range(batch.num_rows):
+        if batch["kind"][i].as_py() != "image":
+            continue
+        img = _decode_image(batch["payload"][i].as_py())
+        small = _resize(img, OUT_H, OUT_W).astype(np.float64)
+        feat = np.concatenate([small.mean(axis=(0, 1)), small.std(axis=(0, 1)),
+                               small.reshape(-1, 3).mean(axis=1)[:OUT_H]])
+        feats.append(feat)
+        ids.append(batch["media_id"][i].as_py())
+    return pa.table(
+        {
+            "media_id": pa.array(ids, pa.int64()),
+            "feature": pa.array(feats, pa.list_(pa.float64())),
+        }
+    )
+
+
+def audio_features(batch: pa.Table) -> pa.Table:
     """Audio stage: binary payload -> framed waveform features (RMS + zero
-    crossings per frame). Decodes 16-bit mono PCM WAV via the stdlib
-    ``wave`` module; compressed codecs raise NotImplementedError (no
+    crossings per FRAME-sample frame). Decodes 16-bit mono PCM WAV via the
+    stdlib ``wave`` module; compressed codecs raise NotImplementedError (no
     soundfile/ffmpeg here)."""
-
-    def __init__(self, frame: int = 512):
-        self.frame = frame
-
-    def _decode(self, payload: bytes, sr: int) -> np.ndarray:
-        if payload[:4] == b"RIFF":
-            return decode_wav(payload)[0]
-        raise NotImplementedError(
-            "compressed audio decode requires soundfile/ffmpeg, not present "
-            "in this container")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, rms, zc, nfr = [], [], [], []
-        for i in range(batch.num_rows):
-            if batch["kind"][i].as_py() != "audio":
-                continue
-            x = self._decode(batch["payload"][i].as_py(),
-                             batch["sample_rate"][i].as_py())
-            n_frames = len(x) // self.frame
-            f = x[: n_frames * self.frame].reshape(n_frames, self.frame)
-            ids.append(batch["media_id"][i].as_py())
-            rms.append(np.sqrt((f * f).mean(axis=1)).astype(np.float64))
-            zc.append((np.diff(np.signbit(f), axis=1) != 0).sum(axis=1)
-                      .astype(np.float64))
-            nfr.append(n_frames)
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "n_frames": pa.array(nfr, pa.int64()),
-                "rms": pa.array(rms if rms else [], pa.list_(pa.float64())),
-                "zero_crossings": pa.array(zc if zc else [],
-                                           pa.list_(pa.float64())),
-            }
-        )
+    ids, rms, zc, nfr = [], [], [], []
+    for i in range(batch.num_rows):
+        if batch["kind"][i].as_py() != "audio":
+            continue
+        payload = batch["payload"][i].as_py()
+        if payload[:4] != b"RIFF":
+            raise NotImplementedError(
+                "compressed audio decode requires soundfile/ffmpeg, not "
+                "present in this container")
+        x = decode_wav(payload)[0]
+        n_frames = len(x) // FRAME
+        f = x[: n_frames * FRAME].reshape(n_frames, FRAME)
+        ids.append(batch["media_id"][i].as_py())
+        rms.append(np.sqrt((f * f).mean(axis=1)).astype(np.float64))
+        zc.append((np.diff(np.signbit(f), axis=1) != 0).sum(axis=1)
+                  .astype(np.float64))
+        nfr.append(n_frames)
+    return pa.table(
+        {
+            "media_id": pa.array(ids, pa.int64()),
+            "n_frames": pa.array(nfr, pa.int64()),
+            "rms": pa.array(rms, pa.list_(pa.float64())),
+            "zero_crossings": pa.array(zc, pa.list_(pa.float64())),
+        }
+    )
 
 
-class SampleFrames:
-    """Video stage: sample every k-th frame and emit one row per sampled
-    frame. Seeks into BMPV payloads and DECODES each sampled frame
+def sample_frames(batch: pa.Table) -> pa.Table:
+    """Video stage: sample every STRIDE-th frame and emit one row per
+    sampled frame. Seeks into BMPV payloads and DECODES each sampled frame
     (emitting its mean intensity as proof of decode); MP4/AVI raise
     NotImplementedError (ffmpeg absent)."""
-
-    def __init__(self, stride: int = 4):
-        self.stride = stride
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, frames, means = [], [], []
-        for i in range(batch.num_rows):
-            if batch["kind"][i].as_py() != "video":
-                continue
-            nf = batch["n_frames"][i].as_py()
-            payload = batch["payload"][i].as_py()
-            if payload[:4] != _BMPV_MAGIC:
-                raise NotImplementedError(
-                    "MP4/AVI decode requires ffmpeg, not present; BMPV "
-                    "payloads decode for real")
-            picks = list(range(0, nf, self.stride))
-            # one forward pass over the container for ALL sampled frames
-            decoded = decode_bmpv_frames(payload, picks)
-            for fi, f in enumerate(picks):
-                ids.append(batch["media_id"][i].as_py())
-                frames.append(f)
-                means.append(float(decoded[fi].mean()))
-        return pa.table(
-            {
-                "media_id": pa.array(ids, pa.int64()),
-                "frame_idx": pa.array(frames, pa.int64()),
-                "frame_mean": pa.array(means, pa.float64()),
-            }
-        )
-
-
-def decode_stage(ds_media, *, batch_size: int = 8):
-    """Wire the image-decode actor pool with multimodal-appropriate sizing:
-    small batches (large binary rows), arrow format, autoscaling pool whose
-    CEILING tracks the session's CPUs (round-4 verdict item 3: decode is
-    the stage a real multimodal corpus scales wide — a constant cap of 4
-    starved 28 of 32 cores; the floor stays 1 per the small-session
-    deadlock note in CLAUDE.md)."""
-    from ..config import session_cpus
-
-    cpus = session_cpus(4)
-    return ds_media.map_batches(
-        DecodeImage,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=(1, cpus),
-        num_cpus=1,
+    ids, frames, means = [], [], []
+    for i in range(batch.num_rows):
+        if batch["kind"][i].as_py() != "video":
+            continue
+        nf = batch["n_frames"][i].as_py()
+        payload = batch["payload"][i].as_py()
+        if payload[:4] != _BMPV_MAGIC:
+            raise NotImplementedError(
+                "MP4/AVI decode requires ffmpeg, not present; BMPV "
+                "payloads decode for real")
+        picks = list(range(0, nf, STRIDE))
+        # one forward pass over the container for ALL sampled frames
+        decoded = decode_bmpv_frames(payload, picks)
+        for fi, f in enumerate(picks):
+            ids.append(batch["media_id"][i].as_py())
+            frames.append(f)
+            means.append(float(decoded[fi].mean()))
+    return pa.table(
+        {
+            "media_id": pa.array(ids, pa.int64()),
+            "frame_idx": pa.array(frames, pa.int64()),
+            "frame_mean": pa.array(means, pa.float64()),
+        }
     )

@@ -249,7 +249,7 @@ def _profile_shards(cfg: EngineConfig):
     zone = exclusion_zone(w, ez)
     blocked = use_blocked(w)
     target_units = SHARD_UNITS_BLOCKED if blocked else SHARD_UNITS_MPX
-    pool = session_cpus(2)
+    pool = session_cpus()
     shard, merge = remote(_profile_shard), remote(_merge_rows)
 
     def plan(block, row: int, conv_id: str, n: int) -> list:

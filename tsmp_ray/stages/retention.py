@@ -6,7 +6,7 @@ that changed, updating the lineage manifest (so a later resume sees the
 compacted state). The raw tier typically has the shortest TTL and coarser
 tiers keep data longer — the classic downsample-retention policy.
 
-``mark_expired`` is a pure stage (vectorized filter); ``compact`` is the
+``apply_retention`` is a streaming filter; ``compact`` is the
 manifest-driven rewrite (Parquet footer statistics decide each partition;
 only a straddling one is read → filtered → atomically replaced → manifest
 updated with a ``compacted_at`` note).
@@ -26,18 +26,6 @@ import pyarrow.parquet as pq
 from ..state.lineage import Manifest, _content_hash
 
 log = logging.getLogger("tsmp_ray")
-
-
-def mark_expired(ds_tier, now_us: int, ttl_us: int):
-    """Append ``ttl_expired`` = bucket older than (now - ttl)."""
-    cutoff = now_us - ttl_us
-
-    def mark(batch):
-        return batch.append_column(
-            "ttl_expired", pc.less(batch["bucket_ts"], cutoff)
-        )
-
-    return ds_tier.map_batches(mark, batch_format="pyarrow")
 
 
 def apply_retention(ds_tier, now_us: int, ttl_us: int):

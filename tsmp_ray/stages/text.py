@@ -1,7 +1,7 @@
 """Text-analysis operators over the ``documents`` table: language ID, quality
 scoring, token counting, document fingerprinting (training-data pipeline ops
-per the task brief). All are stateless-or-actor ``map_batches`` stages with
-compiled state built once per actor.
+per the task brief). Every one is a stateless block function mapped as Ray
+tasks; its regexes are compiled once per worker process, at import.
 """
 
 from __future__ import annotations
@@ -22,59 +22,28 @@ _LANG_PROFILES: dict[str, set[str]] = {
     "es": {"el", "la", "los", "y", "es", "no", "un", "una", "por", "para"},
 }
 _CJK = re.compile(r"[一-鿿぀-ヿ]")
+_WORD_RE = re.compile(r"[\w'’]+", re.UNICODE)
 
 
-class LangId:
-    """n-gram / stopword heuristic language ID. Actor-pool stage: profiles and
-    regexes compiled once per actor (``__init__``), vectorized-ish per batch."""
-
-    def __init__(self):
-        self.word = re.compile(r"[\w'’]+", re.UNICODE)
-        self.profiles = {k: frozenset(v) for k, v in _LANG_PROFILES.items()}
-
-    def classify(self, text: str) -> str:
-        if _CJK.search(text):
-            return "zh"
-        toks = [t.lower() for t in self.word.findall(text)]
-        if not toks:
-            return "und"
-        best, best_score = "und", 0.0
-        for lang, stops in self.profiles.items():
-            score = sum(t in stops for t in toks) / len(toks)
-            if score > best_score:
-                best, best_score = lang, score
-        return best if best_score > 0 else "en"  # latin-script default
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        langs = pa.array([self.classify(t) for t in batch["text"].to_pylist()])
-        return batch.append_column("lang_pred", langs)
-
-
-from functools import lru_cache
-
-
-@lru_cache(maxsize=1)
-def _lang_id() -> "LangId":
-    return LangId()
+def classify_lang(text: str) -> str:
+    """n-gram / stopword heuristic language ID of one document."""
+    if _CJK.search(text):
+        return "zh"
+    toks = [t.lower() for t in _WORD_RE.findall(text)]
+    if not toks:
+        return "und"
+    best, best_score = "und", 0.0
+    for lang, stops in _LANG_PROFILES.items():
+        score = sum(t in stops for t in toks) / len(toks)
+        if score > best_score:
+            best, best_score = lang, score
+    return best if best_score > 0 else "en"  # latin-script default
 
 
 def lang_id_batch(batch: pa.Table) -> pa.Table:
-    """Task-pool form of :class:`LangId`: the instance (compiled regexes,
-    frozen profiles) is built once per WORKER PROCESS via ``lru_cache`` —
-    tasks reuse warm Ray workers, so this is the actor-``__init__`` pattern
-    without capping the stage at a fixed actor count (the round-2
-    ``concurrency=(1, 4)`` ceiling is gone; the task pool uses every slot)."""
-    return _lang_id()(batch)
-
-
-@lru_cache(maxsize=1)
-def _quality_scorer() -> "QualityScorer":
-    return QualityScorer()
-
-
-def quality_batch(batch: pa.Table) -> pa.Table:
-    """Task-pool form of :class:`QualityScorer` (see ``lang_id_batch``)."""
-    return _quality_scorer()(batch)
+    """The batch with a ``lang_pred`` column (``classify_lang`` per doc)."""
+    langs = pa.array([classify_lang(t) for t in batch["text"].to_pylist()])
+    return batch.append_column("lang_pred", langs)
 
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
@@ -105,55 +74,52 @@ def token_counts(batch: pa.Table) -> pa.Table:
     )
 
 
-class QualityScorer:
+_PUNCT_RE = re.compile(r"[^\w\s]")
+
+
+def quality_batch(batch: pa.Table) -> pa.Table:
     """Heuristic document quality: length, punctuation ratio, stopword ratio,
-    mean word length, uppercase ratio → a [0,1] composite. Actor-pool stage."""
-
-    def __init__(self):
-        self.word = _TOKEN_RE
-        self.stop = _LANG_PROFILES["en"]
-        self.punct = re.compile(r"[^\w\s]")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pylist()
-        n = len(texts)
-        punct_ratio = np.empty(n)
-        stop_ratio = np.empty(n)
-        mean_wlen = np.empty(n)
-        upper_ratio = np.empty(n)
-        for i, t in enumerate(texts):
-            L = max(len(t), 1)
-            punct_ratio[i] = len(self.punct.findall(t)) / L
-            words = self.word.findall(t)
-            nw = max(len(words), 1)
-            stop_ratio[i] = sum(w.lower() in self.stop for w in words) / nw
-            mean_wlen[i] = sum(len(w) for w in words) / nw
-            # general-category Lu, not str.isupper(): isupper() also counts
-            # Other_Uppercase (Roman numerals, circled letters) which RE2's
-            # \p{Lu} in the SQL oracle excludes — both sides must agree
-            upper_ratio[i] = sum(unicodedata.category(c) == "Lu"
-                                 for c in t) / L
-        length = np.array([len(t) for t in texts], dtype=np.float64)
-        # composite: long enough, low punct noise, some stopwords (naturalness),
-        # sane word lengths, not shouty
-        q = (
-            np.clip(length / 200.0, 0, 1) * 0.25
-            + np.clip(1.0 - 4.0 * punct_ratio, 0, 1) * 0.25
-            + np.clip(4.0 * stop_ratio, 0, 1) * 0.2
-            + np.clip(1.0 - np.abs(mean_wlen - 5.0) / 5.0, 0, 1) * 0.2
-            + np.clip(1.0 - 3.0 * upper_ratio, 0, 1) * 0.1
-        )
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "n_chars": pa.array(length.astype(np.int64)),
-                "punct_ratio": pa.array(punct_ratio),
-                "stop_ratio": pa.array(stop_ratio),
-                "mean_word_len": pa.array(mean_wlen),
-                "upper_ratio": pa.array(upper_ratio),
-                "quality": pa.array(q),
-            }
-        )
+    mean word length, uppercase ratio → a [0,1] composite."""
+    stop = _LANG_PROFILES["en"]
+    texts = batch["text"].to_pylist()
+    n = len(texts)
+    punct_ratio = np.empty(n)
+    stop_ratio = np.empty(n)
+    mean_wlen = np.empty(n)
+    upper_ratio = np.empty(n)
+    for i, t in enumerate(texts):
+        L = max(len(t), 1)
+        punct_ratio[i] = len(_PUNCT_RE.findall(t)) / L
+        words = _TOKEN_RE.findall(t)
+        nw = max(len(words), 1)
+        stop_ratio[i] = sum(w.lower() in stop for w in words) / nw
+        mean_wlen[i] = sum(len(w) for w in words) / nw
+        # general-category Lu, not str.isupper(): isupper() also counts
+        # Other_Uppercase (Roman numerals, circled letters) which RE2's
+        # \p{Lu} in the SQL oracle excludes — both sides must agree
+        upper_ratio[i] = sum(unicodedata.category(c) == "Lu"
+                             for c in t) / L
+    length = np.array([len(t) for t in texts], dtype=np.float64)
+    # composite: long enough, low punct noise, some stopwords (naturalness),
+    # sane word lengths, not shouty
+    q = (
+        np.clip(length / 200.0, 0, 1) * 0.25
+        + np.clip(1.0 - 4.0 * punct_ratio, 0, 1) * 0.25
+        + np.clip(4.0 * stop_ratio, 0, 1) * 0.2
+        + np.clip(1.0 - np.abs(mean_wlen - 5.0) / 5.0, 0, 1) * 0.2
+        + np.clip(1.0 - 3.0 * upper_ratio, 0, 1) * 0.1
+    )
+    return pa.table(
+        {
+            "doc_id": batch["doc_id"],
+            "n_chars": pa.array(length.astype(np.int64)),
+            "punct_ratio": pa.array(punct_ratio),
+            "stop_ratio": pa.array(stop_ratio),
+            "mean_word_len": pa.array(mean_wlen),
+            "upper_ratio": pa.array(upper_ratio),
+            "quality": pa.array(q),
+        }
+    )
 
 
 def fingerprints(batch: pa.Table, k: int = 8) -> pa.Table:
