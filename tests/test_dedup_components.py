@@ -43,51 +43,6 @@ def test_dup_components_matches_union_find(ray_session):
     assert got_map[70] == 30
 
 
-def test_multimodal_audio_and_frames(ray_session):
-    """Audio framing + video frame-sampling over REAL payloads (PCM WAV via
-    stdlib wave, BMPV frame seeks), plus the declared stub for compressed
-    codecs."""
-    import ray
-
-    from tsmp_ray.stages.multimodal import (
-        audio_features, decode_wav, sample_frames, synthetic_media,
-    )
-
-    tbl = synthetic_media(48, seed=3)
-    ds = ray.data.from_arrow(tbl)
-    audio = ds.map_batches(audio_features, batch_format="pyarrow",
-                           batch_size=8).to_pandas()
-    assert len(audio) > 0
-    assert (audio["n_frames"] > 0).all()
-    assert all(len(r) == n for r, n in zip(audio["rms"], audio["n_frames"]))
-    # distributed RMS equals a local decode of the same WAV bytes
-    row0 = audio.sort_values("media_id").iloc[0]
-    idx0 = tbl["media_id"].to_pylist().index(row0["media_id"])
-    x, _sr = decode_wav(tbl["payload"][idx0].as_py())
-    nf = len(x) // 512
-    want = np.sqrt((x[: nf * 512].reshape(nf, 512) ** 2).mean(axis=1))
-    np.testing.assert_allclose(np.asarray(row0["rms"]), want)
-
-    frames = ds.map_batches(sample_frames, batch_format="pyarrow",
-                            batch_size=8).to_pandas()
-    assert len(frames) > 0
-    assert (frames["frame_idx"] % 4 == 0).all()
-    assert np.isfinite(frames["frame_mean"]).all()
-
-    # compressed decode is declared-unimplemented, not silently wrong: raw
-    # random payloads carry no RIFF/BMPV magic
-    import pytest as _pytest
-
-    rng = np.random.default_rng(3)
-    raw = ray.data.from_arrow(tbl.set_column(
-        tbl.schema.get_field_index("payload"), "payload",
-        pa.array([rng.integers(0, 256, size=int(rng.integers(256, 4096)),
-                               dtype=np.uint8).tobytes()
-                  for _ in range(tbl.num_rows)], pa.binary())))
-    with _pytest.raises(Exception):
-        raw.map_batches(audio_features, batch_format="pyarrow").materialize()
-
-
 def test_dup_components_long_path_graph(ray_session):
     """Adversarial: a 200-node path (diameter 199, shuffled edge order) must
     fully collapse to the minimum label — star contraction converges in

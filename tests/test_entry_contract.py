@@ -176,26 +176,46 @@ def test_every_keyed_shuffle_is_sort_map():
 
 
 
-#: modules no entry point reaches, each kept for the tests that check it
+#: modules no entry point reaches, each kept for the tests that check it:
+#: reference algorithms stay in ``kernels/`` even when only their
+#: known-answer tests call them
 TEST_ONLY_MODULES = {
-    "tsmp_ray.pipelines.compute_api":
-        "the reference's tsmp()/compute()/analyze() API, checked by the "
-        "known-answer tests",
-    "tsmp_ray.kernels.subset":
-        "the reference's subset-window API, checked by its known answers",
-    "tsmp_ray.state.serialize":
-        "the reference's profile (de)serialization, round-trip tested",
     "tsmp_ray.kernels.floss_ref":
         "the reference-parity FLOSS loop the streaming FlossState is "
         "checked against",
     "tsmp_ray.sources.rdata":
         "the .rda reader that loads the reference's own datasets for the "
         "known-answer tests",
-    "tsmp_ray.functions.registry":
-        "the user extension surface; its built-ins are tested through "
-        "kernel_stage",
-    "tsmp_ray.functions": "the package holding only the registry",
+    "tsmp_ray.kernels.scrimp":
+        "SCRIMP++/PRE-SCRIMP and STAMP, the reference's anytime kernels, "
+        "checked against stomp and brute force",
+    "tsmp_ray.kernels.simple":
+        "SiMPle-Fast, the reference's non-normalized multidim kernel, "
+        "checked against a naive oracle and its known answers",
 }
+
+#: public stage functions no engine or entry code references, each kept for
+#: the tests that use it
+TEST_ONLY_FUNCTIONS = {
+    "tsmp_ray.stages.compression.encode_timestamps":
+        "the one-run timestamp codec call the byte-pin tests use",
+    "tsmp_ray.stages.compression.encode_gorilla":
+        "the one-run value codec call the byte-pin tests use",
+}
+
+
+def _engine_files(root) -> dict:
+    """Every ``tsmp_ray`` module (package ``__init__``s included) -> path."""
+    files = {}
+    for path in sorted((root / "tsmp_ray").rglob("*.py")):
+        parts = path.relative_to(root).with_suffix("").parts
+        files[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return files
+
+
+def _entry_files(root) -> list:
+    return [root / "__ray_entry__.py", root / "bench.py",
+            *sorted((root / "perfbench").glob("*.py"))]
 
 
 def _imported_modules(path, module: str, modules: set[str]) -> set[str]:
@@ -235,14 +255,10 @@ def test_every_engine_module_is_reached_from_an_entry_point():
     import pathlib
 
     root = pathlib.Path(__file__).resolve().parent.parent
-    files = {}
-    for path in sorted((root / "tsmp_ray").rglob("*.py")):
-        parts = path.relative_to(root).with_suffix("").parts
-        files[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    files = _engine_files(root)
     modules = set(files)
     todo = set()
-    for path in [root / "__ray_entry__.py", root / "bench.py",
-                 *sorted((root / "perfbench").glob("*.py"))]:
+    for path in _entry_files(root):
         todo |= _imported_modules(path, "", modules)
     reached: set[str] = set()
     while todo:
@@ -252,6 +268,64 @@ def test_every_engine_module_is_reached_from_an_entry_point():
     assert set(TEST_ONLY_MODULES) <= modules
     assert sorted(modules - reached - set(TEST_ONLY_MODULES)) == []
     assert sorted(set(TEST_ONLY_MODULES) & reached) == []
+
+
+def test_every_public_stage_function_is_referenced():
+    """No dead functions inside reached modules: every public top-level def
+    or class of ``stages/``, ``state/``, ``sources/`` and ``pipelines/`` is
+    referenced (an AST name, attribute or imported name) from engine or
+    entry code outside its own body. References from the test-only modules
+    do not count; the named test-only functions must stay unreferenced."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    files = _engine_files(root)
+    refs: dict[str, list] = {}
+    for path in [p for m, p in files.items() if m not in TEST_ONLY_MODULES
+                 ] + _entry_files(root):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            else:
+                continue
+            refs.setdefault(name, []).append((path, node.lineno))
+    unreferenced = []
+    for mod, path in files.items():
+        if mod in TEST_ONLY_MODULES or not mod.startswith(tuple(
+                f"tsmp_ray.{d}." for d in ("stages", "state", "sources",
+                                           "pipelines"))):
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            first = min([node.lineno]
+                        + [d.lineno for d in node.decorator_list])
+            if not any(p != path or not first <= line <= node.end_lineno
+                       for p, line in refs.get(node.name, [])):
+                unreferenced.append(f"{mod}.{node.name}")
+    assert sorted(unreferenced) == sorted(TEST_ONLY_FUNCTIONS), \
+        "\n".join(sorted(unreferenced))
+
+
+def test_subpackage_inits_import_nothing():
+    """A package ``__init__`` that re-exports its modules makes each of them
+    look reached from any import of the package, so no ``tsmp_ray``
+    subpackage ``__init__.py`` imports anything."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "tsmp_ray"
+    hits = [f"{path.relative_to(pkg.parent)}:{node.lineno}"
+            for path in sorted(pkg.rglob("__init__.py")) if path.parent != pkg
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not hits, "\n".join(hits)
 
 
 def test_mining_ops_have_no_empty_schema_sentinel():
@@ -306,3 +380,64 @@ def test_engine_config_fields_are_read():
     unread = [f.name for f in dataclasses.fields(EngineConfig)
               if not re.search(rf"\.{f.name}\b", src)]
     assert not unread, f"EngineConfig fields nothing reads: {unread}"
+
+
+def test_materialize_shared_ctes_rules():
+    """The oracle-SQL rewriter: multiply-referenced CTEs get MATERIALIZED,
+    single-reference and self-referencing (recursive) CTEs are left alone,
+    and WINDOW clauses never match the definition pattern — the rules the
+    whole ORACLES dict relies on (row-identity A/B'd per oracle; this pins
+    the regex mechanics against future SQL edits)."""
+    from tsmp_ray.pipelines.queries import ORACLES, _materialize_shared_ctes
+
+    sql = (
+        "WITH RECURSIVE head AS (SELECT 1 AS x)\n"
+        ", shared AS (SELECT x FROM head)\n"
+        ", single AS (SELECT x + 1 AS y FROM shared)\n"
+        ", walk AS (SELECT x FROM shared UNION ALL"
+        " SELECT x + 1 FROM walk WHERE x < 3)\n"
+        "SELECT shared.x, w.x, s.y, avg(shared.x) OVER win\n"
+        "FROM shared, walk w, single s\n"
+        "WINDOW win AS (PARTITION BY shared.x)"
+    )
+    out = _materialize_shared_ctes(sql)
+    # shared: 4 refs -> materialized; head: 1 ref (shared's body) ->
+    # untouched; walk: self-referencing -> untouched; single: 1 ref ->
+    # untouched; WINDOW untouched
+    assert ", shared AS MATERIALIZED (" in out
+    assert out.count("MATERIALIZED") == 1
+    assert "walk AS (" in out and "single AS (" in out
+    assert "head AS (" in out
+    assert "WINDOW win AS (PARTITION" in out
+    # a multiply-referenced WITH-head CTE is covered too, and a WITH-head
+    # that is itself the recursive member stays untouched
+    out2 = _materialize_shared_ctes(
+        "WITH base AS (SELECT 1 AS x)\n, a AS (SELECT x FROM base)\n"
+        "SELECT a.x FROM a, base")
+    assert "WITH base AS MATERIALIZED (" in out2
+    rec = ("WITH RECURSIVE r AS (SELECT 1 AS x UNION ALL"
+           " SELECT x + 1 FROM r WHERE x < 3)\nSELECT * FROM r, r AS r2")
+    assert _materialize_shared_ctes(rec) == rec
+    # a comma-separated multi-entry WINDOW clause: the 2nd+ entries start
+    # with ', ' (the definition alternative) but are masked out — neither
+    # gets MATERIALIZED even when referenced by several OVER clauses
+    multi_win = (
+        "WITH shared AS (SELECT 1 AS x)\n"
+        ", other AS (SELECT 2 AS y)\n"
+        "SELECT avg(s2.x) OVER wa, sum(s2.x) OVER wb, min(s2.x) OVER wb,\n"
+        "  max(shared.x) OVER wa FROM shared, shared AS s2, other\n"
+        "WINDOW wa AS (PARTITION BY shared.x), wb AS (ORDER BY s2.x"
+        " ROWS BETWEEN coalesce(1, 2) PRECEDING AND CURRENT ROW)"
+    )
+    out3 = _materialize_shared_ctes(multi_win)
+    assert "WITH shared AS MATERIALIZED (" in out3
+    assert "wa AS (PARTITION" in out3 and "wb AS (ORDER BY" in out3
+    assert out3.count("MATERIALIZED") == 1
+    import duckdb
+    assert duckdb.sql(out3).fetchall() == duckdb.sql(multi_win).fetchall()
+    # idempotent: marked CTEs no longer match the definition pattern
+    assert _materialize_shared_ctes(out) == out
+    assert _materialize_shared_ctes(out3) == out3
+    # and the real dict went through it: the known-heavy oracles are marked
+    for name in ("snippets_checked", "mstomp_checked", "chains_checked"):
+        assert "MATERIALIZED" in ORACLES[name], name

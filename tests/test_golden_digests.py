@@ -22,7 +22,9 @@ def digest(x: np.ndarray) -> float:
 
 
 def compute_digests() -> dict:
-    from tsmp_ray.kernels import mpx, mstomp, stomp
+    from tsmp_ray.kernels.mpx import mpx
+    from tsmp_ray.kernels.mstomp import mstomp
+    from tsmp_ray.kernels.stomp import stomp
     from tsmp_ray.kernels.mining import fluss_cac, mpdist, pmp, valmod
 
     rng = np.random.default_rng(2018)

@@ -10,10 +10,13 @@ No Ray involved — pure numpy kernels.
 import numpy as np
 import pytest
 
-from tsmp_ray.kernels import (
-    StreamingProfile, brute_mp, mpx, mpx_diagonals, merge_min, mstomp,
-    prepare_series, scrimp, stamp, stomp,
-)
+from tsmp_ray.kernels.brute import brute_mp
+from tsmp_ray.kernels.mpx import mpx, mpx_diagonals, prepare_series
+from tsmp_ray.kernels.mstomp import mstomp
+from tsmp_ray.kernels.profile_types import merge_min
+from tsmp_ray.kernels.scrimp import scrimp, stamp
+from tsmp_ray.kernels.stomp import stomp
+from tsmp_ray.kernels.stompi import StreamingProfile
 from tsmp_ray.config import exclusion_zone
 
 # sqrt amplifies FFT rounding near d=0 (d = sqrt(d²), err ~ sqrt(1e-12));

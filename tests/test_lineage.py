@@ -133,6 +133,20 @@ def test_retention_compaction(tier_ds, tmp_path, ray_session):
     assert set(status2.values()) == {"unchanged"}
 
 
+def test_compaction_past_every_bucket_reads_zero_rows(tier_ds, tmp_path,
+                                                      ray_session):
+    """A TTL past every bucket empties every partition; the layout then
+    reads back as a 0-row Dataset instead of failing the read."""
+    from tsmp_ray.stages.retention import compact
+
+    out = str(tmp_path / "tier1m")
+    resumable_write(tier_ds, out, "signal")
+    hi = int(tier_ds.to_pandas()["bucket_ts"].max())
+    status = compact(out, now_us=hi + 1, ttl_us=0)
+    assert status and set(status.values()) == {"emptied"}
+    assert read_partitioned(out, "signal").count() == 0
+
+
 def test_kill_and_resume_subprocess(tmp_path):
     """North-rule resume check with a REAL kill: a subprocess writes the tier
     partition-by-partition and is SIGKILLed after the first partition lands;

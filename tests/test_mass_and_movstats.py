@@ -5,7 +5,8 @@ moving-stats / small-function unit tests."""
 import numpy as np
 import pytest
 
-from tsmp_ray.kernels import brute_dist_profile, mass_pre, mass_v2, mass_v3
+from tsmp_ray.kernels.brute import brute_dist_profile
+from tsmp_ray.kernels.mass import mass_pre, mass_v2, mass_v3
 from tsmp_ray.kernels.movstats import (
     binary_split, complexity, corr_ed, diff_lag, ed_corr, ipaa, mode,
     mov_mean, mov_stats, movmax, movmin, muinvn, normalize, paa, znorm,

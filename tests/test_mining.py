@@ -5,7 +5,8 @@ annotation vectors, PMP, valmod. Pure numpy (no Ray)."""
 import numpy as np
 import pytest
 
-from tsmp_ray.kernels import mpx, stomp
+from tsmp_ray.kernels.mpx import mpx
+from tsmp_ray.kernels.stomp import stomp
 from tsmp_ray.kernels.mining import (
     av_apply, av_complexity, av_hardlimit_artifact, av_motion_artifact,
     av_stop_word, av_zerocrossing, find_chains, find_discords, find_motifs,
@@ -305,7 +306,7 @@ def test_valmod_equals_brute_window_sweep():
     """valmod equals an independent sweep: per window the brute-force
     profile scaled by 1/sqrt(w), min taken across windows (strict '<' keeps
     the smallest w) — including on inputs with NaNs and flat runs."""
-    from tsmp_ray.kernels import brute_mp
+    from tsmp_ray.kernels.brute import brute_mp
 
     rng = np.random.default_rng(42)
     clean = np.cumsum(rng.standard_normal(400))

@@ -14,9 +14,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from tsmp_ray.config import exclusion_zone
-from tsmp_ray.kernels import (
-    brute_mp, merge_min, mpx, mpx_diagonals, prepare_series, stomp,
-)
+from tsmp_ray.kernels.brute import brute_mp
+from tsmp_ray.kernels.mpx import mpx, mpx_diagonals, prepare_series
+from tsmp_ray.kernels.profile_types import merge_min
+from tsmp_ray.kernels.stomp import stomp
 from tsmp_ray.kernels.block_join import blocked_mp
 
 # sqrt amplifies FFT/BLAS rounding near d=0 (see test_kernels_agreement.py)

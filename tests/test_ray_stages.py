@@ -10,7 +10,7 @@ import pyarrow as pa
 import pytest
 
 from tsmp_ray.config import EngineConfig
-from tsmp_ray.kernels import stomp
+from tsmp_ray.kernels.stomp import stomp
 from tsmp_ray.pipelines.queries import ROLLUP_COLUMNS, gap_fill_sql, rollup_sql
 from tsmp_ray.sources.transcripts import (
     TRANSCRIPTS_FROM_EVENTS_SQL, synthetic_transcripts, transcripts_from_events,
@@ -537,12 +537,10 @@ def test_mining_stages_emit_declared_schema_when_nothing_comes_back(
 @pytest.mark.parametrize("rows", _NOTHING_BACK)
 def test_floss_and_registered_kernel_emit_declared_schema(
         ray_session, schema_divergences, rows):
-    """``floss_op`` and a registered kernel, both through per_conv_stage,
-    carry exactly their declared schema with no schema divergence on the
-    same inputs. With no input rows both give 0 rows; on short
-    conversations the kernel (cac: n < 2w) gives 0 rows and FLOSS keeps
-    one row per conversation with no segment."""
-    from tsmp_ray.functions.registry import kernel_stage
+    """``floss_op`` through per_conv_stage carries exactly its declared
+    schema with no schema divergence on the same inputs: 0 rows with no
+    input rows, and on short conversations one row per conversation with
+    no segment."""
     from tsmp_ray.stages.floss_stage import floss_op
     from tsmp_ray.stages.mining_stage import per_conv_stage
 
@@ -550,10 +548,6 @@ def test_floss_and_registered_kernel_emit_declared_schema(
     n_convs = packed.count()
     floss = per_conv_stage(packed, floss_op, {"w": 8, "data_window": 60,
                                               "threshold": 0.6}).materialize()
-    cac = kernel_stage(packed, "cac", w=8).materialize()
-    assert cac.count() == 0
-    assert cac.schema().base_schema == pa.schema([
-        ("conv_id", pa.string()), ("idx", pa.int64()), ("cac", pa.float64())])
     assert floss.schema().base_schema == floss_op.schema
     assert floss.count() == n_convs
     assert (rows == "all_short") == (n_convs > 0)
@@ -740,9 +734,9 @@ def test_no_heavy_conv_starts_no_shard_task(ray_session):
 def test_per_conv_stages_share_one_block_plan():
     """One plan for the per-conversation stages: the profile and mining
     stage modules union nothing and type no empty block on the side
-    (``per_block`` gives every output its schema), FLOSS and the kernel
-    registry start no batch map or actor pool, and only the profile stage
-    reads the heavy-conversation metadata wave."""
+    (``per_block`` gives every output its schema), FLOSS starts no batch
+    map or actor pool, and only the profile stage reads the
+    heavy-conversation metadata wave."""
     import pathlib
     import re
 
@@ -753,11 +747,10 @@ def test_per_conv_stages_share_one_block_plan():
                          stages / "mining_stage.py")
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if re.search(r"\.union\(|_typed", line)]
-    # FLOSS and the kernel registry are ops on per_conv_stage: no batch
-    # plan or actor pool of their own
+    # FLOSS is an op on per_conv_stage: no batch plan or actor pool of its
+    # own
+    path = stages / "floss_stage.py"
     hits += [f"{path.name}:{i}: {line.strip()}"
-             for path in (stages / "floss_stage.py",
-                          pkg / "functions" / "registry.py")
              for i, line in enumerate(path.read_text().splitlines(), 1)
              if re.search(r"map_batches\(|concurrency=", line)]
     hits += [f"{path.relative_to(pkg)}:{i}: {line.strip()}"

@@ -42,7 +42,8 @@ def test_rda_reader_shapes():
 
 
 def test_fluss_known_answer_tilt_abp(tilt_abp):
-    """test-fluss.R:16-33: segments c(941,875,141), CAC moments, score."""
+    """test-fluss.R:16-33: segments c(941,875,141), CAC moments, score;
+    plus test-subset.R's CAC moments on a mid slice."""
     from tsmp_ray.kernels.mining import fluss_cac, fluss_extract, fluss_score
     from tsmp_ray.kernels.stomp import stomp
 
@@ -62,6 +63,14 @@ def test_fluss_known_answer_tilt_abp(tilt_abp):
 
     score = fluss_score(np.array([400 - 1]), np.array(segs), len(data))
     assert round(score, 3) == 0.259
+
+    # test-subset.R:77-81 CAC moments on tilt_abp[20000:30000] (1-based)
+    # with its embedded window=210
+    cac = fluss_cac(stomp(tilt_abp[19999:30000], 210))
+    assert round(float(cac.mean()), 3) == 0.377
+    assert round(float(cac.std(ddof=1)), 3) == 0.341
+    assert round(float(cac.min()), 3) == 0.0
+    assert float(cac.max()) == 1.0
 
 
 def test_motif_known_answer_toy(toy):
@@ -96,85 +105,6 @@ def test_floss_known_answer_tilt_abp(tilt_abp):
     assert round(float(cac.min()), 3) == 0.0
     assert float(cac.max()) == 1.0
     assert abs(np.nanmean(res["cac_final"]) - 0.9755) < 1e-3
-
-
-@pytest.fixture(scope="module")
-def tilt_mid_profile(tilt_abp):
-    """tilt_abp[20000:30000] (R 1-based) with its embedded window=210 — the
-    test-subset.R workload."""
-    from tsmp_ray.kernels.stomp import stomp
-
-    data = tilt_abp[19999:30000]
-    return data, stomp(data, 210)
-
-
-def test_subset_known_answers_tilt_abp(tilt_mid_profile):
-    """test-subset.R:52-75 on the reference's own data: motif pair, discord
-    and their subset-filtered neighbor sets match exactly after rebasing."""
-    from tsmp_ray.kernels.mining import find_discords, find_motifs, fluss_cac
-    from tsmp_ray.kernels.subset import (
-        rebase_discords, rebase_motifs, subset_profile,
-    )
-
-    data, prof = tilt_mid_profile
-    cac = fluss_cac(prof)
-    # test-subset.R:77-81 CAC moments
-    assert round(float(cac.mean()), 3) == 0.377
-    assert round(float(cac.std(ddof=1)), 3) == 0.341
-    assert round(float(cac.min()), 3) == 0.0
-    assert float(cac.max()) == 1.0
-
-    motifs = find_motifs(data, prof, n_motifs=3)
-    # subset 1000:3000 (1-based) -> start=999, and "Sub Motif" expects
-    # motif_idx c(366,1147), neighbors c(1348,560,175,1552,951) (1-based)
-    sub = subset_profile(prof, 999, 3000)
-    reb = rebase_motifs(motifs, 999, len(sub.mp))
-    assert [j + 1 for j in reb[0]["motifs"]] == [366, 1147]
-    assert [j + 1 for j in reb[0]["neighbors"]] == [1348, 560, 175, 1552, 951]
-
-    discords = find_discords(data, prof, n_discords=1)
-    # subset 1000:9000 -> "Sub Discord" expects idx 3891, neighbor 633
-    sub2 = subset_profile(prof, 999, 9000)
-    reb2 = rebase_discords(discords, 999, len(sub2.mp))
-    assert reb2[0]["discord"] + 1 == 3891
-    assert [j + 1 for j in reb2[0]["neighbors"]] == [633]
-
-
-def test_subset_chain_head_tail_known_answers(tilt_mid_profile):
-    """test-subset.R:63-75 Head/Tail Chain sums (1-based sums 39574 / 14625)."""
-    from tsmp_ray.kernels.mining import find_chains
-    from tsmp_ray.kernels.subset import head_profile, rebase_chains, tail_profile
-
-    data, prof = tilt_mid_profile
-    chain = find_chains(prof)
-
-    h = head_profile(prof, 8000)
-    hr = rebase_chains(chain, h.extra["offset"], len(h.mp))
-    assert len(hr["best"]) == 6
-    assert sum(j + 1 for j in hr["best"]) == 39574
-
-    t = tail_profile(prof, 4000)
-    tr = rebase_chains(chain, t.extra["offset"], len(t.mp))
-    assert len(tr["best"]) == 9
-    assert sum(j + 1 for j in tr["best"]) == 14625
-
-
-def test_subset_profile_rebase_invariants(tilt_mid_profile):
-    from tsmp_ray.kernels.subset import subset_profile
-
-    data, prof = tilt_mid_profile
-    sub = subset_profile(prof, 500, 5000)
-    p_new = 4500 - 210 + 1
-    assert len(sub.mp) == p_new
-    np.testing.assert_allclose(sub.mp, prof.mp[500 : 500 + p_new])
-    valid = sub.pi >= 0
-    # rebased pi point at the same absolute windows
-    np.testing.assert_array_equal(sub.pi[valid] + 500,
-                                  prof.pi[500 : 500 + p_new][valid])
-    assert sub.extra["offset"] == 500
-    # double subset accumulates offset
-    sub2 = subset_profile(sub, 100, 2000)
-    assert sub2.extra["offset"] == 600
 
 
 def test_kernel_error_conditions(toy):
@@ -637,17 +567,6 @@ def test_analyze_compute_known_answers(toy):
     from tsmp_ray.kernels.mining import pmp_upper_bound
     assert pmp_upper_bound(x, threshold=0.98) == 20
 
-    # and the production compute() pan path performs the compute.R:105
-    # pmp_obj merge: bound trajectory {8,16,20} ∪ requested {10..19}
-    # (20 itself already computed, ≥-upper requests dropped), nothing
-    # recomputed, each profile equal to its single-window mpx
-    from tsmp_ray.pipelines.compute_api import compute as engine_compute
-    pan = engine_compute(x, windows=np.arange(10, 71))
-    assert pan["upper_window"] == 20
-    assert set(pan["w"]) == {8} | set(range(10, 21))
-    for w in (8, 15, 20):
-        np.testing.assert_array_equal(pan["pmp"][w], mpx(x, w).mp)
-
 
 @pytest.fixture(scope="module")
 def stress_series():
@@ -675,7 +594,9 @@ def test_stress_stamps_agreement_on_reference_data(stress_series, w, ds, atol):
     repo's 2e-5 except at w=4, where real data has near-duplicate windows
     at d ~ 1e-4 and the FFT path's d=sqrt(d²) amplifies its ~1e-8 d² noise
     to ~1e-4 (1e-3 is still 10× stricter than the reference's own bar)."""
-    from tsmp_ray.kernels import mpx, scrimp, stamp, stomp
+    from tsmp_ray.kernels.mpx import mpx
+    from tsmp_ray.kernels.scrimp import scrimp, stamp
+    from tsmp_ray.kernels.stomp import stomp
 
     for name, full in stress_series.items():
         x = full[:ds].astype(np.float64)
@@ -694,7 +615,9 @@ def test_stress_stamps_large_window_edge(stress_series):
     """test-stress-stamps.R's min_data_size = 2w+1 edge: a window more than
     a third of the series (w=700, ds=1450, only 751 subsequences and every
     pair within ~zone of the diagonal) still agrees across kernels."""
-    from tsmp_ray.kernels import mpx, scrimp, stamp, stomp
+    from tsmp_ray.kernels.mpx import mpx
+    from tsmp_ray.kernels.scrimp import scrimp, stamp
+    from tsmp_ray.kernels.stomp import stomp
 
     x = stress_series["tilt_abp"][:1450].astype(np.float64)
     w = 700

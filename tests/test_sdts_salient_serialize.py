@@ -1,16 +1,15 @@
-"""SDTS train/predict/score, salient subsequences + MDS + score, profile JSON
-serialization round-trip, and the FLOSS streaming stage."""
+"""SDTS train/predict/score, salient subsequences + MDS + score, and the
+FLOSS streaming stage."""
 
 import numpy as np
 import pytest
 
-from tsmp_ray.kernels import stomp
+from tsmp_ray.kernels.stomp import stomp
 from tsmp_ray.kernels.sdts import sdts_predict, sdts_score, sdts_train
 from tsmp_ray.kernels.salient import (
     discrete_norm, discrete_norm_pre, salient_mds, salient_score,
     salient_subsequences,
 )
-from tsmp_ray.state.serialize import read_profile, write_profile
 
 
 def labeled_series(n=1200, w=24, n_events=6, seed=3):
@@ -68,44 +67,6 @@ def test_salient_finds_repeated_structure():
     assert 0.0 <= score["f_score"] <= 1.0
     mds = salient_mds(x, sal)
     assert mds.shape == (len(sal["indexes"]), 2)
-
-
-def test_profile_serialization_roundtrip(tmp_path):
-    x = np.cumsum(np.random.default_rng(7).standard_normal(300))
-    prof = stomp(x, 16)
-    path = str(tmp_path / "prof.json")
-    write_profile(prof, path)
-    back = read_profile(path)
-    np.testing.assert_array_equal(prof.mp, back.mp)  # bit-exact incl. Inf
-    np.testing.assert_array_equal(prof.pi, back.pi)
-    np.testing.assert_array_equal(prof.lmp, back.lmp)
-    np.testing.assert_array_equal(prof.rpi, back.rpi)
-    assert back.w == prof.w and back.ez == prof.ez
-    assert back.algorithm == "stomp"
-
-
-def test_pmp_serialization_roundtrip(tmp_path):
-    """test-serialize.R:17-24 re-serializes a PMP object; write_pmp/read_pmp
-    mirror the reference's write.PMP layout (serialize.R:72-110) with
-    0-based on-disk indexes. Bit-exact for float64 incl. Inf; the -1 pi
-    sentinel maps to null on disk."""
-    from tsmp_ray.kernels.mining import pmp
-    from tsmp_ray.state.serialize import read_pmp, write_pmp
-
-    x = np.cumsum(np.random.default_rng(11).standard_normal(240))
-    x[40:44] = np.nan  # force skip windows -> Inf in mp, -1 in pi
-    pan = pmp(x, windows=[8, 12, 16])
-    path = str(tmp_path / "pan.json")
-    write_pmp(pan, path, ez=0.5, upper_window=16)
-    back = read_pmp(path)
-    assert back["w"] == pan["w"]
-    assert back["ez"] == 0.5 and back["upper_window"] == 16
-    assert sorted(back["pmp"]) == sorted(pan["pmp"])
-    for w in pan["pmp"]:
-        np.testing.assert_array_equal(pan["pmp"][w], back["pmp"][w])
-        np.testing.assert_array_equal(pan["pmpi"][w], back["pmpi"][w])
-        assert np.isinf(pan["pmp"][w]).any()  # the Inf path is exercised
-        assert (pan["pmpi"][w] == -1).any()   # ... and the null sentinel
 
 
 def test_floss_streaming_state_detects_regime():

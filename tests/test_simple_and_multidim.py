@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tsmp_ray.kernels import mstomp, simple_fast
+from tsmp_ray.kernels.mstomp import mstomp
+from tsmp_ray.kernels.simple import simple_fast
 from tsmp_ray.kernels.mining import find_multidim_motifs, get_bit_save
 
 
@@ -106,40 +107,6 @@ def test_find_multidim_motifs_guided_and_unconstrained():
     assert un and un[0]["n_dim"] <= 3
 
 
-def test_compute_api_dispatch():
-    from tsmp_ray.pipelines.compute_api import analyze_series, compute, tsmp
-    from tsmp_ray.kernels import mpx
-
-    rng = np.random.default_rng(9)
-    x = np.cumsum(rng.standard_normal(300))
-    exact = compute(x, windows=16)
-    np.testing.assert_allclose(exact.mp, mpx(x, 16).mp, atol=1e-9)
-    approx = compute(x, windows=16, sample_pct=0.3)
-    fin = np.isfinite(exact.mp)
-    assert (approx.mp[fin] >= exact.mp[fin] - 2e-5).all()
-    # pan path merges the bound search's profiles (compute.R:105
-    # pmp(..., pmp_obj = res)): requested windows ≤ bound plus the bound
-    # trajectory itself, each computed exactly once
-    sweep = compute(x, windows=[8, 12])
-    assert {8, 12} <= set(sweep["pmp"])
-    assert set(sweep["w"]) == set(sweep["pmp"])
-    assert sweep["upper_window"] >= 12
-    for w in sweep["w"]:
-        np.testing.assert_allclose(sweep["pmp"][w], mpx(x, w).mp, atol=1e-9)
-    # threshold=None skips the bound: no merge, exactly the requested set
-    plain = compute(x, windows=[8, 12], threshold=None)
-    assert set(plain["pmp"]) == {8, 12} and "upper_window" not in plain
-    for mode in ("stomp", "stamp", "scrimp", "mpx", "simple"):
-        prof = tsmp(x, 16, mode=mode)
-        assert len(prof.mp) == len(x) - 16 + 1
-    ms = tsmp(np.stack([x, x * 2], axis=1), 16, mode="mstomp")
-    assert ms.mp.shape[0] == 2
-    paa_prof = tsmp(x, 16, mode="stomp", paa_factor=2)
-    assert len(paa_prof.mp) == 150 - 8 + 1
-    res = analyze_series(x, 16)
-    assert res["motifs"] or res["discords"]
-
-
 def test_mstomp_directional_1d_equals_stomp():
     """mstomp(1-d) lmp/lpi/rmp/rpi must equal the univariate stomp's
     directional profiles (engine convention: left = j<i, right = j>i)."""
@@ -183,19 +150,19 @@ def test_compute_pan_floor_on_noisy_series():
     """White noise fails the bound at the very first doubling window. The
     reference's refine grid still runs (pmp.R:322 gates only on
     window_size <= max_window): from failing w=8 it tests {4, 6, 8}, so the
-    bound refines BELOW the starting point and the pan keeps the tested
+    bound refines BELOW the starting point and the search keeps the tested
     profiles — an empty pan here was the regression this pins. On this
     seed: 4 passes, 6 fails → upper 6, pan {4, 6}."""
     from tsmp_ray.kernels.mining import pmp_upper_bound
     from tsmp_ray.kernels.mpx import mpx
-    from tsmp_ray.pipelines.compute_api import compute
 
     rng = np.random.default_rng(0)
     x = rng.standard_normal(100)
-    pan = compute(x)
+    pan = pmp_upper_bound(x, threshold=0.98, return_pmp=True)
     assert pan["upper_window"] == 6
     assert pan["w"] == [4, 6]
     for w in (4, 6):
         np.testing.assert_allclose(pan["pmp"][w], mpx(x, w).mp, atol=1e-9)
+    assert pmp_upper_bound(x, threshold=0.98) == 6
     # nothing testable at all (n < 16): bare-int floor at the start point
     assert pmp_upper_bound(rng.standard_normal(12), threshold=0.98) == 8

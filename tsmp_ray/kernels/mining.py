@@ -503,24 +503,11 @@ def av_apply(profile: MatrixProfile, av: np.ndarray) -> MatrixProfile:
 
 
 def pmp(data: np.ndarray, windows: np.ndarray | list[int],
-        ez: float = DEFAULT_EZ, n_windows: int | None = None,
-        pmp_obj: dict | None = None) -> dict:
+        ez: float = DEFAULT_EZ, n_windows: int | None = None) -> dict:
     """Pan-matrix-profile: mpx per window, windows visited in binary-split
     order so early results cover the sweep (/root/reference/R/pmp.R:166-211).
-    Returns {'pmp': {w: mp}, 'pmpi': {w: pi}, 'w': visited_windows}.
-
-    ``pmp_obj`` merges previously computed profiles the way pmp.R:80-92
-    does: requested windows already in ``pmp_obj['w']`` are skipped, windows
-    ≥ its ``upper_window`` (when set) are dropped, and the prior profiles
-    are carried into the result (with ``upper_window`` preserved) — this is
-    how compute.R:105 folds the bound search's profiles into the pan."""
-    windows = sorted(set(int(w) for w in windows))
-    if pmp_obj is not None:
-        done = set(int(w) for w in pmp_obj["w"])
-        ub = pmp_obj.get("upper_window")
-        windows = [w for w in windows
-                   if w not in done and (ub is None or w < ub)]
-    windows = np.asarray(windows, dtype=int)
+    Returns {'pmp': {w: mp}, 'pmpi': {w: pi}, 'w': visited_windows}."""
+    windows = np.asarray(sorted(set(int(w) for w in windows)), dtype=int)
     order = binary_split(len(windows))  # [] for an empty request
     if n_windows is not None:
         order = order[:n_windows]
@@ -535,14 +522,6 @@ def pmp(data: np.ndarray, windows: np.ndarray | list[int],
         out_p[w] = prof.mp
         out_i[w] = prof.pi
         visited.append(w)
-    if pmp_obj is not None:
-        out_p = {**pmp_obj["pmp"], **out_p}
-        out_i = {**pmp_obj["pmpi"], **out_i}
-        visited = [int(w) for w in pmp_obj["w"]] + visited
-        res = {"pmp": out_p, "pmpi": out_i, "w": visited}
-        if pmp_obj.get("upper_window") is not None:
-            res["upper_window"] = int(pmp_obj["upper_window"])
-        return res
     return {"pmp": out_p, "pmpi": out_i, "w": visited}
 
 
@@ -568,8 +547,7 @@ def pmp_upper_bound(data: np.ndarray, threshold: float = 0.95,
     ``return_pmp=True`` mirrors the reference's default (pmp.R:264,
     ``return_pmp = TRUE``): the profiles computed during the search are
     returned as a PMP dict (passing doubling windows + every tested refine
-    window, pmp.R:311-315,335-345) for :func:`pmp` to merge via its
-    ``pmp_obj`` argument, instead of the bare bound integer."""
+    window, pmp.R:311-315,335-345) instead of the bare bound integer."""
     n = len(data)
     max_w = n // 2
     store_p: dict[int, np.ndarray] = {}

@@ -1,26 +1,22 @@
-"""Multimodal column plumbing: image/audio/video as opaque ``binary`` columns
-with typed metadata, processed by stateless block functions
-(``decode_images``, ``audio_features``, ``sample_frames``) that a caller
-maps as Ray tasks with ``map_batches``.
+"""Multimodal column plumbing: images as opaque ``binary`` columns with
+typed metadata, decoded by the stateless block function ``decode_images``
+that a caller maps as Ray tasks with ``map_batches``.
 
 Decode is REAL for the formats the standard library can parse — 24-bit
-uncompressed BMP (struct + numpy), 8-bit PNG (zlib inflate + all five row
-filters, gray/RGB/RGBA, non-interlaced), PCM WAV (stdlib ``wave``), and a
-length-prefixed concatenated-BMP video container — so the stages genuinely
-decode bytes end-to-end, including a genuinely COMPRESSED image codec.
-Codecs that need external libraries (JPEG/MP4/Opus) raise
-``NotImplementedError`` (an honest stub, per the task brief).
+uncompressed BMP (struct + numpy) and 8-bit PNG (zlib inflate + all five row
+filters, gray/RGB/RGBA, non-interlaced) — so the stage genuinely decodes
+bytes end-to-end, including a genuinely COMPRESSED image codec. Codecs that
+need external libraries (JPEG) raise ``NotImplementedError`` (an honest
+stub, per the task brief).
 
-Scale notes (per the brief): binary payloads are large, so stages run with
-small ``batch_size`` and ``batch_format='pyarrow'`` (binary round-trips Arrow
-zero-copy; pandas would box to objects).
+Scale notes (per the brief): binary payloads are large, so the stage runs
+with small ``batch_size`` and ``batch_format='pyarrow'`` (binary round-trips
+Arrow zero-copy; pandas would box to objects).
 """
 
 from __future__ import annotations
 
-import io
 import struct
-import wave
 import zlib
 
 import numpy as np
@@ -29,12 +25,9 @@ import pyarrow as pa
 MEDIA_SCHEMA = pa.schema(
     [
         ("media_id", pa.int64()),
-        ("kind", pa.string()),          # image | audio | video
         ("payload", pa.binary()),
         ("width", pa.int32()),
         ("height", pa.int32()),
-        ("sample_rate", pa.int32()),
-        ("n_frames", pa.int32()),
     ]
 )
 
@@ -196,134 +189,34 @@ def decode_png(payload: bytes) -> np.ndarray:
     return img[:, :, 0] if ch == 1 else img
 
 
-def encode_wav(x: np.ndarray, sample_rate: int) -> bytes:
-    """Encode a float waveform in [-1, 1] as 16-bit mono PCM WAV."""
-    pcm = np.clip(np.asarray(x, dtype=np.float64), -1.0, 1.0)
-    pcm = (pcm * 32767.0).astype("<i2")
-    buf = io.BytesIO()
-    with wave.open(buf, "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(sample_rate)
-        wf.writeframes(pcm.tobytes())
-    return buf.getvalue()
-
-
-def decode_wav(payload: bytes) -> tuple[np.ndarray, int]:
-    """Decode a 16-bit mono PCM WAV to (float64 waveform in [-1, 1], rate)."""
-    with wave.open(io.BytesIO(payload), "rb") as wf:
-        if wf.getsampwidth() != 2 or wf.getnchannels() != 1:
-            raise NotImplementedError("only 16-bit mono PCM WAV supported")
-        sr = wf.getframerate()
-        raw = wf.readframes(wf.getnframes())
-    x = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
-    return x, sr
-
-
-_BMPV_MAGIC = b"BMPV"
-
-
-def encode_bmpv(frames: list[np.ndarray]) -> bytes:
-    """Concatenated-BMP video container: magic + frame count, then one
-    length-prefixed BMP per frame. A stand-in for MP4 (which needs ffmpeg):
-    real bytes, real per-frame decode, trivially seekable."""
-    parts = [_BMPV_MAGIC, struct.pack("<I", len(frames))]
-    for f in frames:
-        b = encode_bmp(f)
-        parts.append(struct.pack("<I", len(b)))
-        parts.append(b)
-    return b"".join(parts)
-
-
-def decode_bmpv_frames(payload: bytes, frame_idxs) -> list[np.ndarray]:
-    """Decode the requested frames of a BMPV payload in ONE forward pass
-    over the length prefixes (skipped frames cost a 4-byte read each, never
-    a decode). ``frame_idxs`` must be strictly increasing — re-seeking from
-    offset 0 per frame would make a stride sweep O(n_frames²)."""
-    if payload[:4] != _BMPV_MAGIC:
-        raise ValueError("not a BMPV payload")
-    (n,) = struct.unpack_from("<I", payload, 4)
-    want = list(frame_idxs)
-    if any(b <= a for a, b in zip(want, want[1:])):
-        raise ValueError("frame_idxs must be strictly increasing")
-    if want and not 0 <= want[0] <= want[-1] < n:
-        raise IndexError(f"frames {want[0]}..{want[-1]} out of range "
-                         f"({n} frames)")
-    out, wi, off = [], 0, 8
-    for idx in range(n):
-        if wi == len(want):
-            break
-        (ln,) = struct.unpack_from("<I", payload, off)
-        if want[wi] == idx:
-            out.append(decode_bmp(payload[off + 4 : off + 4 + ln]))
-            wi += 1
-        off += 4 + ln
-    return out
-
-
-def decode_bmpv_frame(payload: bytes, frame_idx: int) -> np.ndarray:
-    """Seek to and decode ONE frame of a BMPV payload (no full-file decode —
-    frame sampling should not pay for the frames it skips)."""
-    return decode_bmpv_frames(payload, [frame_idx])[0]
-
-
 # ----------------------------------------------------------- synthetic table
 
 
 def synthetic_media(n: int = 32, seed: int = 0) -> pa.Table:
-    """Deterministic media table of genuinely decodable payloads —
-    alternating BMP/PNG images, PCM WAV audio, BMPV video — so the decode
-    stages exercise the real byte parsers (including the compressed PNG
-    path)."""
+    """Deterministic table of ``n`` genuinely decodable images, alternating
+    BMP/PNG payloads, so the decode stage exercises the real byte parsers
+    (including the compressed PNG path)."""
     rng = np.random.default_rng(seed)
-    kinds = rng.choice(["image", "audio", "video"], size=n)
-    payloads, w, h, sr, nf = [], [], [], [], []
-    n_images = 0
-    for k in kinds:
-        if k == "image":
-            wi, hi = int(rng.integers(8, 64)), int(rng.integers(8, 64))
-            img = rng.integers(0, 256, size=(hi, wi, 3), dtype=np.uint8)
-            # alternate the two real codecs per IMAGE (not per row — a kind
-            # sequence could park every image on one parity) WITHOUT
-            # consuming rng state: pixels, and every decoded feature
-            # downstream, stay byte-identical to the BMP-only generator
-            enc = encode_png if n_images % 2 else encode_bmp
-            n_images += 1
-            payloads.append(enc(img))
-            w.append(wi); h.append(hi); sr.append(0); nf.append(1)
-        elif k == "audio":
-            rate = 16000
-            t = np.arange(int(rng.integers(2048, 8192))) / rate
-            f0 = float(rng.uniform(100, 2000))
-            x = 0.5 * np.sin(2 * np.pi * f0 * t) \
-                + 0.1 * rng.standard_normal(len(t))
-            payloads.append(encode_wav(x, rate))
-            w.append(0); h.append(0); sr.append(rate); nf.append(1)
-        else:
-            wi, hi = int(rng.integers(8, 24)), int(rng.integers(8, 24))
-            k_frames = int(rng.integers(4, 16))
-            frames = [rng.integers(0, 256, size=(hi, wi, 3), dtype=np.uint8)
-                      for _ in range(k_frames)]
-            payloads.append(encode_bmpv(frames))
-            w.append(wi); h.append(hi); sr.append(0); nf.append(k_frames)
+    payloads, w, h = [], [], []
+    for i in range(n):
+        wi, hi = int(rng.integers(8, 64)), int(rng.integers(8, 64))
+        img = rng.integers(0, 256, size=(hi, wi, 3), dtype=np.uint8)
+        payloads.append((encode_png if i % 2 else encode_bmp)(img))
+        w.append(wi)
+        h.append(hi)
     return pa.table(
         {
             "media_id": pa.array(np.arange(n, dtype=np.int64)),
-            "kind": pa.array(kinds),
             "payload": pa.array(payloads, pa.binary()),
             "width": pa.array(w, pa.int32()),
             "height": pa.array(h, pa.int32()),
-            "sample_rate": pa.array(sr, pa.int32()),
-            "n_frames": pa.array(nf, pa.int32()),
         },
         schema=MEDIA_SCHEMA,
     )
 
 
-#: feature-resize target, audio frame length and video sampling stride
+#: feature-resize target
 OUT_H = OUT_W = 16
-FRAME = 512
-STRIDE = 4
 
 
 def _decode_image(payload: bytes) -> np.ndarray:
@@ -351,14 +244,12 @@ def _resize(img: np.ndarray, oh: int, ow: int) -> np.ndarray:
 
 
 def decode_images(batch: pa.Table) -> pa.Table:
-    """Image stage: binary payload -> fixed-size feature vector. Each image
-    row is decoded (``_decode_image``), resized to (OUT_H, OUT_W) and
+    """Image stage: binary payload -> fixed-size feature vector. Each row
+    is decoded (``_decode_image``), resized to (OUT_H, OUT_W) and
     summarized as per-channel mean/std plus OUT_H pixel means."""
     feats = []
     ids = []
     for i in range(batch.num_rows):
-        if batch["kind"][i].as_py() != "image":
-            continue
         img = _decode_image(batch["payload"][i].as_py())
         small = _resize(img, OUT_H, OUT_W).astype(np.float64)
         feat = np.concatenate([small.mean(axis=(0, 1)), small.std(axis=(0, 1)),
@@ -369,68 +260,5 @@ def decode_images(batch: pa.Table) -> pa.Table:
         {
             "media_id": pa.array(ids, pa.int64()),
             "feature": pa.array(feats, pa.list_(pa.float64())),
-        }
-    )
-
-
-def audio_features(batch: pa.Table) -> pa.Table:
-    """Audio stage: binary payload -> framed waveform features (RMS + zero
-    crossings per FRAME-sample frame). Decodes 16-bit mono PCM WAV via the
-    stdlib ``wave`` module; compressed codecs raise NotImplementedError (no
-    soundfile/ffmpeg here)."""
-    ids, rms, zc, nfr = [], [], [], []
-    for i in range(batch.num_rows):
-        if batch["kind"][i].as_py() != "audio":
-            continue
-        payload = batch["payload"][i].as_py()
-        if payload[:4] != b"RIFF":
-            raise NotImplementedError(
-                "compressed audio decode requires soundfile/ffmpeg, not "
-                "present in this container")
-        x = decode_wav(payload)[0]
-        n_frames = len(x) // FRAME
-        f = x[: n_frames * FRAME].reshape(n_frames, FRAME)
-        ids.append(batch["media_id"][i].as_py())
-        rms.append(np.sqrt((f * f).mean(axis=1)).astype(np.float64))
-        zc.append((np.diff(np.signbit(f), axis=1) != 0).sum(axis=1)
-                  .astype(np.float64))
-        nfr.append(n_frames)
-    return pa.table(
-        {
-            "media_id": pa.array(ids, pa.int64()),
-            "n_frames": pa.array(nfr, pa.int64()),
-            "rms": pa.array(rms, pa.list_(pa.float64())),
-            "zero_crossings": pa.array(zc, pa.list_(pa.float64())),
-        }
-    )
-
-
-def sample_frames(batch: pa.Table) -> pa.Table:
-    """Video stage: sample every STRIDE-th frame and emit one row per
-    sampled frame. Seeks into BMPV payloads and DECODES each sampled frame
-    (emitting its mean intensity as proof of decode); MP4/AVI raise
-    NotImplementedError (ffmpeg absent)."""
-    ids, frames, means = [], [], []
-    for i in range(batch.num_rows):
-        if batch["kind"][i].as_py() != "video":
-            continue
-        nf = batch["n_frames"][i].as_py()
-        payload = batch["payload"][i].as_py()
-        if payload[:4] != _BMPV_MAGIC:
-            raise NotImplementedError(
-                "MP4/AVI decode requires ffmpeg, not present; BMPV "
-                "payloads decode for real")
-        picks = list(range(0, nf, STRIDE))
-        # one forward pass over the container for ALL sampled frames
-        decoded = decode_bmpv_frames(payload, picks)
-        for fi, f in enumerate(picks):
-            ids.append(batch["media_id"][i].as_py())
-            frames.append(f)
-            means.append(float(decoded[fi].mean()))
-    return pa.table(
-        {
-            "media_id": pa.array(ids, pa.int64()),
-            "frame_idx": pa.array(frames, pa.int64()),
-            "frame_mean": pa.array(means, pa.float64()),
         }
     )

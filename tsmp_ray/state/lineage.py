@@ -176,7 +176,9 @@ def resumable_write(ds, out_dir: str, partition_col: str,
 
 
 def read_partitioned(out_dir: str, partition_col: str):
-    """Read a resumable layout back as one Dataset (manifest-listed parts)."""
+    """Read a resumable layout back as one Dataset (manifest-listed parts);
+    a 0-row Dataset when the manifest lists no partition (e.g. after
+    ``retention.compact`` emptied every one)."""
     import ray
 
     man = Manifest(out_dir)
@@ -185,4 +187,4 @@ def read_partitioned(out_dir: str, partition_col: str):
         pdir = os.path.join(out_dir, key)
         paths.extend(sorted(os.path.join(pdir, f) for f in os.listdir(pdir)
                             if f.endswith(".parquet")))
-    return ray.data.read_parquet(paths)
+    return ray.data.read_parquet(paths) if paths else ray.data.from_items([])
