@@ -58,7 +58,7 @@ class _DriftingStream(StreamingProfile):
 GATES = {
     "profile_checked": (
         lambda b, xs: ms.profile_checked_op("c0", b, 0, w=W),
-        "auto_profile", _wrap(ms.auto_profile, lambda p: _moved(p, "mp"))),
+        "blocked_mp", _wrap(ms.blocked_mp, lambda p: _moved(p, "mp"))),
     "chains_checked": (
         lambda b, xs: ms.chains_checked_op("c0", b, 0, w=W),
         "find_chains", lambda prof: {"chains": [[0, 1, 2]], "best": []}),
@@ -76,7 +76,7 @@ GATES = {
         "StreamingProfile", _DriftingStream),
     "ab_join_checked": (
         lambda b, xs: ms.abjoin_checked_pair_op("c0", xs[0], "c1", xs[1], w=W),
-        "mpx", _wrap(ms.mpx, lambda p: _moved(p, "mp"))),
+        "blocked_mp", _wrap(ms.blocked_mp, lambda p: _moved(p, "mp"))),
     "motifs_checked": (
         lambda b, xs: ms.motifs_checked_op("c0", b, 0, w=W),
         "find_motifs", _wrap(ms.find_motifs, lambda found: [

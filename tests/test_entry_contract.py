@@ -192,15 +192,65 @@ TEST_ONLY_MODULES = {
     "tsmp_ray.kernels.simple":
         "SiMPle-Fast, the reference's non-normalized multidim kernel, "
         "checked against a naive oracle and its known answers",
+    "tsmp_ray.kernels.stomp":
+        "STOMP, the reference's exact self-join and AB join, the kernel the "
+        "agreement, known-answer and golden-digest tests check the others "
+        "against (every engine profile runs block_join.blocked_mp)",
 }
 
-#: public stage functions no engine or entry code references, each kept for
-#: the tests that use it
+#: public kernel and stage functions no engine or entry code references,
+#: each kept for the tests that use it (reference operators stay in
+#: ``kernels/`` when only their known-answer tests call them)
 TEST_ONLY_FUNCTIONS = {
     "tsmp_ray.stages.compression.encode_timestamps":
         "the one-run timestamp codec call the byte-pin tests use",
     "tsmp_ray.stages.compression.encode_gorilla":
         "the one-run value codec call the byte-pin tests use",
+    "tsmp_ray.kernels.mining.av_apply":
+        "the reference's annotation re-rank, checked by the mining tests",
+    "tsmp_ray.kernels.mining.av_zerocrossing":
+        "a reference annotation vector, checked against its known answers",
+    "tsmp_ray.kernels.mining.av_motion_artifact":
+        "a reference annotation vector, checked against its known answers",
+    "tsmp_ray.kernels.mining.av_stop_word":
+        "a reference annotation vector, checked against its known answers",
+    "tsmp_ray.kernels.mining.av_hardlimit_artifact":
+        "a reference annotation vector, checked against its known answers",
+    "tsmp_ray.kernels.mining.find_chains_multidim":
+        "chains per mstomp dimension row, checked by the multidim tests",
+    "tsmp_ray.kernels.mining.find_multidim_motifs":
+        "the reference's multidim motif search, checked against its known "
+        "answers",
+    "tsmp_ray.kernels.mining.fluss_score":
+        "the reference's segmentation score, used by the FLUSS tests",
+    "tsmp_ray.kernels.mining.pmp_upper_bound":
+        "the reference's pan-MP window bound, checked against its known "
+        "answers",
+    "tsmp_ray.kernels.movstats.corr_ed":
+        "a reference math helper, checked against ed_corr",
+    "tsmp_ray.kernels.movstats.ed_corr":
+        "a reference math helper, checked against its known answers",
+    "tsmp_ray.kernels.movstats.diff_lag":
+        "a reference math helper, checked by the movstats tests",
+    "tsmp_ray.kernels.movstats.ipaa":
+        "the reference's inverse PAA, checked against its known answers",
+    "tsmp_ray.kernels.movstats.mode":
+        "a reference math helper, checked against its known answers",
+    "tsmp_ray.kernels.movstats.mov_mean":
+        "a moving statistic the movstats and property tests check "
+        "mov_stats against",
+    "tsmp_ray.kernels.movstats.mov_std":
+        "a moving statistic the property tests check mov_stats against",
+    "tsmp_ray.kernels.movstats.movmax":
+        "the reference's moving max, checked by the movstats tests",
+    "tsmp_ray.kernels.movstats.muinvn":
+        "mpx's moving mean and inverse norm, checked by the movstats tests",
+    "tsmp_ray.kernels.salient.salient_mds":
+        "the reference's salient-window MDS plot data, checked by the "
+        "salient tests",
+    "tsmp_ray.kernels.salient.salient_score":
+        "the reference's salient precision/recall score, checked by the "
+        "salient tests",
 }
 
 
@@ -272,8 +322,8 @@ def test_every_engine_module_is_reached_from_an_entry_point():
 
 def test_every_public_stage_function_is_referenced():
     """No dead functions inside reached modules: every public top-level def
-    or class of ``stages/``, ``state/``, ``sources/`` and ``pipelines/`` is
-    referenced (an AST name, attribute or imported name) from engine or
+    or class of ``kernels/``, ``stages/``, ``state/``, ``sources/`` and
+    ``pipelines/`` is referenced (an AST name, attribute or imported name) from engine or
     entry code outside its own body. References from the test-only modules
     do not count; the named test-only functions must stay unreferenced."""
     import ast
@@ -297,8 +347,8 @@ def test_every_public_stage_function_is_referenced():
     unreferenced = []
     for mod, path in files.items():
         if mod in TEST_ONLY_MODULES or not mod.startswith(tuple(
-                f"tsmp_ray.{d}." for d in ("stages", "state", "sources",
-                                           "pipelines"))):
+                f"tsmp_ray.{d}." for d in ("kernels", "stages", "state",
+                                           "sources", "pipelines"))):
             continue
         for node in ast.parse(path.read_text()).body:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -311,6 +361,34 @@ def test_every_public_stage_function_is_referenced():
                 unreferenced.append(f"{mod}.{node.name}")
     assert sorted(unreferenced) == sorted(TEST_ONLY_FUNCTIONS), \
         "\n".join(sorted(unreferenced))
+
+
+def test_engine_runs_one_profile_kernel():
+    """``block_join.blocked_mp`` is every engine profile: no ``tsmp_ray``
+    module outside the test-only ones imports ``kernels.stomp`` or
+    ``kernels.mpx``, and no engine code names the deleted kernel fork
+    (``use_blocked``, ``auto_profile``). The module-reach guard cannot see
+    this: perfbench's kernel-rate probe keeps ``kernels.mpx`` reached."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    files = _engine_files(root)
+    banned = {"tsmp_ray.kernels.stomp", "tsmp_ray.kernels.mpx"}
+    hits = []
+    for mod, path in files.items():
+        if mod in TEST_ONLY_MODULES or mod in banned:
+            continue
+        where = path.relative_to(root)
+        hits += [f"{where}: imports {name}" for name in sorted(
+            _imported_modules(path, mod, set(files)) & banned)]
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None))
+            if isinstance(name, str) and name.rsplit(".", 1)[-1] in (
+                    "use_blocked", "auto_profile"):
+                hits.append(f"{where}:{node.lineno}: {name}")
+    assert not hits, "\n".join(hits)
 
 
 def test_subpackage_inits_import_nothing():

@@ -1,4 +1,5 @@
-"""Agreement matrix: stomp == mpx == scrimp(full) == stamp(full) == brute.
+"""Agreement matrix: stomp == mpx == blocked == scrimp(full) == stamp(full)
+== brute.
 
 Mirrors the reference's core oracle strategy
 (/root/reference/tests/testthat/test-stamps.R:118-199): every exact algorithm
@@ -10,6 +11,7 @@ No Ray involved — pure numpy kernels.
 import numpy as np
 import pytest
 
+from tsmp_ray.kernels.block_join import blocked_mp
 from tsmp_ray.kernels.brute import brute_mp
 from tsmp_ray.kernels.mpx import mpx, mpx_diagonals, prepare_series
 from tsmp_ray.kernels.mstomp import mstomp
@@ -39,16 +41,20 @@ def sinusoid_with_motifs(n=300, seed=5):
     return x
 
 
+def z_windows(x, w):
+    from tsmp_ray.kernels.brute import _znorm_windows
+    from tsmp_ray.kernels.mass import clean_series
+
+    xc, _skip = clean_series(np.asarray(x, dtype=np.float64), w)
+    return _znorm_windows(xc, w)[0]
+
+
 def recomputed_pair_dists(x, w, i_idx, j_idx):
     """Independently recomputed z-normalized distances for (i, j) window
     pairs — the check that a profile's pi actually points at windows
     ACHIEVING its mp values (correct distances with garbage indices would
     otherwise pass every mp-only comparison)."""
-    from tsmp_ray.kernels.brute import _znorm_windows
-    from tsmp_ray.kernels.mass import clean_series
-
-    xc, _skip = clean_series(np.asarray(x, dtype=np.float64), w)
-    z, _ok = _znorm_windows(xc, w)
+    z = z_windows(x, w)
     d = z[np.asarray(i_idx)] - z[np.asarray(j_idx)]
     return np.sqrt((d * d).sum(axis=1))
 
@@ -83,6 +89,7 @@ def test_exact_agreement_matrix(w, maker):
     for fn, name in [
         (lambda: stomp(x, w), "stomp"),
         (lambda: mpx(x, w), "mpx"),
+        (lambda: blocked_mp(x, w), "blocked"),
         (lambda: scrimp(x, w, pre_scrimp=0, s_size=None), "scrimp-full"),
         (lambda: scrimp(x, w, pre_scrimp=0.25, s_size=None), "scrimp-full+pre"),
         (lambda: stamp(x, w), "stamp-full"),
@@ -118,7 +125,7 @@ def test_flat_and_nan_windows_are_skipped():
     x[100:130] = 5.0          # flat region -> sd < eps windows
     x[200:205] = np.nan       # NaN windows
     w = 16
-    for algo in (stomp, mpx):
+    for algo in (stomp, mpx, blocked_mp):
         prof = algo(x, w)
         oracle = brute_mp(x, w)
         np.testing.assert_allclose(prof.mp, oracle.mp, atol=ATOL)
@@ -129,18 +136,40 @@ def test_flat_and_nan_windows_are_skipped():
         assert np.isinf(prof.mp[200 - w + 1 + 4 : 201]).all()
 
 
+def gaussian_walk(n, seed):
+    """A walk with no exactly repeated window: the ±1 walk's exact matches
+    (d = 0) put every kernel ≈2e-5 off brute force at multi-block sizes
+    (sqrt amplification), which is noise, not disagreement."""
+    return np.cumsum(np.random.default_rng(seed).standard_normal(n))
+
+
 def test_ab_join_agreement():
-    a = random_walk(300, seed=1)
-    b = random_walk(220, seed=2)
     w = 12
-    oracle = brute_mp(a, w, query=b)
-    for algo in (stomp, mpx):
-        got = algo(a, w, query=b)
-        np.testing.assert_allclose(got.mp, oracle.mp, atol=ATOL)
-        assert got.join
+    for a, b in [
+        (random_walk(300, seed=1), random_walk(220, seed=2)),
+        # both sides span several 256-window blocks, at lengths off the grid
+        (gaussian_walk(843, seed=3), gaussian_walk(601, seed=4)),
+        # the query is longer than the data (stomp refuses it, stomp.R:92-94)
+        (gaussian_walk(150, seed=5), gaussian_walk(530, seed=6)),
+    ]:
+        oracle = brute_mp(a, w, query=b)
         # BA orientation equals brute of (b, query=a)
         oracle_ba = brute_mp(b, w, query=a)
-        np.testing.assert_allclose(got.mpb, oracle_ba.mp, atol=ATOL)
+        za, zb = z_windows(a, w), z_windows(b, w)
+        for algo in [mpx, blocked_mp] + ([stomp] if len(b) <= len(a) else []):
+            got = algo(a, w, query=b)
+            msg = f"{algo.__name__} {len(a)}x{len(b)}"
+            assert got.join and got.ez == 0.0 and got.lmp is None, msg
+            np.testing.assert_allclose(got.mp, oracle.mp, atol=ATOL,
+                                       err_msg=msg)
+            np.testing.assert_allclose(got.mpb, oracle_ba.mp, atol=ATOL,
+                                       err_msg=msg)
+            # each orientation's index achieves its distance
+            for mp, pi, z_row, z_col in ((got.mp, got.pi, za, zb),
+                                         (got.mpb, got.pib, zb, za)):
+                ii = np.flatnonzero(np.isfinite(mp))
+                d = np.linalg.norm(z_row[ii] - z_col[pi[ii]], axis=1)
+                np.testing.assert_allclose(d, mp[ii], atol=ATOL, err_msg=msg)
 
 
 def test_mpx_diagonal_sharding_min_merges_to_full():

@@ -334,3 +334,36 @@ def test_valmod_equals_brute_window_sweep():
         np.testing.assert_allclose(vm["mp_raw"], raw, atol=2e-5)
         assert (vm["w"] == best_w).all()
         np.testing.assert_allclose(vm["evolution_motif"], evolution, atol=2e-5)
+
+
+def test_blocked_entry_points_keep_their_refusals():
+    """fluss, sdts_train and StreamingProfile run the blocked kernel but
+    refuse what stomp refused: w < 4 (stomp.R:48), the too-short band
+    w > ceil(n/2) (stomp.R:95-97) and w > n. pmp and the AB joins accept
+    what mpx accepted (any w, no length-order guard) and refuse only a
+    side with no window (p < 1)."""
+    from tsmp_ray.kernels.block_join import blocked_mp
+    from tsmp_ray.kernels.sdts import sdts_train
+    from tsmp_ray.kernels.stompi import StreamingProfile
+
+    x = np.cumsum(np.random.default_rng(4).standard_normal(40))
+    # one positive run of 39 points: sdts profiles [inf] + run, 40 points
+    label = np.arange(40) < 39
+    for name, run in [("fluss", lambda w: fluss(x, w)),
+                      ("sdts_train", lambda w: sdts_train(x, label, w)),
+                      ("StreamingProfile", lambda w: StreamingProfile(x, w))]:
+        for w, msg in [(3, "at least 4"), (21, "too short"),
+                       (41, "longer than series")]:
+            with pytest.raises(ValueError, match=msg):
+                run(w)
+        run(20)  # w = ceil(n/2) is accepted, as stomp accepts it
+
+    res = pmp(x, [3, 30])
+    assert res["w"] == [3, 30] and len(res["pmp"][30]) == 11
+    short = x[:10]  # shorter than the query and w > ceil(10/2)
+    prof = blocked_mp(short, 8, query=x)
+    assert len(prof.mp) == 3 and len(prof.mpb) == 33
+    assert np.isfinite(mpdist(short, x, 8))
+    for a, b in [(x[:7], x), (x, x[:7])]:
+        with pytest.raises(ValueError, match="longer than series"):
+            blocked_mp(a, 8, query=b)

@@ -369,11 +369,11 @@ def test_salted_path_equals_inline(ray_session):
     np.testing.assert_allclose(a["lmp"].to_numpy(), b["lmp"].to_numpy(), atol=2e-5)
 
 
-def test_salted_path_equals_inline_large_window_mpx_branch(ray_session):
-    """Same salted-vs-inline parity but with w=40 (> 32), which routes the
-    shard path through the mpx DIAGONAL branch instead of the blocked
-    strips — both kernel branches of profile_stage._profile_shards stay
-    covered at stage level."""
+def test_salted_path_equals_inline_large_window_bitwise(ray_session):
+    """Same salted-vs-inline parity at a large window (w=40), where the
+    shard path still runs blocked strips: snapped to the kernel's block
+    grid, their merged distances are bit-equal to the single pass (the
+    ``strip_splits`` contract)."""
     import ray
 
     tbl = synthetic_transcripts(n_convs=2, seed=11, mean_turns=60,
@@ -389,9 +389,10 @@ def test_salted_path_equals_inline_large_window_mpx_branch(ray_session):
     a = sorted_df(inline, keys)
     b = sorted_df(salted, keys)
     assert len(a) == len(b) and len(a) > 0
+    assert (a[keys].to_numpy() == b[keys].to_numpy()).all()
     for col in ["mp", "lmp", "rmp"]:
-        np.testing.assert_allclose(a[col].to_numpy(), b[col].to_numpy(),
-                                   atol=2e-5)
+        np.testing.assert_array_equal(a[col].to_numpy(), b[col].to_numpy(),
+                                      err_msg=col)
 
 
 def test_sharded_mstomp_equals_single_task(ray_session):
@@ -464,11 +465,11 @@ def test_conv_pair_stage_pairs_and_values(ray_session):
 
     ab = conv_pair_stage(packed, abjoin_pair_op, {"w": w}).to_pandas()
     assert set(ab["orientation"]) == {"ab", "ba"}
-    from tsmp_ray.kernels.mpx import mpx
+    from tsmp_ray.kernels.block_join import blocked_mp
     one = ab[(ab["conv_a"] == sorted(got_pairs)[0][0])
              & (ab["orientation"] == "ab")].sort_values("window_idx")
     a_id, b_id = sorted(got_pairs)[0]
-    prof = mpx(series[a_id], w, query=series[b_id])
+    prof = blocked_mp(series[a_id], w, query=series[b_id])
     np.testing.assert_allclose(one["mp"].to_numpy(), prof.mp, atol=1e-9)
 
 
@@ -593,7 +594,7 @@ def test_profile_kernel_batched_emit_equals_per_conv():
     too-short conv skipped mid-block — and an all-short block must come out
     empty with the stable schema. Pure local (no Ray)."""
     from tsmp_ray.config import DEFAULT_EZ, SIGNALS
-    from tsmp_ray.kernels.block_join import auto_profile
+    from tsmp_ray.kernels.block_join import blocked_mp
     from tsmp_ray.stages.profile_stage import (PROFILE_SCHEMA, _profile_block,
                                                profile_to_rows)
 
@@ -611,8 +612,8 @@ def test_profile_kernel_batched_emit_equals_per_conv():
     })
     got = _profile_block(batch, w, DEFAULT_EZ)
     want = pa.concat_tables(
-        [profile_to_rows(cid, sig, auto_profile(series[cid][sig], w,
-                                                ez=DEFAULT_EZ))
+        [profile_to_rows(cid, sig, blocked_mp(series[cid][sig], w,
+                                              ez=DEFAULT_EZ))
          for cid in ("c0", "c2") for sig in SIGNALS])
     assert got.schema.equals(PROFILE_SCHEMA)
     assert got.equals(want)

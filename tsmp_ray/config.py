@@ -70,6 +70,15 @@ def raise_if_too_short(n: int, w: int, *, ceiling: bool,
             f"{what} is too short relative to desired window size")
 
 
+def raise_if_bad_window(n: int, w: int) -> None:
+    """stomp's self-join refusals, kept by the ops that seeded with it
+    (fluss, sdts training, the streaming profile): ``w < 4`` (stomp.R:48)
+    and the too-short band ``w > ceil(n/2)`` (stomp.R:95-97)."""
+    if w < 4:
+        raise ValueError("window_size must be at least 4")
+    raise_if_too_short(n, w, ceiling=True)
+
+
 # Rollup tier definitions: name -> bucket width in microseconds.
 TIERS: dict[str, int] = {
     "1m": 60 * 1_000_000,

@@ -1,16 +1,19 @@
-"""Blocked-matmul exact matrix profile — the small-window fast path.
+"""Blocked-matmul exact matrix profile — the engine's one profile kernel.
 
-For small windows (w ≲ 32, our per-turn signals), the O(n²·w) brute-force
-computation expressed as blocked BLAS matmuls of unit-normalized windows beats
-the O(n²) mpx recurrence: per block-pair one dgemm (compute-dense) plus
+The O(n²·w) brute-force computation expressed as blocked BLAS matmuls of
+unit-normalized windows: per block-pair one dgemm (compute-dense) plus
 argmax passes over a block that FITS IN L2 CACHE, so the kernel stops being
 DRAM-bandwidth-bound and scales across worker processes — the property the
-N→4N efficiency target needs. For large w, mpx/stomp win (w multiplies the
-FLOPs here but not there); :func:`use_blocked` is the one rule every caller
-applies.
+N→4N efficiency target needs. Every self-join and AB join in the engine
+runs it. w multiplies its FLOPs but not the O(n²) mpx recurrence's, so mpx
+wins only at large windows: on one CPU core (best of 3–5, n = 2500)
+blocked took 18.7 / 29.5 / 49.6 ms against mpx's 86.2 / 86.7 / 74.2 ms at
+w = 8 / 40 / 100, with the crossover at w ≈ 200–300 (w ≈ 128 at
+n = 8000). Every engine window is 6–24, so no kernel fork is kept.
 
 Semantics identical to stomp/mpx (same exclusion zone, skip masking,
-lmp/lpi/rmp/rpi; ed = sqrt(2w(1-ρ)), /root/reference/src/mpx.cpp:84-86).
+lmp/lpi/rmp/rpi; ed = sqrt(2w(1-ρ)), the reference's src/mpx.cpp:84-86);
+``query=`` gives the AB join of mpx's AB mode (both orientations).
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ import numpy as np
 from ..config import DEFAULT_EZ, EPS, exclusion_zone
 from .profile_types import MatrixProfile, corr_to_ed
 
-__all__ = ["auto_profile", "blocked_mp", "blocked_mp_many", "strip_splits",
-           "use_blocked"]
+__all__ = ["blocked_mp", "blocked_mp_many", "strip_splits"]
 
 #: correlation cells (B·P²) per batched short-series matmul: 2 MB of float64
 #: stays cache-resident (measured fastest of 2¹⁶–2²¹ at p ≈ 30–73)
@@ -48,9 +50,9 @@ def strip_splits(p: int, zone: int, n_shards: int,
     correlations (which can exceed 1.0 by an ulp) but partials carry the
     CLAMPED ed, so the merge resolves exact-distance ties by ascending strip
     order instead of by raw-correlation ulps. Every merged index is still an
-    exact argmin (pinned by test on tie-heavy integer walks) — the same
-    min-merge contract as the mpx diagonal shards and the reference's own
-    parallel merge (/root/reference/R/stomp-par.R:249-264)."""
+    exact argmin (pinned by test on tie-heavy integer walks) — the
+    min-merge contract of the reference's own parallel merge (its
+    R/stomp-par.R:249-264)."""
     if p <= 0 or n_shards < 1:
         return []
     rows = np.arange(p, dtype=np.float64)
@@ -69,23 +71,6 @@ def strip_splits(p: int, zone: int, n_shards: int,
             hi = int(min(starts[grp[-1]] + block, p))
             out.append((lo, hi))
     return out
-
-
-def use_blocked(w: int) -> bool:
-    """The one blocked-vs-mpx rule every profile caller applies: blocked BLAS
-    for small windows (w ≤ 32), the mpx recurrence above that."""
-    return w <= 32
-
-
-def auto_profile(data: np.ndarray, w: int, ez: float = DEFAULT_EZ
-                 ) -> MatrixProfile:
-    """The production self-join profile: :func:`blocked_mp` when
-    :func:`use_blocked`, else the mpx recurrence."""
-    if use_blocked(w):
-        return blocked_mp(data, w, ez=ez)
-    from .mpx import mpx
-
-    return mpx(data, w, ez=ez)
 
 
 def _unit_windows(series: list[np.ndarray], w: int):
@@ -195,7 +180,8 @@ def blocked_mp_many(series: list[np.ndarray], w: int, ez: float = DEFAULT_EZ
 
 def blocked_mp(data: np.ndarray, w: int, ez: float = DEFAULT_EZ,
                block: int = _BLOCK,
-               row_range: tuple[int, int] | None = None) -> MatrixProfile:
+               row_range: tuple[int, int] | None = None,
+               query: np.ndarray | None = None) -> MatrixProfile:
     """Exact self-join MP via blocked unit-window matmuls.
 
     ``row_range=(lo, hi)`` restricts the OUTER (row) loop to window indices
@@ -203,15 +189,28 @@ def blocked_mp(data: np.ndarray, w: int, ez: float = DEFAULT_EZ,
     triangle. ``lo`` must sit on the ``block`` grid (use
     :func:`strip_splits`); the returned profile is full-length with
     untouched entries at inf/-1, ready for ``profile_types.merge_min`` in
-    ascending-strip order."""
+    ascending-strip order.
+
+    ``query=`` runs the AB join instead: the same block-pair loop over every
+    (data block, query block) pair with no exclusion band, the row side
+    filling the data side's ``mp``/``pi`` and the column side the query
+    side's ``mpb``/``pib`` — the fields of mpx's AB mode (``join=True``,
+    ``ez`` 0, no directional profiles, no length-order guard)."""
     p = len(data) - w + 1
     if p < 1:
         raise ValueError(f"window {w} longer than series {len(data)}")
-    if row_range is None and p <= block:
+    if query is None and row_range is None and p <= block:
         return _short_mp([data], w, ez)[0]
     Z, skip = _unit_windows([data], w)
     Z, skip = Z[0], skip[0]
-    zone = exclusion_zone(w, ez)
+    if query is None:
+        Zc, skipc, pc, zone = Z, skip, p, exclusion_zone(w, ez)
+    else:
+        pc = len(query) - w + 1
+        if pc < 1:
+            raise ValueError(f"window {w} longer than series {len(query)}")
+        Zc, skipc = _unit_windows([query], w)
+        Zc, skipc, zone = Zc[0], skipc[0], None
     row_lo, row_hi = (0, p) if row_range is None else row_range
     row_hi = min(row_hi, p)
     if row_lo % block:
@@ -222,53 +221,57 @@ def blocked_mp(data: np.ndarray, w: int, ez: float = DEFAULT_EZ,
     NEG = -np.inf
     best_c = np.full(p, NEG)
     best_j = np.full(p, -1, dtype=np.int64)
-    lc = np.full(p, NEG)
-    lj = np.full(p, -1, dtype=np.int64)
-    rc = np.full(p, NEG)
-    rj = np.full(p, -1, dtype=np.int64)
+    col_c = np.full(pc, NEG)
+    col_j = np.full(pc, -1, dtype=np.int64)
+    if query is None:
+        # row side: j is the RIGHT neighbor of i; column side: i is the
+        # LEFT neighbor of j; both feed the two-sided best
+        rc = np.full(p, NEG)
+        rj = np.full(p, -1, dtype=np.int64)
+        rows = ((rc, rj), (best_c, best_j))
+        cols = ((col_c, col_j), (best_c, best_j))
+    else:
+        rows, cols = ((best_c, best_j),), ((col_c, col_j),)
 
-    any_skip = bool(skip.any())
+    any_skip = bool(skip.any() or skipc.any())
     Cbuf = np.empty((block, block))
     for i0 in range(row_lo, row_hi, block):
         i1 = min(i0 + block, p)
         Zi = Z[i0:i1]
         ski = skip[i0:i1]
-        for j0 in range(i0, p, block):
-            j1 = min(j0 + block, p)
+        for j0 in range(0 if zone is None else i0, pc, block):
+            j1 = min(j0 + block, pc)
             if i1 - i0 == block and j1 - j0 == block:
                 C = Cbuf  # reuse (np.dot out= needs a C-contiguous array)
-                np.dot(Zi, Z[j0:j1].T, out=C)
+                np.dot(Zi, Zc[j0:j1].T, out=C)
             else:
-                C = Zi @ Z[j0:j1].T  # unit windows: C IS the correlation
+                C = Zi @ Zc[j0:j1].T  # unit windows: C IS the correlation
             if any_skip:
                 C[ski, :] = NEG
-                C[:, skip[j0:j1]] = NEG
+                C[:, skipc[j0:j1]] = NEG
             # exclusion + self/lower masking: pair (i, j) valid iff j > i+zone.
             # Only block pairs touching the diagonal band need the mask.
-            if j0 <= (i1 - 1) + zone:
+            if zone is not None and j0 <= (i1 - 1) + zone:
                 ii = np.arange(i0, i1)[:, None]
                 jj = np.arange(j0, j1)[None, :]
                 C[jj <= ii + zone] = NEG
 
-            # row side: j is the RIGHT neighbor of i
             ja = np.argmax(C, axis=1)
             va = C[np.arange(i1 - i0), ja]
-            upd = va > rc[i0:i1]
-            rc[i0:i1][upd] = va[upd]
-            rj[i0:i1][upd] = ja[upd] + j0
-            updm = va > best_c[i0:i1]
-            best_c[i0:i1][updm] = va[updm]
-            best_j[i0:i1][updm] = ja[updm] + j0
-
-            # column side: i is the LEFT neighbor of j
+            for c, j in rows:
+                upd = va > c[i0:i1]
+                c[i0:i1][upd] = va[upd]
+                j[i0:i1][upd] = ja[upd] + j0
             ib = np.argmax(C, axis=0)
             vb = C[ib, np.arange(j1 - j0)]
-            updl = vb > lc[j0:j1]
-            lc[j0:j1][updl] = vb[updl]
-            lj[j0:j1][updl] = ib[updl] + i0
-            updm2 = vb > best_c[j0:j1]
-            best_c[j0:j1][updm2] = vb[updm2]
-            best_j[j0:j1][updm2] = ib[updm2] + i0
+            for c, j in cols:
+                upd = vb > c[j0:j1]
+                c[j0:j1][upd] = vb[upd]
+                j[j0:j1][upd] = ib[upd] + i0
 
-    return _profile(w, ez, corr_to_ed(best_c, w), best_j, corr_to_ed(lc, w),
-                    lj, corr_to_ed(rc, w), rj)
+    if query is None:
+        return _profile(w, ez, corr_to_ed(best_c, w), best_j,
+                        corr_to_ed(col_c, w), col_j, corr_to_ed(rc, w), rj)
+    return MatrixProfile(mp=corr_to_ed(best_c, w), pi=best_j, w=w, ez=0.0,
+                         join=True, algorithm="blocked",
+                         mpb=corr_to_ed(col_c, w), pib=col_j)

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import DEFAULT_EZ, EPS, exclusion_zone, raise_if_too_short
+from ..config import (DEFAULT_EZ, EPS, exclusion_zone, raise_if_bad_window,
+                      raise_if_too_short)
+from .block_join import blocked_mp
 from .mass import mass_pre, mass_v3
 from .movstats import binary_split, complexity, movmin, znorm, zero_crossings, zero_one_norm
-from .mpx import mpx
 from .profile_types import MatrixProfile
-from .stomp import stomp
 
 __all__ = [
     "find_motifs", "find_discords", "find_chains", "find_chains_multidim",
@@ -255,7 +255,8 @@ def fluss(data: np.ndarray, w: int, num_segments: int = 1,
           ez: float = DEFAULT_EZ) -> dict:
     """Batch segmentation preset: MP → CAC → extract
     (/root/reference/R/fluss.R:25-31)."""
-    prof = stomp(data, w, ez=ez)
+    raise_if_bad_window(len(data), w)  # stomp's refusals
+    prof = blocked_mp(data, w, ez=ez)
     cac = fluss_cac(prof)
     segs = fluss_extract(cac, w, num_segments, ez_factor=ez * 10)
     return {"cac": cac, "fluss": segs, "profile": prof}
@@ -320,8 +321,8 @@ def _kth_smallest(vals: np.ndarray, k: int) -> float:
 def mpdist(a: np.ndarray, b: np.ndarray, w: int, thr: float = 0.05) -> float:
     """MPdist scalar: k = ceil(thr·(na+nb))-th smallest of the concatenated
     AB and BA profiles (/root/reference/R/mpdist.R:125-131, 194-212)."""
-    prof = mpx(np.asarray(a, dtype=np.float64), w,
-               query=np.asarray(b, dtype=np.float64))
+    prof = blocked_mp(np.asarray(a, dtype=np.float64), w,
+                      query=np.asarray(b, dtype=np.float64))
     abba = np.concatenate([prof.mp, prof.mpb])
     k = int(np.ceil(thr * (len(a) + len(b))))
     return _kth_smallest(abba, max(k, 1))
@@ -503,14 +504,12 @@ def av_apply(profile: MatrixProfile, av: np.ndarray) -> MatrixProfile:
 
 
 def pmp(data: np.ndarray, windows: np.ndarray | list[int],
-        ez: float = DEFAULT_EZ, n_windows: int | None = None) -> dict:
-    """Pan-matrix-profile: mpx per window, windows visited in binary-split
+        ez: float = DEFAULT_EZ) -> dict:
+    """Pan-matrix-profile: blocked_mp per window, windows visited in binary-split
     order so early results cover the sweep (/root/reference/R/pmp.R:166-211).
     Returns {'pmp': {w: mp}, 'pmpi': {w: pi}, 'w': visited_windows}."""
     windows = np.asarray(sorted(set(int(w) for w in windows)), dtype=int)
     order = binary_split(len(windows))  # [] for an empty request
-    if n_windows is not None:
-        order = order[:n_windows]
     out_p: dict[int, np.ndarray] = {}
     out_i: dict[int, np.ndarray] = {}
     visited = []
@@ -518,7 +517,7 @@ def pmp(data: np.ndarray, windows: np.ndarray | list[int],
         w = int(windows[oi])
         if len(data) - w + 1 < 2:
             continue
-        prof = mpx(data, w, ez=ez)
+        prof = blocked_mp(data, w, ez=ez)
         out_p[w] = prof.mp
         out_i[w] = prof.pi
         visited.append(w)
@@ -560,7 +559,7 @@ def pmp_upper_bound(data: np.ndarray, threshold: float = 0.95,
         # w=8 would otherwise be profiled twice
         if w in tested:
             return tested[w]
-        prof = mpx(data, w, ez=ez)
+        prof = blocked_mp(data, w, ez=ez)
         if return_pmp:
             store_p[w] = prof.mp
             store_i[w] = prof.pi
@@ -616,9 +615,10 @@ def valmod(data: np.ndarray, window_min: int, window_max: int,
     (valmod.R:90-92 stops on different sizes too).
 
     This is the reference's exact sweep (its lower-bound switch off), one
-    vectorized mpx per window. The reference's default heap pruning
-    (valmod.R:121-128,328-470) leaves uncertified entries un-updated, so
-    its VALMP is partial; ours is exact at every entry."""
+    ``blocked_mp`` self-join (or AB join) per window. The reference's
+    default heap pruning (valmod.R:121-128,328-470) leaves uncertified
+    entries un-updated, so its VALMP is partial; ours is exact at every
+    entry."""
     if window_min < 4:
         raise ValueError("window_size must be at least 4")  # valmod.R:100
     if query is not None:
@@ -641,8 +641,7 @@ def valmod(data: np.ndarray, window_min: int, window_max: int,
         p = len(data) - w + 1
         if p < 2:
             break
-        prof = mpx(data, w, ez=ez) if query is None \
-            else mpx(data, w, query=query)
+        prof = blocked_mp(data, w, ez=ez, query=query)
         finite = prof.mp[np.isfinite(prof.mp)]
         if len(finite):
             evolution[w - window_min] = float(finite.min()) ** 2 * np.sqrt(1.0 / w)

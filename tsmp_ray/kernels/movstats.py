@@ -31,7 +31,6 @@ __all__ = [
     "movmax",
     "znorm",
     "normalize",
-    "std_pop",
     "mode",
     "paa",
     "ipaa",
@@ -135,11 +134,6 @@ def normalize(x: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
     if mx == mn:
         return np.full_like(x, lo)
     return (x - mn) / (mx - mn) * (hi - lo) + lo
-
-
-def std_pop(x: np.ndarray) -> float:
-    """Population SD (n, not n-1) — /root/reference/R/misc.R:245-267."""
-    return float(np.asarray(x, dtype=np.float64).std(ddof=0))
 
 
 def mode(x: np.ndarray):

@@ -14,9 +14,12 @@ in the inner loop). Pearson → ED via ``ed = sqrt(2w(1-ρ))``
 (``mpb``/``pib`` — src/mpx.cpp:106-252).
 
 ``mpx_diagonals`` evaluates an arbitrary diagonal subset — the unit of work
-for SCRIMP's random sampling and for diagonal-range sharding of skewed long
-conversations (the engine's analog of ``mpx_rcpp_parallel``'s parallelFor over
-diagonals, /root/reference/src/mpx.cpp:339-346); partial results min-merge.
+for SCRIMP's random sampling; partial results min-merge.
+
+No engine stage runs this kernel: ``block_join.blocked_mp`` is the engine's
+one self-join and AB join. mpx stays as the reference's exact kernel that
+the agreement tests check the others against, the base of ``scrimp``, and
+the benchmark's kernel-rate comparison point.
 """
 
 from __future__ import annotations

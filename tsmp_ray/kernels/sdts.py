@@ -46,8 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..config import raise_if_bad_window
+from .block_join import blocked_mp
 from .mass import mass_pre, mass_v3
-from .stomp import stomp
 
 _GOLD = (1 + np.sqrt(5)) / 2
 
@@ -248,7 +249,8 @@ def sdts_train(data: np.ndarray, label: np.ndarray, window_size,
             seg_starts.append(sum(len(p) for p in parts) + 1)
             parts.append(np.concatenate([[np.inf], data[st:ed]]))
         pos = np.concatenate(parts)
-        prof = stomp(np.where(np.isfinite(pos), pos, np.nan), w)
+        raise_if_bad_window(len(pos), w)  # stomp's refusals
+        prof = blocked_mp(np.where(np.isfinite(pos), pos, np.nan), w)
         cands_w = []
         for k, (st, ed) in enumerate(segs):
             lo = seg_starts[k]

@@ -9,8 +9,9 @@ derived from row i-1 in O(1) per column —
 ``sqrt(2w(1 - (QT - w·μiμj)/(σ̂iσ̂j)))`` and clamped at 0 (stomp.R:167-171).
 
 The row loop is a Python loop over O(n) vectorized numpy rows — O(n²) work,
-O(n) memory. Stages shard long self-joins through the blocked kernel's row
-strips or mpx diagonal ranges, not through this recurrence.
+O(n) memory. No engine code runs it: every engine profile is
+``block_join.blocked_mp``, and stomp stays as the reference kernel the
+agreement and known-answer tests check the others against.
 """
 
 from __future__ import annotations

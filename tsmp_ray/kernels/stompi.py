@@ -7,7 +7,8 @@ truncate history to ``history_size`` points with an index ``offset`` so
 external indices stay stable (stompi.R:98-117; caveat stompi.R:5-8: lmp/lpi
 lose windows that fell off the left edge).
 
-Each new window contributes one MASS distance profile over the grown series;
+The seed profile is one ``blocked_mp`` self-join. Each new window
+contributes one MASS distance profile over the grown series;
 existing windows only ever improve through their *right* neighbors (appends
 are strictly in-order — the engine's streaming invariant, SURVEY.md §2.10).
 This object is the per-conv state held by ``stompi_op`` and by FLOSS, each
@@ -18,10 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import DEFAULT_EZ, exclusion_zone
+from ..config import DEFAULT_EZ, exclusion_zone, raise_if_bad_window
+from .block_join import blocked_mp
 from .mass import mass_pre, mass_v3
 from .profile_types import MatrixProfile
-from .stomp import stomp
 
 
 class StreamingProfile:
@@ -34,7 +35,8 @@ class StreamingProfile:
         self.history_size = history_size
         self.offset = 0  # how many points have been dropped off the left
         self.data = np.asarray(data, dtype=np.float64).copy()
-        self.profile: MatrixProfile = stomp(self.data, w, ez=ez)
+        raise_if_bad_window(len(self.data), w)  # stomp's refusals
+        self.profile: MatrixProfile = blocked_mp(self.data, w, ez=ez)
         self._truncate()
 
     def update(self, new_data: np.ndarray) -> MatrixProfile:

@@ -649,7 +649,7 @@ def pmp_checked_sql(windows: list[int], ez: float) -> str:
     windows-CTE chain + self join PER window length (zone scales with w),
     emitting EVERY (conv, w, window_idx) profile value — the mp_exact
     arithmetic parameterized by w, gating ``pmp_checked_op``'s production
-    mpx-per-window sweep. Conv-length floor = 2·max(w) (the op's bound)."""
+    ``blocked_mp``-per-window sweep. Conv-length floor = 2·max(w) (the op's bound)."""
     wmax = max(windows)
     parts = [
         _T,
@@ -862,8 +862,8 @@ def ab_join_checked_sql(w: int) -> str:
     """AB similarity join in pure SQL: conversations with numeric id < 10
     pair as (2k, 2k+1); cross z-distance between the two convs' windows (no
     exclusion zone), min per left window, both directions (direction encoded
-    by (conv_a, conv_b)) — gates ``abjoin_checked_pair_op``'s mpx query-mode
-    kernel."""
+    by (conv_a, conv_b)) — gates ``abjoin_checked_pair_op``'s blocked AB
+    join (``blocked_mp(..., query=)``)."""
     return _T + f"""
 , sig AS ({SIGNALS_SQL.replace(_T, "")})
 , pos AS (
@@ -1379,7 +1379,7 @@ def q_mp_exact(sf_dir: str):
 
 
 def q_profiles_checked(sf_dir: str):
-    """The PRODUCTION profile kernel (blocked/mpx auto-pick — exactly what
+    """The PRODUCTION profile kernel (``blocked_mp`` — exactly what
     the flagship ``profiles`` query runs) tied to the SQL oracle on the same
     10 convs as ``mp_exact``: the op asserts kernel == oracle-order exact
     within 2e-5 per window (raising on drift) and emits the oracle-order
@@ -1460,8 +1460,8 @@ def q_mstomp_checked(sf_dir: str):
 
 def q_pmp_checked(sf_dir: str):
     """Production pmp sweep tied to SQL: per-window oracle-order exact
-    profiles over windows [6, 8, 10, 12], mpx-per-window asserted in-op
-    with finiteness-mask agreement (10 smallest conv_ids)."""
+    profiles over windows [6, 8, 10, 12], ``blocked_mp`` per window
+    asserted in-op with finiteness-mask agreement (10 smallest conv_ids)."""
     from ..stages.mining_stage import pmp_checked_op
 
     return _first_convs(sf_dir, pmp_checked_op,
@@ -1504,7 +1504,8 @@ def q_stompi_checked(sf_dir: str):
 
 def q_ab_join_checked(sf_dir: str):
     """AB-join kernel tied to SQL: consecutive pairs among numeric conv ids
-    < 10, mpx query-mode vs oracle-order cross distance asserted in-op."""
+    < 10, the blocked AB join vs oracle-order cross distance asserted
+    in-op."""
     from ..stages.mining_stage import abjoin_checked_pair_op
 
     return _first_pairs(sf_dir, abjoin_checked_pair_op)

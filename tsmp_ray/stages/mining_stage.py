@@ -23,7 +23,7 @@ import pyarrow as pa
 
 from ..config import (DEFAULT_EZ, EPS, SIGNALS, EngineConfig, exclusion_zone,
                       session_cpus)
-from ..kernels.block_join import auto_profile
+from ..kernels.block_join import blocked_mp
 from ..kernels.mass import dist_profile
 from ..kernels.mining import (
     av_complexity,
@@ -38,7 +38,6 @@ from ..kernels.mining import (
     pmp,
     valmod,
 )
-from ..kernels.mpx import mpx
 from ..kernels.mstomp import mstomp
 from ..kernels.profile_types import empty_profile
 from ..kernels.salient import salient_subsequences
@@ -158,7 +157,7 @@ def mining_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ):
         x = list_cell(batch, r, sig)
         if len(x) < 2 * w:
             continue
-        prof = auto_profile(x, w, ez)
+        prof = blocked_mp(x, w, ez)
         motifs = find_motifs(x, prof, n_motifs=2)
         discords = find_discords(x, prof, n_discords=1)
         segs = fluss_extract(fluss_cac(prof), w, num_segments=1)
@@ -196,7 +195,7 @@ def chains_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ):
         x = list_cell(batch, r, sig)
         if len(x) < 2 * w:
             continue
-        res = find_chains(auto_profile(x, w, ez))
+        res = find_chains(blocked_mp(x, w, ez))
         rows.append((sig, len(res["best"]), len(res["chains"])))
     return dict(zip(_CHAINS_SCHEMA.names[1:], zip(*rows))) if rows else None
 
@@ -380,7 +379,7 @@ def mp_exact_op(conv_id, batch, r, *, w: int):
 @emits(_MP_EXACT_SCHEMA)
 def profile_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
                        atol: float = 2e-5):
-    """PRODUCTION-kernel profile (blocked/mpx auto-pick — the same kernel the
+    """PRODUCTION-kernel profile (``blocked_mp`` — the same kernel the
     flagship ``profiles`` query runs) tied to the SQL oracle: the op also
     computes the oracle-order exact profile, ASSERTS the production kernel
     agrees within ``atol`` at every comparable window (raising — failing the
@@ -392,7 +391,7 @@ def profile_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
     if len(x) < 2 * w:
         return None
     mp, ok = _oracle_order_mp(x, w, exclusion_zone(w, ez))
-    _assert_agrees(auto_profile(x, w, ez).mp, mp, "production profile kernel",
+    _assert_agrees(blocked_mp(x, w, ez).mp, mp, "production profile kernel",
                    f"conv {conv_id}", atol, fin=ok & np.isfinite(mp))
     return _mp_exact_cols(mp, ok)
 
@@ -534,8 +533,8 @@ def fluss_cac_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
 
     Scope: this gates the CAC pipeline; the pi VALUES themselves are gated
     at distance level by ``profiles_checked`` (index ties under unrounded
-    production kernels are legitimately arbitrary, so the production mpx
-    pi cannot be hash-compared directly)."""
+    production kernels are legitimately arbitrary, so the production
+    kernel's pi cannot be hash-compared directly)."""
     x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
@@ -608,7 +607,7 @@ def salient_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ):
     x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
-    sal = salient_subsequences(x, auto_profile(x, w, ez), n_bits=6, n_cand=8)
+    sal = salient_subsequences(x, blocked_mp(x, w, ez), n_bits=6, n_cand=8)
     k = len(sal["indexes"])
     if not k:
         return None
@@ -718,14 +717,14 @@ def abjoin_pair_op(id_a, xa, id_b, xb, *, w: int):
     reference's stamp/stomp AB mode, /root/reference/R/stomp.R query path)."""
     if min(len(xa), len(xb)) < 2 * w:
         return None
-    # ONE join pass: mpx's AB mode fills both orientations in the same
-    # diagonal sweep (mp/pi = A side, mpb/pib = B side — mpx.cpp:234-248),
-    # so the reversed call would recompute identical distances.
-    # Never hash-compare pi/pib across versions: the 'ba' side matches the
-    # old reversed call only up to float ulp (invn multiplication and
-    # diagonal order differ), so exact-distance tie-breaks can differ.
-    # Distances stay atol-gated through ab_join_checked.
-    prof = mpx(xa, w, query=xb)
+    # ONE join pass: the blocked AB join fills both orientations from the
+    # same block matmuls (mp/pi = A side from the row argmax, mpb/pib = B
+    # side from the column argmax — mpx.cpp:234-248's fields), so the
+    # reversed call would recompute identical distances. Never hash-compare
+    # pi/pib across kernels or versions: exact-distance ties resolve by
+    # summation-order ulps. Distances stay atol-gated through
+    # ab_join_checked.
+    prof = blocked_mp(xa, w, query=xb)
     lens = [len(prof.mp), len(prof.mpb)]
     return {
         "conv_a": repeat_labels([id_a, id_b], lens),
@@ -740,7 +739,7 @@ def abjoin_pair_op(id_a, xa, id_b, xb, *, w: int):
 
 # ------------------------------------------------- oracle-checked kernels
 # Round-3: tie the remaining hot kernels (MASS v3, AB-join, streaming
-# stompi) to DuckDB SQL the same way profile_checked_op ties blocked/mpx —
+# stompi) to DuckDB SQL the same way profile_checked_op ties blocked_mp —
 # compute the oracle-order exact arithmetic, ASSERT the production kernel
 # agrees within tolerance (raising fails the driver run), emit the
 # oracle-order values so the hash compare is ulp-immune.
@@ -796,7 +795,7 @@ def abjoin_checked_pair_op(id_a, xa, id_b, xb, *, w: int, atol: float = 2e-5):
         return None
     # one kernel pass for both orientations (see abjoin_pair_op): the BA
     # side's production values are the same sweep's mpb
-    joined = mpx(xa, w, query=xb)
+    joined = blocked_mp(xa, w, query=xb)
     idxs, mps = [], []
     for ia, ib, sa, sb, kernel_mp in ((id_a, id_b, xa, xb, joined.mp),
                                       (id_b, id_a, xb, xa, joined.mpb)):
@@ -849,7 +848,7 @@ def motifs_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
     disc = int(np.argmax(mp_r))  # argmax takes the FIRST max (ties by i)
     ddist = float(mp_r[disc])
 
-    prof = auto_profile(x, w, ez)
+    prof = blocked_mp(x, w, ez)
     motifs = find_motifs(x, prof, n_motifs=1)
     discords = find_discords(x, prof, n_discords=1)
     if motifs and abs(motifs[0]["distance"] - mdist) > atol:
@@ -950,7 +949,7 @@ def pmp_checked_op(conv_id, batch, r, *, windows, ez: float = DEFAULT_EZ,
                    atol: float = 2e-5):
     """Pan-matrix-profile tied to SQL (PMP_CHECKED_SQL — round-3 verdict
     item 4): per window length the oracle-order exact profile; the
-    production ``pmp`` sweep (mpx per window,
+    production ``pmp`` sweep (``blocked_mp`` per window,
     /root/reference/R/pmp.R:166-211) asserted in-op per w — values within
     ``atol`` AND finiteness masks equal — then the oracle-order values are
     emitted so the DuckDB hash compare is ulp-immune."""

@@ -15,13 +15,12 @@ one Ray task per packed block:
   ``blocked_mp``.
 
 - **sharded** (skewed long convs, n above the cut): one conversation's
-  O(n²) work is split into row-block STRIPS of the blocked kernel (w ≤ 32)
-  or DIAGONAL RANGES of the mpx recurrence and fanned out as Ray tasks —
-  the reference's own shard plan (its R/stomp-par.R:102-117 and
-  src/mpx.cpp:339-346); partials min-merge
-  (stomp-par.R:249-264 via profile_types.merge_min). Raw tasks, because
-  the unit of work is a *slice of one conversation*, which a keyed
-  shuffle cannot express.
+  O(n²) work is split into row-block STRIPS of the blocked kernel and
+  fanned out as Ray tasks — the reference's own shard plan (its
+  R/stomp-par.R:102-117); partials min-merge (stomp-par.R:249-264 via
+  profile_types.merge_min) to distances bit-identical to the single-pass
+  kernel. Raw tasks, because the unit of work is a *slice of one
+  conversation*, which a keyed shuffle cannot express.
 """
 
 from __future__ import annotations
@@ -31,9 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import SIGNALS, EngineConfig, exclusion_zone, session_cpus
-from ..kernels.block_join import (auto_profile, blocked_mp, blocked_mp_many,
-                                  use_blocked)
-from ..kernels.mpx import mpx_diagonals, prepare_series
+from ..kernels.block_join import blocked_mp, blocked_mp_many, strip_splits
 from ..kernels.profile_types import MatrixProfile, merge_min
 from .signals import as_table, block_refs, list_cell, remote, repeat_labels
 
@@ -93,18 +90,15 @@ def _profile_block(tbl: pa.Table, w: int, ez: float) -> pa.Table:
                 series.append(x)
     if not keys:
         return PROFILE_SCHEMA.empty_table()
-    profs = (blocked_mp_many(series, w, ez=ez) if use_blocked(w) else
-             [auto_profile(x, w, ez=ez) for x in series])
-    return _profile_rows(keys, profs)
+    return _profile_rows(keys, blocked_mp_many(series, w, ez=ez))
 
 
 #: per-shard work target in window-pair units (p² per conv-signal): sized so
 #: a shard is ~0.25 s of kernel compute — big enough to amortize task
 #: dispatch, small enough that the last wave never sets the stage wall.
-#: Measured single-core: blocked ≈ 464M units/s, mpx ≈ 121M units/s (w=8,
-#: n=18000), hence the per-kernel targets.
-SHARD_UNITS_BLOCKED = 1.2e8
-SHARD_UNITS_MPX = 3.0e7
+#: Measured single-core: the blocked kernel runs ≈ 464M units/s (w=8,
+#: n=18000).
+SHARD_UNITS = 1.2e8
 
 
 def _block_meta(block):
@@ -188,36 +182,18 @@ def compute_profiles(ds_packed, cfg: EngineConfig):
     """Packed series Dataset -> profile Dataset, in one plan
     (``per_block``): ``_profile_block`` over every packed block serves the
     convs with n ≤ ``cfg.salt_turn_threshold``, and the convs above it are
-    strip- or diagonal-sharded (``_profile_shards``). Each
+    strip-sharded (``_profile_shards``). Each
     (conv_id, signal, window_idx) comes from exactly one of the two."""
     return per_block(ds_packed, PROFILE_SCHEMA, _profile_block,
                      cfg.window_size, cfg.ez,
                      shards=(cfg.salt_turn_threshold, _profile_shards(cfg)))
 
 
-def _diag_splits(n: int, w: int, zone: int, n_shards: int) -> list[tuple[int, int]]:
-    """Equal-AREA diagonal ranges: diagonal k costs (p-k), so split the
-    triangle, not the index range (skew note SURVEY.md §7.4). Planning needs
-    only the series LENGTH."""
-    p = n - w + 1
-    ks = np.arange(zone + 1, p)
-    if not len(ks):
-        return []
-    costs = (p - ks).cumsum()
-    edges = np.searchsorted(costs, np.linspace(0, costs[-1], n_shards + 1)[1:-1])
-    return [(int(sp[0]), int(sp[-1]) + 1) for sp in np.split(ks, edges) if len(sp)]
-
-
 def _profile_shard(tbl: pa.Table, row: int, sig: str, w: int, ez: float,
-                   blocked: bool, lo: int, hi: int) -> MatrixProfile:
+                   lo: int, hi: int) -> MatrixProfile:
     """One shard's partial profile: row-block strip [lo, hi) of the blocked
-    kernel, or diagonals [lo, hi) of the mpx recurrence."""
-    series = list_cell(tbl, row, sig)
-    if blocked:
-        return blocked_mp(series, w, ez=ez, row_range=(lo, hi))
-    state = prepare_series(series, w)
-    diags = np.arange(lo, min(hi, state.p), dtype=np.int64)
-    return mpx_diagonals(state, diags, ez=ez)
+    kernel."""
+    return blocked_mp(list_cell(tbl, row, sig), w, ez=ez, row_range=(lo, hi))
 
 
 def _merge_rows(conv_id: str, sig: str, *parts) -> pa.Table:
@@ -231,24 +207,17 @@ def _merge_rows(conv_id: str, sig: str, *parts) -> pa.Table:
 
 def _profile_shards(cfg: EngineConfig):
     """``compute_profiles``' shard planner: one heavy conversation's O(n²)
-    work split into shard tasks per signal whose partial profiles min-merge
-    in one reduce task per (conv, signal) (the reference's merge contract,
-    its R/stomp-par.R:249-264); the packed block goes to the shard tasks
-    by reference.
-
-    The shard kernel follows ``block_join.use_blocked``: w ≤ 32 → row-block
-    STRIPS of the blocked-BLAS kernel (3.7× the mpx throughput at w=8, and
-    bit-identical to the single-pass kernel — see strip_splits); larger w →
-    mpx diagonal ranges. Shard COUNT is work-proportional (p² units against
-    a per-kernel ~0.25 s target, capped at the session's CPUs) so a
+    work split into row-block STRIPS of the blocked kernel per signal
+    (bit-identical distances to the single-pass kernel — see
+    strip_splits), whose partial profiles min-merge in one reduce task per
+    (conv, signal) (the reference's merge contract, its
+    R/stomp-par.R:249-264); the packed block goes to the shard tasks by
+    reference. Shard COUNT is work-proportional (p² units against the
+    ~0.25 s ``SHARD_UNITS`` target, capped at the session's CPUs) so a
     10⁴-turn conv gets ~4 shards and a 10⁵-turn conv saturates the pool
     instead of every conv paying pool-many tiny tasks."""
-    from ..kernels.block_join import strip_splits
-
     w, ez = cfg.window_size, cfg.ez
     zone = exclusion_zone(w, ez)
-    blocked = use_blocked(w)
-    target_units = SHARD_UNITS_BLOCKED if blocked else SHARD_UNITS_MPX
     pool = session_cpus()
     shard, merge = remote(_profile_shard), remote(_merge_rows)
 
@@ -256,13 +225,12 @@ def _profile_shards(cfg: EngineConfig):
         if n < 2 * w:
             return []
         p = n - w + 1
-        n_shards = int(max(2, min(pool, -(-float(p) * p // target_units))))
-        splits = (strip_splits(p, zone, n_shards) if blocked
-                  else _diag_splits(n, w, zone, n_shards))
+        n_shards = int(max(2, min(pool, -(-float(p) * p // SHARD_UNITS))))
+        splits = strip_splits(p, zone, n_shards)
         if not splits:
             return []
         return [merge.remote(conv_id, sig, *[
-                    shard.remote(block, row, sig, w, ez, blocked, lo, hi)
+                    shard.remote(block, row, sig, w, ez, lo, hi)
                     for lo, hi in splits]) for sig in SIGNALS]
 
     return plan
