@@ -1,16 +1,21 @@
-"""Every ``*_checked`` op's gate fires: with the production kernel it
-calls poisoned (every value moved off the oracle), the op must raise its
-own AssertionError; and no gate raises on a flat stretch of a float
-series. Pure local (no Ray): the ops are called on one packed row built by
-hand, and the pair ops on two series."""
+"""Every ``*_checked`` op's gate fires: with the production kernel that
+its shipped op (or stage) calls poisoned (every value moved off the
+oracle), the op must raise its own AssertionError; and no gate raises on a
+flat stretch of a float series. Pure local (no Ray): the ops are called on
+one packed row built by hand, and the pair ops on two series;
+``profiles_checked`` gates the rows that ``compute_profiles``' block and
+strip-shard task functions emit for that row, run in-process."""
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
-from tsmp_ray.config import SIGNALS
+from tsmp_ray.config import DEFAULT_EZ, SIGNALS, exclusion_zone
+from tsmp_ray.kernels.block_join import strip_splits
 from tsmp_ray.kernels.stompi import StreamingProfile
 from tsmp_ray.stages import mining_stage as ms
+from tsmp_ray.stages import profile_stage as ps
 
 W = 8
 
@@ -54,50 +59,81 @@ class _DriftingStream(StreamingProfile):
         _moved(self.profile, "mp")
 
 
-# op name -> (run the op, kernel attribute on mining_stage, poisoned kernel)
+def _profiles_checked(batch, strips: bool):
+    """``profiles_checked_op`` on the ``text_len`` rows that
+    ``compute_profiles`` emits for the batch's one conv: from its block
+    function (``_profile_block``), or with ``strips`` from its strip-shard
+    tasks' functions (``_profile_shard`` per strip, ``_merge_rows``)."""
+    if strips:
+        p = len(ms.list_cell(batch, 0, ms._ORACLE_SIGNAL)) - W + 1
+        rows = ps._merge_rows("c0", ms._ORACLE_SIGNAL, *[
+            ps._profile_shard(batch, 0, ms._ORACLE_SIGNAL, W, DEFAULT_EZ,
+                              lo, hi)
+            for lo, hi in strip_splits(p, exclusion_zone(W), 2)])
+    else:
+        rows = ps._profile_block(batch, W, DEFAULT_EZ)
+    rows = rows.filter(pc.equal(rows["signal"], ms._ORACLE_SIGNAL))
+    shipped = {"c0": (rows["window_idx"].to_numpy(), rows["mp"].to_numpy())}
+    return ms.profiles_checked_op("c0", batch, 0, w=W, shipped=shipped)
+
+
+def _drifting(found):
+    return [dict(m, distance=m["distance"] + 1.0) for m in found]
+
+
+# op name -> (run the op, module holding the kernel, kernel attribute,
+# poisoned kernel)
 GATES = {
-    "profile_checked": (
-        lambda b, xs: ms.profile_checked_op("c0", b, 0, w=W),
-        "blocked_mp", _wrap(ms.blocked_mp, lambda p: _moved(p, "mp"))),
+    "profiles_checked": (
+        lambda b, xs: _profiles_checked(b, strips=False),
+        ps, "blocked_mp_many",
+        _wrap(ps.blocked_mp_many, lambda profs: [_moved(p, "mp")
+                                                 for p in profs])),
+    "profiles_checked_strips": (
+        lambda b, xs: _profiles_checked(b, strips=True),
+        ps, "blocked_mp", _wrap(ps.blocked_mp, lambda p: _moved(p, "mp"))),
     "chains_checked": (
         lambda b, xs: ms.chains_checked_op("c0", b, 0, w=W),
-        "find_chains", lambda prof: {"chains": [[0, 1, 2]], "best": []}),
+        ms, "find_chains", lambda prof: {"chains": [[0, 1, 2]], "best": []}),
     "fluss_cac_checked": (
         lambda b, xs: ms.fluss_cac_checked_op("c0", b, 0, w=W),
-        "fluss_cac", _wrap(ms.fluss_cac, lambda c: c - 0.5)),
+        ms, "fluss_cac", _wrap(ms.fluss_cac, lambda c: c - 0.5)),
     "fluss_segments_checked": (
         lambda b, xs: ms.fluss_segments_checked_op("c0", b, 0, w=W),
-        "fluss_cac", _wrap(ms.fluss_cac, lambda c: c - 0.5)),
+        ms, "fluss_cac", _wrap(ms.fluss_cac, lambda c: c - 0.5)),
     "dist_profile_checked": (
         lambda b, xs: ms.distprof_checked_op("c0", b, 0, w=W),
-        "dist_profile", _wrap(ms.dist_profile, lambda r: (r[0] + 0.01, r[1]))),
+        ms, "dist_profile",
+        _wrap(ms.dist_profile, lambda r: (r[0] + 0.01, r[1]))),
     "stompi_checked": (
         lambda b, xs: ms.stompi_checked_op("c0", b, 0, w=W),
-        "StreamingProfile", _DriftingStream),
+        ms, "StreamingProfile", _DriftingStream),
     "ab_join_checked": (
         lambda b, xs: ms.abjoin_checked_pair_op("c0", xs[0], "c1", xs[1], w=W),
-        "blocked_mp", _wrap(ms.blocked_mp, lambda p: _moved(p, "mp"))),
+        ms, "blocked_mp", _wrap(ms.blocked_mp, lambda p: _moved(p, "mp"))),
     "motifs_checked": (
         lambda b, xs: ms.motifs_checked_op("c0", b, 0, w=W),
-        "find_motifs", _wrap(ms.find_motifs, lambda found: [
-            dict(m, distance=m["distance"] + 1.0) for m in found])),
+        ms, "find_motifs", _wrap(ms.find_motifs, _drifting)),
+    "motifs_checked_discords": (
+        lambda b, xs: ms.motifs_checked_op("c0", b, 0, w=W),
+        ms, "find_discords", _wrap(ms.find_discords, _drifting)),
     "mstomp_checked": (
         lambda b, xs: ms.mstomp_checked_op("c0", b, 0, w=W),
-        "mstomp", _wrap(ms.mstomp, lambda r: _moved(r, "mp"))),
+        ms, "mstomp", _wrap(ms.mstomp, lambda r: _moved(r, "mp"))),
     "valmod_checked": (
         lambda b, xs: ms.valmod_checked_op("c0", b, 0, wmin=6, wmax=12),
-        "valmod", _wrap(ms.valmod, lambda r: dict(r, mp=r["mp"] + 0.01))),
+        ms, "valmod", _wrap(ms.valmod, lambda r: dict(r, mp=r["mp"] + 0.01))),
     "pmp_checked": (
         lambda b, xs: ms.pmp_checked_op("c0", b, 0, windows=[6, 8, 10, 12]),
-        "pmp", _wrap(ms.pmp, lambda r: dict(r, pmp={
+        ms, "pmp", _wrap(ms.pmp, lambda r: dict(r, pmp={
             w: v + 0.01 for w, v in r["pmp"].items()}))),
     "snippets_checked": (
         lambda b, xs: ms.snippet_checked_op("c0", b, 0, s_size=16, w=W),
-        "find_snippet", _wrap(ms.find_snippet, lambda r: dict(
+        ms, "find_snippet", _wrap(ms.find_snippet, lambda r: dict(
             r, snippet_idx=[i + 1 for i in r["snippet_idx"]]))),
     "mpdist_checked": (
         lambda b, xs: ms.mpdist_checked_pair_op("c0", xs[0], "c1", xs[1], w=W),
-        "mpdist", _wrap(ms.mpdist, lambda d: d + 0.01)),
+        ms, "mpdist", _wrap(ms.mpdist, lambda d: d + 0.01)),
 }
 
 
@@ -106,10 +142,10 @@ def test_checked_gate_fires_on_poisoned_kernel(name, monkeypatch):
     """No gate is vacuous: the op passes and emits rows with the real
     kernel, and raises its own "deviate(s)" AssertionError once that kernel
     is poisoned."""
-    run, attr, poisoned = GATES[name]
+    run, module, attr, poisoned = GATES[name]
     out = run(BATCH, XS)  # the op's columns
     assert out is not None and len(next(iter(out.values()))) > 0
-    monkeypatch.setattr(ms, attr, poisoned)
+    monkeypatch.setattr(module, attr, poisoned)
     with pytest.raises(AssertionError, match="deviate"):
         run(BATCH, XS)
 

@@ -443,6 +443,54 @@ def test_checked_ops_build_pairwise_distances_in_one_core():
     assert not hits, "\n".join(hits)
 
 
+#: each checked op that a shipped op's row gates -> (that shipped op, the
+#: kernels the shipped op wraps, which the checked op must not call again)
+CHECKED_SHIPPED = {
+    "stompi_checked_op": ("stompi_op", {"StreamingProfile"}),
+    "abjoin_checked_pair_op": ("abjoin_pair_op", {"blocked_mp"}),
+    "mpdist_checked_pair_op": ("mpdist_pair_op", {"mpdist"}),
+    "mstomp_checked_op": ("mstomp_op", {"mstomp"}),
+    "snippet_checked_op": ("snippet_op", {"find_snippet"}),
+    "motifs_checked_op": ("mining_op", {"blocked_mp", "find_motifs",
+                                        "find_discords"}),
+}
+
+
+def test_checked_rows_run_the_shipped_code():
+    """The oracle rows gate the code that ships: ``q_profiles_checked``
+    runs ``compute_profiles``; each checked op above calls its shipped op
+    and none of the kernels that op wraps (a second, ungated copy of the
+    job); and no mining-stage def takes an ``atol`` (the gates share one
+    tolerance, ``mining_stage._ATOL``)."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "tsmp_ray"
+
+    def defs(path):
+        return {f.name: f for f in ast.walk(ast.parse(path.read_text()))
+                if isinstance(f, ast.FunctionDef)}
+
+    def names(node):
+        return {getattr(n, "id", None) or getattr(n, "attr", None)
+                for n in ast.walk(node)}
+
+    query = defs(pkg / "pipelines" / "queries.py")["q_profiles_checked"]
+    calls = {getattr(c.func, "id", None) or getattr(c.func, "attr", None)
+             for c in ast.walk(query) if isinstance(c, ast.Call)}
+    bad = [] if "compute_profiles" in calls else [
+        "q_profiles_checked does not call compute_profiles"]
+    ops = defs(pkg / "stages" / "mining_stage.py")
+    for op, (shipped, kernels) in CHECKED_SHIPPED.items():
+        used = names(ops[op])
+        if shipped not in used:
+            bad.append(f"{op} does not call {shipped}")
+        bad += [f"{op} calls {k} again" for k in sorted(kernels & used)]
+    bad += [f"{name} takes atol" for name, f in ops.items()
+            if "atol" in {a.arg for a in f.args.args + f.args.kwonlyargs}]
+    assert not bad, "\n".join(bad)
+
+
 def test_engine_config_fields_are_read():
     """No dead knobs: every EngineConfig field is read (``.<field>``)
     somewhere in the engine outside config.py."""

@@ -80,6 +80,22 @@ LINEAGE_DIGEST = (
     "7b772032fdafd65b51c5c7e42397254d0cbc6da9e6de782beedb30ba3a18b3d4")
 
 
+def test_resumable_write_flushes_the_manifest_once(tier_ds, tmp_path,
+                                                   monkeypatch):
+    """One manifest rewrite per call, not one per partition: a rewrite per
+    partition made a write's manifest cost grow with the square of its
+    partition count."""
+    flushes = []
+    flush = Manifest._flush
+    monkeypatch.setattr(Manifest, "_flush",
+                        lambda self: flushes.append(1) or flush(self))
+    out = str(tmp_path / "tier1m")
+    status = resumable_write(tier_ds, out, "signal")
+    assert len(status) >= 3 and set(status.values()) == {"written"}
+    assert len(flushes) == 1
+    assert set(Manifest(out).data["partitions"]) == set(status)
+
+
 def test_partition_bytes_pinned(ray_session, tmp_path):
     """Partition files are byte-stable: the 1m tier of 12 conversations,
     spread over 7 blocks and written by conv_id and by signal, hashes to
@@ -136,7 +152,8 @@ def test_retention_compaction(tier_ds, tmp_path, ray_session):
 def test_compaction_past_every_bucket_reads_zero_rows(tier_ds, tmp_path,
                                                       ray_session):
     """A TTL past every bucket empties every partition; the layout then
-    reads back as a 0-row Dataset instead of failing the read."""
+    reads back as a 0-row Dataset of its written schema instead of failing
+    the read."""
     from tsmp_ray.stages.retention import compact
 
     out = str(tmp_path / "tier1m")
@@ -144,7 +161,11 @@ def test_compaction_past_every_bucket_reads_zero_rows(tier_ds, tmp_path,
     hi = int(tier_ds.to_pandas()["bucket_ts"].max())
     status = compact(out, now_us=hi + 1, ttl_us=0)
     assert status and set(status.values()) == {"emptied"}
-    assert read_partitioned(out, "signal").count() == 0
+    back = read_partitioned(out, "signal")
+    assert back.count() == 0
+    # typed: the layout's written schema, so a column select still works
+    assert back.schema().names == tier_ds.schema().names
+    assert back.select_columns(["bucket_ts"]).count() == 0
 
 
 def test_kill_and_resume_subprocess(tmp_path):

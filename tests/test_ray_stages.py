@@ -479,7 +479,7 @@ def _required_kwargs(fn) -> dict:
     import inspect
 
     values = {"w": 8, "wmin": 6, "wmax": 12, "windows": [6, 8, 10, 12],
-              "s_size": 16}
+              "s_size": 16, "shipped": {}}
     return {name: values[name]
             for name, p in inspect.signature(fn).parameters.items()
             if p.kind is p.KEYWORD_ONLY and p.default is p.empty}
@@ -557,35 +557,46 @@ def test_floss_and_registered_kernel_emit_declared_schema(
     assert schema_divergences.n == 0
 
 def test_checked_ops_gate_production_kernels(ray_session):
-    """profile/distprof/stompi/abjoin _checked ops run green on real packed
-    data (the in-op assertion passes) and raise on a poisoned kernel."""
+    """The profiles gate passes on a real ``compute_profiles`` run that
+    takes both its block and its strip-shard path, and raises once that
+    run's profile is poisoned or a conv is missing from it; the
+    distprof/stompi _checked ops run green on the same packed data."""
     import ray
 
+    from tsmp_ray.pipelines.queries import _oracle_signal_profiles
     from tsmp_ray.stages.mining_stage import (
-        distprof_checked_op, per_conv_stage, profile_checked_op,
+        distprof_checked_op, per_conv_stage, profiles_checked_op,
         stompi_checked_op,
     )
 
     tbl = synthetic_transcripts(n_convs=4, seed=11, mean_turns=100)
-    packed = pack_series(ray.data.from_arrow(tbl))
-    kw = {"w": 8}
-    prof = per_conv_stage(packed, profile_checked_op, kw).to_pandas()
+    packed = pack_series(ray.data.from_arrow(tbl)).materialize()
+    turns = sorted(packed.to_pandas()["n_turns"])
+    # a cut between the shortest and the longest conv: both paths run
+    cfg = EngineConfig(window_size=8, salt_turn_threshold=turns[1])
+    assert turns[0] <= cfg.salt_turn_threshold < turns[-1]
+    shipped = _oracle_signal_profiles(compute_profiles(packed, cfg))
+    kw = {"w": 8, "shipped": shipped}
+    prof = per_conv_stage(packed, profiles_checked_op, kw).to_pandas()
     dp = per_conv_stage(packed, distprof_checked_op, {"w": 8}).to_pandas()
-    st = per_conv_stage(packed, stompi_checked_op, kw).to_pandas()
+    st = per_conv_stage(packed, stompi_checked_op, {"w": 8}).to_pandas()
     assert len(prof) > 0 and len(dp) > 0 and len(st) > 0
-    # stompi emits the same oracle-order values as profile_checked (on the
+    # stompi emits the same oracle-order values as profiles_checked (on the
     # convs long enough for both: stompi needs ≥ 4w, profile ≥ 2w)
     prof_c = prof[prof["conv_id"].isin(set(st["conv_id"]))]
     pd.testing.assert_frame_equal(
         prof_c.sort_values(["conv_id", "window_idx"]).reset_index(drop=True),
         st.sort_values(["conv_id", "window_idx"]).reset_index(drop=True))
 
-    # poisoned tolerance must raise the GATE's own AssertionError — a bare
-    # Exception match would also pass on e.g. a TypeError from a renamed
-    # kwarg, leaving the gate silently un-exercised
-    with pytest.raises(Exception, match="deviates"):
-        per_conv_stage(packed, profile_checked_op,
-                       dict(kw, atol=1e-14)).to_pandas()
+    # the GATE's own AssertionError must raise — a bare Exception match
+    # would also pass on e.g. a TypeError from a renamed kwarg, leaving the
+    # gate silently un-exercised
+    moved = {cid: (idx, mp + 0.01) for cid, (idx, mp) in shipped.items()}
+    missing = dict(list(shipped.items())[1:])
+    for bad in (moved, missing):
+        with pytest.raises(Exception, match="deviates"):
+            per_conv_stage(packed, profiles_checked_op,
+                           dict(kw, shipped=bad)).to_pandas()
 
 
 def test_profile_kernel_batched_emit_equals_per_conv():

@@ -11,17 +11,33 @@ so fold order can't break the driver's value-hash; genuinely lossy floats
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 
-from ..config import TIERS, EngineConfig, exclusion_zone
+from ..config import EPS, TIERS, EngineConfig, exclusion_zone
+from ..kernels.sdts import sdts_predict, sdts_score, sdts_train
 from ..sources.transcripts import (TRANSCRIPTS_FROM_EVENTS_SQL, read_parquet_plain,
                                    transcripts_from_events)
 from ..stages import dedup as dd
 from ..stages import knn as knn_mod
 from ..stages import text as text_mod
 from ..stages.compression import pack_rollup_series, unpack_series
+from ..stages.floss_stage import floss_op
+from ..stages.mining_stage import (
+    _ORACLE_SIGNAL, _conv_num, abjoin_checked_pair_op, abjoin_pair_op,
+    annotation_op, chains_checked_op, chains_op, compute_mstomp,
+    conv_pair_stage, distprof_checked_op, emits, fluss_cac_checked_op,
+    fluss_op, fluss_segments_checked_op, mining_op, motifs_checked_op,
+    mp_exact_op, mpdist_checked_pair_op, mpdist_pair_op, mstomp_checked_op,
+    per_conv_stage, pmp_checked_op, profiles_checked_op, salient_op,
+    snippet_checked_op, snippet_op, stompi_checked_op, stompi_op,
+    valmod_checked_op,
+)
+from ..stages.multimodal import decode_images, synthetic_media
 from ..stages.profile_stage import compute_profiles
 from ..stages.rollup import tiers_from_packed
 from ..stages.signals import (conversation_fingerprints, pack_series,
@@ -358,8 +374,6 @@ def fluss_cac_checked_sql(w: int, zone: int, ez: float) -> str:
     """FLUSS corrected arc counts in pure SQL — gates
     ``fluss_cac_checked_op``'s production CAC pipeline (arithmetic in
     :func:`_fluss_cac_ctes`, edge zone ``round(w·ez·10)``)."""
-    from ..config import EPS
-
     zf = int(round(w * ez * 10 + EPS))
     return (_T + _windows_ctes(w, 2 * w) + _fluss_cac_ctes(w, zone, zf)
             + "\nSELECT conv_id, wi AS window_idx, cac FROM cac\n")
@@ -379,8 +393,6 @@ def fluss_segments_checked_sql(w: int, zone: int, ez_factor: float = 1.0,
     position on the right). A level with no candidates emits nothing, and
     since the candidate set only shrinks, later levels are then empty too
     — exactly the loop's cac ≥ 1 stop rule."""
-    from ..config import EPS
-
     zf = int(round(w * ez_factor + EPS))
     sql = _T + _windows_ctes(w, 2 * w) + _fluss_cac_ctes(w, zone, zf)
     prev: list[str] = []
@@ -465,7 +477,7 @@ def mstomp_checked_sql(w: int, zone: int) -> str:
     """Multidimensional (3-signal) matrix profile in pure SQL: per-signal
     z-distance², k-of-3 average of the k smallest dims per (i, j) via
     min / (sum − max)/2 / sum/3 algebra, min per i, sqrt, round 6 — gates
-    ``mstomp_checked_op``'s production mstomp kernel. Query windows
+    ``mstomp_checked_op``'s call of ``mstomp_op``. Query windows
     degenerate in any dim are dropped (HAVING count = 3); candidates
     degenerate in one dim compete through the remaining dims (cnt-aware
     CASE)."""
@@ -535,7 +547,7 @@ def mpdist_checked_sql(w: int, thr: float = 0.05) -> str:
     """MPdist per consecutive conv pair (numeric ids < 10) in pure SQL:
     per-window cross-distance minima from both directions concatenated,
     value at rank k = ceil(thr·(na+nb)) — gates
-    ``mpdist_checked_pair_op``'s production mpdist kernel."""
+    ``mpdist_checked_pair_op``'s call of ``mpdist_pair_op``."""
     return _T + f"""
 , sig AS ({SIGNALS_SQL.replace(_T, "")})
 , pos AS (
@@ -862,8 +874,8 @@ def ab_join_checked_sql(w: int) -> str:
     """AB similarity join in pure SQL: conversations with numeric id < 10
     pair as (2k, 2k+1); cross z-distance between the two convs' windows (no
     exclusion zone), min per left window, both directions (direction encoded
-    by (conv_a, conv_b)) — gates ``abjoin_checked_pair_op``'s blocked AB
-    join (``blocked_mp(..., query=)``)."""
+    by (conv_a, conv_b)) — gates ``abjoin_checked_pair_op``'s call of
+    ``abjoin_pair_op``."""
     return _T + f"""
 , sig AS ({SIGNALS_SQL.replace(_T, "")})
 , pos AS (
@@ -1072,14 +1084,17 @@ def _packed(sf_dir: str):
     return pack_series(transcripts_from_events(sf_dir)).materialize()
 
 
-def _first_convs(sf_dir: str, op, **kw):
-    """``op`` fanned out per conv over the 10 smallest conv ids: the
+def _first_packed(sf_dir: str):
+    """The packed rows of the 10 smallest conv ids, materialized: the
     selection every per-conv oracle SQL makes (``ORDER BY conv_id LIMIT
     10``)."""
-    from ..stages.mining_stage import per_conv_stage
+    return (pack_series(transcripts_from_events(sf_dir)).sort("conv_id")
+            .limit(10).materialize())
 
-    sel = pack_series(transcripts_from_events(sf_dir)).sort("conv_id").limit(10)
-    return per_conv_stage(sel, op, kw)
+
+def _first_convs(sf_dir: str, op, **kw):
+    """``op`` fanned out per conv over the 10 smallest conv ids."""
+    return per_conv_stage(_first_packed(sf_dir), op, kw)
 
 
 def _first_pairs(sf_dir: str, op):
@@ -1089,8 +1104,6 @@ def _first_pairs(sf_dir: str, op):
     filtering convs before the stage's ``sort(pair_id)`` left most of its
     blocks empty and schema-less, and Ray logged "Operator produced a
     RefBundle with a different schema" for them."""
-    from ..stages.mining_stage import _conv_num, conv_pair_stage, emits
-
     @emits(op.schema)
     def first_pair_op(id_a, xa, id_b, xb, **kw):
         if _conv_num(id_b) >= 10:
@@ -1307,8 +1320,6 @@ def q_profiles(sf_dir: str):
 def q_mining(sf_dir: str):
     """Distributed per-conv mining (motifs+discords+segment): map_batches
     tasks over packed rows — no driver loops (the round-2 fix)."""
-    from ..stages.mining_stage import mining_op, per_conv_stage
-
     packed = pack_series(transcripts_from_events(sf_dir))
     return per_conv_stage(packed, mining_op,
                           {"w": CFG.window_size, "ez": CFG.ez})
@@ -1316,15 +1327,11 @@ def q_mining(sf_dir: str):
 
 def q_fluss_segments(sf_dir: str):
     """Segment positions per conv on the tool_call signal (regime change)."""
-    from ..stages.mining_stage import fluss_op, per_conv_stage
-
     packed = pack_series(transcripts_from_events(sf_dir))
     return per_conv_stage(packed, fluss_op, {"w": CFG.window_size})
 
 
 def q_chains(sf_dir: str):
-    from ..stages.mining_stage import chains_op, per_conv_stage
-
     packed = pack_series(transcripts_from_events(sf_dir))
     return per_conv_stage(packed, chains_op,
                           {"w": CFG.window_size, "ez": CFG.ez})
@@ -1335,8 +1342,6 @@ def q_mpdist(sf_dir: str):
     ``conv_pair_stage``: one task per sorted block, one op call per pair (no
     driver pull; pairing key derived from the numeric conv-id suffix inside
     each batch)."""
-    from ..stages.mining_stage import conv_pair_stage, mpdist_pair_op
-
     packed = pack_series(transcripts_from_events(sf_dir))
     return conv_pair_stage(packed, mpdist_pair_op, {"w": CFG.window_size})
 
@@ -1346,8 +1351,6 @@ def q_mstomp(sf_dir: str):
     one task per packed block, one op call per conv, with convs above the
     salting threshold fanned out as index-range shards (the reference's
     mstomp_par plan)."""
-    from ..stages.mining_stage import compute_mstomp
-
     packed = pack_series(transcripts_from_events(sf_dir))
     return compute_mstomp(packed, CFG)
 
@@ -1355,16 +1358,12 @@ def q_mstomp(sf_dir: str):
 def q_stompi_streaming(sf_dir: str):
     """Streaming (incremental) profiles: first 2/3 batch + 1/3 appended via
     stompi — equals the batch profile (asserted in tests; emitted here)."""
-    from ..stages.mining_stage import per_conv_stage, stompi_op
-
     packed = pack_series(transcripts_from_events(sf_dir))
     return per_conv_stage(packed, stompi_op, {"w": CFG.window_size})
 
 
 def q_annotation(sf_dir: str):
     """av_complexity over each conv's text_len (per-window annotation)."""
-    from ..stages.mining_stage import annotation_op, per_conv_stage
-
     packed = pack_series(transcripts_from_events(sf_dir))
     return per_conv_stage(packed, annotation_op, {"w": CFG.window_size})
 
@@ -1373,29 +1372,48 @@ def q_mp_exact(sf_dir: str):
     """Oracle-checked matrix profile (text_len, w=8) over the 10 smallest
     conv_ids — the flagship correctness gate: a SQL self-join computes the
     identical znorm-ED profile (see MP_EXACT_SQL), distributed per conv."""
-    from ..stages.mining_stage import mp_exact_op
-
     return _first_convs(sf_dir, mp_exact_op, w=CFG.window_size)
 
 
-def q_profiles_checked(sf_dir: str):
-    """The PRODUCTION profile kernel (``blocked_mp`` — exactly what
-    the flagship ``profiles`` query runs) tied to the SQL oracle on the same
-    10 convs as ``mp_exact``: the op asserts kernel == oracle-order exact
-    within 2e-5 per window (raising on drift) and emits the oracle-order
-    values, so the DuckDB hash compare gates the hot kernel itself."""
-    from ..stages.mining_stage import profile_checked_op
+#: ``profiles_checked``'s profile run: its cut sends the oracle convs
+#: longer than 64 turns (5 of 10 at sf0.01, 7 at sf0.001) through the strip
+#: shards and the rest through the batched block kernel
+_STRIP_CFG = EngineConfig(window_size=CFG.window_size, ez=CFG.ez,
+                          salt_turn_threshold=64)
 
-    return _first_convs(sf_dir, profile_checked_op,
-                        w=CFG.window_size, ez=CFG.ez)
+
+def q_profiles_checked(sf_dir: str):
+    """The shipped profile stage tied to the SQL oracle on the same 10 convs
+    as ``mp_exact``: ``compute_profiles`` runs on them (both its block and
+    its strip-shard path, under ``_STRIP_CFG``), and ``profiles_checked_op``
+    asserts that run's ``text_len`` rows equal the oracle-order exact
+    profile within 2e-5 per window (raising on drift), then emits the
+    oracle-order values, so the DuckDB hash compare gates the code the
+    flagship ``profiles`` query ships."""
+    sel = _first_packed(sf_dir)
+    shipped = _oracle_signal_profiles(compute_profiles(sel, _STRIP_CFG))
+    return per_conv_stage(sel, profiles_checked_op,
+                          {"w": _STRIP_CFG.window_size, "ez": _STRIP_CFG.ez,
+                           "shipped": shipped})
+
+
+def _oracle_signal_profiles(profiles) -> dict:
+    """{conv_id: (window_idx, mp)} of a profile Dataset's ``text_len`` rows:
+    the shipped side of ``profiles_checked_op``'s gate (10 convs of ~80
+    windows reach the driver). The rows are selected on the driver: Ray
+    passes a 0-row block (a block whose every conv was sharded) around a
+    ``filter``/``select_columns`` unprojected, and logs the schema change."""
+    rows = profiles.to_pandas()
+    rows = rows[rows["signal"] == _ORACLE_SIGNAL]
+    return {cid: (g["window_idx"].to_numpy(), g["mp"].to_numpy())
+            for cid, g in rows.groupby("conv_id")}
 
 
 def q_motifs_checked(sf_dir: str):
-    """find_motifs/find_discords tied to SQL: oracle-order top pair + top
-    discord (rounded-before-selection, deterministic tie-breaks) with the
-    production miners' distances asserted in-op (10 smallest convs)."""
-    from ..stages.mining_stage import motifs_checked_op
-
+    """``mining_op`` tied to SQL: oracle-order top pair + top discord
+    (rounded-before-selection, deterministic tie-breaks) with the top motif
+    and discord distances of the op's ``text_len`` row asserted in-op (10
+    smallest convs)."""
     return _first_convs(sf_dir, motifs_checked_op,
                         w=CFG.window_size, ez=CFG.ez)
 
@@ -1406,8 +1424,6 @@ def q_fluss_cac_checked(sf_dir: str):
     argmin with smallest-j tie-break, the op asserts the production CAC
     against the SQL-order arithmetic in-op and emits the oracle-order
     values."""
-    from ..stages.mining_stage import fluss_cac_checked_op
-
     return _first_convs(sf_dir, fluss_cac_checked_op,
                         w=CFG.window_size, ez=CFG.ez)
 
@@ -1417,8 +1433,6 @@ def q_fluss_segments_checked(sf_dir: str):
     cac ≥ 1) tied to SQL on the same 10 convs: both sides extract from the
     same rounded deterministic CAC; the SQL unrolls the loop to 3 chained
     argmin levels; integer-only member rows hash-matched."""
-    from ..stages.mining_stage import fluss_segments_checked_op
-
     return _first_convs(sf_dir, fluss_segments_checked_op, w=CFG.window_size)
 
 
@@ -1427,17 +1441,13 @@ def q_chains_checked(sf_dir: str):
     directional rounded-argmin indices, maximal-path chain set asserted
     in-op, integer member rows hash-matched against a recursive-CTE
     oracle."""
-    from ..stages.mining_stage import chains_checked_op
-
     return _first_convs(sf_dir, chains_checked_op,
                         w=CFG.window_size, ez=CFG.ez)
 
 
 def q_mpdist_checked(sf_dir: str):
-    """Production mpdist kernel tied to SQL: consecutive pairs among numeric
-    conv ids < 10, oracle-order k-th-smallest asserted in-op."""
-    from ..stages.mining_stage import mpdist_checked_pair_op
-
+    """``mpdist_pair_op`` tied to SQL: consecutive pairs among numeric conv
+    ids < 10, oracle-order k-th-smallest asserted in-op."""
     return _first_pairs(sf_dir, mpdist_checked_pair_op)
 
 
@@ -1445,16 +1455,12 @@ def q_valmod_checked(sf_dir: str):
     """valmod tied to SQL: per-window oracle-order profiles, 1/sqrt(w)
     normalized, rounded-before-min with smallest-w ties; the production
     sweep asserted in-op (10 smallest convs)."""
-    from ..stages.mining_stage import valmod_checked_op
-
     return _first_convs(sf_dir, valmod_checked_op, wmin=6, wmax=12, ez=CFG.ez)
 
 
 def q_mstomp_checked(sf_dir: str):
-    """Production mstomp kernel tied to SQL: oracle-order k-of-3 averaged
-    z-distance profiles, asserted in-op (10 smallest convs)."""
-    from ..stages.mining_stage import mstomp_checked_op
-
+    """``mstomp_op`` tied to SQL: oracle-order k-of-3 averaged z-distance
+    profiles, asserted in-op (10 smallest convs)."""
     return _first_convs(sf_dir, mstomp_checked_op, w=CFG.window_size)
 
 
@@ -1462,18 +1468,14 @@ def q_pmp_checked(sf_dir: str):
     """Production pmp sweep tied to SQL: per-window oracle-order exact
     profiles over windows [6, 8, 10, 12], ``blocked_mp`` per window
     asserted in-op with finiteness-mask agreement (10 smallest conv_ids)."""
-    from ..stages.mining_stage import pmp_checked_op
-
     return _first_convs(sf_dir, pmp_checked_op,
                         windows=[6, 8, 10, 12], ez=CFG.ez)
 
 
 def q_snippets_checked(sf_dir: str):
-    """Production find_snippet tied to SQL: oracle-order MPdist-profile
-    greedy (rounded-before-selection, smallest-s ties, reference fraction
-    tie rule) asserted in-op; the 5 shortest convs with ≥ 4·s_size turns."""
-    from ..stages.mining_stage import per_conv_stage, snippet_checked_op
-
+    """``snippet_op`` tied to SQL: oracle-order MPdist-profile greedy
+    (rounded-before-selection, smallest-s ties, reference fraction tie
+    rule) asserted in-op; the 5 shortest convs with ≥ 4·s_size turns."""
     s_size = 16  # must stay in sync with snippets_checked_sql(16, 8) below
     packed = (pack_series(transcripts_from_events(sf_dir))
               # derive the floor from s_size exactly as the SQL oracle does
@@ -1488,34 +1490,26 @@ def q_dist_profile_checked(sf_dir: str):
     """MASS v3 tied to SQL: oracle-order z-distance of window 0 vs the MASS
     kernel, asserted in-op, oracle-order values emitted (10 smallest
     convs)."""
-    from ..stages.mining_stage import distprof_checked_op
-
     return _first_convs(sf_dir, distprof_checked_op, w=CFG.window_size)
 
 
 def q_stompi_checked(sf_dir: str):
-    """Streaming stompi tied to SQL: 2/3 seed + 1/3 incremental appends must
-    equal the oracle-order batch profile (asserted in-op), which the
+    """``stompi_op`` tied to SQL: its 2/3 seed + 1/3 incremental appends
+    must equal the oracle-order batch profile (asserted in-op), which the
     mp_exact SQL (min length 4w) recomputes."""
-    from ..stages.mining_stage import stompi_checked_op
-
     return _first_convs(sf_dir, stompi_checked_op, w=CFG.window_size)
 
 
 def q_ab_join_checked(sf_dir: str):
-    """AB-join kernel tied to SQL: consecutive pairs among numeric conv ids
-    < 10, the blocked AB join vs oracle-order cross distance asserted
-    in-op."""
-    from ..stages.mining_stage import abjoin_checked_pair_op
-
+    """``abjoin_pair_op`` tied to SQL: consecutive pairs among numeric conv
+    ids < 10, its both-orientation AB join vs oracle-order cross distance
+    asserted in-op."""
     return _first_pairs(sf_dir, abjoin_checked_pair_op)
 
 
 def q_snippets(sf_dir: str):
     """Representative snippets for EVERY conversation with ≥64 turns,
     distributed per conv (was: first 5 convs on the driver)."""
-    from ..stages.mining_stage import per_conv_stage, snippet_op
-
     s_size = 16
     packed = (pack_series(transcripts_from_events(sf_dir))
               .filter(expr=f"n_turns >= {4 * s_size}"))
@@ -1527,10 +1521,6 @@ def q_multimodal(sf_dir: str):
     genuine image payloads alternating per image between 24-bit BMP and
     zlib-compressed 8-bit PNG, and ``decode_images`` tasks decode both with
     the pure-stdlib parsers — no stub in the driver row."""
-    import ray
-
-    from ..stages.multimodal import decode_images, synthetic_media
-
     ds = ray.data.from_arrow(synthetic_media(64, seed=9))
     # small batches: media rows are large binary payloads
     return ds.map_batches(decode_images, batch_format="pyarrow", batch_size=8)
@@ -1539,9 +1529,6 @@ def q_multimodal(sf_dir: str):
 def q_floss_streaming(sf_dir: str):
     """Streaming FLOSS segmentation per conversation: ``floss_op`` replays
     each packed conv chunkwise through one ``FlossState``."""
-    from ..stages.floss_stage import floss_op
-    from ..stages.mining_stage import per_conv_stage
-
     packed = pack_series(transcripts_from_events(sf_dir))
     out = per_conv_stage(packed, floss_op, {"w": CFG.window_size,
                                             "data_window": 60,
@@ -1553,8 +1540,6 @@ def q_ab_join(sf_dir: str):
     """AB similarity join between consecutive conversation pairs, BOTH
     orientations, via ``conv_pair_stage``: one task per sorted block, one
     op call per pair (no driver pull)."""
-    from ..stages.mining_stage import abjoin_pair_op, conv_pair_stage
-
     packed = pack_series(transcripts_from_events(sf_dir))
     return conv_pair_stage(packed, abjoin_pair_op, {"w": CFG.window_size})
 
@@ -1562,8 +1547,6 @@ def q_ab_join(sf_dir: str):
 def q_sdts(sf_dir: str):
     """SDTS dictionary learning on a deterministic weakly-labeled series
     (train + predict + score, all on the driver)."""
-    from ..kernels.sdts import sdts_predict, sdts_score, sdts_train
-
     rng = np.random.default_rng(21)
     n, w = 1500, 24
     x = rng.standard_normal(n) * 0.3
@@ -1585,8 +1568,6 @@ def q_sdts(sf_dir: str):
 def q_salient(sf_dir: str):
     """MDL salient subsequences for EVERY conversation, distributed per conv
     (was: longest conv only on the driver)."""
-    from ..stages.mining_stage import per_conv_stage, salient_op
-
     packed = pack_series(transcripts_from_events(sf_dir))
     return per_conv_stage(packed, salient_op,
                           {"w": CFG.window_size, "ez": CFG.ez})
@@ -1669,7 +1650,6 @@ def _materialize_shared_ctes(sql: str) -> str:
     otherwise match the ``, name AS (`` definition alternative), and
     self-referencing (recursive) CTEs are skipped — DuckDB cannot
     materialize them."""
-    import re
 
     def _mask_windows(s: str) -> str:
         # blank every `name AS (...)` entry of each WINDOW clause (equal
@@ -1726,7 +1706,7 @@ ORACLES = {
     "annotation": annotation_sql(CFG.window_size),
     "mp_exact": mp_exact_sql(CFG.window_size,
                              exclusion_zone(CFG.window_size, CFG.ez)),
-    # same SQL, but the Ray side is the PRODUCTION kernel gated by an
+    # same SQL, but the Ray side is a compute_profiles run gated by an
     # in-query equality assertion against the oracle-order arithmetic
     "profiles_checked": mp_exact_sql(CFG.window_size,
                                      exclusion_zone(CFG.window_size, CFG.ez)),

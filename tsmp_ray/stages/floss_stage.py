@@ -12,7 +12,7 @@ runs over packed rows (one task per packed block): it replays a
 conversation's whole ``tool_call`` series through a fresh ``FlossState`` in
 the reference's 50-point chunks, so nothing is kept across conversations or
 blocks. Keyed state that survives across micro-batches (and a checkpoint for
-it) does not exist yet (ROADMAP item 7).
+it) does not exist yet (ROADMAP item 6).
 
 Ordering contract: a stream's chunks must arrive in turn order (the
 engine's stable (conv_id, turn_idx) invariant). No watermark/late data —

@@ -51,6 +51,9 @@ from .signals import key_runs, list_cell, remote, repeat_labels
 #: checked ops emit (the SQL oracles round to the same 6 dp)
 _ORACLE_SIGNAL = "text_len"
 _DP = 6
+#: the one tolerance every ``*_checked`` gate allows between shipped and
+#: oracle-order values (sqrt amplifies kernel rounding near d = 0)
+_ATOL = 2e-5
 
 
 def emits(schema: pa.Schema):
@@ -78,12 +81,14 @@ def _emit(schema: pa.Schema, parts) -> pa.Table:
     return pa.concat_tables(tables) if tables else schema.empty_table()
 
 
-def _assert_agrees(prod: np.ndarray, oracle: np.ndarray, what: str,
-                   where: str, atol: float, fin: np.ndarray | None = None,
-                   symmetric: bool = True) -> None:
+def _assert_agrees(prod, oracle: np.ndarray, what: str, where: str,
+                   fin: np.ndarray | None = None, symmetric: bool = True,
+                   slack: float = 0.0) -> None:
     """The one production-vs-oracle gate of every ``*_checked`` op: ``prod``
-    (cut to the oracle's length) must lie within ``atol`` of ``oracle``
-    with rtol=0 (np.allclose's default rtol silently weakens the gate).
+    (cut to the oracle's length) must lie within ``_ATOL`` of ``oracle``
+    with rtol=0 (np.allclose's default rtol silently weakens the gate);
+    ``slack`` widens it by a step the oracle side takes and production does
+    not (rounding before a selection, a tie count).
 
     With ``fin`` (the oracle's finite mask) values are compared only where
     both sides are finite, and the masks are asserted first: np.allclose on
@@ -92,7 +97,9 @@ def _assert_agrees(prod: np.ndarray, oracle: np.ndarray, what: str,
     is and, when ``symmetric`` (kernels whose skip rule is exactly the
     oracle's flat-window rule), non-finite wherever it is not. ``fin=None``
     compares every position, finite or not."""
-    prod = prod[: len(oracle)]
+    prod = np.asarray(prod, dtype=np.float64)[: len(oracle)]
+    oracle = np.asarray(oracle, dtype=np.float64)
+    atol = _ATOL + slack
     both = slice(None)
     if fin is not None:
         prod_fin = np.isfinite(prod)
@@ -377,22 +384,22 @@ def mp_exact_op(conv_id, batch, r, *, w: int):
 
 
 @emits(_MP_EXACT_SCHEMA)
-def profile_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
-                       atol: float = 2e-5):
-    """PRODUCTION-kernel profile (``blocked_mp`` — the same kernel the
-    flagship ``profiles`` query runs) tied to the SQL oracle: the op also
-    computes the oracle-order exact profile, ASSERTS the production kernel
-    agrees within ``atol`` at every comparable window (raising — failing the
-    driver's run — on any drift), then emits the oracle-order values so the
-    hash compare is immune to FFT last-ulp noise. This closes the gap where
-    only the oracle-order arithmetic (not the hot kernel) had a green SQL
-    row (round-2 verdict item 5)."""
+def profiles_checked_op(conv_id, batch, r, *, w: int, shipped: dict,
+                        ez: float = DEFAULT_EZ):
+    """``mp_exact_op``'s oracle-order rows, gated by a shipped profile run:
+    ``shipped`` maps each conv to the (window_idx, mp) of the ``text_len``
+    rows ``profile_stage.compute_profiles`` emitted for it, and those must
+    agree with the oracle-order profile at every window. A conv the run
+    left out reads as non-finite everywhere, so the gate fails on it."""
     x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
     mp, ok = _oracle_order_mp(x, w, exclusion_zone(w, ez))
-    _assert_agrees(blocked_mp(x, w, ez).mp, mp, "production profile kernel",
-                   f"conv {conv_id}", atol, fin=ok & np.isfinite(mp))
+    prod = np.full(len(mp), np.inf)
+    idx, vals = shipped.get(conv_id, ([], []))
+    prod[idx] = vals
+    _assert_agrees(prod, mp, "compute_profiles", f"conv {conv_id}",
+                   fin=ok & np.isfinite(mp))
     return _mp_exact_cols(mp, ok)
 
 
@@ -503,8 +510,7 @@ def _oracle_cac(pi_o: np.ndarray, zf: int) -> np.ndarray:
     return cac
 
 
-def _gated_cac(conv_id, x: np.ndarray, w: int, zone: int, ez_factor: float,
-               atol: float):
+def _gated_cac(conv_id, x: np.ndarray, w: int, zone: int, ez_factor: float):
     """Oracle-order CAC (:func:`_oracle_cac`, edge zone round(w·ez_factor))
     on the rounded-argmin pi, with the production ``fluss_cac`` gated on
     the same pi (linspace vs pos/(p-1) division differ only in ulps); None
@@ -516,13 +522,12 @@ def _gated_cac(conv_id, x: np.ndarray, w: int, zone: int, ez_factor: float,
     prof = empty_profile(len(pi_o), w, ez_factor / 10.0, algorithm="checked")
     prof.pi = pi_o
     _assert_agrees(fluss_cac(prof, ez_factor=ez_factor), cac,
-                   "production fluss_cac", f"conv {conv_id}", atol)
+                   "production fluss_cac", f"conv {conv_id}")
     return cac
 
 
 @emits(_keyed(("window_idx", pa.int64()), ("cac", pa.float64())))
-def fluss_cac_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
-                         atol: float = 2e-5):
+def fluss_cac_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ):
     """PRODUCTION ``fluss_cac`` (arc scatter/cumsum, beta(2,2) ideal
     parabola, clamps, edge-zone forcing — kernels/mining.py,
     /root/reference/R/fluss.R:307-355) tied to SQL: both sides build the
@@ -538,7 +543,7 @@ def fluss_cac_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
     x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
-    cac = _gated_cac(conv_id, x, w, exclusion_zone(w, ez), ez * 10, atol)
+    cac = _gated_cac(conv_id, x, w, exclusion_zone(w, ez), ez * 10)
     if cac is None:
         return None
     return {"window_idx": np.arange(len(cac), dtype=np.int64),
@@ -546,8 +551,7 @@ def fluss_cac_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
 
 
 @emits(_keyed(("seg_rank", pa.int64()), ("window_idx", pa.int64())))
-def fluss_segments_checked_op(conv_id, batch, r, *, w: int,
-                              atol: float = 2e-5):
+def fluss_segments_checked_op(conv_id, batch, r, *, w: int):
     """PRODUCTION ``fluss_extract`` (iterative argmin + ±zone·suppression,
     stop at cac ≥ 1 — /root/reference/R/fluss.R:254-282) tied to SQL.
 
@@ -568,7 +572,7 @@ def fluss_segments_checked_op(conv_id, batch, r, *, w: int,
     x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * w:
         return None
-    cac = _gated_cac(conv_id, x, w, exclusion_zone(w), 1.0, atol)
+    cac = _gated_cac(conv_id, x, w, exclusion_zone(w), 1.0)
     if cac is None:
         return None
     # PRODUCTION extraction loop on the rounded oracle CAC (bitwise == SQL)
@@ -738,15 +742,14 @@ def abjoin_pair_op(id_a, xa, id_b, xb, *, w: int):
 
 
 # ------------------------------------------------- oracle-checked kernels
-# Round-3: tie the remaining hot kernels (MASS v3, AB-join, streaming
-# stompi) to DuckDB SQL the same way profile_checked_op ties blocked_mp —
-# compute the oracle-order exact arithmetic, ASSERT the production kernel
-# agrees within tolerance (raising fails the driver run), emit the
+# Each op computes the oracle-order exact arithmetic, ASSERTS that the
+# shipped op (or, where no op ships the function, the production function)
+# agrees within ``_ATOL`` (raising fails the driver run), and emits the
 # oracle-order values so the hash compare is ulp-immune.
 
 
 @emits(_keyed(("window_idx", pa.int64()), ("d", pa.float64())))
-def distprof_checked_op(conv_id, batch, r, *, w: int, atol: float = 2e-5):
+def distprof_checked_op(conv_id, batch, r, *, w: int):
     """MASS v3 distance profile of each conv's window 0, gated by the
     oracle-order exact z-distance (SQL: DIST_PROFILE_CHECKED_SQL)."""
     x = list_cell(batch, r, _ORACLE_SIGNAL)
@@ -759,27 +762,25 @@ def distprof_checked_op(conv_id, batch, r, *, w: int, atol: float = 2e-5):
     d[~ok] = np.inf
     fin = ok & np.isfinite(d)
     _assert_agrees(dist_profile(x, x[:w], method="v3")[0], d, "MASS v3",
-                   f"conv {conv_id}", atol, fin=fin)
+                   f"conv {conv_id}", fin=fin)
     idx = np.flatnonzero(fin)
     return {"window_idx": idx.astype(np.int64), "d": np.round(d[idx], _DP)}
 
 
 @emits(_MP_EXACT_SCHEMA)
-def stompi_checked_op(conv_id, batch, r, *, w: int, atol: float = 2e-5):
-    """STREAMING profile (2/3 seed + 1/3 incremental stompi appends) gated by
-    the oracle-order exact batch profile — proving the incremental recurrence
-    (/root/reference/R/stompi.R:52-96) converges to the batch answer, checked
-    all the way to SQL (reuses the mp_exact oracle with a 4w min-length
-    bound)."""
-    x = list_cell(batch, r, _ORACLE_SIGNAL)
-    if len(x) < 4 * w:
+def stompi_checked_op(conv_id, batch, r, *, w: int):
+    """``stompi_op``'s STREAMING profile (2/3 seed + 1/3 incremental
+    appends) gated by the oracle-order exact batch profile — proving the
+    incremental recurrence (/root/reference/R/stompi.R:52-96) converges to
+    the batch answer, checked all the way to SQL (reuses the mp_exact
+    oracle with a 4w min-length bound)."""
+    shipped = stompi_op(conv_id, batch, r, w=w)
+    if shipped is None:
         return None
-    cut = 2 * len(x) // 3
-    sp = StreamingProfile(x[:cut], w)
-    sp.update(x[cut:])
-    mp_e, ok = _oracle_order_mp(x, w, exclusion_zone(w))
-    _assert_agrees(sp.profile.mp, mp_e, "streaming stompi profile",
-                   f"conv {conv_id}", atol, fin=ok & np.isfinite(mp_e))
+    mp_e, ok = _oracle_order_mp(list_cell(batch, r, _ORACLE_SIGNAL), w,
+                                exclusion_zone(w))
+    _assert_agrees(shipped["mp"], mp_e, "stompi_op", f"conv {conv_id}",
+                   fin=ok & np.isfinite(mp_e))
     return _mp_exact_cols(mp_e, ok)
 
 
@@ -787,22 +788,23 @@ def stompi_checked_op(conv_id, batch, r, *, w: int, atol: float = 2e-5):
     ("conv_a", pa.string()), ("conv_b", pa.string()),
     ("window_idx", pa.int64()), ("mp", pa.float64()),
 ]))
-def abjoin_checked_pair_op(id_a, xa, id_b, xb, *, w: int, atol: float = 2e-5):
-    """AB join (both directions) gated by the oracle-order exact cross
-    z-distance (SQL: AB_JOIN_CHECKED_SQL). Direction is encoded by the
-    (conv_a, conv_b) column pair."""
-    if len(xa) < 2 * w or len(xb) < 2 * w:
+def abjoin_checked_pair_op(id_a, xa, id_b, xb, *, w: int):
+    """``abjoin_pair_op``'s AB join (both directions) gated by the
+    oracle-order exact cross z-distance (SQL: AB_JOIN_CHECKED_SQL).
+    Direction is encoded by the (conv_a, conv_b) column pair."""
+    shipped = abjoin_pair_op(id_a, xa, id_b, xb, w=w)
+    if shipped is None:
         return None
-    # one kernel pass for both orientations (see abjoin_pair_op): the BA
-    # side's production values are the same sweep's mpb
-    joined = blocked_mp(xa, w, query=xb)
+    # the shipped rows hold the AB orientation's windows, then the BA ones
+    p_a = len(xa) - w + 1
     idxs, mps = [], []
-    for ia, ib, sa, sb, kernel_mp in ((id_a, id_b, xa, xb, joined.mp),
-                                      (id_b, id_a, xb, xa, joined.mpb)):
+    for ia, ib, sa, sb, kernel_mp in (
+            (id_a, id_b, xa, xb, shipped["mp"][:p_a]),
+            (id_b, id_a, xb, xa, shipped["mp"][p_a:])):
         d = _cross_min(sa, sb, w)
         fin = np.isfinite(d)
-        _assert_agrees(kernel_mp, d, "AB-join kernel", f"pair ({ia}, {ib})",
-                       atol, fin=fin)
+        _assert_agrees(kernel_mp, d, "abjoin_pair_op", f"pair ({ia}, {ib})",
+                       fin=fin)
         idxs.append(np.flatnonzero(fin).astype(np.int64))
         mps.append(np.round(d[fin], _DP))
     lens = [len(i) for i in idxs]
@@ -814,19 +816,19 @@ def abjoin_checked_pair_op(id_a, xa, id_b, xb, *, w: int, atol: float = 2e-5):
 @emits(_keyed(("motif_a", pa.int64()), ("motif_b", pa.int64()),
               ("motif_dist", pa.float64()),
               ("discord", pa.int64()), ("discord_dist", pa.float64())))
-def motifs_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
-                      atol: float = 2e-5):
+def motifs_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ):
     """Top motif pair + top discord tied to SQL (MOTIFS_CHECKED_SQL): the
     oracle-order selection rounds distances to ``_DP`` BEFORE the
     argmin/argmax and breaks ties by (i, j) — deterministic in both numpy and
     DuckDB despite summation-order ulp differences (integer-valued signals
     make exact distance ties common). One pass over the masked distance
     blocks yields both the profile (for the discord) and the top pair. The
-    production ``find_motifs`` / ``find_discords`` top distances are
+    top motif and discord distances of ``mining_op``'s ``text_len`` row are
     asserted against the oracle's."""
-    x = list_cell(batch, r, _ORACLE_SIGNAL)
-    if len(x) < 2 * w:
+    shipped = mining_op(conv_id, batch, r, w=w, ez=ez)
+    if shipped is None:
         return None
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     z, ok = _z_windows(x, w)
     p = len(z)
     mp2 = np.full(p, np.inf)
@@ -847,36 +849,29 @@ def motifs_checked_op(conv_id, batch, r, *, w: int, ez: float = DEFAULT_EZ,
     mp_r[~np.isfinite(mp)] = -np.inf
     disc = int(np.argmax(mp_r))  # argmax takes the FIRST max (ties by i)
     ddist = float(mp_r[disc])
-
-    prof = blocked_mp(x, w, ez)
-    motifs = find_motifs(x, prof, n_motifs=1)
-    discords = find_discords(x, prof, n_discords=1)
-    if motifs and abs(motifs[0]["distance"] - mdist) > atol:
-        raise AssertionError(
-            f"find_motifs top distance {motifs[0]['distance']} deviates from "
-            f"oracle-order {mdist} on conv {conv_id}")
-    if discords and abs(discords[0]["distance"] - ddist) > atol:
-        raise AssertionError(
-            f"find_discords top distance {discords[0]['distance']} deviates "
-            f"from oracle-order {ddist} on conv {conv_id}")
+    row = shipped["signal"].index(_ORACLE_SIGNAL)
+    _assert_agrees([shipped["motif_dist"][row], shipped["discord_dist"][row]],
+                   [mdist, ddist], "mining_op's top motif and discord",
+                   f"conv {conv_id}")
     return {"motif_a": [ma], "motif_b": [mb], "motif_dist": [mdist],
             "discord": [disc], "discord_dist": [ddist]}
 
 
 @emits(_keyed(("k_dim", pa.int64()), ("window_idx", pa.int64()),
               ("mp", pa.float64())))
-def mstomp_checked_op(conv_id, batch, r, *, w: int, atol: float = 2e-5):
+def mstomp_checked_op(conv_id, batch, r, *, w: int):
     """Multidimensional profile tied to SQL (MSTOMP_CHECKED_SQL): oracle-order
     per-dim z-distance² (= the kernel's 2w(1−corr) in exact arithmetic),
     k-of-d average of the k smallest dims per pair, sqrt at the end
     (mstomp.R:234-264 semantics). A query window degenerate in ANY dim is
     dropped (mstomp.R:204-206); a candidate degenerate in one dim still
-    competes through its other dims. The production ``mstomp`` kernel rows
-    are asserted against the oracle per k."""
+    competes through its other dims. ``mstomp_op``'s rows are asserted
+    against the oracle per k."""
+    shipped = mstomp_op(conv_id, batch, r, w=w)
+    if shipped is None:
+        return None
     mats = [list_cell(batch, r, s) for s in SIGNALS]
     n = len(mats[0])
-    if n < 2 * w:
-        return None
     nd = len(SIGNALS)
     zs = [_z_windows(x, w) for x in mats]
     okq = np.logical_and.reduce([ok for _, ok in zs])  # degenerate in ANY dim
@@ -893,15 +888,15 @@ def mstomp_checked_op(conv_id, batch, r, *, w: int, atol: float = 2e-5):
                 avg = cum[k - 1] / k
             avg[~okq[lo:hi]] = np.inf
             mp2[k - 1, lo:hi] = avg.min(axis=1)
-    res = mstomp(np.stack(mats, axis=1), w)
+    shipped_mp = shipped["mp"].reshape(nd, -1)  # k_dim-major rows
     ks, idxs, mps = [], [], []
     for k in range(1, nd + 1):
         mp_k = np.sqrt(mp2[k - 1])
         # one-directional: the kernel may legitimately skip extra windows
         # under its own multidim degeneracy rules, but must never be
         # non-finite where the oracle found a finite k-of-d profile value
-        _assert_agrees(res.mp[k - 1], mp_k, f"mstomp kernel k={k}",
-                       f"conv {conv_id}", atol, fin=np.isfinite(mp_k),
+        _assert_agrees(shipped_mp[k - 1], mp_k, f"mstomp_op k={k}",
+                       f"conv {conv_id}", fin=np.isfinite(mp_k),
                        symmetric=False)
         fin = np.flatnonzero(np.isfinite(mp_k))
         ks.append(np.full(len(fin), k, dtype=np.int64))
@@ -914,13 +909,13 @@ def mstomp_checked_op(conv_id, batch, r, *, w: int, atol: float = 2e-5):
 @emits(_keyed(("window_idx", pa.int64()), ("mp_norm", pa.float64()),
               ("best_w", pa.int64())))
 def valmod_checked_op(conv_id, batch, r, *, wmin: int, wmax: int,
-                      ez: float = DEFAULT_EZ, atol: float = 2e-5):
+                      ez: float = DEFAULT_EZ):
     """Variable-length sweep tied to SQL (VALMOD_CHECKED_SQL): per window
     the oracle-order exact profile, length-normalized 1/sqrt(w)
     (valmod.R:169,609-640), ROUNDED to ``_DP`` before the cross-window
     min (strict '<' keeps the SMALLEST w on ties — deterministic in both
     numpy and SQL's ORDER BY scaled, w). The production ``valmod`` sweep
-    is asserted against the oracle per index, within ``atol`` plus the
+    is asserted against the oracle per index, within ``_ATOL`` plus the
     rounding step."""
     x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * wmax:
@@ -936,8 +931,8 @@ def valmod_checked_op(conv_id, batch, r, *, wmin: int, wmax: int,
         best[:p][upd] = scaled[upd]
         bw[:p][upd] = w
     _assert_agrees(valmod(x, wmin, wmax, ez=ez)["mp"], best, "valmod",
-                   f"conv {conv_id}", atol + 10.0 ** -_DP,
-                   fin=np.isfinite(best), symmetric=False)
+                   f"conv {conv_id}", fin=np.isfinite(best),
+                   symmetric=False, slack=10.0 ** -_DP)
     idx = np.flatnonzero(np.isfinite(best))
     return {"window_idx": idx.astype(np.int64), "mp_norm": best[idx],
             "best_w": bw[idx]}
@@ -945,13 +940,12 @@ def valmod_checked_op(conv_id, batch, r, *, wmin: int, wmax: int,
 
 @emits(_keyed(("w", pa.int64()), ("window_idx", pa.int64()),
               ("mp", pa.float64())))
-def pmp_checked_op(conv_id, batch, r, *, windows, ez: float = DEFAULT_EZ,
-                   atol: float = 2e-5):
+def pmp_checked_op(conv_id, batch, r, *, windows, ez: float = DEFAULT_EZ):
     """Pan-matrix-profile tied to SQL (PMP_CHECKED_SQL — round-3 verdict
     item 4): per window length the oracle-order exact profile; the
     production ``pmp`` sweep (``blocked_mp`` per window,
     /root/reference/R/pmp.R:166-211) asserted in-op per w — values within
-    ``atol`` AND finiteness masks equal — then the oracle-order values are
+    ``_ATOL`` AND finiteness masks equal — then the oracle-order values are
     emitted so the DuckDB hash compare is ulp-immune."""
     x = list_cell(batch, r, _ORACLE_SIGNAL)
     if len(x) < 2 * max(windows):
@@ -962,7 +956,7 @@ def pmp_checked_op(conv_id, batch, r, *, windows, ez: float = DEFAULT_EZ,
         mp_e, ok = _oracle_order_mp(x, w, exclusion_zone(w, ez))
         oracle_fin = ok & np.isfinite(mp_e)
         _assert_agrees(res["pmp"][w], mp_e, f"pmp kernel at w={w}",
-                       f"conv {conv_id}", atol, fin=oracle_fin)
+                       f"conv {conv_id}", fin=oracle_fin)
         fin = np.flatnonzero(oracle_fin)
         ws.append(np.full(len(fin), w, dtype=np.int64))
         idxs.append(fin.astype(np.int64))
@@ -982,13 +976,14 @@ def snippet_checked_op(conv_id, batch, r, *, s_size: int = 16, w: int = 8):
     column minima, k = ceil(0.05·2·s_size)), ROUNDED to ``_DP`` before
     the greedy area-minimizing selection (ties → smallest start, matching
     SQL ORDER BY area, s); fractions use the reference's total_min−1 tie
-    rule. The production ``find_snippet`` (FFT mpdist_vect) is asserted
-    in-op: identical snippet indices, fractions within ties/out_len (a
-    position where both chosen rounded profiles tie exactly can flip sides
-    under FFT last-ulp noise — the bound is the tie count)."""
-    x = list_cell(batch, r, _ORACLE_SIGNAL)
-    if len(x) < 4 * s_size:
+    rule. ``snippet_op``'s rows (FFT mpdist_vect) are asserted in-op:
+    identical snippet indices, fractions within ties/out_len (a position
+    where both chosen rounded profiles tie exactly can flip sides under FFT
+    last-ulp noise — the slack is the tie count)."""
+    shipped = snippet_op(conv_id, batch, r, s_size=s_size, w=w)
+    if shipped is None:
         return None
+    x = list_cell(batch, r, _ORACLE_SIGNAL)
     pad = int(np.ceil(len(x) / s_size)) * s_size - len(x)
     padded = np.concatenate([x, np.zeros(pad)])
     z, ok = _z_windows(padded, w)
@@ -1027,32 +1022,26 @@ def snippet_checked_op(conv_id, batch, r, *, s_size: int = 16, w: int = 8):
         fracs.append(float(a.sum() / out_len))
         total_min = np.where(a, total_min - 1, total_min)
 
-    prod = find_snippet(x, s_size=s_size, n_snippets=2, w=w)
     o_idx = [int(starts[i]) for i in order]
-    if list(prod["snippet_idx"]) != o_idx:
-        raise AssertionError(
-            f"find_snippet indices {prod['snippet_idx']} deviate from "
-            f"oracle-order selection {o_idx} on conv {conv_id}")
-    tol = ties / out_len + 1e-9
-    for pf, of in zip(prod["snippet_frac"], fracs):
-        if abs(pf - of) > tol:
-            raise AssertionError(
-                f"find_snippet fraction {pf} deviates from oracle-order "
-                f"{of} beyond tie tolerance {tol} on conv {conv_id}")
+    where = f"conv {conv_id}"
+    _assert_agrees(shipped["snippet_idx"], o_idx, "snippet_op indices", where)
+    _assert_agrees(shipped["fraction"], fracs, "snippet_op fractions", where,
+                   slack=ties / out_len)
     return {"rank": np.arange(2, dtype=np.int64),
             "snippet_idx": np.asarray(o_idx, dtype=np.int64),
             "fraction": np.asarray(fracs, dtype=np.float64)}
 
 
 @emits(_MPDIST_SCHEMA)
-def mpdist_checked_pair_op(id_a, xa, id_b, xb, *, w: int, atol: float = 2e-5):
+def mpdist_checked_pair_op(id_a, xa, id_b, xb, *, w: int):
     """MPdist tied to SQL (MPDIST_CHECKED_SQL): oracle-order per-window
     cross-distance minima from BOTH directions, concatenated, k-th smallest
     with k = ceil(0.05·(na+nb)) (/root/reference/R/mpdist.R:125-131,194-212).
-    The production ``mpdist`` kernel is asserted against the oracle value.
-    Pairs where fewer than k finite per-window minima exist emit nothing
-    (the kernel returns Inf there)."""
-    if len(xa) < 2 * w or len(xb) < 2 * w:
+    ``mpdist_pair_op``'s value is asserted against the oracle's. Pairs where
+    fewer than k finite per-window minima exist emit nothing (the kernel
+    returns Inf there)."""
+    shipped = mpdist_pair_op(id_a, xa, id_b, xb, w=w)
+    if shipped is None:
         return None
     abba = np.concatenate([_cross_min(xa, xb, w), _cross_min(xb, xa, w)])
     k = max(int(np.ceil(0.05 * (len(xa) + len(xb)))), 1)
@@ -1060,9 +1049,6 @@ def mpdist_checked_pair_op(id_a, xa, id_b, xb, *, w: int, atol: float = 2e-5):
     if len(fin) < k:
         return None
     val = float(fin[k - 1])
-    prod = mpdist(xa, xb, w)
-    if abs(prod - val) > atol:
-        raise AssertionError(
-            f"mpdist kernel deviates from oracle-order value on pair "
-            f"({id_a}, {id_b}): |{prod} - {val}| > {atol}")
+    _assert_agrees(shipped["mpdist"], [val], "mpdist_pair_op",
+                   f"pair ({id_a}, {id_b})")
     return {"conv_a": [id_a], "conv_b": [id_b], "mpdist": [round(val, _DP)]}

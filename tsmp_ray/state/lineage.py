@@ -7,7 +7,8 @@
   giant file.
 - ``_manifest.json``: one entry per completed partition: inputs, row count,
   content hash, wall time, engine version — written after the partition's
-  rename so a crash can never record an incomplete partition.
+  rename so a crash can never record an incomplete partition — and, once,
+  the layout's Arrow schema.
 - ``resumable_write``: skips partitions already recorded in the manifest, so
   a killed job rerun only does the missing work (tested by killing after
   tier-1 in tests/test_lineage.py).
@@ -19,6 +20,7 @@ The reference's analog is the anytime/partial machinery (`on.exit` best-so-far
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import shutil
@@ -41,7 +43,11 @@ class Manifest:
         return partition in self.data["partitions"]
 
     def record(self, partition: str, entry: dict) -> None:
-        self.data["partitions"][partition] = entry
+        self.record_all({partition: entry})
+
+    def record_all(self, entries: dict) -> None:
+        """Record every ``partition -> entry`` with ONE manifest rewrite."""
+        self.data["partitions"].update(entries)
         self._flush()
 
     def drop(self, partition: str) -> None:
@@ -84,12 +90,16 @@ def resumable_write(ds, out_dir: str, partition_col: str,
     is written atomically (tmp + rename) with a ``_SUCCESS`` marker;
     partitions completed by a crashed run are ADOPTED into the manifest on
     the next call instead of rewritten, so kill-resume granularity is per
-    partition. A block is sorted by the partition column and then every
-    other column before the write, making partition bytes deterministic
-    under Ray's nondeterministic row order (byte-identical resume,
-    tested). Workers write to ``out_dir`` directly — on a multi-node
-    cluster this must be shared storage (the same assumption
-    ``ds.write_parquet`` makes).
+    partition. The call records its adopted and written partitions with ONE
+    manifest rewrite at its end (each ``_SUCCESS`` marker is the commit
+    point, so a partition written but not yet recorded is adopted by the
+    next call), and the first such rewrite stores the layout's Arrow schema,
+    read from one partition's Parquet footer. A block is sorted by the
+    partition column and then every other column before the write, making
+    partition bytes deterministic under Ray's nondeterministic row order
+    (byte-identical resume, tested). Workers write to ``out_dir`` directly —
+    on a multi-node cluster this must be shared storage (the same
+    assumption ``ds.write_parquet`` makes).
     """
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -98,6 +108,7 @@ def resumable_write(ds, out_dir: str, partition_col: str,
     from ..stages.signals import key_runs, sort_map
 
     man = Manifest(out_dir)
+    recorded = {}  # partition -> entry, adopted or written by this call
 
     # adopt partitions a crashed run finished but never recorded. A
     # '<key>.tmp-<pid>' leftover also starts with '<partition_col>=' and
@@ -120,17 +131,15 @@ def resumable_write(ds, out_dir: str, partition_col: str,
         marker = os.path.join(out_dir, d, "_SUCCESS")
         if not man.done(d) and os.path.exists(marker):
             with open(marker) as f:
-                man.record(d, json.load(f))
+                recorded[d] = json.load(f)
 
+    known = set(man.data["partitions"]) | set(recorded)
     if partition_values is None:
         partition_values = sorted(ds.unique(partition_col))
     status = {f"{partition_col}={v}": "skipped" for v in partition_values
-              if man.done(f"{partition_col}={v}")}
+              if f"{partition_col}={v}" in known}
     pending = [v for v in partition_values
-               if not man.done(f"{partition_col}={v}")]
-    if not pending:
-        return status
-
+               if f"{partition_col}={v}" not in known]
     val_set = pa.array(pending)
 
     def only_pending(batch: pa.Table) -> pa.Table:
@@ -167,18 +176,29 @@ def resumable_write(ds, out_dir: str, partition_col: str,
             [write_partition(batch.slice(lo, hi - lo))
              for lo, hi in zip(bounds[:-1], bounds[1:])], schema=markers_schema)
 
-    markers = sort_map(ds.map_batches(only_pending, batch_format="pyarrow"),
-                       partition_col, write_block).take_all()
+    markers = []
+    if pending:
+        markers = sort_map(ds.map_batches(only_pending,
+                                          batch_format="pyarrow"),
+                           partition_col, write_block).take_all()
     for m in markers:
-        man.record(m["partition"], json.loads(m["entry"]))
+        recorded[m["partition"]] = json.loads(m["entry"])
         status[m["partition"]] = "written"
+    if recorded:
+        if "schema" not in man.data:
+            footer = pq.read_schema(os.path.join(
+                out_dir, next(iter(recorded)), "part-0.parquet"))
+            man.data["schema"] = base64.b64encode(
+                footer.serialize().to_pybytes()).decode()
+        man.record_all(recorded)
     return status
 
 
 def read_partitioned(out_dir: str, partition_col: str):
     """Read a resumable layout back as one Dataset (manifest-listed parts);
-    a 0-row Dataset when the manifest lists no partition (e.g. after
-    ``retention.compact`` emptied every one)."""
+    a 0-row Dataset of the layout's stored schema when the manifest lists
+    no partition (e.g. after ``retention.compact`` emptied every one)."""
+    import pyarrow as pa
     import ray
 
     man = Manifest(out_dir)
@@ -187,4 +207,9 @@ def read_partitioned(out_dir: str, partition_col: str):
         pdir = os.path.join(out_dir, key)
         paths.extend(sorted(os.path.join(pdir, f) for f in os.listdir(pdir)
                             if f.endswith(".parquet")))
-    return ray.data.read_parquet(paths) if paths else ray.data.from_items([])
+    if paths:
+        return ray.data.read_parquet(paths)
+    if "schema" not in man.data:  # a layout no resumable_write recorded
+        return ray.data.from_items([])
+    return ray.data.from_arrow(pa.ipc.read_schema(pa.py_buffer(
+        base64.b64decode(man.data["schema"]))).empty_table())
